@@ -232,18 +232,6 @@ def _unit_class_reps(n: int, q: int) -> list[int]:
     return reps
 
 
-def _circular_runs(member: list[bool], n: int) -> list[int]:
-    # R[a] = length of the run a, a+1, ... staying inside the member set,
-    # indices mod n.  Requires at least one non-member.
-    R = [0] * n
-    f0 = member.index(False)
-    idx = f0
-    for _ in range(n):
-        idx = (idx - 1) % n
-        R[idx] = 0 if not member[idx] else R[(idx + 1) % n] + 1
-    return R
-
-
 def _runs_with_step(member: list[bool], n: int, step: int) -> list[int]:
     # R[a] = max r with a, a+step, ..., a+(r-1)step all members.
     R = [0] * n
@@ -275,7 +263,7 @@ def bch_bound(spec: CyclicCodeSpec) -> BchWitness:
     for c in _unit_class_reps(n, q):
         # member marks c^-1 * D; a run there maps back through b -> c*b, step c
         member = [((c * i) % n in D) for i in range(n)]
-        R = _circular_runs(member, n)
+        R = _runs_with_step(member, n, 1)
         for b in range(n):
             L = R[b]
             if L == 0 or member[(b - 1) % n]:
@@ -335,7 +323,7 @@ def ht_bound(spec: CyclicCodeSpec, *, max_n: int = 255, exhaustive: bool = False
                         runmin = min(runmin, R[(b + j * m1) % n])
     else:
         member = [(i in D) for i in range(n)]
-        R = _circular_runs(member, n)
+        R = _runs_with_step(member, n, 1)
         starts = [b for b in range(n) if member[b]]
         for m1 in units:
             for b in starts:

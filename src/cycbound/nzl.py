@@ -17,9 +17,8 @@ decoder module).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 
 from . import cyclic
@@ -100,6 +99,31 @@ def nzl_bound(mu: int, d_l: int) -> int:
     return -(-mu // d_l)
 
 
+def _stepped(row: bytes, w: int) -> bytes:
+    """The row read at stride w: out[i] = row[w*i mod len(row)], for w >= 1."""
+    return (row * w)[::w]
+
+
+@lru_cache(maxsize=64)
+def _step_orbits(in_c: bytes, n: int):
+    """(orbit representatives, stabilizer) for the unit steps w mod n, n > 1.
+
+    The stabilizer S = {s unit : s*D_C = D_C} acts on the steps by
+    multiplication; each representative is the smallest w of its orbit S*w.
+    best_bound searches one defining set against many locators, hence the
+    cache.
+    """
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    stab = tuple(s for s in units if _stepped(in_c, s) == in_c)
+    seen: set[int] = set()
+    reps = []
+    for w in units:
+        if w not in seen:
+            reps.append(w)
+            seen.update(s * w % n for s in stab)
+    return tuple(reps), stab
+
+
 def mu_search(
     defining_set,
     n: int,
@@ -114,7 +138,19 @@ def mu_search(
 
     For fixed w the pairs ((e + w*j) mod n, (j + t_l) mod n_l) walk a single
     cycle of length n*n_l, so the run maximization is one circular scan of
-    that cycle per w.
+    that cycle per w.  The cover of the cycle is built at bytes level: the
+    code row stepped by w, tiled n_l times, is OR-ed as one integer with the
+    locator row tiled n times, and rotated to start at an uncovered index.
+    Substring tests then skip a step whose longest run is shorter than the
+    best so far, and find the starts of its longest runs.
+
+    Steps are scanned one per orbit of the multiplier stabilizer
+    S = {s unit mod n : s*D_C = D_C}: the step s*w sees the same cover as w,
+    with every run start e moved to s*e and t_l unchanged, so each longest
+    run of a representative w stands for the certificates (s*e, t_l, s*w),
+    s in S, and the tie-break is taken over all of them.  For a cyclic code
+    S contains the powers of q.  Explicit `w_values` and `search_w=False`
+    scan exactly the steps they name.
     """
     n_l = locator.n_l
     if math.gcd(n, n_l) != 1:
@@ -125,46 +161,44 @@ def mu_search(
     in_l = bytearray(n_l)
     for i in locator.defining_set:
         in_l[i % n_l] = 1
+    in_c = bytes(in_c)
     if w_values is not None:
         ws = sorted(set(w % n for w in w_values))
         if any(math.gcd(w, n) != 1 for w in ws):
             raise ValueError("w must be a unit mod n")
+        stab = (1,)
     elif search_w and n > 1:
-        ws = [w for w in range(1, n) if math.gcd(w, n) == 1]
+        ws, stab = _step_orbits(in_c, n)
     else:
-        ws = [1 % n] if n > 1 else [0]
+        ws, stab = [1 % n], (1,)
     total = n * n_l
+    loc_row = int.from_bytes(bytes(in_l) * n, "big")
     best = None  # (-mu, e, t_l, w)
+    longest = b"\1"  # the longest run found so far, or the least that counts
     for w in ws:
-        good = bytearray(total)
-        for j in range(total):
-            if in_c[w * j % n] or in_l[j % n_l]:
-                good[j] = 1
-        if all(good):
+        code_row = _stepped(in_c, w or 1)  # w = 0 only when n = 1
+        cover = (int.from_bytes(code_row * n_l, "big") | loc_row).to_bytes(total, "big")
+        z = cover.find(0)
+        if z < 0:
             raise DegenerateCover("the code and locator zero sets cover every index")
-        if not any(good):
+        cover = cover[z:] + cover[:z]
+        if longest not in cover:
             continue
-        # maximal circular runs of good positions
-        j = 0
-        while good[j - 1]:  # rewind to a run boundary; some zero exists
-            j -= 1
-        start = j % total
-        j = start
-        scanned = 0
-        while scanned < total:
-            if not good[j]:
-                j = (j + 1) % total
-                scanned += 1
-                continue
-            run = 0
-            first = j
-            while good[j]:
-                run += 1
-                j = (j + 1) % total
-                scanned += 1
-            cand = (-(run + 1), w * first % n, first % n_l, w)
-            if best is None or cand < best:
-                best = cand
+        while longest + b"\1" in cover:
+            longest += b"\1"
+        mu = len(longest) + 1
+        # cover opens with an uncovered index and holds no longer run, so
+        # each match of this pattern is one longest run, opening at at + 1
+        run = b"\0" + longest
+        at = cover.find(run)
+        while at >= 0:
+            first = (z + at + 1) % total
+            e, t_l = w * first % n, first % n_l
+            for s in stab:
+                cand = (-mu, s * e % n, t_l, s * w % n)
+                if best is None or cand < best:
+                    best = cand
+            at = cover.find(run, at + mu)
     if best is None:
         return NzlCertificate(0, 1 % n if n > 1 else 0, 0, 1, nzl_bound(1, locator.d_l), locator)
     neg_mu, e, t_l, w = best
@@ -437,33 +471,26 @@ def best_bound(
     values for comparison.  Returns (certificate, {"bch", "ht", "d_star"}).
 
     Ties between equal d_star are broken by smaller
-    (d_l, n_l, e, t_l, w).  CYCLIC_BOUND_THREADS > 1 evaluates candidates
-    concurrently; the deterministic tie-break makes the result
-    schedule-independent.
+    (d_l, n_l, e, t_l, w).  Above the HT search cap "ht" is None and the
+    search goes on without it.
     """
     if search_w is None:
         search_w = code.n <= 255
-    bch = cyclic.bch_bound(code)
-    ht = cyclic.ht_bound(code)
+    bch = cyclic.bch_bound(code).value
+    try:
+        ht = cyclic.ht_bound(code).value
+    except SearchCapExceeded:
+        ht = None
     if not code.defining_set:
         cert = NzlCertificate(0, 1 % code.n if code.n > 1 else 0, 0, 1, 1, trivial_locator())
-        return cert, {"bch": bch.value, "ht": ht.value, "d_star": 1}
+        return cert, {"bch": bch, "ht": ht, "d_star": 1}
     cands = candidate_locators(code.n, code.q, max_n_l=max_n_l, max_u=max_u, kinds=kinds)
-
-    def run(loc):
-        return mu_search(code.defining_set, code.n, loc, search_w=search_w)
-
-    threads = int(os.environ.get("CYCLIC_BOUND_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            certs = list(pool.map(run, cands))
-    else:
-        certs = [run(loc) for loc in cands]
+    certs = [mu_search(code.defining_set, code.n, loc, search_w=search_w) for loc in cands]
     best = min(
         certs,
         key=lambda c: (-c.d_star, c.locator.d_l, c.locator.n_l, c.e, c.t_l, c.w),
     )
-    return best, {"bch": bch.value, "ht": ht.value, "d_star": best.d_star}
+    return best, {"bch": bch, "ht": ht, "d_star": best.d_star}
 
 
 def ratio_grid(nu_range, d0_range, m_rule):

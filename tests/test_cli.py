@@ -122,6 +122,41 @@ def test_bound_bad_spec_files(tmp_path):
     assert run_cli("bound", str(bad)).returncode == 1
 
 
+@pytest.fixture(scope="module")
+def spec1023(tmp_path_factory):
+    path = tmp_path_factory.mktemp("specs") / "code1023.json"
+    path.write_text(json.dumps({"q": 2, "n": 1023, "coset_reps": [1, 3, 5]}))
+    return str(path)
+
+
+def test_bound_above_ht_cap_reports_without_ht(spec1023):
+    from cycbound import nzl
+
+    res = run_cli("bound", spec1023)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["ht"]["value"] is None and "search cap" in doc["ht"]["skipped"]
+    c = doc["nzl"]["certificate"]
+    loc = c["locator"]
+    locator = nzl.LocatorSpec(
+        loc["kind"], loc["u"], loc["n_l"], tuple(loc["defining_set"]), loc["d_l"],
+        tuple(loc["support"]), None if loc["coeffs"] is None else tuple(loc["coeffs"]),
+    )
+    cert = nzl.NzlCertificate(c["e"], c["w"], c["t_l"], c["mu"], c["d_star"], locator)
+    assert nzl.verify_certificate(doc["code"]["defining_set"], 1023, cert)
+    assert doc["nzl"]["d_star"] >= doc["bch"]["value"]
+
+
+def test_decode_above_ht_cap(spec1023):
+    word = ["0"] * 1023
+    word[700] = "1"
+    res = run_cli("decode", spec1023, "--received", "".join(word))
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["status"] == "success" and doc["positions"] == [700]
+    assert doc["corrected"] == [0] * 1023
+
+
 def test_bound_human(spec21):
     res = run_cli("bound", spec21, "--human")
     assert res.returncode == 0

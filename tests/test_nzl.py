@@ -275,11 +275,12 @@ def test_best_bound_empty_defining_set():
     assert comp == {"bch": 1, "ht": 1, "d_star": 1}
 
 
-def test_best_bound_thread_env_matches_serial(example21, monkeypatch):
-    cert0, comp0 = best_bound(example21)
-    monkeypatch.setenv("CYCLIC_BOUND_THREADS", "4")
-    cert1, comp1 = best_bound(example21)
-    assert cert0 == cert1 and comp0 == comp1
+def test_best_bound_above_ht_cap_goes_on_without_ht():
+    code = cyclic.build_code(2, 1023, (1, 3, 5))
+    cert, comp = best_bound(code)
+    assert comp["ht"] is None and comp["bch"] == 7
+    assert comp["d_star"] == cert.d_star >= comp["bch"]
+    assert verify_certificate(code.defining_set, 1023, cert)
 
 
 def test_ratio_grid_rows():
@@ -384,6 +385,64 @@ def test_mu_search_property(data):
     assert (cert.mu, cert.e, cert.t_l, cert.w) == (mu, e, t, w)
     if cert.mu >= 2:
         assert verify_certificate(sorted(D), n, cert)
+
+
+def _stabilizer(D, n):
+    DC = {i % n for i in D}
+    return {s for s in range(1, n) if math.gcd(s, n) == 1 and {s * i % n for i in DC} == DC}
+
+
+def _q_powers(q, n):
+    return {pow(q, i, n) for i in range(n)}
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_mu_search_orbit_reduction_on_cyclic_codes(data):
+    # for a cyclic code the steps w and q*w share a cover, so only one step
+    # per multiplier orbit is scanned; the certificate must not change
+    q = data.draw(st.sampled_from([2, 3]), label="q")
+    n = data.draw(st.sampled_from([n for n in range(4, 32) if n % q]), label="n")
+    cosets = cyclic.coset_partition(n, q)
+    chosen = data.draw(st.sets(st.sampled_from(cosets), min_size=1), label="cosets")
+    if sum(len(c) for c in chosen) == n:
+        return
+    code = cyclic.build_code(q, n, [min(c) for c in chosen])
+    n_l = data.draw(st.sampled_from([m for m in (2, 3, 4, 5, 7) if math.gcd(m, n) == 1]), label="n_l")
+    DL = data.draw(st.sets(st.integers(0, n_l - 1), max_size=n_l - 1), label="DL")
+    loc = LocatorSpec("custom", 1, n_l, tuple(sorted(DL)), max(1, len(DL)), (0,), (1,))
+    assert _q_powers(q, n) <= _stabilizer(code.defining_set, n)
+    ws = [w for w in range(1, n) if math.gcd(w, n) == 1]
+    cert = mu_search(code.defining_set, n, loc)
+    mu, e, t, w = _naive_mu_search(code.defining_set, n, loc, ws)
+    assert (cert.mu, cert.e, cert.t_l, cert.w) == (mu, e, t, w)
+    if cert.mu >= 2:
+        assert verify_certificate(code.defining_set, n, cert)
+
+
+def test_mu_search_stabilizer_larger_than_q_powers():
+    # D = C_1 u C_7 mod 15 is closed under x -> -x as well as x -> 2x, so all
+    # eight units stabilize it and a single step w = 1 is scanned
+    code = cyclic.build_code(2, 15, (1, 7))
+    S = _stabilizer(code.defining_set, 15)
+    assert len(S) == 8 and S > _q_powers(2, 15)
+    ws = [w for w in range(1, 15) if math.gcd(w, 15) == 1]
+    for loc in candidate_locators(15, 2, max_n_l=8):
+        cert = mu_search(code.defining_set, 15, loc)
+        assert (cert.mu, cert.e, cert.t_l, cert.w) == _naive_mu_search(
+            code.defining_set, 15, loc, ws
+        ), loc
+
+
+def test_mu_search_w_values_non_representative(example21, spc5):
+    # w = 2 shares its orbit with w = 1, but an explicit step list is
+    # scanned as given
+    cert = mu_search(example21.defining_set, 21, spc5, w_values=(2,))
+    assert cert.w == 2
+    assert (cert.mu, cert.e, cert.t_l, cert.w) == _naive_mu_search(
+        example21.defining_set, 21, spc5, [2]
+    )
+    assert verify_certificate(example21.defining_set, 21, cert)
 
 
 def _naive_ht(D, n):
