@@ -6,9 +6,9 @@ available.  Exit codes: 0 = ran (including decode failures reported in the
 JSON), 1 = usage or parse error, 2 = internal invariant violation.
 
 Code spec files are JSON documents with keys q, n, and exactly one of
-coset_reps / defining_set (negative exponents allowed, canonicalized mod
-n), plus an optional name.  A defining_set that is not closed under
-multiplication by q is closed with a warning on stderr.
+coset_reps / defining_set (lists of integers; negative exponents allowed,
+canonicalized mod n), plus an optional name.  A defining_set that is not
+closed under multiplication by q is closed with a warning on stderr.
 
 Received words are strings of base-q digits with the coefficient of x^0
 first (use comma-separated digits when q > 10).
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import cyclic, decoder, fixtures, nzl
@@ -48,29 +47,24 @@ def load_code_spec(path: str) -> cyclic.CyclicCodeSpec:
     has_def = "defining_set" in doc
     if has_reps == has_def:
         raise UsageError("exactly one of coset_reps / defining_set is required")
-    name = doc.get("name")
-    if has_reps:
-        reps = doc["coset_reps"]
-    else:
-        wanted = {i % n for i in doc["defining_set"]}
-        closed: set[int] = set()
-        reps_set: set[int] = set()
-        for i in sorted(wanted):
-            if i not in closed:
-                c = cyclic.cyclotomic_coset(n, q, i)
-                closed |= c
-                reps_set.add(min(c))
-        if closed != wanted:
-            print(
-                f"warning: defining_set was not closed under multiplication by {q}; "
-                f"closed it ({sorted(closed - wanted)} added)",
-                file=sys.stderr,
-            )
-        reps = sorted(reps_set)
+    key = "coset_reps" if has_reps else "defining_set"
+    entries = doc[key]
+    if not isinstance(entries, list) or not all(isinstance(i, int) for i in entries):
+        raise UsageError(f"code spec needs '{key}' as a list of integers")
     try:
-        return cyclic.build_code(q, n, reps, name=name)
+        reps = entries if has_reps else cyclic._coset_reps(n, q, entries)
+        code = cyclic.build_code(q, n, reps, name=doc.get("name"))
     except (ValueError, NotCoprime) as err:
         raise UsageError(str(err))
+    if not has_reps:
+        added = sorted(set(code.defining_set) - {i % n for i in entries})
+        if added:
+            print(
+                f"warning: defining_set was not closed under multiplication by {q}; "
+                f"closed it ({added} added)",
+                file=sys.stderr,
+            )
+    return code
 
 
 def _code_json(code: cyclic.CyclicCodeSpec) -> dict:
@@ -184,11 +178,8 @@ def _parse_word(text: str, q: int, n: int) -> list[int]:
 def cmd_decode(args) -> int:
     code = load_code_spec(args.spec)
     word = _parse_word(args.received, code.q, code.n)
-    if args.spc:
-        locator = nzl.spc_locator(args.spc, code.q)
-        cert = nzl.mu_search(code.defining_set, code.n, locator, search_w=args.search_w)
-    elif args.trivial:
-        locator = nzl.trivial_locator()
+    if args.spc or args.trivial:
+        locator = nzl.spc_locator(args.spc, code.q) if args.spc else nzl.trivial_locator()
         cert = nzl.mu_search(code.defining_set, code.n, locator, search_w=args.search_w)
     else:
         cert, _ = nzl.best_bound(

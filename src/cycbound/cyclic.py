@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import islice, product
 
 from .gf import (
     DigitField,
@@ -99,6 +100,8 @@ class HtWitness:
 
 def cyclotomic_coset(n: int, q: int, r: int) -> frozenset[int]:
     """The orbit {r*q^j mod n} of r under multiplication by q."""
+    if n < 1:
+        raise ValueError("length must be positive")
     if math.gcd(n, q) != 1:
         raise NotCoprime(f"gcd({n}, {q}) != 1")
     r %= n
@@ -108,6 +111,12 @@ def cyclotomic_coset(n: int, q: int, r: int) -> frozenset[int]:
         out.add(t)
         t = t * q % n
     return frozenset(out)
+
+
+def _coset_reps(n: int, q: int, exponents) -> tuple[int, ...]:
+    """Smallest members of the cosets meeting `exponents`: the coset
+    representatives of their closure under multiplication by q."""
+    return tuple(sorted({min(cyclotomic_coset(n, q, i)) for i in exponents}))
 
 
 def coset_partition(n: int, q: int) -> list[frozenset[int]]:
@@ -186,14 +195,36 @@ def encode(spec: CyclicCodeSpec, message) -> tuple[int, ...]:
     if len(message) != spec.k:
         raise ValueError(f"message must have {spec.k} digits")
     g = generator_polynomial(spec)
-    df = DigitField(spec.q)
-    out = [0] * spec.n
-    for i, mi in enumerate(message):
+    return tuple(_mul_digits(DigitField(spec.q), message, g, spec.n))
+
+
+def _mul_digits(df: DigitField, m, g, n: int) -> list[int]:
+    """Digits of m(x)g(x) over GF(q), padded to length n."""
+    out = [0] * n
+    for i, mi in enumerate(m):
         if mi:
             for j, gj in enumerate(g):
                 if gj:
                     out[i + j] = df.add(out[i + j], df.mul(mi, gj))
-    return tuple(out)
+    return out
+
+
+def _first_min_weight_word(q: int, g, k: int, stop: int):
+    """(weight, word) of the first minimum-weight nonzero word m(x)g(x), for
+    g given by GF(q) digits and m over the q^k digit messages in
+    itertools.product order; the scan ends at the first word of weight
+    `stop`.  The word is None when there is no nonzero message (k = 0)."""
+    df = DigitField(q)
+    n = len(g) + k - 1
+    best, best_cw = n + 1, None
+    for msg in islice(product(range(q), repeat=k), 1, None):  # skip m = 0
+        cw = _mul_digits(df, msg, g, n)
+        w = n - cw.count(0)
+        if w < best:
+            best, best_cw = w, tuple(cw)
+            if best == stop:
+                break
+    return best, best_cw
 
 
 def random_codeword(spec: CyclicCodeSpec, rng) -> tuple[int, ...]:
@@ -275,6 +306,7 @@ def bch_bound(spec: CyclicCodeSpec) -> BchWitness:
     return best
 
 
+@lru_cache(maxsize=64)
 def ht_bound(spec: CyclicCodeSpec, *, max_n: int = 255, exhaustive: bool = False) -> HtWitness:
     """Hartmann-Tzeng bound: best d0 + nu over witness templates (see HtWitness).
 
@@ -285,7 +317,9 @@ def ht_bound(spec: CyclicCodeSpec, *, max_n: int = 255, exhaustive: bool = False
     arithmetic run is the d0 = 2 case.  `exhaustive=True` searches the full
     (m1, m2) family instead; it can be strictly stronger (a handful of
     length-31 codes reach 8 versus the normalized 7) and is kept for
-    cross-validation.
+    cross-validation.  Results are memoized per (spec, max_n, exhaustive),
+    since `cycbound bound` asks for the HT value and then best_bound
+    compares against it.
     """
     n, q = spec.n, spec.q
     if n > max_n:
@@ -296,46 +330,25 @@ def ht_bound(spec: CyclicCodeSpec, *, max_n: int = 255, exhaustive: bool = False
     if len(D) == n:
         raise ValueError("the zero code has no minimum distance")
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    best_key = None
-    best = None
-
-    def consider(value, b1, m1, m2, d0, nu):
-        nonlocal best_key, best
-        key = (-value, nu, b1, m1, m2)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = HtWitness(value, b1, m1, m2, d0, nu)
-
-    if exhaustive:
-        member = [(i in D) for i in range(n)]
-        starts = [b for b in range(n) if member[b]]
-        for m2 in units:
-            R = _runs_with_step(member, n, m2)
-            for m1 in units:
-                for b in starts:
-                    runmin = R[b]
-                    j = 0
-                    while runmin:
-                        consider(runmin + 1 + j, b, m1, m2, runmin + 1, j)
-                        j += 1
-                        if j >= n:
-                            break
-                        runmin = min(runmin, R[(b + j * m1) % n])
-    else:
-        member = [(i in D) for i in range(n)]
-        R = _runs_with_step(member, n, 1)
-        starts = [b for b in range(n) if member[b]]
+    member = [(i in D) for i in range(n)]
+    starts = [b for b in range(n) if member[b]]
+    best = None  # (-value, nu, b1, m1, m2)
+    for m2 in units if exhaustive else (1,):
+        R = _runs_with_step(member, n, m2)
         for m1 in units:
             for b in starts:
                 runmin = R[b]
                 j = 0
                 while runmin:
-                    consider(runmin + 1 + j, b, m1, 1, runmin + 1, j)
+                    key = (-(runmin + 1 + j), j, b, m1, m2)
+                    if best is None or key < best:
+                        best = key
                     j += 1
                     if j >= n:
                         break
                     runmin = min(runmin, R[(b + j * m1) % n])
-    return best
+    neg_value, nu, b1, m1, m2 = best
+    return HtWitness(-neg_value, b1, m1, m2, -neg_value - nu, nu)
 
 
 def verify_ht_witness(spec: CyclicCodeSpec, wit: HtWitness) -> bool:
@@ -380,25 +393,8 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
                     break
         word = tuple((best_cw >> i) & 1 for i in range(n))
         return DistanceWitness(best, word, "oracle")
-    df = DigitField(spec.q)
-    best = n + 1
-    best_cw = None
-    for msg in product(range(spec.q), repeat=k):
-        if not any(msg):
-            continue
-        out = [0] * n
-        for i, mi in enumerate(msg):
-            if mi:
-                for j, gj in enumerate(g):
-                    if gj:
-                        out[i + j] = df.add(out[i + j], df.mul(mi, gj))
-        w = sum(1 for x in out if x)
-        if w < best:
-            best = w
-            best_cw = tuple(out)
-            if best == 1:
-                break
-    return DistanceWitness(best, best_cw, "oracle")
+    d, word = _first_min_weight_word(spec.q, g, k, stop=1)
+    return DistanceWitness(d, word, "oracle")
 
 
 def has_distance_two(n: int, coset_reps) -> bool:
@@ -492,8 +488,7 @@ def lowest_rate_d2_code(a: int, g: int) -> CyclicCodeSpec:
             "using the evenly spaced set",
             stacklevel=2,
         )
-    reps = sorted({min(cyclotomic_coset(n, 2, i)) for i in D})
-    spec = build_code(2, n, reps, name=f"lowest-rate-d2({a},{g})")
+    spec = build_code(2, n, _coset_reps(n, 2, D), name=f"lowest-rate-d2({a},{g})")
     if set(spec.defining_set) != D or spec.k != a * (g - 1):
         raise PreconditionViolated("defining set is not coset-closed for these parameters")
     return spec
@@ -518,8 +513,7 @@ def lowest_rate_d3_code(a: int, g: int, r: int = 1) -> CyclicCodeSpec:
             raise PreconditionViolated("defining set is not coset-closed")
     if n - len(D) != a * (G - g):
         raise PreconditionViolated("scaling by r collapses the defining set")
-    reps = sorted({min(cyclotomic_coset(n, 2, i)) for i in D})
-    spec = build_code(2, n, reps, name=f"lowest-rate-d3({a},{g},{r})")
+    spec = build_code(2, n, _coset_reps(n, 2, D), name=f"lowest-rate-d3({a},{g},{r})")
     if list(spec.defining_set) != D:
         raise AssertionError("construction produced an unexpected defining set")
     return spec

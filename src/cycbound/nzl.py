@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
 
 from . import cyclic
 from .gf import (
@@ -314,25 +313,13 @@ def custom_locator(q: int, u: int, n_l: int, defining_set, cap: int = 1 << 20) -
     """Locator from an explicit defining set; its minimum distance and a
     minimum-weight codeword are established by brute force, never trusted."""
     q_l = q**u
-    code = cyclic.build_code(q_l, n_l, _reps_of(defining_set, n_l, q_l))
+    code = cyclic.build_code(q_l, n_l, cyclic._coset_reps(n_l, q_l, defining_set))
     if set(code.defining_set) != {i % n_l for i in defining_set}:
         raise PreconditionViolated("defining set is not closed under multiplication by q_l")
     wit = cyclic.min_distance_oracle(code, cap=cap)
     support = tuple(i for i, c in enumerate(wit.codeword) if c)
     coeffs = tuple(wit.codeword[i] for i in support)
     return LocatorSpec("custom", u, n_l, code.defining_set, wit.d, support, coeffs)
-
-
-def _reps_of(defining_set, n: int, q: int):
-    reps = set()
-    seen = set()
-    for i in defining_set:
-        i %= n
-        if i not in seen:
-            c = cyclic.cyclotomic_coset(n, q, i)
-            seen |= c
-            reps.add(min(c))
-    return tuple(sorted(reps))
 
 
 def min_weight_codeword(q: int, locator: LocatorSpec, cap: int = 1 << 20):
@@ -344,11 +331,6 @@ def min_weight_codeword(q: int, locator: LocatorSpec, cap: int = 1 << 20):
     distance-three -> the ternomial construction; anything else by brute
     force over q_l^k_l messages (capped)."""
     q_l = q**locator.u
-    if locator.kind == "trivial":
-        return (0,), (1,)
-    if locator.kind == "spc":
-        df = DigitField(q_l)
-        return (0, 1), (1, df.neg(1))
     p, a = prime_power(q_l)
     s_l = min_extension_degree(q_l, locator.n_l)
     ctx = build_field(p, a * s_l)
@@ -367,13 +349,6 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int, cap: int
         return (0,), (1,)
     if kind == "spc":
         return (0, 1), (1, ctx.neg(1))
-    if kind == "rs":
-        g = Poly.one(ctx)
-        for i in locator.defining_set:
-            g = g * Poly(ctx, (ctx.neg(ctx.pow(beta, i)), 1))
-        if not all(g.coeffs):
-            raise AssertionError("Reed-Solomon generator with zero coefficient")
-        return tuple(range(len(g.coeffs))), g.coeffs
     if kind == "lowest-rate-d3":
         a_, g_, r_ = locator.meta
         G = (1 << g_) - 1
@@ -384,32 +359,28 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int, cap: int
         rinv = pow(r_, -1, G)
         support = tuple(sorted({0, u_loc * rinv, u_loc * (b * rinv % G)}))
         return support, (1,) * 3
-    # hamming / custom / lowest-rate-d2: brute force against this beta
+    g = Poly.one(ctx)
+    for i in locator.defining_set:
+        g = g * Poly(ctx, (ctx.neg(ctx.pow(beta, i)), 1))
+    if kind == "rs":
+        if not all(g.coeffs):
+            raise AssertionError("Reed-Solomon generator with zero coefficient")
+        return tuple(range(len(g.coeffs))), g.coeffs
+    # hamming / custom / lowest-rate-d2: brute force against this beta, on
+    # digits, which subfield_digit_maps carries over as a field isomorphism
     q_l = q**locator.u
     k_l = locator.n_l - len(locator.defining_set)
     if q_l**k_l > cap:
         raise SearchCapExceeded(f"{q_l}^{k_l} messages exceed the cap {cap}")
-    g = Poly.one(ctx)
-    for i in locator.defining_set:
-        g = g * Poly(ctx, (ctx.neg(ctx.pow(beta, i)), 1))
-    to_elt, _ = subfield_digit_maps(ctx, q_l)
-    best = None
-    best_cw = None
-    for msg in product(range(q_l), repeat=k_l):
-        if not any(msg):
-            continue
-        m = Poly(ctx, tuple(to_elt[d] for d in msg))
-        cw = (m * g).coeffs
-        w = sum(1 for c in cw if c)
-        if best is None or w < best:
-            best = w
-            best_cw = cw
-            if best == locator.d_l:
-                break
+    to_elt, to_digit = subfield_digit_maps(ctx, q_l)
+    if any(c not in to_digit for c in g.coeffs):
+        raise PreconditionViolated("defining set is not closed under multiplication by q_l")
+    g_digits = tuple(to_digit[c] for c in g.coeffs)
+    best, word = cyclic._first_min_weight_word(q_l, g_digits, k_l, stop=locator.d_l)
     if best != locator.d_l:
         raise AssertionError("no codeword of the declared minimum weight found")
-    support = tuple(i for i, c in enumerate(best_cw) if c)
-    return support, tuple(best_cw[i] for i in support)
+    support = tuple(i for i, c in enumerate(word) if c)
+    return support, tuple(to_elt[word[i]] for i in support)
 
 
 def candidate_locators(

@@ -120,6 +120,34 @@ def test_bound_bad_spec_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("bound", str(bad)).returncode == 1
+    # entries that are not integers, a zero length and a length not coprime
+    # to q: each is a clean usage error, never a traceback or a hang
+    malformed = [
+        {"q": 2, "n": 7, "coset_reps": [1.5]},
+        {"q": 2, "n": 7, "defining_set": [1.5]},
+        {"q": 2, "n": 7, "coset_reps": "ab"},
+        {"q": 2, "n": 0, "defining_set": [1]},
+        {"q": 2, "n": 4, "defining_set": [1]},
+    ]
+    for i, doc in enumerate(malformed):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["bound", "--bch"], ["decode", "--received", "0000000"]):
+            res = run_cli(argv[0], str(path), *argv[1:], timeout=60)
+            assert res.returncode == 1, (doc, argv, res.stderr)
+            assert "error:" in res.stderr and "Traceback" not in res.stderr, (doc, argv, res.stderr)
+
+
+def test_bound_computes_ht_once(tmp_path):
+    from cycbound import cli, cyclic
+
+    path = tmp_path / "fresh.json"
+    path.write_text(json.dumps({"q": 2, "n": 31, "coset_reps": [1, 5], "name": "ht-once"}))
+    before = cyclic.ht_bound.cache_info()
+    assert cli.main(["bound", str(path)]) == 0
+    after = cyclic.ht_bound.cache_info()
+    assert after.misses == before.misses + 1
+    assert after.hits == before.hits + 1
 
 
 @pytest.fixture(scope="module")

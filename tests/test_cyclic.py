@@ -149,6 +149,8 @@ def test_oracle_nonbinary():
     assert min_distance_oracle(c).d == 5
     c3 = build_code(3, 4, (1, 2))
     assert min_distance_oracle(c3).d == 4
+    w = min_distance_oracle(build_code(3, 13, (1,)))
+    assert w.d == 3 and w.codeword == tuple(2 if i in (8, 11, 12) else 0 for i in range(13))
 
 
 def test_has_distance_two():

@@ -186,6 +186,7 @@ def test_min_weight_codeword_rs():
 
 def test_min_weight_codeword_hamming():
     loc = hamming_locator()
+    assert loc.support == (3, 4, 6)
     support, coeffs = min_weight_codeword(2, loc)
     assert len(support) == 3 and coeffs == (1, 1, 1)
     # weight-3 word must vanish on the defining set in the canonical field
@@ -209,12 +210,20 @@ def test_custom_locator_distance_from_oracle():
     loc = nzl.custom_locator(2, 1, 7, (3, 5, 6))
     assert loc.d_l == 3  # computed, not trusted
     assert len(loc.support) == 3
+    # a locator over GF(4): the oracle and the locator brute force find the
+    # same first minimum-weight word
+    loc4 = nzl.custom_locator(2, 2, 5, (1, 4))
+    assert (loc4.d_l, loc4.support, loc4.coeffs) == (3, (2, 3, 4), (1, 2, 1))
+    assert min_weight_codeword(2, loc4) == (loc4.support, loc4.coeffs)
 
 
 def test_min_weight_codeword_search_cap():
     loc = LocatorSpec("custom", 1, 7, (0,), 2, (0, 1), (1, 1))  # k_l = 6
     with pytest.raises(SearchCapExceeded):
         min_weight_codeword(2, loc, cap=8)
+    # {1} is not closed under doubling mod 7: no binary code to search
+    with pytest.raises(nzl.PreconditionViolated):
+        min_weight_codeword(2, LocatorSpec("custom", 1, 7, (1,), 3, (), None))
 
 
 def test_locator_kind_validation():
