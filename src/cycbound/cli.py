@@ -3,7 +3,7 @@
 Subcommands: cosets, bound, decode, check, ratio-grid.  Machine output is
 JSON on stdout (CSV for grids); --human switches to aligned text where
 available.  Exit codes: 0 = ran (including decode failures reported in the
-JSON), 1 = usage or parse error, 2 = internal invariant violation.
+JSON), 1 = usage, parse or library error, 2 = internal invariant violation.
 
 Code spec files are JSON documents with keys q, n, and exactly one of
 coset_reps / defining_set (lists of integers; negative exponents allowed,
@@ -22,7 +22,7 @@ import sys
 
 from . import cyclic, decoder, fixtures, nzl
 from .cyclic import SearchCapExceeded, TooManyCodewords
-from .gf import NotCoprime
+from .gf import FieldTooLarge
 
 
 class UsageError(Exception):
@@ -51,11 +51,8 @@ def load_code_spec(path: str) -> cyclic.CyclicCodeSpec:
     entries = doc[key]
     if not isinstance(entries, list) or not all(isinstance(i, int) for i in entries):
         raise UsageError(f"code spec needs '{key}' as a list of integers")
-    try:
-        reps = entries if has_reps else cyclic._coset_reps(n, q, entries)
-        code = cyclic.build_code(q, n, reps, name=doc.get("name"))
-    except (ValueError, NotCoprime) as err:
-        raise UsageError(str(err))
+    reps = entries if has_reps else cyclic._coset_reps(n, q, entries)
+    code = cyclic.build_code(q, n, reps, name=doc.get("name"))
     if not has_reps:
         added = sorted(set(code.defining_set) - {i % n for i in entries})
         if added:
@@ -99,10 +96,7 @@ def _cert_json(cert: nzl.NzlCertificate) -> dict:
 
 
 def cmd_cosets(args) -> int:
-    try:
-        cosets = cyclic.coset_partition(args.n, args.q)
-    except (ValueError, NotCoprime) as err:
-        raise UsageError(str(err))
+    cosets = cyclic.coset_partition(args.n, args.q)
     if args.json:
         print(json.dumps({"n": args.n, "q": args.q, "cosets": [sorted(c) for c in cosets]}, indent=2))
     else:
@@ -145,6 +139,8 @@ def cmd_bound(args) -> int:
             record["oracle"] = {"d": wit.d, "capped": False}
         except TooManyCodewords:
             record["oracle"] = {"d": None, "capped": True}
+        except FieldTooLarge as err:
+            record["oracle"] = {"d": None, "capped": True, "skipped": str(err)}
     if args.human:
         name = code.name or f"({code.q}; {code.n}, {code.k})"
         print(f"code       {name}")
@@ -327,10 +323,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as err:
+    except (UsageError, OSError, ValueError) as err:  # every library error is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1
     except AssertionError as err:

@@ -242,25 +242,16 @@ def is_codeword(spec: CyclicCodeSpec, word) -> bool:
     return all(horner(ctx, elts, ctx.pow(alpha, r)) == 0 for r in spec.coset_reps)
 
 
-def _unit_class_reps(n: int, q: int) -> list[int]:
-    # Representatives of (Z/n)^* modulo the subgroup generated by q; scaling
-    # a defining set by q permutes it, so only these classes matter.
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    if n == 1:
-        return [0]
+def _orbit_reps(n: int, group) -> tuple[int, ...]:
+    """Smallest member of each orbit of the units mod n under multiplication
+    by `group`, a subgroup of the units."""
     seen: set[int] = set()
     reps = []
-    for u in units:
-        if u in seen:
-            continue
-        reps.append(u)
-        t = u
-        while True:
-            seen.add(t)
-            t = t * q % n
-            if t == u:
-                break
-    return reps
+    for u in range(1, n):
+        if u not in seen and math.gcd(u, n) == 1:
+            reps.append(u)
+            seen.update(s * u % n for s in group)
+    return tuple(reps)
 
 
 def _runs_with_step(member: list[bool], n: int, step: int) -> list[int]:
@@ -289,25 +280,26 @@ def bch_bound(spec: CyclicCodeSpec) -> BchWitness:
         return BchWitness(1, None, None)
     if len(D) == n:
         raise ValueError("the zero code has no minimum distance")
-    best_key = None
-    best = None
-    for c in _unit_class_reps(n, q):
-        # member marks c^-1 * D; a run there maps back through b -> c*b, step c
-        member = [((c * i) % n in D) for i in range(n)]
-        R = _runs_with_step(member, n, 1)
+    # scaling D by q permutes it, so one step c per class of units modulo
+    # the powers of q is scanned
+    member = [i in D for i in range(n)]
+    best = None  # (-value, b, m1)
+    for c in _orbit_reps(n, cyclotomic_coset(n, q, 1)):
+        R = _runs_with_step(member, n, c)
         for b in range(n):
-            L = R[b]
-            if L == 0 or member[(b - 1) % n]:
-                continue  # only maximal runs
-            key = (-(L + 1), c * b % n, c)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = BchWitness(L + 1, c * b % n, c)
-    return best
+            if R[b] and not member[(b - c) % n]:  # only maximal runs
+                key = (-(R[b] + 1), b, c)
+                if best is None or key < best:
+                    best = key
+    neg_value, b, m1 = best
+    return BchWitness(-neg_value, b, m1)
+
+
+HT_MAX_N = 255  # longest length the HT search runs on
 
 
 @lru_cache(maxsize=64)
-def ht_bound(spec: CyclicCodeSpec, *, max_n: int = 255, exhaustive: bool = False) -> HtWitness:
+def ht_bound(spec: CyclicCodeSpec, *, exhaustive: bool = False) -> HtWitness:
     """Hartmann-Tzeng bound: best d0 + nu over witness templates (see HtWitness).
 
     The default search uses the normalized single-multiplier family
@@ -317,13 +309,13 @@ def ht_bound(spec: CyclicCodeSpec, *, max_n: int = 255, exhaustive: bool = False
     arithmetic run is the d0 = 2 case.  `exhaustive=True` searches the full
     (m1, m2) family instead; it can be strictly stronger (a handful of
     length-31 codes reach 8 versus the normalized 7) and is kept for
-    cross-validation.  Results are memoized per (spec, max_n, exhaustive),
+    cross-validation.  Results are memoized per (spec, exhaustive),
     since `cycbound bound` asks for the HT value and then best_bound
     compares against it.
     """
     n, q = spec.n, spec.q
-    if n > max_n:
-        raise SearchCapExceeded(f"length {n} above the search cap {max_n}")
+    if n > HT_MAX_N:
+        raise SearchCapExceeded(f"length {n} above the search cap {HT_MAX_N}")
     D = set(spec.defining_set)
     if not D:
         return HtWitness(1, None, None, None, None, None)
@@ -442,34 +434,39 @@ def distance_three_witness(n: int, coset_reps, g: int, r: int) -> DistanceWitnes
             raise PreconditionViolated(f"representative {rep} not in the coset of {r} mod {G}")
         defining |= cyclotomic_coset(n, 2, rep)
     u = n // G
-    rinv = pow(r, -1, G)
     s = min_extension_degree(2, n)
     if (1 << s) <= MAX_FIELD_SIZE:
         ctx = build_field(2, s)
-        alpha = nth_root_of_unity(ctx, n)
-        beta = ctx.pow(alpha, u)
+        root, scale = nth_root_of_unity(ctx, n), 1
+        beta = ctx.pow(root, u)
     else:
         ctx = build_field(2, g)
-        alpha = None
         beta = nth_root_of_unity(ctx, G)
-    target = ctx.add(1, beta)
-    b = next(k for k in range(1, G) if ctx.pow(beta, k) == target)
-    e1 = u * rinv
-    e2 = u * (b * rinv % G)
-    support = tuple(sorted({0, e1, e2}))
+        root, scale = beta, u
+    support = _weight3_support(ctx, beta, g, u, r)
     if len(support) != 3:
         raise AssertionError("degenerate support")  # impossible: b != 0, 1
     for i in sorted(defining):
-        if alpha is not None:
-            val = ctx.add(1, ctx.add(ctx.pow(alpha, i * e1 % n), ctx.pow(alpha, i * e2 % n)))
-        else:
-            val = ctx.add(1, ctx.add(ctx.pow(beta, i * rinv % G), ctx.pow(beta, i * b * rinv % G)))
+        val = 0
+        for z in support:  # alpha^(i*z), read as beta^(i*z/u) in the small field
+            val = ctx.add(val, ctx.pow(root, i * z // scale))
         if val != 0:
             raise AssertionError(f"witness does not vanish at exponent {i}")
     word = [0] * n
     for z in support:
         word[z] = 1
     return DistanceWitness(3, tuple(word), "weight3-construction")
+
+
+def _weight3_support(ctx: FieldCtx, beta: int, g: int, u: int, r: int) -> tuple[int, ...]:
+    """Support {0, u/r, u*b/r} of the weight-3 word 1 + x^(u/r) + x^(ub/r),
+    for beta of order G = 2^g - 1 in ctx and b solving 1 + beta + beta^b = 0
+    (exponent quotients taken mod G)."""
+    G = (1 << g) - 1
+    target = ctx.add(1, beta)
+    b = next(k for k in range(1, G) if ctx.pow(beta, k) == target)
+    rinv = pow(r, -1, G)
+    return tuple(sorted({0, u * rinv, u * (b * rinv % G)}))
 
 
 def lowest_rate_d2_code(a: int, g: int) -> CyclicCodeSpec:
@@ -506,11 +503,7 @@ def lowest_rate_d3_code(a: int, g: int, r: int = 1) -> CyclicCodeSpec:
     n = a * G
     if n % 2 == 0:
         raise NotCoprime("binary cyclic codes need odd length")
-    members = {r * (j * G + (1 << t)) % n for j in range(a) for t in range(g)}
-    D = sorted(members)
-    for i in D:
-        if 2 * i % n not in members:
-            raise PreconditionViolated("defining set is not coset-closed")
+    D = sorted({r * (j * G + (1 << t)) % n for j in range(a) for t in range(g)})
     if n - len(D) != a * (G - g):
         raise PreconditionViolated("scaling by r collapses the defining set")
     spec = build_code(2, n, _coset_reps(n, 2, D), name=f"lowest-rate-d3({a},{g},{r})")

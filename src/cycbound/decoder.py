@@ -300,10 +300,8 @@ def decode(ctx: DecoderContext, received) -> DecodeResult:
         corrected = list(received)
         for p, v in values.items():
             corrected[p] = df.sub(corrected[p], v)
-        relts = [ctx.to_elt[d] for d in corrected]
-        for i in ctx.code.defining_set:
-            if horner(ctx.field, relts, ctx.field.pow(ctx.alpha, i)) != 0:
-                raise InconsistentLocator("corrected word fails the defining-set recheck")
+        if not cyclic.is_codeword(ctx.code, corrected):
+            raise InconsistentLocator("corrected word fails the defining-set recheck")
     except DecoderError as err:
         return DecodeResult("failure", f"{type(err).__name__}: {err}", (), {}, None)
     return DecodeResult("success", None, positions, values, tuple(corrected))

@@ -84,13 +84,11 @@ def _fixture_table() -> list[tuple[str, callable]]:
         return 41, _code65().k
 
     def code65_ht_template():
-        # the documented normalized template (b2=-5, stride 3, d0=5, nu=1);
-        # the searched optimum is at least as large
+        # the documented normalized template {-5 + 3*i1 + i2 : i1 <= 3, i2 <= 1}
+        # (b1 = 60, m1 = 3, m2 = 1, d0 = 3, nu = 3) gives 6; the searched
+        # optimum is at least as large
         code = _code65()
-        D = set(code.defining_set)
-        template_ok = all(
-            (-5 + 3 * i1 + i2) % 65 in D for i1 in range(4) for i2 in range(2)
-        )
+        template_ok = cyclic.verify_ht_witness(code, cyclic.HtWitness(6, 60, 3, 1, 3, 3))
         value = cyclic.ht_bound(code).value
         return ("template holds, value >= 6", True), ("template holds, value >= 6", template_ok and value >= 6)
 
@@ -245,10 +243,6 @@ def _fixture_table() -> list[tuple[str, callable]]:
         ("fig1-threshold", fig1_threshold),
         ("fig2-monotone", fig2_monotone),
     ]
-
-
-def fixture_names() -> list[str]:
-    return [name for name, _ in _fixture_table()]
 
 
 def run_fixtures(only: str | None = None) -> list[FixtureResult]:

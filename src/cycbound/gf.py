@@ -371,16 +371,6 @@ class DigitField:
             return x * y % self.p
         return self._fr(self._ctx.mul(self._to(x), self._to(y)))
 
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        if self.a == 1:
-            return pow(x, -1, self.p)
-        return self._fr(self._ctx.inv(self._to(x)))
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
 
 _SUBFIELD_CACHE: dict[tuple[int, int, int], tuple[tuple[int, ...], dict[int, int]]] = {}
 
@@ -512,11 +502,6 @@ class Poly:
             return Poly.zero(f)
         return Poly(f, tuple(f.mul(a, c) for a in self.coeffs))
 
-    def shift(self, k: int) -> "Poly":
-        if self.is_zero():
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
-
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
         if other.is_zero():
@@ -534,9 +519,6 @@ class Poly:
                 for j, oc in enumerate(other.coeffs):
                     rem[i + j] = f.sub(rem[i + j], f.mul(qc, oc))
         return Poly(f, tuple(quo)), Poly(f, tuple(rem))
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]

@@ -38,7 +38,6 @@ LOCATOR_KINDS = (
     "spc",
     "rs",
     "hamming",
-    "lowest-rate-d2",
     "lowest-rate-d3",
     "custom",
 )
@@ -112,15 +111,8 @@ def _step_orbits(in_c: bytes, n: int):
     best_bound searches one defining set against many locators, hence the
     cache.
     """
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    stab = tuple(s for s in units if _stepped(in_c, s) == in_c)
-    seen: set[int] = set()
-    reps = []
-    for w in units:
-        if w not in seen:
-            reps.append(w)
-            seen.update(s * w % n for s in stab)
-    return tuple(reps), stab
+    stab = tuple(s for s in range(1, n) if math.gcd(s, n) == 1 and _stepped(in_c, s) == in_c)
+    return cyclic._orbit_reps(n, stab), stab
 
 
 def mu_search(
@@ -129,7 +121,6 @@ def mu_search(
     locator: LocatorSpec,
     *,
     search_w: bool = True,
-    w_values=None,
 ) -> NzlCertificate:
     """Best certificate for the given locator: maximal mu over offsets e,
     locator shifts t_l, and (optionally) unit steps w, ties broken by
@@ -148,8 +139,7 @@ def mu_search(
     with every run start e moved to s*e and t_l unchanged, so each longest
     run of a representative w stands for the certificates (s*e, t_l, s*w),
     s in S, and the tie-break is taken over all of them.  For a cyclic code
-    S contains the powers of q.  Explicit `w_values` and `search_w=False`
-    scan exactly the steps they name.
+    S contains the powers of q.  `search_w=False` scans w = 1 alone.
     """
     n_l = locator.n_l
     if math.gcd(n, n_l) != 1:
@@ -161,12 +151,7 @@ def mu_search(
     for i in locator.defining_set:
         in_l[i % n_l] = 1
     in_c = bytes(in_c)
-    if w_values is not None:
-        ws = sorted(set(w % n for w in w_values))
-        if any(math.gcd(w, n) != 1 for w in ws):
-            raise ValueError("w must be a unit mod n")
-        stab = (1,)
-    elif search_w and n > 1:
+    if search_w and n > 1:
         ws, stab = _step_orbits(in_c, n)
     else:
         ws, stab = [1 % n], (1,)
@@ -199,7 +184,7 @@ def mu_search(
                     best = cand
             at = cover.find(run, at + mu)
     if best is None:
-        return NzlCertificate(0, 1 % n if n > 1 else 0, 0, 1, nzl_bound(1, locator.d_l), locator)
+        return NzlCertificate(0, 1 % n, 0, 1, nzl_bound(1, locator.d_l), locator)
     neg_mu, e, t_l, w = best
     mu = -neg_mu
     return NzlCertificate(e, w, t_l, mu, nzl_bound(mu, locator.d_l), locator)
@@ -350,15 +335,9 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int, cap: int
     if kind == "spc":
         return (0, 1), (1, ctx.neg(1))
     if kind == "lowest-rate-d3":
-        a_, g_, r_ = locator.meta
-        G = (1 << g_) - 1
-        u_loc = locator.n_l // G
-        beta_inner = ctx.pow(beta, u_loc)
-        target = ctx.add(1, beta_inner)
-        b = next(k for k in range(1, G) if ctx.pow(beta_inner, k) == target)
-        rinv = pow(r_, -1, G)
-        support = tuple(sorted({0, u_loc * rinv, u_loc * (b * rinv % G)}))
-        return support, (1,) * 3
+        _, g, r = locator.meta
+        u = locator.n_l // ((1 << g) - 1)
+        return cyclic._weight3_support(ctx, ctx.pow(beta, u), g, u, r), (1,) * 3
     g = Poly.one(ctx)
     for i in locator.defining_set:
         g = g * Poly(ctx, (ctx.neg(ctx.pow(beta, i)), 1))
@@ -366,8 +345,8 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int, cap: int
         if not all(g.coeffs):
             raise AssertionError("Reed-Solomon generator with zero coefficient")
         return tuple(range(len(g.coeffs))), g.coeffs
-    # hamming / custom / lowest-rate-d2: brute force against this beta, on
-    # digits, which subfield_digit_maps carries over as a field isomorphism
+    # hamming / custom: brute force against this beta, on digits, which
+    # subfield_digit_maps carries over as a field isomorphism
     q_l = q**locator.u
     k_l = locator.n_l - len(locator.defining_set)
     if q_l**k_l > cap:
@@ -389,7 +368,6 @@ def candidate_locators(
     *,
     max_n_l: int = 12,
     max_u: int = 4,
-    kinds=("trivial", "spc", "rs", "hamming", "lowest-rate-d3"),
 ):
     """Deterministic, deduplicated list of locator candidates for length n:
     the trivial locator, single parity checks, cyclic Reed-Solomon codes of
@@ -404,23 +382,20 @@ def candidate_locators(
             seen.add(key)
             out.append(loc)
 
-    if "trivial" in kinds:
-        emit(trivial_locator())
-    if "spc" in kinds:
-        for n_l in range(2, max_n_l + 1):
-            if math.gcd(n_l, n) == 1 and math.gcd(n_l, q) == 1:
-                emit(spc_locator(n_l, q))
-    if "rs" in kinds:
-        for n_l in range(2, max_n_l + 1):
-            if math.gcd(n_l, n) != 1 or math.gcd(n_l, q) != 1:
-                continue
-            if min_extension_degree(q, n_l) > max_u:
-                continue
-            for k_l in range(1, n_l):
-                emit(rs_locator(n_l, k_l, q))
-    if "hamming" in kinds and q == 2 and 7 <= max_n_l and math.gcd(n, 7) == 1:
+    emit(trivial_locator())
+    for n_l in range(2, max_n_l + 1):
+        if math.gcd(n_l, n) == 1 and math.gcd(n_l, q) == 1:
+            emit(spc_locator(n_l, q))
+    for n_l in range(2, max_n_l + 1):
+        if math.gcd(n_l, n) != 1 or math.gcd(n_l, q) != 1:
+            continue
+        if min_extension_degree(q, n_l) > max_u:
+            continue
+        for k_l in range(1, n_l):
+            emit(rs_locator(n_l, k_l, q))
+    if q == 2 and 7 <= max_n_l and math.gcd(n, 7) == 1:
         emit(hamming_locator())
-    if "lowest-rate-d3" in kinds and q == 2:
+    if q == 2:
         for g in range(2, max_n_l.bit_length() + 1):
             G = (1 << g) - 1
             for a in range(2, max_n_l // G + 1):
@@ -435,7 +410,6 @@ def best_bound(
     *,
     max_n_l: int = 12,
     max_u: int = 4,
-    kinds=("trivial", "spc", "rs", "hamming", "lowest-rate-d3"),
     search_w: bool | None = None,
 ):
     """Best certificate over the candidate locators, with the BCH and HT
@@ -452,10 +426,7 @@ def best_bound(
         ht = cyclic.ht_bound(code).value
     except SearchCapExceeded:
         ht = None
-    if not code.defining_set:
-        cert = NzlCertificate(0, 1 % code.n if code.n > 1 else 0, 0, 1, 1, trivial_locator())
-        return cert, {"bch": bch, "ht": ht, "d_star": 1}
-    cands = candidate_locators(code.n, code.q, max_n_l=max_n_l, max_u=max_u, kinds=kinds)
+    cands = candidate_locators(code.n, code.q, max_n_l=max_n_l, max_u=max_u)
     certs = [mu_search(code.defining_set, code.n, loc, search_w=search_w) for loc in cands]
     best = min(
         certs,
@@ -482,16 +453,10 @@ def ratio_grid_csv(nu_range, d0_range, m_rule, out):
         out.write(f"{nu},{d0},{m},{d_star},{ht},{ratio!r}\n")
 
 
-def sweep_soundness(
-    lengths,
-    max_k: int = 16,
-    limit: int = 5000,
-    oracle_cap: int = 1 << 24,
-    **bound_kwargs,
-):
+def sweep_soundness(lengths, max_k: int = 16, limit: int = 5000):
     """Yield (code, bch, ht, certificate, oracle_distance) over all small
     binary cyclic codes; consumers assert every bound <= oracle distance."""
     for code in cyclic.enumerate_small_codes(lengths, max_k, limit):
-        cert, comparison = best_bound(code, **bound_kwargs)
-        oracle = cyclic.min_distance_oracle(code, cap=oracle_cap)
+        cert, comparison = best_bound(code)
+        oracle = cyclic.min_distance_oracle(code)
         yield code, comparison["bch"], comparison["ht"], cert, oracle.d

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_cli(*args, **kwargs):
@@ -136,6 +137,66 @@ def test_bound_bad_spec_files(tmp_path):
             res = run_cli(argv[0], str(path), *argv[1:], timeout=60)
             assert res.returncode == 1, (doc, argv, res.stderr)
             assert "error:" in res.stderr and "Traceback" not in res.stderr, (doc, argv, res.stderr)
+
+
+ZERO_CODE = {"q": 5, "n": 17, "coset_reps": [0, 1]}
+CODE65 = {"q": 2, "n": 65, "coset_reps": [1, 5]}
+EMPTY15 = {"q": 2, "n": 15, "coset_reps": []}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (ZERO_CODE, ["bound"]),
+        (ZERO_CODE, ["decode"]),
+        (ZERO_CODE, ["decode", "--trivial"]),
+        (ZERO_CODE, ["decode", "--spc", "2"]),
+        (CODE65, ["decode", "--spc", "5"]),
+        (CODE65, ["decode", "--spc", "2"]),
+        (EMPTY15, ["decode"]),
+    ],
+    ids=["zero-bound", "zero-decode", "zero-trivial", "zero-spc2", "65-spc5", "65-spc2", "empty-decode"],
+)
+def test_library_errors_exit_one(tmp_path, doc, argv):
+    # a zero code, a locator length not coprime to n or q, and a code with no
+    # certificate to decode by: each raises a library error, which the CLI
+    # reports as `error: ...` with exit 1
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    if argv[0] == "decode":
+        argv = argv + ["--received", "0" * doc["n"]]
+    res = run_cli(argv[0], str(path), *argv[1:], timeout=60)
+    assert res.returncode == 1, res.stderr
+    assert "error:" in res.stderr and "Traceback" not in res.stderr, res.stderr
+
+
+def test_bound_oracle_over_field_table_cap(tmp_path):
+    # 3^5 codewords are under the oracle cap, but GF(3^20) is over the table cap
+    path = tmp_path / "code25.json"
+    path.write_text(json.dumps({"q": 3, "n": 25, "coset_reps": [1]}))
+    res = run_cli("bound", str(path), timeout=60)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["oracle"]["d"] is None and doc["oracle"]["capped"] is True
+    assert "table bound" in doc["oracle"]["skipped"]
+    assert doc["bch"]["value"] >= 2 and doc["ht"]["value"] >= 2 and doc["nzl"]["d_star"] >= 2
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["check", "--json"], "check.json"),
+        (["bound", "spec_example21.json"], "bound_example21.json"),
+        (["bound", "spec_code65.json"], "bound_code65.json"),
+    ],
+)
+def test_output_matches_golden(argv, golden):
+    # the golden files hold the output of an earlier version; refactors must
+    # keep it byte for byte
+    res = run_cli(*argv, cwd=DATA, timeout=120)
+    assert res.returncode == 0, res.stderr
+    with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
+        assert res.stdout == fh.read()
 
 
 def test_bound_computes_ht_once(tmp_path):

@@ -49,14 +49,12 @@ def test_mu_search_family_hamming():
     assert (cert.mu, cert.d_star) == (21, 7)
 
 
-def test_mu_search_errors(example21, spc5):
+def test_mu_search_errors(example21):
     with pytest.raises(NotCoprime):
         mu_search(example21.defining_set, 21, spc_locator(7, 2))
     full = LocatorSpec("custom", 1, 5, (0, 1, 2, 3, 4), 1, (0,), (1,))
     with pytest.raises(DegenerateCover):
         mu_search(example21.defining_set, 21, full)
-    with pytest.raises(ValueError):
-        mu_search(example21.defining_set, 21, spc5, w_values=(3,))  # gcd(3,21)>1
 
 
 def test_mu_search_no_cover_returns_mu_one():
@@ -278,10 +276,16 @@ def test_best_bound_consecutive_only_equals_bch():
     assert cert.d_star == 7 and cert.locator.kind == "trivial"
 
 
-def test_best_bound_empty_defining_set():
-    code = cyclic.build_code(2, 9, ())
+@pytest.mark.parametrize("n", [1, 9])
+def test_best_bound_empty_defining_set(n):
+    # the candidate scan finds no covered index: mu = 1 through the trivial
+    # locator, with the step w = 1 (w = 0 when n = 1)
+    code = cyclic.build_code(2, n, ())
     cert, comp = best_bound(code)
     assert comp == {"bch": 1, "ht": 1, "d_star": 1}
+    assert (cert.e, cert.w, cert.t_l, cert.mu, cert.d_star, cert.locator.kind) == (
+        0, 1 % n, 0, 1, 1, "trivial"
+    )
 
 
 def test_best_bound_above_ht_cap_goes_on_without_ht():
@@ -441,17 +445,6 @@ def test_mu_search_stabilizer_larger_than_q_powers():
         assert (cert.mu, cert.e, cert.t_l, cert.w) == _naive_mu_search(
             code.defining_set, 15, loc, ws
         ), loc
-
-
-def test_mu_search_w_values_non_representative(example21, spc5):
-    # w = 2 shares its orbit with w = 1, but an explicit step list is
-    # scanned as given
-    cert = mu_search(example21.defining_set, 21, spc5, w_values=(2,))
-    assert cert.w == 2
-    assert (cert.mu, cert.e, cert.t_l, cert.w) == _naive_mu_search(
-        example21.defining_set, 21, spc5, [2]
-    )
-    assert verify_certificate(example21.defining_set, 21, cert)
 
 
 def _naive_ht(D, n):
