@@ -15,16 +15,21 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cycbound import nzl  # noqa: E402
+from cycbound.gf import MAX_FIELD_SIZE, min_extension_degree  # noqa: E402
+
+# odd lengths up to 63 whose code field GF(2^s) fits the field table cap
+DEFAULT_LENGTHS = [n for n in range(3, 64, 2) if 2 ** min_extension_degree(2, n) <= MAX_FIELD_SIZE]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--lengths",
-        default="7,9,15,17,21,23,25,31,33,35",
-        help="comma-separated code lengths (default: the odd lengths up to 35)",
+        default=",".join(map(str, DEFAULT_LENGTHS)),
+        help="comma-separated code lengths (default: every odd length up to 63 "
+        "whose code field fits the field table cap)",
     )
-    parser.add_argument("--max-k", type=int, default=16)
+    parser.add_argument("--max-k", type=int, default=20)
     parser.add_argument("--limit", type=int, default=5000)
     parser.add_argument("--quiet", action="store_true", help="print only the summary")
     args = parser.parse_args()

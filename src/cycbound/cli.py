@@ -171,18 +171,36 @@ def _parse_word(text: str, q: int, n: int) -> list[int]:
     return word
 
 
+def _decodable_certificate(code: cyclic.CyclicCodeSpec, args):
+    """(certificate, decoding context) for the best-ranked candidate
+    certificate whose combined field fits the table cap; the locators
+    skipped for their field are named on stderr."""
+    skipped = []
+    for cert in nzl.ranked_certificates(
+        code, max_n_l=args.max_nl, max_u=args.max_u, search_w=args.search_w
+    ):
+        try:
+            ctx = decoder.build_context(code, cert.locator, cert)
+        except FieldTooLarge as err:
+            skipped.append((cert.locator, err))
+            continue
+        if skipped:
+            names = ", ".join(f"{loc.kind} n_l={loc.n_l} u={loc.u}" for loc, _ in skipped)
+            print(f"warning: combined field over the table cap, skipped locators: {names}",
+                  file=sys.stderr)
+        return cert, ctx
+    raise skipped[0][1]
+
+
 def cmd_decode(args) -> int:
     code = load_code_spec(args.spec)
     word = _parse_word(args.received, code.q, code.n)
     if args.spc or args.trivial:
         locator = nzl.spc_locator(args.spc, code.q) if args.spc else nzl.trivial_locator()
         cert = nzl.mu_search(code.defining_set, code.n, locator, search_w=args.search_w)
+        ctx = decoder.build_context(code, locator, cert)
     else:
-        cert, _ = nzl.best_bound(
-            code, max_n_l=args.max_nl, max_u=args.max_u, search_w=args.search_w
-        )
-        locator = cert.locator
-    ctx = decoder.build_context(code, locator, cert)
+        cert, ctx = _decodable_certificate(code, args)
     result = decoder.decode(ctx, word)
     doc = {
         "status": result.status,

@@ -405,6 +405,28 @@ def candidate_locators(
     return out
 
 
+def certificate_rank(cert: NzlCertificate) -> tuple:
+    """Ranking key of candidate certificates, best first: larger d_star,
+    then smaller (d_l, n_l, e, t_l, w)."""
+    return (-cert.d_star, cert.locator.d_l, cert.locator.n_l, cert.e, cert.t_l, cert.w)
+
+
+def ranked_certificates(
+    code: cyclic.CyclicCodeSpec,
+    *,
+    max_n_l: int = 12,
+    max_u: int = 4,
+    search_w: bool | None = None,
+) -> list[NzlCertificate]:
+    """One certificate per candidate locator, sorted by certificate_rank.
+    `search_w` defaults to on for n <= 255."""
+    if search_w is None:
+        search_w = code.n <= 255
+    cands = candidate_locators(code.n, code.q, max_n_l=max_n_l, max_u=max_u)
+    certs = [mu_search(code.defining_set, code.n, loc, search_w=search_w) for loc in cands]
+    return sorted(certs, key=certificate_rank)
+
+
 def best_bound(
     code: cyclic.CyclicCodeSpec,
     *,
@@ -415,23 +437,15 @@ def best_bound(
     """Best certificate over the candidate locators, with the BCH and HT
     values for comparison.  Returns (certificate, {"bch", "ht", "d_star"}).
 
-    Ties between equal d_star are broken by smaller
-    (d_l, n_l, e, t_l, w).  Above the HT search cap "ht" is None and the
-    search goes on without it.
+    Candidates are ranked by certificate_rank.  Above the HT search cap
+    "ht" is None and the search goes on without it.
     """
-    if search_w is None:
-        search_w = code.n <= 255
     bch = cyclic.bch_bound(code).value
     try:
         ht = cyclic.ht_bound(code).value
     except SearchCapExceeded:
         ht = None
-    cands = candidate_locators(code.n, code.q, max_n_l=max_n_l, max_u=max_u)
-    certs = [mu_search(code.defining_set, code.n, loc, search_w=search_w) for loc in cands]
-    best = min(
-        certs,
-        key=lambda c: (-c.d_star, c.locator.d_l, c.locator.n_l, c.e, c.t_l, c.w),
-    )
+    best = ranked_certificates(code, max_n_l=max_n_l, max_u=max_u, search_w=search_w)[0]
     return best, {"bch": bch, "ht": ht, "d_star": best.d_star}
 
 

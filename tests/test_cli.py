@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -244,6 +245,33 @@ def test_decode_above_ht_cap(spec1023):
     doc = json.loads(res.stdout)
     assert doc["status"] == "success" and doc["positions"] == [700]
     assert doc["corrected"] == [0] * 1023
+
+
+def test_decode_skips_locators_over_the_field_cap(tmp_path):
+    # best_bound certifies d* = 9 with the Hamming (7,4,3) locator, whose
+    # combined field GF(2^lcm(8, 3)) is over the table cap; decode falls back
+    # to the best-ranked certificate whose field fits and says so on stderr
+    from cycbound import cyclic
+
+    spec = tmp_path / "code255.json"
+    reps = [1, 5, 15, 17, 21, 23, 25, 29, 45, 51, 85, 87, 91, 95, 119]
+    spec.write_text(json.dumps({"q": 2, "n": 255, "coset_reps": reps}))
+    bound = json.loads(run_cli("bound", str(spec), "--nzl").stdout)
+    assert bound["nzl"]["d_star"] == 9
+    assert bound["nzl"]["certificate"]["locator"]["kind"] == "hamming"
+    code = cyclic.build_code(2, 255, reps)
+    codeword = cyclic.random_codeword(code, random.Random(5))
+    word = list(codeword)
+    for p in (3, 100, 250):
+        word[p] ^= 1
+    res = run_cli("decode", str(spec), "--received", "".join(map(str, word)))
+    assert res.returncode == 0, res.stderr
+    assert "skipped locators: hamming n_l=7 u=1" in res.stderr
+    doc = json.loads(res.stdout)
+    assert sorted(doc) == ["correctable", "corrected", "d_star", "positions", "reason", "status", "values"]
+    assert doc["d_star"] == 8 and doc["correctable"] == 3
+    assert doc["status"] == "success" and sorted(doc["positions"]) == [3, 100, 250]
+    assert doc["corrected"] == list(codeword)
 
 
 def test_bound_human(spec21):

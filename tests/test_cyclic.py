@@ -1,5 +1,6 @@
 import math
 import random
+from operator import add, xor
 
 import pytest
 
@@ -20,7 +21,14 @@ from cycbound.cyclic import (
     min_distance_oracle,
     verify_ht_witness,
 )
-from cycbound.gf import NotCoprime
+from cycbound.gf import (
+    DigitField,
+    NotCoprime,
+    build_field,
+    min_extension_degree,
+    prime_power,
+    subfield_digit_maps,
+)
 
 
 def test_cyclotomic_cosets():
@@ -151,6 +159,71 @@ def test_oracle_nonbinary():
     assert min_distance_oracle(c3).d == 4
     w = min_distance_oracle(build_code(3, 13, (1,)))
     assert w.d == 3 and w.codeword == tuple(2 if i in (8, 11, 12) else 0 for i in range(13))
+
+
+def _reference_oracle(code):
+    """(d, first minimum-weight codeword) from every nonzero codeword
+    m(x)g(x), in the order min_distance_oracle scans them: binary messages
+    m = sum m_i 2^i in Gray-code order, the other messages
+    (m_0, ..., m_(k-1)) in itertools.product order.
+
+    A word is an int with one byte per position.  Over GF(2^a) a byte is a
+    field element in the polynomial basis and words add by XOR; over a
+    prime field it is an integer, reduced mod q only when the word is read.
+    """
+    q, n, k = code.q, code.n, code.k
+    p, a = prime_power(q)
+    g = cyclic.generator_polynomial(code)
+    df = DigitField(q)
+    if p == 2:
+        to_elt, to_digit = subfield_digit_maps(build_field(2, a), q)
+        read = bytes(to_digit.get(v, 0) for v in range(256))
+        combine = xor
+    else:
+        assert a == 1 and k * (q - 1) ** 2 < 256  # no byte overflows
+        to_elt = range(q)
+        read = bytes(v % q for v in range(256))
+        combine = add
+    words = [0]
+    for i in reversed(range(k)) if q == 2 else range(k):  # the last digit varies fastest
+        row = [sum(to_elt[df.mul(c, gj)] << 8 * (i + j) for j, gj in enumerate(g)) for c in range(q)]
+        words = [combine(w, s) for w in words for s in row]
+    if q == 2:
+        words = [words[i ^ i >> 1] for i in range(1 << k)]
+    digits = [w.to_bytes(n, "little").translate(read) for w in words[1:]]
+    first = min(digits, key=lambda w: n - w.count(0))
+    return n - first.count(0), tuple(first)
+
+
+def _all_cyclic_codes(q, max_n, max_words, max_field):
+    """Every cyclic code over GF(q) with length <= max_n, 1 <= q^k <= max_words
+    and a code field of at most max_field elements."""
+    p, a = prime_power(q)
+    for n in range(1, max_n + 1):
+        if math.gcd(n, q) != 1 or p ** (a * min_extension_degree(q, n)) > max_field:
+            continue
+        cosets = cyclic.coset_partition(n, q)
+        for mask in range(1 << len(cosets)):
+            chosen = [c for i, c in enumerate(cosets) if mask >> i & 1]
+            k = n - sum(map(len, chosen))
+            if k >= 1 and q**k <= max_words:
+                yield build_code(q, n, [min(c) for c in chosen])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_oracle_matches_full_enumeration(q):
+    codes = list(_all_cyclic_codes(q, 31, 1 << 12, 1 << 16))
+    # the edge cases of the information-set stop rule are all present
+    assert any(c.k == c.n for c in codes)  # empty defining set, d = 1
+    assert any(c.k == 1 and c.n > 1 for c in codes)  # repetition code, d = n
+    assert any(c.n // c.k == 1 and c.k < c.n for c in codes)
+    for code in codes:
+        w = min_distance_oracle(code)
+        assert (w.d, w.codeword) == _reference_oracle(code), code
+        if code.k == code.n:
+            assert w.d == 1
+        if code.k == 1:
+            assert w.d == code.n
 
 
 def test_has_distance_two():
