@@ -3,8 +3,8 @@
 against the exhaustive minimum-distance oracle.
 
 Prints one row per code (length, dimension, bch, ht, d_star, oracle) and
-exits nonzero if any bound exceeds the oracle or a certificate fails
-independent re-verification.
+exits nonzero if any bound exceeds the oracle or a BCH witness, HT witness
+or locator certificate fails independent re-verification.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from cycbound import nzl  # noqa: E402
+from cycbound import cyclic, nzl  # noqa: E402
 from cycbound.gf import MAX_FIELD_SIZE, min_extension_degree  # noqa: E402
 
 # odd lengths up to 63 whose code field GF(2^s) fits the field table cap
@@ -41,7 +41,13 @@ def main() -> int:
     for code, bch, ht, cert, d in nzl.sweep_soundness(lengths, args.max_k, args.limit):
         count += 1
         sound = bch <= d and ht <= d and cert.d_star <= d
-        verified = nzl.verify_certificate(code.defining_set, code.n, cert)
+        bch_wit, ht_wit = cyclic.bch_bound(code), cyclic.ht_bound(code)
+        verified = (
+            (bch_wit.value, ht_wit.value) == (bch, ht)
+            and cyclic.verify_bch_witness(code, bch_wit)
+            and cyclic.verify_ht_witness(code, ht_wit)
+            and nzl.verify_certificate(code.defining_set, code.n, cert)
+        )
         if not (sound and verified):
             violations += 1
         if not args.quiet or not (sound and verified):

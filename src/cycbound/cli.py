@@ -106,16 +106,25 @@ def cmd_cosets(args) -> int:
     return 0
 
 
+def _unverified(what: str) -> int:
+    print(f"internal error: emitted {what} failed re-verification", file=sys.stderr)
+    return 2
+
+
 def cmd_bound(args) -> int:
     code = load_code_spec(args.spec)
     want_all = not (args.bch or args.ht or args.nzl or args.oracle)
     record: dict = {"code": _code_json(code)}
     if args.bch or want_all:
         w = cyclic.bch_bound(code)
+        if not cyclic.verify_bch_witness(code, w):
+            return _unverified("BCH witness")
         record["bch"] = {"value": w.value, "witness": {"b": w.b, "m1": w.m1}}
     if args.ht or want_all:
         try:
             w = cyclic.ht_bound(code)
+            if not cyclic.verify_ht_witness(code, w):
+                return _unverified("HT witness")
             record["ht"] = {
                 "value": w.value,
                 "witness": {"b1": w.b1, "m1": w.m1, "m2": w.m2, "d0": w.d0, "nu": w.nu},
@@ -130,8 +139,7 @@ def cmd_bound(args) -> int:
             search_w=args.search_w,
         )
         if not nzl.verify_certificate(code.defining_set, code.n, cert):
-            print("internal error: emitted certificate failed re-verification", file=sys.stderr)
-            return 2
+            return _unverified("certificate")
         record["nzl"] = {"d_star": comparison["d_star"], "certificate": _cert_json(cert)}
     if args.oracle or want_all:
         try:
@@ -319,7 +327,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--trivial", action="store_true", help="use the trivial locator (classical decoding)")
     p.add_argument("--max-nl", type=int, default=12)
     p.add_argument("--max-u", type=int, default=4)
-    p.add_argument("--search-w", action=argparse.BooleanOptionalAction, default=None)
+    p.add_argument("--search-w", action=argparse.BooleanOptionalAction, default=None,
+                   help="search unit steps w (default: on for n <= 255)")
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("check", help="run the built-in reference fixtures")

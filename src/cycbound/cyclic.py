@@ -260,43 +260,48 @@ def _orbit_reps(n: int, group) -> tuple[int, ...]:
     return tuple(reps)
 
 
-def _runs_with_step(member: list[bool], n: int, step: int) -> list[int]:
-    # R[a] = max r with a, a+step, ..., a+(r-1)step all members.
-    R = [0] * n
-    order = [0] * n
-    idx = 0
-    for i in range(n):
-        order[i] = idx
-        idx = (idx + step) % n
-    # find a position along the cycle that is not a member
-    start = next(i for i in range(n) if not member[order[i]])
-    pos = start
-    for _ in range(n):
-        pos = (pos - 1) % n
-        a = order[pos]
-        R[a] = 0 if not member[a] else R[order[(pos + 1) % n]] + 1
-    return R
+def _longest_run(x: int, n: int, step: int) -> tuple[int, int]:
+    """(L, starts) for the set x of residues mod n held as an n-bit mask:
+    L is the length of the longest run {a, a+step, ..., a+(L-1)step} in x
+    (step a unit, x not all of Z_n) and starts the mask of the a opening
+    one.
+
+    While x holds the starts of the runs of length >= l, one AND with x
+    rotated down by step, x & rot(x, step) with bit a of rot(x, step) the
+    bit a+step of x, leaves the starts of the runs of length >= l + 1; the
+    number of steps until x is empty is L, the last nonzero x its starts.
+    """
+    back = n - step
+    length, starts = 0, 0
+    while x:
+        length, starts = length + 1, x
+        x &= (x >> step) | (x << back)  # the AND drops the bits above n
+    return length, starts
+
+
+def _lowest_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
 
 
 def bch_bound(spec: CyclicCodeSpec) -> BchWitness:
-    """Longest arithmetic run in the defining set, as d >= run + 1."""
+    """Longest arithmetic run in the defining set, as d >= run + 1.
+
+    One `_longest_run` per step c; the witness is the longest run with
+    the smallest start b, then the smallest step.  Scaling D by q permutes
+    it, so one step c per class of units modulo the powers of q is scanned.
+    """
     n, q = spec.n, spec.q
-    D = set(spec.defining_set)
-    if not D:
+    if not spec.defining_set:
         return BchWitness(1, None, None)
-    if len(D) == n:
+    if len(spec.defining_set) == n:
         raise ValueError("the zero code has no minimum distance")
-    # scaling D by q permutes it, so one step c per class of units modulo
-    # the powers of q is scanned
-    member = [i in D for i in range(n)]
+    mask = sum(1 << i for i in spec.defining_set)  # bit i for exponent i
     best = None  # (-value, b, m1)
     for c in _orbit_reps(n, cyclotomic_coset(n, q, 1)):
-        R = _runs_with_step(member, n, c)
-        for b in range(n):
-            if R[b] and not member[(b - c) % n]:  # only maximal runs
-                key = (-(R[b] + 1), b, c)
-                if best is None or key < best:
-                    best = key
+        length, starts = _longest_run(mask, n, c)
+        key = (-(length + 1), _lowest_bit(starts), c)
+        if best is None or key < best:
+            best = key
     neg_value, b, m1 = best
     return BchWitness(-neg_value, b, m1)
 
@@ -318,35 +323,73 @@ def ht_bound(spec: CyclicCodeSpec, *, exhaustive: bool = False) -> HtWitness:
     cross-validation.  Results are memoized per (spec, exhaustive),
     since `cycbound bound` asks for the HT value and then best_bound
     compares against it.
+
+    Among the templates of the best value the witness has the smallest
+    nu, then the smallest b1, m1 and m2; `_ht_template` finds it per m2.
     """
-    n, q = spec.n, spec.q
+    n = spec.n
     if n > HT_MAX_N:
         raise SearchCapExceeded(f"length {n} above the search cap {HT_MAX_N}")
-    D = set(spec.defining_set)
-    if not D:
+    if not spec.defining_set:
         return HtWitness(1, None, None, None, None, None)
-    if len(D) == n:
+    if len(spec.defining_set) == n:
         raise ValueError("the zero code has no minimum distance")
+    mask = sum(1 << i for i in spec.defining_set)  # bit i for exponent i
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    member = [(i in D) for i in range(n)]
-    starts = [b for b in range(n) if member[b]]
-    best = None  # (-value, nu, b1, m1, m2)
-    for m2 in units if exhaustive else (1,):
-        R = _runs_with_step(member, n, m2)
-        for m1 in units:
-            for b in starts:
-                runmin = R[b]
-                j = 0
-                while runmin:
-                    key = (-(runmin + 1 + j), j, b, m1, m2)
-                    if best is None or key < best:
-                        best = key
-                    j += 1
-                    if j >= n:
-                        break
-                    runmin = min(runmin, R[(b + j * m1) % n])
-    neg_value, nu, b1, m1, m2 = best
+    neg_value, nu, b1, m1, m2 = min(
+        _ht_template(mask, n, units, m2) for m2 in (units if exhaustive else (1,))
+    )
     return HtWitness(-neg_value, b1, m1, m2, -neg_value - nu, nu)
+
+
+def _ht_template(mask: int, n: int, units, m2: int) -> tuple[int, ...]:
+    """Key (-value, nu, b1, m1, m2) of the best HT template with inner step
+    m2 over the unit strides m1, for the defining set `mask` (an n-bit
+    mask, neither empty nor all of Z_n).
+
+    Layer T_r holds the starts of the step-m2 runs of length >= r in D
+    (T_1 = D, T_(r+1) = T_r & rot(T_r, m2)).  A template with d0 - 1 = r
+    stacks nu + 1 of their starts at stride m1, so the best value is the
+    maximum over r and m1 of r + L_r(m1), with L_r(m1) the longest step-m1
+    run in T_r.  A run read backwards is a run of step n - m1, so the value
+    scan takes m1 <= n/2 alone, and skips a layer whose r + |T_r| cannot
+    beat the best so far.  At the best value nu = value - r - 1, so the
+    smallest nu comes from the highest layer that reaches it, which the
+    downward scan keeps; b1 is then the lowest start of a longest run there
+    over all strides m1, and m1 the smallest stride with a run opening at
+    b1.
+    """
+    layers = []
+    t = mask
+    while t:
+        layers.append(t)
+        t &= (t >> m2) | (t << (n - m2))
+    half = [u for u in units if 2 * u <= n]
+    value, top, top_runs = 0, 0, ()
+    for r in range(len(layers), 0, -1):
+        t = layers[r - 1]
+        if r + t.bit_count() <= value:
+            continue
+        runs = [_longest_run(t, n, m1)[0] for m1 in half]
+        if r + max(runs) > value:
+            value, top, top_runs = r + max(runs), r, runs
+    need = value - top
+    strides = sorted({m for u, run in zip(half, top_runs) if run == need for m in (u, n - u)})
+    starts = {m1: _longest_run(layers[top - 1], n, m1)[1] for m1 in strides}
+    b1 = min(_lowest_bit(s) for s in starts.values())
+    m1 = next(m for m in strides if starts[m] >> b1 & 1)
+    return (-value, need - 1, b1, m1, m2)
+
+
+def verify_bch_witness(spec: CyclicCodeSpec, wit: BchWitness) -> bool:
+    """Independent re-check of a BchWitness run against the defining set."""
+    if wit.b is None:
+        return wit.value == 1 and not spec.defining_set
+    n = spec.n
+    if math.gcd(n, wit.m1) != 1 or wit.value < 2:
+        return False
+    D = set(spec.defining_set)
+    return all((wit.b + i * wit.m1) % n in D for i in range(wit.value - 1))
 
 
 def verify_ht_witness(spec: CyclicCodeSpec, wit: HtWitness) -> bool:

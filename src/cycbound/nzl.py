@@ -120,7 +120,7 @@ def mu_search(
     n: int,
     locator: LocatorSpec,
     *,
-    search_w: bool = True,
+    search_w: bool | None = True,
 ) -> NzlCertificate:
     """Best certificate for the given locator: maximal mu over offsets e,
     locator shifts t_l, and (optionally) unit steps w, ties broken by
@@ -139,7 +139,9 @@ def mu_search(
     with every run start e moved to s*e and t_l unchanged, so each longest
     run of a representative w stands for the certificates (s*e, t_l, s*w),
     s in S, and the tie-break is taken over all of them.  For a cyclic code
-    S contains the powers of q.  `search_w=False` scans w = 1 alone.
+    S contains the powers of q.  `search_w=False` scans w = 1 alone, and
+    `search_w=None`, the default of best_bound and the CLI, searches the
+    steps for n <= 255 only.
     """
     n_l = locator.n_l
     if math.gcd(n, n_l) != 1:
@@ -151,6 +153,8 @@ def mu_search(
     for i in locator.defining_set:
         in_l[i % n_l] = 1
     in_c = bytes(in_c)
+    if search_w is None:
+        search_w = n <= 255
     if search_w and n > 1:
         ws, stab = _step_orbits(in_c, n)
     else:
@@ -418,10 +422,8 @@ def ranked_certificates(
     max_u: int = 4,
     search_w: bool | None = None,
 ) -> list[NzlCertificate]:
-    """One certificate per candidate locator, sorted by certificate_rank.
-    `search_w` defaults to on for n <= 255."""
-    if search_w is None:
-        search_w = code.n <= 255
+    """One certificate per candidate locator, sorted by certificate_rank;
+    `search_w` is passed on to mu_search."""
     cands = candidate_locators(code.n, code.q, max_n_l=max_n_l, max_u=max_u)
     certs = [mu_search(code.defining_set, code.n, loc, search_w=search_w) for loc in cands]
     return sorted(certs, key=certificate_rank)

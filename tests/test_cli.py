@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from cycbound.cyclic import BchWitness, HtWitness
+
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -210,6 +212,37 @@ def test_bound_computes_ht_once(tmp_path):
     after = cyclic.ht_bound.cache_info()
     assert after.misses == before.misses + 1
     assert after.hits == before.hits + 1
+
+
+def test_decode_spc_searches_steps_like_bound(tmp_path, capsys):
+    # --spc and --trivial take the same step-search default as bound: on for
+    # n <= 255; w = 1 alone certifies only d* 6 for this code
+    from cycbound import cli
+
+    path = tmp_path / "code33.json"
+    path.write_text(json.dumps({"q": 2, "n": 33, "coset_reps": [0, 3, 5, 11]}))
+    d_star = {}
+    for flag in ([], ["--search-w"], ["--no-search-w"]):
+        argv = ["decode", str(path), "--spc", "5", "--received", "0" * 33, *flag]
+        assert cli.main(argv) == 0
+        d_star[tuple(flag)] = json.loads(capsys.readouterr().out)["d_star"]
+    assert d_star == {(): 7, ("--search-w",): 7, ("--no-search-w",): 6}
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [("bch_bound", BchWitness(9, 1, 1)), ("ht_bound", HtWitness(9, 1, 5, 1, 8, 1))],
+    ids=["bch", "ht"],
+)
+def test_bound_unverified_witness_exits_two(spec21, capsys, monkeypatch, name, bad):
+    # a witness that fails its independent re-check is never emitted
+    from cycbound import cli, cyclic
+
+    monkeypatch.setattr(cyclic, name, lambda code: bad)
+    assert cli.main(["bound", spec21]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "internal error: emitted" in out.err and "failed re-verification" in out.err
 
 
 @pytest.fixture(scope="module")

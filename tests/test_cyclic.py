@@ -19,6 +19,7 @@ from cycbound.cyclic import (
     lowest_rate_d2_code,
     lowest_rate_d3_code,
     min_distance_oracle,
+    verify_bch_witness,
     verify_ht_witness,
 )
 from cycbound.gf import (
@@ -128,6 +129,88 @@ def test_ht_exhaustive_cross_validation():
 def test_ht_at_least_bch():
     for spec in cyclic.enumerate_small_codes([7, 9, 15, 21], 16, 120):
         assert ht_bound(spec).value >= bch_bound(spec).value
+
+
+def test_verify_bch_witness(example21):
+    assert verify_bch_witness(example21, bch_bound(example21))
+    assert verify_bch_witness(example21, cyclic.BchWitness(5, 1, 1))
+    assert not verify_bch_witness(example21, cyclic.BchWitness(6, 1, 1))  # 5 is a gap
+    assert not verify_bch_witness(example21, cyclic.BchWitness(3, 3, 7))  # gcd(7, 21) > 1
+    assert not verify_bch_witness(example21, cyclic.BchWitness(1, 1, 1))
+    assert not verify_bch_witness(example21, cyclic.BchWitness(1, None, None))
+    assert verify_bch_witness(build_code(2, 9, ()), cyclic.BchWitness(1, None, None))
+
+
+def _reference_runs(member, n, step):
+    """R[a] = max r with a, a+step, ..., a+(r-1)step all members."""
+    return [next(r for r in range(n + 1) if not member[(a + r * step) % n]) for a in range(n)]
+
+
+def _reference_bch(code):
+    """BchWitness by a scan of every maximal run, keyed (-value, b, m1)."""
+    n, q = code.n, code.q
+    member = [i in set(code.defining_set) for i in range(n)]
+    if not any(member):
+        return cyclic.BchWitness(1, None, None)
+    best = None
+    for c in cyclic._orbit_reps(n, cyclotomic_coset(n, q, 1)):
+        R = _reference_runs(member, n, c)
+        for b in range(n):
+            if R[b] and not member[(b - c) % n]:
+                best = min(best or (n + 1,), (-(R[b] + 1), b, c))
+    return cyclic.BchWitness(-best[0], best[1], best[2])
+
+
+def _reference_ht(code, exhaustive):
+    """HtWitness by a scan of every template: per start b and strides
+    (m1, m2), nu grows while the step-m2 runs at b, b+m1, ... stay nonempty;
+    keyed (-value, nu, b1, m1, m2)."""
+    n = code.n
+    member = [i in set(code.defining_set) for i in range(n)]
+    if not any(member):
+        return cyclic.HtWitness(1, None, None, None, None, None)
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    best = None
+    for m2 in units if exhaustive else (1,):
+        R = _reference_runs(member, n, m2)
+        for m1 in units:
+            for b in (b for b in range(n) if member[b]):
+                runmin, j = R[b], 0
+                while runmin and j < n:
+                    best = min(best or (n + 1,), (-(runmin + 1 + j), j, b, m1, m2))
+                    j += 1
+                    runmin = min(runmin, R[(b + j * m1) % n])
+    value, nu = -best[0], best[1]
+    return cyclic.HtWitness(value, best[2], best[3], best[4], value - nu, nu)
+
+
+def _every_code(q, max_n):
+    """Every cyclic code over GF(q) of length <= max_n, zero codes included."""
+    for n in range(1, max_n + 1):
+        if math.gcd(n, q) != 1:
+            continue
+        reps = [min(c) for c in cyclic.coset_partition(n, q)]
+        for mask in range(1 << len(reps)):
+            yield build_code(q, n, [r for i, r in enumerate(reps) if mask >> i & 1])
+
+
+@pytest.mark.parametrize("q, max_n", [(2, 31), (3, 26), (4, 13), (5, 16)])
+def test_bch_and_ht_witnesses_match_reference(q, max_n):
+    # the whole witness, tie-break included; exhaustive HT up to length 15
+    exhaustive = 0
+    for code in _every_code(q, max_n):
+        if len(code.defining_set) == code.n:
+            with pytest.raises(ValueError):
+                bch_bound(code)
+            with pytest.raises(ValueError):
+                ht_bound(code)
+            continue
+        assert bch_bound(code) == _reference_bch(code), code
+        assert ht_bound(code) == _reference_ht(code, False), code
+        if code.n <= 15:
+            assert ht_bound(code, exhaustive=True) == _reference_ht(code, True), code
+            exhaustive += 1
+    assert exhaustive
 
 
 def test_oracle_example21(example21):
