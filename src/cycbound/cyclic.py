@@ -306,9 +306,6 @@ def bch_bound(spec: CyclicCodeSpec) -> BchWitness:
     return BchWitness(-neg_value, b, m1)
 
 
-HT_MAX_N = 255  # longest length the HT search runs on
-
-
 @lru_cache(maxsize=64)
 def ht_bound(spec: CyclicCodeSpec, *, exhaustive: bool = False) -> HtWitness:
     """Hartmann-Tzeng bound: best d0 + nu over witness templates (see HtWitness).
@@ -326,10 +323,10 @@ def ht_bound(spec: CyclicCodeSpec, *, exhaustive: bool = False) -> HtWitness:
 
     Among the templates of the best value the witness has the smallest
     nu, then the smallest b1, m1 and m2; `_ht_template` finds it per m2.
+    The search is index arithmetic on the defining set alone, with no
+    field and no length cap.
     """
     n = spec.n
-    if n > HT_MAX_N:
-        raise SearchCapExceeded(f"length {n} above the search cap {HT_MAX_N}")
     if not spec.defining_set:
         return HtWitness(1, None, None, None, None, None)
     if len(spec.defining_set) == n:

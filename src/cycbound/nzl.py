@@ -108,10 +108,12 @@ def _step_orbits(in_c: bytes, n: int):
 
     The stabilizer S = {s unit : s*D_C = D_C} acts on the steps by
     multiplication; each representative is the smallest w of its orbit S*w.
-    best_bound searches one defining set against many locators, hence the
-    cache.
+    A unit s is in S when s*D_C lies in D_C, since multiplying by a unit is
+    a bijection.  best_bound searches one defining set against many
+    locators, hence the cache.
     """
-    stab = tuple(s for s in range(1, n) if math.gcd(s, n) == 1 and _stepped(in_c, s) == in_c)
+    D = [i for i in range(n) if in_c[i]]
+    stab = tuple(s for s in range(1, n) if math.gcd(s, n) == 1 and all(in_c[s * i % n] for i in D))
     return cyclic._orbit_reps(n, stab), stab
 
 
@@ -120,7 +122,7 @@ def mu_search(
     n: int,
     locator: LocatorSpec,
     *,
-    search_w: bool | None = True,
+    search_w: bool = True,
 ) -> NzlCertificate:
     """Best certificate for the given locator: maximal mu over offsets e,
     locator shifts t_l, and (optionally) unit steps w, ties broken by
@@ -139,9 +141,8 @@ def mu_search(
     with every run start e moved to s*e and t_l unchanged, so each longest
     run of a representative w stands for the certificates (s*e, t_l, s*w),
     s in S, and the tie-break is taken over all of them.  For a cyclic code
-    S contains the powers of q.  `search_w=False` scans w = 1 alone, and
-    `search_w=None`, the default of best_bound and the CLI, searches the
-    steps for n <= 255 only.
+    S contains the powers of q.  `search_w=False` scans w = 1 alone, the
+    paper's form of the bound.
     """
     n_l = locator.n_l
     if math.gcd(n, n_l) != 1:
@@ -153,8 +154,6 @@ def mu_search(
     for i in locator.defining_set:
         in_l[i % n_l] = 1
     in_c = bytes(in_c)
-    if search_w is None:
-        search_w = n <= 255
     if search_w and n > 1:
         ws, stab = _step_orbits(in_c, n)
     else:
@@ -420,7 +419,7 @@ def ranked_certificates(
     *,
     max_n_l: int = 12,
     max_u: int = 4,
-    search_w: bool | None = None,
+    search_w: bool = True,
 ) -> list[NzlCertificate]:
     """One certificate per candidate locator, sorted by certificate_rank;
     `search_w` is passed on to mu_search."""
@@ -434,19 +433,16 @@ def best_bound(
     *,
     max_n_l: int = 12,
     max_u: int = 4,
-    search_w: bool | None = None,
+    search_w: bool = True,
 ):
     """Best certificate over the candidate locators, with the BCH and HT
     values for comparison.  Returns (certificate, {"bch", "ht", "d_star"}).
 
-    Candidates are ranked by certificate_rank.  Above the HT search cap
-    "ht" is None and the search goes on without it.
+    Candidates are ranked by certificate_rank; `search_w` is passed on to
+    mu_search.
     """
     bch = cyclic.bch_bound(code).value
-    try:
-        ht = cyclic.ht_bound(code).value
-    except SearchCapExceeded:
-        ht = None
+    ht = cyclic.ht_bound(code).value
     best = ranked_certificates(code, max_n_l=max_n_l, max_u=max_u, search_w=search_w)[0]
     return best, {"bch": bch, "ht": ht, "d_star": best.d_star}
 

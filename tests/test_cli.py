@@ -215,8 +215,8 @@ def test_bound_computes_ht_once(tmp_path):
 
 
 def test_decode_spc_searches_steps_like_bound(tmp_path, capsys):
-    # --spc and --trivial take the same step-search default as bound: on for
-    # n <= 255; w = 1 alone certifies only d* 6 for this code
+    # --spc and --trivial take the same step-search default as bound, on;
+    # w = 1 alone certifies only d* 6 for this code
     from cycbound import cli
 
     path = tmp_path / "code33.json"
@@ -252,13 +252,15 @@ def spec1023(tmp_path_factory):
     return str(path)
 
 
-def test_bound_above_ht_cap_reports_without_ht(spec1023):
-    from cycbound import nzl
+def test_bound_long_code_reports_verified_ht(spec1023):
+    from cycbound import cyclic, nzl
 
     res = run_cli("bound", spec1023)
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
-    assert doc["ht"]["value"] is None and "search cap" in doc["ht"]["skipped"]
+    assert doc["ht"]["value"] == 7
+    code = cyclic.build_code(2, 1023, (1, 3, 5))
+    assert cyclic.verify_ht_witness(code, HtWitness(7, **doc["ht"]["witness"]))
     c = doc["nzl"]["certificate"]
     loc = c["locator"]
     locator = nzl.LocatorSpec(
@@ -268,6 +270,34 @@ def test_bound_above_ht_cap_reports_without_ht(spec1023):
     cert = nzl.NzlCertificate(c["e"], c["w"], c["t_l"], c["mu"], c["d_star"], locator)
     assert nzl.verify_certificate(doc["code"]["defining_set"], 1023, cert)
     assert doc["nzl"]["d_star"] >= doc["bch"]["value"]
+
+
+@pytest.mark.parametrize("command", ["bound", "decode"])
+def test_spec_length_above_the_limit_exits_one(tmp_path, command):
+    path = tmp_path / "code4097.json"
+    path.write_text(json.dumps({"q": 2, "n": 4097, "coset_reps": [1]}))
+    extra = ["--received", "0" * 4097] if command == "decode" else []
+    res = run_cli(command, str(path), *extra, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "4095" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_spec_length_at_the_limit_is_accepted(tmp_path):
+    path = tmp_path / "code4095.json"
+    path.write_text(json.dumps({"q": 2, "n": 4095, "coset_reps": [1, 3, 5]}))
+    res = run_cli("bound", str(path), "--bch", timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["bch"]["value"] == 7
+
+
+def test_repeated_main_calls_reuse_the_parser(spec21, capsys):
+    from cycbound import cli
+
+    assert cli.main(["bound", spec21, "--bch"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"code", "bch"}
+    assert cli.main(["bound", spec21]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"code", "bch", "ht", "nzl", "oracle"}
 
 
 def test_decode_above_ht_cap(spec1023):

@@ -8,7 +8,6 @@ from cycbound import cyclic
 from cycbound.cyclic import (
     DuplicateCoset,
     PreconditionViolated,
-    SearchCapExceeded,
     TooManyCodewords,
     bch_bound,
     build_code,
@@ -105,10 +104,10 @@ def test_ht_bound_65(code65):
     assert w.value == 7
 
 
-def test_ht_bound_empty_and_caps():
+def test_ht_bound_empty_and_long():
     assert ht_bound(build_code(2, 9, ())).value == 1
-    with pytest.raises(SearchCapExceeded):
-        ht_bound(build_code(2, 257, (1,)))
+    code = build_code(2, 257, (1,))
+    assert verify_ht_witness(code, ht_bound(code))
 
 
 def test_ht_exhaustive_cross_validation():

@@ -288,12 +288,24 @@ def test_best_bound_empty_defining_set(n):
     )
 
 
-def test_best_bound_above_ht_cap_goes_on_without_ht():
+def test_best_bound_long_code_compares_ht():
     code = cyclic.build_code(2, 1023, (1, 3, 5))
     cert, comp = best_bound(code)
-    assert comp["ht"] is None and comp["bch"] == 7
+    assert comp["ht"] == 7 and comp["bch"] == 7
     assert comp["d_star"] == cert.d_star >= comp["bch"]
     assert verify_certificate(code.defining_set, 1023, cert)
+
+
+def test_soundness_every_binary_code_of_length_257():
+    # the first length above 255: k is 1, 16 or 17 for every code with k <= 20
+    seen = []
+    for code, bch, ht, cert, d in nzl.sweep_soundness([257], max_k=20):
+        seen.append(code.k)
+        assert bch <= d and ht <= d and cert.d_star <= d, (code.coset_reps, bch, ht, cert, d)
+        assert cyclic.verify_bch_witness(code, cyclic.bch_bound(code))
+        assert cyclic.verify_ht_witness(code, cyclic.ht_bound(code))
+        assert verify_certificate(code.defining_set, 257, cert)
+    assert len(seen) == 33 and set(seen) == {1, 16, 17}
 
 
 def test_ratio_grid_rows():
