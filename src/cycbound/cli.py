@@ -8,9 +8,11 @@ JSON), 1 = usage, parse or library error, 2 = internal invariant violation.
 Code spec files are JSON documents with keys q, n, and exactly one of
 coset_reps / defining_set (lists of integers; negative exponents allowed,
 canonicalized mod n), plus an optional name.  A defining_set that is not
-closed under multiplication by q is closed with a warning on stderr.  The
-length n may be at most 4095, and bound computes the BCH, HT and NZL bounds
-at every length it accepts.
+closed under multiplication by q is closed with a warning on stderr.  Here
+and in cosets, q must be a prime power of at most 2^20 and n at most 4095.
+bound computes the BCH, HT and NZL bounds for every (q, n) it accepts, the
+NZL bound over the fixed locator family of nzl.candidate_locators; its
+oracle enumerates at most 2^24 codewords.
 
 Received words are strings of base-q digits with the coefficient of x^0
 first (use comma-separated digits when q > 10).
@@ -25,9 +27,9 @@ import sys
 
 from . import cyclic, decoder, fixtures, nzl
 from .cyclic import TooManyCodewords
-from .gf import FieldTooLarge
+from .gf import MAX_FIELD_SIZE, FieldTooLarge, prime_power
 
-MAX_N = 4095  # longest code length a spec file may give
+MAX_N = 4095  # longest code length a spec file or cosets may give
 
 
 class UsageError(Exception):
@@ -39,6 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_q_n(q: int, n: int) -> None:
+    """Reject a length over MAX_N and a q that is not a prime power of at
+    most MAX_FIELD_SIZE, before any arithmetic on q: factoring a huge q
+    would not finish."""
+    if n > MAX_N:
+        raise UsageError(f"code length {n} is above the limit {MAX_N}")
+    if q > MAX_FIELD_SIZE:
+        raise UsageError(f"field size {q} is above the limit 2^20")
+    prime_power(q)  # ValueError unless q is a prime power
+
+
 def load_code_spec(path: str) -> cyclic.CyclicCodeSpec:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -48,8 +61,7 @@ def load_code_spec(path: str) -> cyclic.CyclicCodeSpec:
         if not isinstance(doc.get(key), int):
             raise UsageError(f"code spec needs integer '{key}'")
     q, n = doc["q"], doc["n"]
-    if n > MAX_N:
-        raise UsageError(f"code length {n} is above the limit {MAX_N}")
+    _check_q_n(q, n)
     has_reps = "coset_reps" in doc
     has_def = "defining_set" in doc
     if has_reps == has_def:
@@ -103,6 +115,7 @@ def _cert_json(cert: nzl.NzlCertificate) -> dict:
 
 
 def cmd_cosets(args) -> int:
+    _check_q_n(args.q, args.n)
     cosets = cyclic.coset_partition(args.n, args.q)
     if args.json:
         print(json.dumps({"n": args.n, "q": args.q, "cosets": [sorted(c) for c in cosets]}, indent=2))
@@ -136,18 +149,13 @@ def cmd_bound(args) -> int:
             "witness": {"b1": w.b1, "m1": w.m1, "m2": w.m2, "d0": w.d0, "nu": w.nu},
         }
     if args.nzl or want_all:
-        cert, comparison = nzl.best_bound(
-            code,
-            max_n_l=args.max_nl,
-            max_u=args.max_u,
-            search_w=args.search_w,
-        )
+        cert, comparison = nzl.best_bound(code, search_w=args.search_w)
         if not nzl.verify_certificate(code.defining_set, code.n, cert):
             return _unverified("certificate")
         record["nzl"] = {"d_star": comparison["d_star"], "certificate": _cert_json(cert)}
     if args.oracle or want_all:
         try:
-            wit = cyclic.min_distance_oracle(code, cap=args.cap)
+            wit = cyclic.min_distance_oracle(code)
             record["oracle"] = {"d": wit.d, "capped": False}
         except TooManyCodewords:
             record["oracle"] = {"d": None, "capped": True}
@@ -183,14 +191,12 @@ def _parse_word(text: str, q: int, n: int) -> list[int]:
     return word
 
 
-def _decodable_certificate(code: cyclic.CyclicCodeSpec, args):
+def _decodable_certificate(code: cyclic.CyclicCodeSpec, search_w: bool):
     """(certificate, decoding context) for the best-ranked candidate
     certificate whose combined field fits the table cap; the locators
     skipped for their field are named on stderr."""
     skipped = []
-    for cert in nzl.ranked_certificates(
-        code, max_n_l=args.max_nl, max_u=args.max_u, search_w=args.search_w
-    ):
+    for cert in nzl.ranked_certificates(code, search_w=search_w):
         try:
             ctx = decoder.build_context(code, cert.locator, cert)
         except FieldTooLarge as err:
@@ -212,7 +218,7 @@ def cmd_decode(args) -> int:
         cert = nzl.mu_search(code.defining_set, code.n, locator, search_w=args.search_w)
         ctx = decoder.build_context(code, locator, cert)
     else:
-        cert, ctx = _decodable_certificate(code, args)
+        cert, ctx = _decodable_certificate(code, args.search_w)
     result = decoder.decode(ctx, word)
     doc = {
         "status": result.status,
@@ -316,11 +322,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--ht", action="store_true")
     p.add_argument("--nzl", action="store_true")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--max-nl", type=int, default=12, help="largest locator length (default 12)")
-    p.add_argument("--max-u", type=int, default=4, help="largest locator extension degree (default 4)")
     p.add_argument("--search-w", action=argparse.BooleanOptionalAction, default=True,
                    help="search unit steps w (default: on)")
-    p.add_argument("--cap", type=int, default=1 << 24, help="oracle codeword cap (default 2^24)")
     p.add_argument("--human", action="store_true", help="aligned text instead of JSON")
     p.set_defaults(fn=cmd_bound)
 
@@ -330,8 +333,6 @@ def _build_parser() -> _Parser:
                    help="base-q digit string, coefficient of x^0 first (commas for q > 10)")
     p.add_argument("--spc", type=int, default=None, help="use a single-parity-check locator of this length")
     p.add_argument("--trivial", action="store_true", help="use the trivial locator (classical decoding)")
-    p.add_argument("--max-nl", type=int, default=12)
-    p.add_argument("--max-u", type=int, default=4)
     p.add_argument("--search-w", action=argparse.BooleanOptionalAction, default=True,
                    help="search unit steps w (default: on)")
     p.set_defaults(fn=cmd_decode)

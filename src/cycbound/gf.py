@@ -372,6 +372,17 @@ class DigitField:
         return self._fr(self._ctx.mul(self._to(x), self._to(y)))
 
 
+def neg_one_digit(p: int, m: int) -> int:
+    """The DigitField(p^m) digit of -1, without building the field: 1 in
+    characteristic 2, the residue p - 1 in a prime field, otherwise the
+    digit (p^m + 1)/2 of -1 = w^((p^m - 1)/2)."""
+    if p == 2:
+        return 1
+    if m == 1:
+        return p - 1
+    return (p**m + 1) // 2
+
+
 _SUBFIELD_CACHE: dict[tuple[int, int, int], tuple[tuple[int, ...], dict[int, int]]] = {}
 
 

@@ -22,16 +22,20 @@ from functools import lru_cache
 
 from . import cyclic
 from .gf import (
-    DigitField,
     NotCoprime,
     Poly,
     build_field,
     min_extension_degree,
+    neg_one_digit,
     nth_root_of_unity,
     prime_power,
     subfield_digit_maps,
 )
 from .cyclic import SearchCapExceeded, PreconditionViolated
+
+MAX_N_L = 12  # longest candidate locator
+MAX_U = 4  # largest extension degree of a Reed-Solomon candidate
+LOCATOR_SEARCH_CAP = 1 << 20  # messages a locator brute force may enumerate
 
 LOCATOR_KINDS = (
     "trivial",
@@ -253,37 +257,30 @@ def trivial_locator() -> LocatorSpec:
 def spc_locator(n_l: int, q: int) -> LocatorSpec:
     """Single parity check code of length n_l over the splitting field
     GF(q^u), u the order of q mod n_l, so its root beta lives in the
-    locator's own field; codeword 1 - x."""
+    locator's own field; codeword 1 - x, its -1 digit found without a field."""
     if n_l < 2:
         raise ValueError("need n_l >= 2")
     u = min_extension_degree(q, n_l)  # raises NotCoprime for bad q
-    q_l = q**u
-    df = DigitField(q_l) if q_l > 2 else None
-    neg_one = df.neg(1) if df else 1
-    return LocatorSpec("spc", u, n_l, (0,), 2, (0, 1), (1, neg_one))
+    p, a = prime_power(q)
+    return LocatorSpec("spc", u, n_l, (0,), 2, (0, 1), (1, neg_one_digit(p, a * u)))
 
 
 def rs_locator(n_l: int, k_l: int, q: int) -> LocatorSpec:
     """Cyclic Reed-Solomon locator of length n_l and dimension k_l over
     GF(q^u) (u minimal with n_l | q^u - 1), zeros at exponents 0..n_l-k_l-1;
-    the minimum-weight codeword is the generator polynomial itself."""
+    the minimum-weight codeword is the generator polynomial itself, its d_l
+    coefficients nonzero by the MDS property (asserted where a field is built)."""
     if not 1 <= k_l < n_l:
         raise ValueError("need 1 <= k_l < n_l")
     u = min_extension_degree(q, n_l)
     d_l = n_l - k_l + 1
-    spec = LocatorSpec("rs", u, n_l, tuple(range(n_l - k_l)), d_l, tuple(range(d_l)), None)
-    # MDS minimum weight: assert every generator coefficient is nonzero
-    _, coeffs = min_weight_codeword(q, spec)
-    assert all(coeffs), "Reed-Solomon generator polynomial has a zero coefficient"
-    return spec
+    return LocatorSpec("rs", u, n_l, tuple(range(n_l - k_l)), d_l, tuple(range(d_l)), None)
 
 
-def hamming_locator(q: int = 2) -> LocatorSpec:
+def hamming_locator() -> LocatorSpec:
     """The binary (7, 4, 3) Hamming code with defining set {3, 5, 6}."""
-    if q != 2:
-        raise ValueError("the (7,4,3) Hamming locator is binary")
     spec = LocatorSpec("hamming", 1, 7, (3, 5, 6), 3, (), None)
-    support, coeffs = min_weight_codeword(q, spec)
+    support, coeffs = min_weight_codeword(2, spec)
     return replace(spec, support=support, coeffs=coeffs)
 
 
@@ -297,38 +294,38 @@ def d3_locator(a: int, g: int, r: int = 1) -> LocatorSpec:
     return replace(spec, support=support, coeffs=coeffs)
 
 
-def custom_locator(q: int, u: int, n_l: int, defining_set, cap: int = 1 << 20) -> LocatorSpec:
+def custom_locator(q: int, u: int, n_l: int, defining_set) -> LocatorSpec:
     """Locator from an explicit defining set; its minimum distance and a
     minimum-weight codeword are established by brute force, never trusted."""
     q_l = q**u
     code = cyclic.build_code(q_l, n_l, cyclic._coset_reps(n_l, q_l, defining_set))
     if set(code.defining_set) != {i % n_l for i in defining_set}:
         raise PreconditionViolated("defining set is not closed under multiplication by q_l")
-    wit = cyclic.min_distance_oracle(code, cap=cap)
+    wit = cyclic.min_distance_oracle(code, cap=LOCATOR_SEARCH_CAP)
     support = tuple(i for i, c in enumerate(wit.codeword) if c)
     coeffs = tuple(wit.codeword[i] for i in support)
     return LocatorSpec("custom", u, n_l, code.defining_set, wit.d, support, coeffs)
 
 
-def min_weight_codeword(q: int, locator: LocatorSpec, cap: int = 1 << 20):
+def min_weight_codeword(q: int, locator: LocatorSpec):
     """(support, digit coefficients) of a minimum-weight locator codeword,
     realized in the locator's canonical splitting field.
 
     single parity check -> 1 - x; Reed-Solomon -> the generator polynomial
     (all d_l coefficients nonzero by the MDS property); lowest-rate
     distance-three -> the ternomial construction; anything else by brute
-    force over q_l^k_l messages (capped)."""
+    force over at most LOCATOR_SEARCH_CAP messages q_l^k_l."""
     q_l = q**locator.u
     p, a = prime_power(q_l)
     s_l = min_extension_degree(q_l, locator.n_l)
     ctx = build_field(p, a * s_l)
     beta = nth_root_of_unity(ctx, locator.n_l)
     _, to_digit = subfield_digit_maps(ctx, q_l)
-    support, elts = _locator_codeword_elements(ctx, beta, locator, q, cap=cap)
+    support, elts = _locator_codeword_elements(ctx, beta, locator, q)
     return support, tuple(to_digit[e] for e in elts)
 
 
-def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int, cap: int = 1 << 20):
+def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int):
     """Minimum-weight locator codeword (support, field elements) for the
     concrete order-n_l root beta of ctx.  The codeword of a binary kind
     depends on which root is in play, so it is re-derived per context."""
@@ -352,8 +349,8 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int, cap: int
     # subfield_digit_maps carries over as a field isomorphism
     q_l = q**locator.u
     k_l = locator.n_l - len(locator.defining_set)
-    if q_l**k_l > cap:
-        raise SearchCapExceeded(f"{q_l}^{k_l} messages exceed the cap {cap}")
+    if q_l**k_l > LOCATOR_SEARCH_CAP:
+        raise SearchCapExceeded(f"{q_l}^{k_l} messages exceed the cap {LOCATOR_SEARCH_CAP}")
     to_elt, to_digit = subfield_digit_maps(ctx, q_l)
     if any(c not in to_digit for c in g.coeffs):
         raise PreconditionViolated("defining set is not closed under multiplication by q_l")
@@ -365,17 +362,12 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int, cap: int
     return support, tuple(to_elt[word[i]] for i in support)
 
 
-def candidate_locators(
-    n: int,
-    q: int,
-    *,
-    max_n_l: int = 12,
-    max_u: int = 4,
-):
-    """Deterministic, deduplicated list of locator candidates for length n:
-    the trivial locator, single parity checks, cyclic Reed-Solomon codes of
-    length dividing q^u - 1, the binary Hamming (7,4,3), and lowest-rate
-    distance-three codes, all with length coprime to n."""
+def candidate_locators(n: int, q: int):
+    """Deterministic, deduplicated list of locator candidates for length n,
+    each of length n_l <= MAX_N_L = 12 coprime to n: the trivial locator,
+    single parity checks, cyclic Reed-Solomon codes over GF(q^u), u <= MAX_U
+    = 4, and for q = 2 only the Hamming (7,4,3) and the lowest-rate
+    distance-three code of length 9, the only kinds that build a field."""
     out: list[LocatorSpec] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
 
@@ -386,25 +378,20 @@ def candidate_locators(
             out.append(loc)
 
     emit(trivial_locator())
-    for n_l in range(2, max_n_l + 1):
+    for n_l in range(2, MAX_N_L + 1):
         if math.gcd(n_l, n) == 1 and math.gcd(n_l, q) == 1:
             emit(spc_locator(n_l, q))
-    for n_l in range(2, max_n_l + 1):
+    for n_l in range(2, MAX_N_L + 1):
         if math.gcd(n_l, n) != 1 or math.gcd(n_l, q) != 1:
             continue
-        if min_extension_degree(q, n_l) > max_u:
+        if min_extension_degree(q, n_l) > MAX_U:
             continue
         for k_l in range(1, n_l):
             emit(rs_locator(n_l, k_l, q))
-    if q == 2 and 7 <= max_n_l and math.gcd(n, 7) == 1:
+    if q == 2 and math.gcd(n, 7) == 1:
         emit(hamming_locator())
-    if q == 2:
-        for g in range(2, max_n_l.bit_length() + 1):
-            G = (1 << g) - 1
-            for a in range(2, max_n_l // G + 1):
-                n_l = a * G
-                if n_l <= max_n_l and n_l % 2 and math.gcd(n_l, n) == 1:
-                    emit(d3_locator(a, g, 1))
+    if q == 2 and math.gcd(n, 9) == 1:  # the one odd a*(2^g - 1) <= MAX_N_L, a >= 2
+        emit(d3_locator(3, 2))
     return out
 
 
@@ -415,35 +402,26 @@ def certificate_rank(cert: NzlCertificate) -> tuple:
 
 
 def ranked_certificates(
-    code: cyclic.CyclicCodeSpec,
-    *,
-    max_n_l: int = 12,
-    max_u: int = 4,
-    search_w: bool = True,
+    code: cyclic.CyclicCodeSpec, *, search_w: bool = True
 ) -> list[NzlCertificate]:
-    """One certificate per candidate locator, sorted by certificate_rank;
-    `search_w` is passed on to mu_search."""
-    cands = candidate_locators(code.n, code.q, max_n_l=max_n_l, max_u=max_u)
+    """One certificate per candidate locator of candidate_locators(n, q),
+    sorted by certificate_rank; `search_w` is passed on to mu_search."""
+    cands = candidate_locators(code.n, code.q)
     certs = [mu_search(code.defining_set, code.n, loc, search_w=search_w) for loc in cands]
     return sorted(certs, key=certificate_rank)
 
 
-def best_bound(
-    code: cyclic.CyclicCodeSpec,
-    *,
-    max_n_l: int = 12,
-    max_u: int = 4,
-    search_w: bool = True,
-):
-    """Best certificate over the candidate locators, with the BCH and HT
-    values for comparison.  Returns (certificate, {"bch", "ht", "d_star"}).
+def best_bound(code: cyclic.CyclicCodeSpec, *, search_w: bool = True):
+    """Best certificate over the fixed candidate family of
+    candidate_locators, with the BCH and HT values for comparison.  Returns
+    (certificate, {"bch", "ht", "d_star"}); no field is built unless q = 2.
 
     Candidates are ranked by certificate_rank; `search_w` is passed on to
     mu_search.
     """
     bch = cyclic.bch_bound(code).value
     ht = cyclic.ht_bound(code).value
-    best = ranked_certificates(code, max_n_l=max_n_l, max_u=max_u, search_w=search_w)[0]
+    best = ranked_certificates(code, search_w=search_w)[0]
     return best, {"bch": bch, "ht": ht, "d_star": best.d_star}
 
 

@@ -252,15 +252,10 @@ def spec1023(tmp_path_factory):
     return str(path)
 
 
-def test_bound_long_code_reports_verified_ht(spec1023):
-    from cycbound import cyclic, nzl
+def _certificate_verifies(doc) -> bool:
+    """Rebuild the `bound` report's NZL certificate and re-check it."""
+    from cycbound import nzl
 
-    res = run_cli("bound", spec1023)
-    assert res.returncode == 0, res.stderr
-    doc = json.loads(res.stdout)
-    assert doc["ht"]["value"] == 7
-    code = cyclic.build_code(2, 1023, (1, 3, 5))
-    assert cyclic.verify_ht_witness(code, HtWitness(7, **doc["ht"]["witness"]))
     c = doc["nzl"]["certificate"]
     loc = c["locator"]
     locator = nzl.LocatorSpec(
@@ -268,8 +263,69 @@ def test_bound_long_code_reports_verified_ht(spec1023):
         tuple(loc["support"]), None if loc["coeffs"] is None else tuple(loc["coeffs"]),
     )
     cert = nzl.NzlCertificate(c["e"], c["w"], c["t_l"], c["mu"], c["d_star"], locator)
-    assert nzl.verify_certificate(doc["code"]["defining_set"], 1023, cert)
+    return nzl.verify_certificate(doc["code"]["defining_set"], doc["code"]["n"], cert)
+
+
+def test_bound_long_code_reports_verified_ht(spec1023):
+    from cycbound import cyclic
+
+    res = run_cli("bound", spec1023)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["ht"]["value"] == 7
+    code = cyclic.build_code(2, 1023, (1, 3, 5))
+    assert cyclic.verify_ht_witness(code, HtWitness(7, **doc["ht"]["witness"]))
+    assert _certificate_verifies(doc)
     assert doc["nzl"]["d_star"] >= doc["bch"]["value"]
+
+
+def test_bound_and_decode_need_no_locator_field(tmp_path):
+    # SPC(11) over GF(7) lives in GF(7^10), over the table cap; the
+    # certificate search needs no field, so both commands run
+    path = tmp_path / "gf7.json"
+    path.write_text(json.dumps({"q": 7, "n": 10, "coset_reps": [1]}))
+    res = run_cli("bound", str(path), timeout=60)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert _certificate_verifies(doc)
+    assert doc["nzl"]["d_star"] <= doc["oracle"]["d"]
+    res = run_cli("decode", str(path), "--received", "0" * 10, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["status"] == "success"
+
+
+@pytest.mark.parametrize("command", ["bound", "decode"])
+def test_spec_field_above_the_limit_exits_one(tmp_path, command):
+    # a prime q this large would hang in trial division if it got that far
+    path = tmp_path / "huge_q.json"
+    path.write_text(json.dumps({"q": 2**61 - 1, "n": 7, "coset_reps": [1]}))
+    extra = ["--received", "0" * 7] if command == "decode" else []
+    res = run_cli(command, str(path), *extra, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+def test_cosets_length_above_the_limit_exits_one():
+    res = run_cli("cosets", "4097", "2", timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "4095" in res.stderr
+
+
+def test_cli_options_of_bound_and_decode():
+    # every flag is a configuration to test: a new one must change this list
+    from cycbound import cli
+
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    options = {
+        name: sorted(s for a in sub.choices[name]._actions for s in a.option_strings)
+        for name in ("bound", "decode")
+    }
+    assert options == {
+        "bound": sorted(["-h", "--help", "--bch", "--ht", "--nzl", "--oracle",
+                         "--search-w", "--no-search-w", "--human"]),
+        "decode": sorted(["-h", "--help", "--received", "--spc", "--trivial",
+                          "--search-w", "--no-search-w"]),
+    }
 
 
 @pytest.mark.parametrize("command", ["bound", "decode"])

@@ -229,3 +229,11 @@ def test_digit_field_prime():
     big = build_field(3, 2)
     to_elt, _ = gf.subfield_digit_maps(big, 3)
     assert list(to_elt) == [0, 1, 2]
+
+
+def test_neg_one_digit_matches_digit_field():
+    # the closed form spc_locator uses instead of building GF(q)
+    qs = [q for q in range(2, (1 << 14) + 1) if len(gf.prime_factors(q)) == 1]
+    assert len(qs) == 1961
+    for q in qs:
+        assert gf.neg_one_digit(*gf.prime_power(q)) == gf.DigitField(q).neg(1), q

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycbound import cyclic, nzl
-from cycbound.gf import NotCoprime, build_field, min_extension_degree, nth_root_of_unity
+from cycbound import cyclic, gf, nzl
+from cycbound.gf import (
+    NotCoprime,
+    build_field,
+    min_extension_degree,
+    nth_root_of_unity,
+    prime_power,
+    subfield_digit_maps,
+)
 from cycbound.nzl import (
     DegenerateCover,
     InvalidGeometry,
@@ -216,9 +223,12 @@ def test_custom_locator_distance_from_oracle():
 
 
 def test_min_weight_codeword_search_cap():
-    loc = LocatorSpec("custom", 1, 7, (0,), 2, (0, 1), (1, 1))  # k_l = 6
+    # the binary (31, 26) Hamming code: 2^26 messages exceed the fixed cap
+    c1 = tuple(sorted(cyclic.cyclotomic_coset(31, 2, 1)))
+    loc = LocatorSpec("custom", 1, 31, c1, 3, (), None)
+    assert 2 ** (31 - len(c1)) > nzl.LOCATOR_SEARCH_CAP
     with pytest.raises(SearchCapExceeded):
-        min_weight_codeword(2, loc, cap=8)
+        min_weight_codeword(2, loc)
     # {1} is not closed under doubling mod 7: no binary code to search
     with pytest.raises(nzl.PreconditionViolated):
         min_weight_codeword(2, LocatorSpec("custom", 1, 7, (1,), 3, (), None))
@@ -231,20 +241,21 @@ def test_locator_kind_validation():
 
 def test_candidate_locators_carry_minimum_weight_codewords():
     # every emitted candidate has |support| = d_l and the codeword vanishes
-    # on the locator defining set inside its canonical splitting field
-    for loc in candidate_locators(37, 2, max_n_l=12):
+    # on the locator defining set inside its canonical splitting field; a
+    # Reed-Solomon generator has no zero coefficient in that field.  Every
+    # such field of these q fits the table cap.
+    for q, loc in [(q, loc) for q in (2, 3, 4, 5) for loc in candidate_locators(37, q)]:
         assert len(loc.support) == loc.d_l
         if loc.kind == "trivial":
             continue
-        q_l = 2**loc.u
+        p, a = prime_power(q)
+        q_l = q**loc.u
         s_l = min_extension_degree(q_l, loc.n_l)
-        from cycbound.gf import prime_power, subfield_digit_maps
-
-        p, a = prime_power(q_l)
-        ctx = build_field(p, a * s_l)
+        ctx = build_field(p, a * loc.u * s_l)
         beta = nth_root_of_unity(ctx, loc.n_l)
         if loc.coeffs is None:  # Reed-Solomon: the generator polynomial
-            support, elts = nzl._locator_codeword_elements(ctx, beta, loc, 2)
+            support, elts = nzl._locator_codeword_elements(ctx, beta, loc, q)
+            assert loc.kind == "rs" and support == loc.support and all(elts)
         else:
             to_elt, _ = subfield_digit_maps(ctx, q_l)
             support, elts = loc.support, [to_elt[c] for c in loc.coeffs]
@@ -306,6 +317,39 @@ def test_soundness_every_binary_code_of_length_257():
         assert cyclic.verify_ht_witness(code, cyclic.ht_bound(code))
         assert verify_certificate(code.defining_set, 257, cert)
     assert len(seen) == 33 and set(seen) == {1, 16, 17}
+
+
+def test_soundness_small_codes_over_gf7_gf11_gf13():
+    # every code with 3 <= n <= 20, a nonempty defining set, a code field of
+    # at most 2^16 and at most 2^10 codewords; many of their SPC candidates
+    # live in a field over the table cap
+    count = 0
+    for q in (7, 11, 13):
+        for n in range(3, 21):
+            if math.gcd(n, q) != 1 or q ** min_extension_degree(q, n) > 1 << 16:
+                continue
+            cosets = cyclic.coset_partition(n, q)
+            for mask in range(1, 1 << len(cosets)):
+                code = cyclic.build_code(q, n, [min(c) for i, c in enumerate(cosets) if mask >> i & 1])
+                if code.k < 1 or q**code.k > 1 << 10:
+                    continue
+                count += 1
+                cert, comp = best_bound(code)
+                d = cyclic.min_distance_oracle(code).d
+                assert comp["bch"] <= d and comp["ht"] <= d and cert.d_star <= d, (code, comp, d)
+                assert verify_certificate(code.defining_set, n, cert)
+    assert count == 615
+
+
+def test_candidate_locators_build_no_field(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("candidate_locators built a field")
+
+    monkeypatch.setattr(gf, "build_field", refuse)
+    monkeypatch.setattr(nzl, "build_field", refuse)
+    cands = {(n, q): candidate_locators(n, q) for n, q in [(80, 3), (124, 5), (10, 7)]}
+    # SPC(11) over GF(7^10), beyond the table cap
+    assert any(7**loc.u > gf.MAX_FIELD_SIZE for loc in cands[10, 7])
 
 
 def test_ratio_grid_rows():
@@ -452,7 +496,7 @@ def test_mu_search_stabilizer_larger_than_q_powers():
     S = _stabilizer(code.defining_set, 15)
     assert len(S) == 8 and S > _q_powers(2, 15)
     ws = [w for w in range(1, 15) if math.gcd(w, 15) == 1]
-    for loc in candidate_locators(15, 2, max_n_l=8):
+    for loc in [loc for loc in candidate_locators(15, 2) if loc.n_l <= 8]:
         cert = mu_search(code.defining_set, 15, loc)
         assert (cert.mu, cert.e, cert.t_l, cert.w) == _naive_mu_search(
             code.defining_set, 15, loc, ws
