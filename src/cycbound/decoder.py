@@ -181,7 +181,8 @@ def _eval_support(field, support, coeffs, beta, j):
 
 
 def syndromes(ctx: DecoderContext, received) -> Poly:
-    """S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)) for j = 0..mu-2."""
+    """S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)) for j = 0..mu-2, with r
+    evaluated on the logarithms of the word's nonzero digits."""
     received = tuple(received)
     n = ctx.code.n
     if len(received) != n:
@@ -191,17 +192,48 @@ def syndromes(ctx: DecoderContext, received) -> Poly:
         relts = [ctx.to_elt[d] for d in received]
     except (IndexError, TypeError):
         raise ValueError(f"digits must be integers in [0, {ctx.code.q})")
+    log = field.log
     cert = ctx.cert
     n_l = ctx.locator.n_l
-    out = []
-    for j in range(cert.mu - 1):
-        aj = ctx.a_evals[j % n_l]
-        if aj == 0:
-            out.append(0)
-            continue
-        x = field.pow(ctx.alpha, (cert.w * j + cert.e) % n)
-        out.append(field.mul(horner(field, relts, x), aj))
+    js = [j for j in range(cert.mu - 1) if ctx.a_evals[j % n_l]]
+    l_alpha = log[ctx.alpha]
+    values = _log_eval(
+        field,
+        [(i, log[r]) for i, r in enumerate(relts) if r],
+        [(cert.w * j + cert.e) % n * l_alpha for j in js],
+    )
+    out = [0] * (cert.mu - 1)
+    for j, v in zip(js, values):
+        out[j] = field.mul(v, ctx.a_evals[j % n_l])
     return Poly(field, tuple(out))
+
+
+def _log_eval(field: FieldCtx, terms, points) -> list[int]:
+    """The polynomial sum of c_i * x^i, given as the (i, log c_i) pairs of its
+    nonzero terms, evaluated at each x = g^l for l in points (g the field
+    generator): every term is one antilog lookup, and the terms are summed
+    by XOR in characteristic 2 and by Zech logarithms otherwise."""
+    antilog, n_units = field.antilog, field.n_units
+    out = []
+    if field.p == 2:
+        for lx in points:
+            acc = 0
+            for i, l in terms:
+                acc ^= antilog[(l + i * lx) % n_units]
+            out.append(acc)
+        return out
+    z = field.zech()
+    for lx in points:
+        acc = -1
+        for i, l in terms:
+            t = (l + i * lx) % n_units
+            if acc < 0:
+                acc = t
+            else:
+                k = z[(t - acc) % n_units]
+                acc = (acc + k) % n_units if k >= 0 else -1
+        out.append(antilog[acc] if acc >= 0 else 0)
+    return out
 
 
 def solve_key_equation(S: Poly, mu: int) -> tuple[Poly, Poly]:
@@ -228,17 +260,20 @@ def solve_key_equation(S: Poly, mu: int) -> tuple[Poly, Poly]:
 
 def find_error_positions(ctx: DecoderContext, lam: Poly) -> tuple[int, ...]:
     """Positions p with Lambda(beta^-kappa * alpha^(-w*p)) = 0; the count
-    must tile deg Lambda into d_l-sized blocks."""
+    must tile deg Lambda into d_l-sized blocks.  The root scan is a Chien
+    search on the logarithms of Lambda's nonzero coefficients."""
     field = ctx.field
     if lam.is_zero() or lam(0) != 1:
         raise InconsistentLocator("locator polynomial must satisfy Lambda(0) = 1")
-    positions = []
-    cur = field.pow(ctx.beta, -ctx.kappa)
-    step = field.inv(ctx.alpha_w)
-    for p in range(ctx.code.n):
-        if lam(cur) == 0:
-            positions.append(p)
-        cur = field.mul(cur, step)
+    log = field.log
+    l_start = log[field.pow(ctx.beta, -ctx.kappa)]
+    l_step = log[field.inv(ctx.alpha_w)]
+    values = _log_eval(
+        field,
+        [(d, log[c]) for d, c in enumerate(lam.coeffs) if c],
+        [l_start + p * l_step for p in range(ctx.code.n)],
+    )
+    positions = [p for p, v in enumerate(values) if v == 0]
     if len(positions) * ctx.locator.d_l != lam.degree:
         raise InconsistentLocator(
             f"{len(positions)} roots cannot account for degree {lam.degree}"

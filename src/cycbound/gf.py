@@ -4,16 +4,20 @@ Field elements are integers in [0, p^m): the base-p digits of the integer
 are the coordinates in the polynomial basis, digit i holding the
 coefficient of x^i for x a fixed root of the chosen primitive polynomial.
 The multiplicative group goes through log/antilog tables with respect to
-the generator x, so mul/div/pow are table lookups; addition is XOR in
-characteristic two and digit-wise modular addition otherwise.
+the generator x, so mul/div/pow are table lookups.  Addition is XOR in
+characteristic two.  In odd characteristic it goes through Zech logarithms,
+z[i] = log(1 + x^i), so that a + b = a * (1 + b/a) is three table lookups;
+the Zech table is built on the first odd-characteristic addition.
 
 Primitive polynomials are found by exhaustive search in lexicographic
 order (coefficients compared constant term first).  A candidate is
 accepted when the residue class of x has multiplicative order p^m - 1 in
 the quotient ring; that order forces the quotient to be a field, so no
-separate irreducibility test is needed.  Construction is deterministic,
-cached per (p, m), and the resulting context is immutable, hence safe to
-share between threads.
+separate irreducibility test is needed; for m >= 3 a root test in GF(p)
+and the test x^(p^m - 1) = 1 reject most candidates before it.
+Construction is deterministic, cached per (p, m), and the resulting context
+is immutable apart from the lazily built Zech table, hence safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -134,13 +138,29 @@ def _x_power(e: int, f: tuple[int, ...], p: int, m: int) -> list[int]:
     return result
 
 
+def _has_root_in_prime_field(coeffs: tuple[int, ...], p: int) -> bool:
+    for a in range(p):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v * a + c) % p
+        if v == 0:
+            return True
+    return False
+
+
 def _is_primitive_poly(coeffs: tuple[int, ...], p: int, m: int) -> bool:
     if coeffs[0] == 0:
         return False
-    order = p**m
-    n_units = order - 1
+    n_units = p**m - 1
     one = [0] * m
     one[0] = 1
+    # From degree 3 on, two cheaper necessary conditions reject most
+    # candidates first: no root in GF(p) (a reducible f leaves fewer than
+    # p^m - 1 units) and x^(p^m - 1) = 1.  Quadratics skip them: for odd p
+    # the first order test below (ell = 2) already rejects (x - a)(x - b)
+    # with a != b.
+    if m >= 3 and (_has_root_in_prime_field(coeffs, p) or _x_power(n_units, coeffs, p, m) != one):
+        return False
     for ell in prime_factors(n_units):
         if _x_power(n_units // ell, coeffs, p, m) == one:
             return False
@@ -148,9 +168,15 @@ def _is_primitive_poly(coeffs: tuple[int, ...], p: int, m: int) -> bool:
 
 
 class FieldCtx:
-    """Arithmetic context for GF(p^m).  Obtain instances via build_field."""
+    """Arithmetic context for GF(p^m).  Obtain instances via build_field.
 
-    __slots__ = ("spec", "p", "m", "order", "n_units", "log", "antilog")
+    For odd p, add/neg/sub work on logarithms.  The Zech table z[i] =
+    log(1 + x^i), with -1 where 1 + x^i = 0, is built by zech() on first use
+    (binary fields never build it).  The build is deterministic, so two
+    threads racing on it only duplicate work.
+    """
+
+    __slots__ = ("spec", "p", "m", "order", "n_units", "log", "antilog", "_zech")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -196,6 +222,7 @@ class FieldCtx:
             antilog[0] = 1
         self.log = log
         self.antilog = antilog
+        self._zech = None
 
     def __repr__(self) -> str:
         return f"FieldCtx(GF({self.p}^{self.m}))"
@@ -207,30 +234,36 @@ class FieldCtx:
     def exp(self, i: int) -> int:
         return self.antilog[i % self.n_units] if self.n_units else 1
 
+    def zech(self) -> list[int]:
+        """The Zech table of an odd-characteristic field, built on first call."""
+        z = self._zech
+        if z is None:
+            # 1 + x^i differs from x^i in digit 0 only, so each entry is O(1).
+            p, log = self.p, self.log
+            z = []
+            for v in self.antilog:
+                w = v + 1 if v % p != p - 1 else v + 1 - p
+                z.append(log[w] if w else -1)
+            self._zech = z
+        return z
+
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        p = self.p
-        r = 0
-        mult = 1
-        while a or b:
-            r += ((a % p) + (b % p)) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return r
+        if not a:
+            return b
+        if not b:
+            return a
+        n, log = self.n_units, self.log
+        la = log[a]
+        k = (self._zech or self.zech())[(log[b] - la) % n]
+        return self.antilog[(la + k) % n] if k >= 0 else 0
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        p = self.p
-        r = 0
-        mult = 1
-        while a:
-            r += (-(a % p)) % p * mult
-            a //= p
-            mult *= p
-        return r
+        # -1 = x^(N/2) for N = p^m - 1 even
+        return self.antilog[(self.log[a] + self.n_units // 2) % self.n_units]
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -325,10 +358,29 @@ def nth_root_of_unity(ctx: FieldCtx, n: int) -> int:
 
 def horner(ctx: FieldCtx, coeffs, x: int) -> int:
     """Evaluate a low-to-high coefficient sequence of field elements at x."""
-    acc = 0
+    if x == 0:
+        return coeffs[0] if len(coeffs) else 0
+    log, antilog, n = ctx.log, ctx.antilog, ctx.n_units
+    lx = log[x]
+    if ctx.p == 2:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (antilog[(log[acc] + lx) % n] ^ c) if acc else c
+        return acc
+    # Odd p: carry log(acc), -1 for zero, and add c by its Zech logarithm.
+    z = ctx.zech()
+    la = -1
     for c in reversed(coeffs):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
+        if la < 0:
+            if c:
+                la = log[c]
+        elif c:
+            la += lx
+            k = z[(log[c] - la) % n]
+            la = (la + k) % n if k >= 0 else -1
+        else:
+            la = (la + lx) % n
+    return antilog[la] if la >= 0 else 0
 
 
 class DigitField:

@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycbound import cyclic, decoder, nzl
 from cycbound.cyclic import PreconditionViolated
@@ -402,3 +405,100 @@ def test_classical_reduction_matches_textbook_65(code65):
         )
         assert res.status == "success" and res.corrected == cw
         assert ref is not None and sorted(res.positions) == sorted(p for p, _ in ref)
+
+
+# --- log-domain kernels against plain evaluation -----------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _context(q, n, reps, spc=None):
+    # spc=None: the best_bound certificate; otherwise a parity-check locator
+    code = cyclic.build_code(q, n, reps)
+    if spc is None:
+        cert, _ = nzl.best_bound(code)
+        loc = cert.locator
+    else:
+        loc = nzl.spc_locator(spc, q)
+        cert = nzl.mu_search(code.defining_set, n, loc)
+    return build_context(code, loc, cert)
+
+
+# (2; 21) with SPC(5), (3; 80) with the trivial locator and t = 3,
+# (3; 13; 1,4) with SPC(2) and w = 3, (3; 13; 1) with SPC(4) and t_l = 2
+_CONTEXTS = {
+    "binary-21": (2, 21, (1, 3, 7, 9), 5),
+    "ternary-80": (3, 80, (1, 2, 4, 5), None),
+    "ternary-13-spc2": (3, 13, (1, 4), 2),
+    "ternary-13-spc4": (3, 13, (1,), 4),
+}
+
+
+def _digit_add(p, a, b):
+    r, place = 0, 1
+    while a or b:
+        r += (a % p + b % p) % p * place
+        a, b, place = a // p, b // p, place * p
+    return r
+
+
+def _plain_horner(field, coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = _digit_add(field.p, field.mul(acc, x), c)
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(_CONTEXTS))
+def test_syndromes_match_plain_evaluation(name):
+    ctx = _context(*_CONTEXTS[name])
+    field, cert, loc = ctx.field, ctx.cert, ctx.locator
+    support, base = nzl._locator_codeword_elements(field, ctx.beta, loc, ctx.code.q)
+    a = [0] * (max(support) + 1)
+    for z, c in zip(support, base):
+        a[z] = c
+    rng = random.Random(31)
+    for t in range(6):
+        for _ in range(5):
+            _, word, _ = _plant(rng, ctx.code, t)
+            r = [ctx.to_elt[d] for d in word]
+            expect = [
+                field.mul(
+                    _plain_horner(field, r, field.pow(ctx.alpha, cert.w * j + cert.e)),
+                    _plain_horner(field, a, field.pow(ctx.beta, j + cert.t_l)),
+                )
+                for j in range(cert.mu - 1)
+            ]
+            assert syndromes(ctx, word) == Poly(field, expect)
+
+
+@pytest.mark.parametrize("name", ["binary-21", "ternary-80", "ternary-13-spc2"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_decode_beyond_radius_returns_codeword_or_failure(name, data):
+    ctx = _context(*_CONTEXTS[name])
+    code = ctx.code
+    t = (ctx.cert.d_star - 1) // 2
+    msg = data.draw(st.lists(st.integers(0, code.q - 1), min_size=code.k, max_size=code.k))
+    word = list(cyclic.encode(code, tuple(msg)))
+    positions = data.draw(st.sets(st.integers(0, code.n - 1), min_size=t + 1, max_size=2 * t + 2))
+    for p in positions:
+        word[p] = (word[p] + data.draw(st.integers(1, code.q - 1))) % code.q
+    res = decode(ctx, word)
+    if res.status == "success":
+        assert cyclic.is_codeword(code, res.corrected)
+        diffs = [i for i, (x, y) in enumerate(zip(word, res.corrected)) if x != y]
+        assert diffs == sorted(res.positions) and len(diffs) <= t
+    else:
+        assert res.status == "failure" and res.reason and res.corrected is None
+
+
+def test_find_error_positions_ternary_roundtrip():
+    ctx = _context(*_CONTEXTS["ternary-80"])
+    rng = random.Random(32)
+    for t in (1, 2, 3):
+        for _ in range(20):
+            cw, word, positions = _plant(rng, ctx.code, t)
+            lam, _ = solve_key_equation(syndromes(ctx, word), ctx.cert.mu)
+            assert sorted(find_error_positions(ctx, lam)) == sorted(positions)
+            res = decode(ctx, word)
+            assert res.status == "success" and res.corrected == cw

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +131,20 @@ _F16 = build_field(2, 4)
 _elt = st.integers(min_value=0, max_value=15)
 _poly = st.lists(_elt, min_size=0, max_size=8).map(lambda c: Poly(_F16, tuple(c)))
 
+# The ring-law tests run in characteristic 2 (XOR addition) and in odd
+# characteristic (Zech-log addition, where neg and sub are not the identity).
+_POLY_FIELDS = {"gf16": _F16, "gf27": build_field(3, 3)}
+
+
+def _elts(field):
+    return st.integers(min_value=0, max_value=field.order - 1)
+
+
+def _polys(field, min_size=0, max_size=8):
+    return st.lists(_elts(field), min_size=min_size, max_size=max_size).map(
+        lambda c: Poly(field, tuple(c))
+    )
+
 
 @given(_poly, _poly)
 @settings(max_examples=200, deadline=None)
@@ -139,16 +156,24 @@ def test_poly_degree_law(a, b):
         assert prod.degree == a.degree + b.degree
 
 
-@given(_poly, _poly, _elt)
+@pytest.mark.parametrize("name", sorted(_POLY_FIELDS))
+@given(data=st.data())
 @settings(max_examples=200, deadline=None)
-def test_poly_eval_is_ring_homomorphism(a, b, x):
-    assert (a + b)(x) == _F16.add(a(x), b(x))
-    assert (a * b)(x) == _F16.mul(a(x), b(x))
+def test_poly_eval_is_ring_homomorphism(name, data):
+    field = _POLY_FIELDS[name]
+    a, b = data.draw(_polys(field)), data.draw(_polys(field))
+    x = data.draw(_elts(field))
+    assert (a + b)(x) == field.add(a(x), b(x))
+    assert (a - b)(x) == field.sub(a(x), b(x))
+    assert (a * b)(x) == field.mul(a(x), b(x))
 
 
-@given(_poly, _poly)
+@pytest.mark.parametrize("name", sorted(_POLY_FIELDS))
+@given(data=st.data())
 @settings(max_examples=200, deadline=None)
-def test_poly_division_algorithm(a, b):
+def test_poly_division_algorithm(name, data):
+    field = _POLY_FIELDS[name]
+    a, b = data.draw(_polys(field)), data.draw(_polys(field))
     if b.is_zero():
         with pytest.raises(ZeroDivisionError):
             divmod(a, b)
@@ -186,21 +211,20 @@ def test_eea_trivial_cases():
     assert r.monic() == b.monic()
 
 
-@given(
-    st.lists(_elt, min_size=2, max_size=9),
-    st.lists(_elt, min_size=1, max_size=6),
-    st.integers(min_value=0, max_value=6),
-)
+@pytest.mark.parametrize("name", sorted(_POLY_FIELDS))
+@given(data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_eea_invariants(ac, bc, stop):
-    A = Poly(_F16, tuple(ac))
-    B = Poly(_F16, tuple(bc))
+def test_eea_invariants(name, data):
+    field = _POLY_FIELDS[name]
+    A = data.draw(_polys(field, 2, 9))
+    B = data.draw(_polys(field, 1, 6))
+    stop = data.draw(st.integers(min_value=0, max_value=6))
     if A.is_zero() or B.is_zero() or not A.degree > B.degree:
         return
     # replay the remainder sequence tracking both cofactors
     r_prev, r_cur = A, B
-    u_prev, u_cur = Poly.zero(_F16), Poly.one(_F16)
-    v_prev, v_cur = Poly.one(_F16), Poly.zero(_F16)
+    u_prev, u_cur = Poly.zero(field), Poly.one(field)
+    v_prev, v_cur = Poly.one(field), Poly.zero(field)
     while not r_cur.is_zero():
         assert u_cur * B + v_cur * A == r_cur
         assert u_cur.degree + r_prev.degree == A.degree
@@ -237,3 +261,104 @@ def test_neg_one_digit_matches_digit_field():
     assert len(qs) == 1961
     for q in qs:
         assert gf.neg_one_digit(*gf.prime_power(q)) == gf.DigitField(q).neg(1), q
+
+
+# --- addition against the digit-wise definition ---------------------------
+
+
+def _digit_add(p, a, b):
+    # GF(p^m) addition by definition: base-p digits added mod p
+    r, place = 0, 1
+    while a or b:
+        r += (a % p + b % p) % p * place
+        a, b, place = a // p, b // p, place * p
+    return r
+
+
+def _digit_neg(p, a):
+    r, place = 0, 1
+    while a:
+        r += (-a) % p * place
+        a, place = a // p, place * p
+    return r
+
+
+_SMALL_ODD_FIELDS = [
+    (p, m) for p in range(3, 244) if gf.is_prime(p) for m in range(1, 6) if p**m <= 243
+]
+
+
+@pytest.mark.parametrize("p,m", _SMALL_ODD_FIELDS)
+def test_zech_arithmetic_exhaustive(p, m):
+    f = build_field(p, m)
+    q = f.order
+    neg = [_digit_neg(p, a) for a in range(q)]
+    assert [f.neg(a) for a in range(q)] == neg
+    for a in range(q):
+        assert [f.add(a, b) for b in range(q)] == [_digit_add(p, a, b) for b in range(q)], a
+        assert [f.sub(a, b) for b in range(q)] == [_digit_add(p, a, neg[b]) for b in range(q)], a
+
+
+@pytest.mark.parametrize("p,m", [(3, 8), (5, 4), (7, 3)])
+def test_zech_arithmetic_sampled(p, m):
+    f = build_field(p, m)
+    rng = random.Random(p * 100 + m)
+    for _ in range(20_000):
+        a, b = rng.randrange(f.order), rng.randrange(f.order)
+        assert f.add(a, b) == _digit_add(p, a, b)
+        assert f.neg(b) == _digit_neg(p, b)
+        assert f.sub(a, b) == _digit_add(p, a, _digit_neg(p, b))
+
+
+def test_binary_field_never_builds_zech_table():
+    f = build_field(2, 8)
+    for a in range(0, 256, 7):
+        for b in range(0, 256, 11):
+            assert f.add(a, b) == f.sub(a, b) == a ^ b and f.neg(a) == a
+    assert gf.horner(f, (1, 1), 3) == 2
+    assert Poly(f, (1, 2, 3)) - Poly(f, (1, 2)) == Poly(f, (0, 0, 3))
+    assert f._zech is None
+
+
+def test_horner_matches_plain_evaluation():
+    rng = random.Random(5)
+    for p, m in [(2, 6), (3, 4), (5, 3)]:
+        f = build_field(p, m)
+        for _ in range(300):
+            coeffs = [rng.randrange(f.order) for _ in range(rng.randrange(0, 12))]
+            x = rng.randrange(f.order)
+            acc = 0
+            for c in reversed(coeffs):
+                acc = _digit_add(p, f.mul(acc, x), c)
+            assert gf.horner(f, coeffs, x) == acc
+
+
+# --- primitive polynomial search against the plain definition ---------------
+
+
+def _primitive_by_order(coeffs, p, m):
+    # x has order exactly p^m - 1: no maximal proper divisor is an order
+    if coeffs[0] == 0:
+        return False
+    n_units = p**m - 1
+    one = [1] + [0] * (m - 1)
+    for ell in gf.prime_factors(n_units):
+        if gf._x_power(n_units // ell, coeffs, p, m) == one:
+            return False
+    return gf._x_power(n_units, coeffs, p, m) == one
+
+
+def test_primitive_poly_matches_reference_search():
+    fields = [
+        (p, m) for p in range(2, 4097) if gf.is_prime(p) for m in range(1, 13) if p**m <= 4096
+    ]
+    assert len(fields) == 604
+    for p, m in fields:
+        ref = next(
+            (*low, 1) for low in product(range(p), repeat=m) if _primitive_by_order((*low, 1), p, m)
+        )
+        cached = (p, m) in gf._FIELD_CACHE
+        assert build_field(p, m).spec.prim_poly == ref, (p, m)
+        if not cached:
+            # keep the several hundred prime-field tables out of the session
+            del gf._FIELD_CACHE[(p, m)]
