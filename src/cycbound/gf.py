@@ -149,7 +149,12 @@ def _has_root_in_prime_field(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 def _is_primitive_poly(coeffs: tuple[int, ...], p: int, m: int) -> bool:
-    if coeffs[0] == 0:
+    # The product of the roots, (-1)^m f(0), is the norm of a root, and the
+    # norm of a primitive element of GF(p^m) is a primitive element of GF(p)
+    # (Lidl & Niederreiter, Finite Fields, Thm 3.18).  This O(1) test keeps
+    # phi(p - 1) of the p constant terms, before any x-power.
+    norm = coeffs[0] if m % 2 == 0 else -coeffs[0] % p
+    if norm == 0 or any(pow(norm, (p - 1) // ell, p) == 1 for ell in prime_factors(p - 1)):
         return False
     n_units = p**m - 1
     one = [0] * m

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from . import cyclic
 from .gf import (
@@ -106,69 +105,57 @@ def _stepped(row: bytes, w: int) -> bytes:
     return (row * w)[::w]
 
 
-@lru_cache(maxsize=64)
 def _step_orbits(in_c: bytes, n: int):
     """(orbit representatives, stabilizer) for the unit steps w mod n, n > 1.
 
     The stabilizer S = {s unit : s*D_C = D_C} acts on the steps by
     multiplication; each representative is the smallest w of its orbit S*w.
     A unit s is in S when s*D_C lies in D_C, since multiplying by a unit is
-    a bijection.  best_bound searches one defining set against many
-    locators, hence the cache.
+    a bijection, so the units are filtered by s*i in D_C for one i of D_C
+    after another.  _code_rows computes this once per code, for every
+    locator scanned against it.
     """
-    D = [i for i in range(n) if in_c[i]]
-    stab = tuple(s for s in range(1, n) if math.gcd(s, n) == 1 and all(in_c[s * i % n] for i in D))
-    return cyclic._orbit_reps(n, stab), stab
+    stab = [s for s in range(1, n) if math.gcd(s, n) == 1]
+    for i in range(n):
+        if in_c[i]:
+            stab = [s for s in stab if in_c[s * i % n]]
+    return cyclic._orbit_reps(n, stab), tuple(stab)
 
 
-def mu_search(
-    defining_set,
-    n: int,
-    locator: LocatorSpec,
-    *,
-    search_w: bool = True,
-) -> NzlCertificate:
-    """Best certificate for the given locator: maximal mu over offsets e,
-    locator shifts t_l, and (optionally) unit steps w, ties broken by
-    smaller (e, t_l, w).
-
-    For fixed w the pairs ((e + w*j) mod n, (j + t_l) mod n_l) walk a single
-    cycle of length n*n_l, so the run maximization is one circular scan of
-    that cycle per w.  The cover of the cycle is built at bytes level: the
-    code row stepped by w, tiled n_l times, is OR-ed as one integer with the
-    locator row tiled n times, and rotated to start at an uncovered index.
-    Substring tests then skip a step whose longest run is shorter than the
-    best so far, and find the starts of its longest runs.
-
-    Steps are scanned one per orbit of the multiplier stabilizer
-    S = {s unit mod n : s*D_C = D_C}: the step s*w sees the same cover as w,
-    with every run start e moved to s*e and t_l unchanged, so each longest
-    run of a representative w stands for the certificates (s*e, t_l, s*w),
-    s in S, and the tie-break is taken over all of them.  For a cyclic code
-    S contains the powers of q.  `search_w=False` scans w = 1 alone, the
-    paper's form of the bound.
-    """
-    n_l = locator.n_l
-    if math.gcd(n, n_l) != 1:
-        raise NotCoprime(f"gcd({n}, {n_l}) != 1")
+def _code_rows(defining_set, n: int, search_w: bool):
+    """The per-code half of the locator scan: ([(w, D_C row stepped by w)],
+    stabilizer), one step w per stabilizer orbit (w = 1 alone when
+    `search_w` is off).  It depends only on (D_C, n), so one code's rows
+    serve every locator."""
     in_c = bytearray(n)
     for i in defining_set:
         in_c[i % n] = 1
-    in_l = bytearray(n_l)
-    for i in locator.defining_set:
-        in_l[i % n_l] = 1
     in_c = bytes(in_c)
     if search_w and n > 1:
         ws, stab = _step_orbits(in_c, n)
     else:
         ws, stab = [1 % n], (1,)
+    return [(w, _stepped(in_c, w or 1)) for w in ws], stab  # w = 0 only when n = 1
+
+
+def _scan(n: int, code_rows, locator: LocatorSpec, floor: int) -> NzlCertificate | None:
+    """The mu_search certificate of `locator` from the code's _code_rows, or
+    None when no run of covered indices is at least `floor` long.  Floor 0
+    always gives the certificate: mu = 1, the empty run, when no index is
+    covered."""
+    n_l = locator.n_l
+    if math.gcd(n, n_l) != 1:
+        raise NotCoprime(f"gcd({n}, {n_l}) != 1")
+    in_l = {i % n_l for i in locator.defining_set}
+    rows, stab = code_rows
     total = n * n_l
-    loc_row = int.from_bytes(bytes(in_l) * n, "big")
+    ones = b"\1" * n  # the n cycle indices of one locator residue
     best = None  # (-mu, e, t_l, w)
-    longest = b"\1"  # the longest run found so far, or the least that counts
-    for w in ws:
-        code_row = _stepped(in_c, w or 1)  # w = 0 only when n = 1
-        cover = (int.from_bytes(code_row * n_l, "big") | loc_row).to_bytes(total, "big")
+    longest = b"\1" * max(floor, 1)  # the longest run found so far, or the least that counts
+    for w, code_row in rows:
+        cover = bytearray(code_row * n_l)
+        for t in in_l:
+            cover[t::n_l] = ones
         z = cover.find(0)
         if z < 0:
             raise DegenerateCover("the code and locator zero sets cover every index")
@@ -191,10 +178,48 @@ def mu_search(
                     best = cand
             at = cover.find(run, at + mu)
     if best is None:
+        if floor:
+            return None
         return NzlCertificate(0, 1 % n, 0, 1, nzl_bound(1, locator.d_l), locator)
     neg_mu, e, t_l, w = best
     mu = -neg_mu
     return NzlCertificate(e, w, t_l, mu, nzl_bound(mu, locator.d_l), locator)
+
+
+def mu_search(
+    defining_set,
+    n: int,
+    locator: LocatorSpec,
+    *,
+    search_w: bool = True,
+) -> NzlCertificate:
+    """Best certificate for the given locator: maximal mu over offsets e,
+    locator shifts t_l, and (optionally) unit steps w, ties broken by
+    smaller (e, t_l, w).  With no covered index at all, mu = 1 at
+    (e, t_l, w) = (0, 0, 1 mod n).
+
+    For fixed w the pairs ((e + w*j) mod n, (j + t_l) mod n_l) walk a single
+    cycle of length n*n_l, so the run maximization is one circular scan of
+    that cycle per w.  The cover of the cycle is built at bytes level: the
+    code row stepped by w is tiled n_l times, the cycle indices t mod n_l of
+    each locator zero t are set by one strided slice assignment, and the
+    cover is rotated to start at an uncovered index.  Substring tests then
+    skip a step whose longest run is shorter than the best so far, and find
+    the starts of its longest runs.
+
+    Steps are scanned one per orbit of the multiplier stabilizer
+    S = {s unit mod n : s*D_C = D_C}: the step s*w sees the same cover as w,
+    with every run start e moved to s*e and t_l unchanged, so each longest
+    run of a representative w stands for the certificates (s*e, t_l, s*w),
+    s in S, and the tie-break is taken over all of them.  For a cyclic code
+    S contains the powers of q.  `search_w=False` scans w = 1 alone, the
+    paper's form of the bound.
+
+    The stepped code rows and the orbits depend only on the code; they are
+    built by _code_rows, which ranked_certificates and best_bound call once
+    per code for all their locators.
+    """
+    return _scan(n, _code_rows(defining_set, n, search_w), locator, 0)
 
 
 def verify_certificate(defining_set, n: int, cert: NzlCertificate) -> bool:
@@ -405,23 +430,49 @@ def ranked_certificates(
     code: cyclic.CyclicCodeSpec, *, search_w: bool = True
 ) -> list[NzlCertificate]:
     """One certificate per candidate locator of candidate_locators(n, q),
-    sorted by certificate_rank; `search_w` is passed on to mu_search."""
+    each the one mu_search gives, sorted by certificate_rank.  The code's
+    stepped rows are built once and shared by all candidates; `search_w` is
+    as in mu_search."""
+    rows = _code_rows(code.defining_set, code.n, search_w)
     cands = candidate_locators(code.n, code.q)
-    certs = [mu_search(code.defining_set, code.n, loc, search_w=search_w) for loc in cands]
-    return sorted(certs, key=certificate_rank)
+    return sorted((_scan(code.n, rows, loc, 0) for loc in cands), key=certificate_rank)
 
 
 def best_bound(code: cyclic.CyclicCodeSpec, *, search_w: bool = True):
     """Best certificate over the fixed candidate family of
     candidate_locators, with the BCH and HT values for comparison.  Returns
     (certificate, {"bch", "ht", "d_star"}); no field is built unless q = 2.
+    The certificate is ranked_certificates(code, search_w=...)[0].
 
-    Candidates are ranked by certificate_rank; `search_w` is passed on to
+    The candidates are scanned in order against the code's shared stepped
+    rows, keeping the best certificate so far, the incumbent, of value d*.
+    A later locator L of distance d_l is scanned only for runs of at least
+    (d* - 1)*d_l covered indices when (d_l, n_l) is at most the incumbent's,
+    and of at least d* * d_l otherwise.  This is exact.  A longest run
+    r < (d* - 1)*d_l gives mu = r + 1 <= (d* - 1)*d_l, so ceil(mu/d_l) < d*;
+    r < d* * d_l gives at most d*, which then loses the tie-break on
+    (d_l, n_l).  Either way L cannot outrank the incumbent.  A locator that
+    reaches its floor gets its full mu_search certificate, since a floor at
+    or below its longest run changes neither that run nor the tie-break.
+    Each cover is tested for DegenerateCover before the floor, as in
     mu_search.
     """
     bch = cyclic.bch_bound(code).value
     ht = cyclic.ht_bound(code).value
-    best = ranked_certificates(code, search_w=search_w)[0]
+    n = code.n
+    rows = _code_rows(code.defining_set, n, search_w)
+    best = None
+    for loc in candidate_locators(n, code.q):
+        if best is None:
+            floor = 0
+        elif (loc.d_l, loc.n_l) <= (best.locator.d_l, best.locator.n_l):
+            floor = (best.d_star - 1) * loc.d_l
+        else:
+            floor = best.d_star * loc.d_l
+        # at floor 0 (the first locator, or d* = 1) even mu = 1 can rank first
+        cert = _scan(n, rows, loc, floor)
+        if cert is not None and (best is None or certificate_rank(cert) < certificate_rank(best)):
+            best = cert
     return best, {"bch": bch, "ht": ht, "d_star": best.d_star}
 
 

@@ -27,6 +27,7 @@ from cycbound.nzl import (
     min_weight_codeword,
     mu_search,
     nzl_bound,
+    ranked_certificates,
     ratio_grid,
     rs_closed_form,
     rs_locator,
@@ -305,6 +306,62 @@ def test_best_bound_long_code_compares_ht():
     assert comp["ht"] == 7 and comp["bch"] == 7
     assert comp["d_star"] == cert.d_star >= comp["bch"]
     assert verify_certificate(code.defining_set, 1023, cert)
+
+
+_CLOSED_CODE_LENGTHS = {q: [n for n in range(2, 131) if math.gcd(n, q) == 1] for q in (2, 3, 4, 5)}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_best_bound_is_first_ranked_certificate(data):
+    # the incumbent-pruned scan returns the top of the full ranking
+    q = data.draw(st.sampled_from([2, 3, 4, 5]), label="q")
+    n = data.draw(st.sampled_from(_CLOSED_CODE_LENGTHS[q]), label="n")
+    cosets = cyclic.coset_partition(n, q)
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(cosets), max_size=len(cosets)))
+    if all(chosen):
+        chosen[0] = False  # the zero code has no distance to certify
+    code = cyclic.build_code(q, n, [min(c) for c, keep in zip(cosets, chosen) if keep])
+    for search_w in (True, False):
+        cert, comp = best_bound(code, search_w=search_w)
+        assert cert == ranked_certificates(code, search_w=search_w)[0]
+        assert comp["d_star"] == cert.d_star
+
+
+@pytest.mark.parametrize(
+    "q, n, reps, search_w, winner",
+    [
+        (5, 24, (0, 1, 2, 3, 4, 7, 8, 9, 14), True, (23, 8, 4, 3, 5)),
+        (3, 40, (2, 4, 7, 10, 11, 13, 20), False, (19, 7, 6, 3, 1)),
+    ],
+)
+def test_best_bound_ties_on_locator_shape(monkeypatch, q, n, reps, search_w, winner):
+    # RS(7, 5) becomes the incumbent, and Hamming (7, 4, 3), of the same
+    # (d_l, n_l) = (3, 7), reaches the same d* with a smaller t_l: its
+    # floor must be (d* - 1)*d_l, since d* * d_l would prune the winner
+    rs, hamming = rs_locator(7, 5, 2), hamming_locator()
+    assert (rs.d_l, rs.n_l) == (hamming.d_l, hamming.n_l) == (3, 7)
+    monkeypatch.setattr(nzl, "candidate_locators", lambda n, q: [trivial_locator(), rs, hamming])
+    code = cyclic.build_code(q, n, reps)
+    ranked = ranked_certificates(code, search_w=search_w)
+    assert [c.locator.kind for c in ranked] == ["hamming", "rs", "trivial"]
+    assert ranked[0].d_star == ranked[1].d_star
+    cert, _ = best_bound(code, search_w=search_w)
+    assert cert == ranked[0]
+    assert (cert.mu, cert.d_star, cert.e, cert.t_l, cert.w) == winner
+
+
+@pytest.mark.parametrize("d_l", [1, 5])
+def test_best_bound_raises_degenerate_cover(monkeypatch, example21, spc5, d_l):
+    # a locator whose zero set is all of Z_5 covers every index, so no
+    # certificate exists; the cover is tested before any floor prunes it
+    full = LocatorSpec("custom", 1, 5, (0, 1, 2, 3, 4), d_l, (0,), (1,))
+    monkeypatch.setattr(nzl, "candidate_locators", lambda n, q: [trivial_locator(), spc5, full])
+    for search_w in (True, False):
+        with pytest.raises(DegenerateCover):
+            best_bound(example21, search_w=search_w)
+        with pytest.raises(DegenerateCover):
+            ranked_certificates(example21, search_w=search_w)
 
 
 def test_soundness_every_binary_code_of_length_257():
