@@ -213,8 +213,8 @@ def _decodable_certificate(code: cyclic.CyclicCodeSpec, search_w: bool):
 def cmd_decode(args) -> int:
     code = load_code_spec(args.spec)
     word = _parse_word(args.received, code.q, code.n)
-    if args.spc or args.trivial:
-        locator = nzl.spc_locator(args.spc, code.q) if args.spc else nzl.trivial_locator()
+    if args.spc is not None or args.trivial:
+        locator = nzl.trivial_locator() if args.trivial else nzl.spc_locator(args.spc, code.q)
         cert = nzl.mu_search(code.defining_set, code.n, locator, search_w=args.search_w)
         ctx = decoder.build_context(code, locator, cert)
     else:
@@ -331,8 +331,9 @@ def _build_parser() -> _Parser:
     p.add_argument("spec", help="path to a JSON code spec")
     p.add_argument("--received", required=True,
                    help="base-q digit string, coefficient of x^0 first (commas for q > 10)")
-    p.add_argument("--spc", type=int, default=None, help="use a single-parity-check locator of this length")
-    p.add_argument("--trivial", action="store_true", help="use the trivial locator (classical decoding)")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--spc", type=int, default=None, help="use a single-parity-check locator of this length")
+    which.add_argument("--trivial", action="store_true", help="use the trivial locator (classical decoding)")
     p.add_argument("--search-w", action=argparse.BooleanOptionalAction, default=True,
                    help="search unit steps w (default: on)")
     p.set_defaults(fn=cmd_decode)

@@ -34,7 +34,7 @@ from .gf import (
     MAX_FIELD_SIZE,
     Poly,
     build_field,
-    horner,
+    digit_elements,
     min_extension_degree,
     NotCoprime,
     nth_root_of_unity,
@@ -244,8 +244,9 @@ def is_codeword(spec: CyclicCodeSpec, word) -> bool:
         raise ValueError("word length mismatch")
     ctx, alpha = code_field(spec)
     to_elt, _ = subfield_digit_maps(ctx, spec.q)
-    elts = [to_elt[d] for d in word]
-    return all(horner(ctx, elts, ctx.pow(alpha, r)) == 0 for r in spec.coset_reps)
+    log = ctx.log
+    terms = [(i, log[e]) for i, e in enumerate(digit_elements(to_elt, word)) if e]
+    return not any(ctx.evaluate(terms, [r * log[alpha] for r in spec.coset_reps]))
 
 
 def _orbit_reps(n: int, group) -> tuple[int, ...]:

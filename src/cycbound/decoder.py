@@ -6,6 +6,11 @@ and an order-n_l root beta.  Syndromes are S_j = r(alpha^(w*j+e)) *
 a(beta^(j+t_l)); the Key Equation S = Omega / Lambda mod x^(mu-1) is
 solved with the extended Euclidean algorithm; error positions come from a
 root scan of Lambda and error values from a generalized Forney formula.
+The locator enters that formula only as f'(beta^-kappa) / h(beta^-kappa),
+kappa the smallest support index: every term of f' and h but kappa's
+vanishes there, which leaves the constant -beta^kappa / c_kappa, c_kappa
+the twisted locator coefficient at kappa.  All evaluations go through the
+field's kernel FieldCtx.evaluate.
 Up to floor((d_star - 1) / 2) errors are corrected, and every decode ends
 with a re-encoding check so a miscorrection outside the code is reported
 as a failure instead of returned silently.
@@ -23,8 +28,8 @@ from .gf import (
     Poly,
     build_field,
     combined_degree,
+    digit_elements,
     extended_euclid_step_sequence,
-    horner,
     min_extension_degree,
     nth_root_of_unity,
     prime_power,
@@ -75,8 +80,7 @@ class DecoderContext:
     kappa: int
     support: tuple[int, ...]
     coeffs: tuple[int, ...]
-    f: Poly
-    h: Poly
+    forney: int
     a_evals: tuple[int, ...]
     to_elt: tuple[int, ...]
     to_digit: dict[int, int]
@@ -95,14 +99,15 @@ def _aligned_code_root(field: FieldCtx, code: cyclic.CyclicCodeSpec, to_elt) -> 
     # The generator polynomial pins the code to a specific order-n root; an
     # independently built field has its own tables, so locate the power of
     # the canonical root that the generator actually vanishes on.
-    zeta = nth_root_of_unity(field, code.n)
-    g_elts = [to_elt[d] for d in cyclic.generator_polynomial(code)]
+    log = field.log
+    l_zeta = log[nth_root_of_unity(field, code.n)]
+    g = cyclic.generator_polynomial(code)
+    terms = [(i, log[to_elt[d]]) for i, d in enumerate(g) if d]
     for t in range(1, code.n + 1):
         if math.gcd(t, code.n) != 1:
             continue
-        cand = field.pow(zeta, t)
-        if all(horner(field, g_elts, field.pow(cand, rep)) == 0 for rep in code.coset_reps):
-            return cand
+        if not any(field.evaluate(terms, [l_zeta * t * rep for rep in code.coset_reps])):
+            return field.exp(l_zeta * t)
     raise AssertionError("no aligned order-n root found")  # unreachable
 
 
@@ -134,26 +139,16 @@ def build_context(
         field.mul(cz, field.pow(beta, z * cert.t_l)) for z, cz in zip(support, base_coeffs)
     )
     kappa = min(support)
-    f = Poly.one(field)
-    for z in support:
-        f = f * Poly(field, (1, field.neg(field.pow(beta, z))))
-    h = Poly.zero(field)
-    for z, cz in zip(support, coeffs):
-        term = Poly(field, (cz,))
-        for other in support:
-            if other != z:
-                term = term * Poly(field, (1, field.neg(field.pow(beta, other))))
-        h = h + term
-    a_evals = tuple(
-        _eval_support(field, support, coeffs, beta, j) for j in range(locator.n_l)
-    )
-    if f(field.pow(beta, -kappa)) != 0:
-        raise AssertionError("f must vanish at beta^-kappa")
-    if f.degree != locator.d_l or not h.degree <= locator.d_l - 1:
-        raise AssertionError("locator polynomial degrees out of contract")
+    log = field.log
+    a_evals = tuple(field.evaluate([(z, log[cz]) for z, cz in zip(support, coeffs)],
+                                   [j * log[beta] for j in range(locator.n_l)]))
+    if len(support) != locator.d_l:
+        raise AssertionError("locator codeword weight differs from d_l")
     for i in locator.defining_set:
         if a_evals[(i - cert.t_l) % locator.n_l] != 0:
             raise AssertionError("locator codeword does not vanish on its defining set")
+    # f'(beta^-kappa) / h(beta^-kappa) of the Forney formula (see error_values)
+    forney = field.neg(field.div(field.pow(beta, kappa), coeffs[support.index(kappa)]))
     return DecoderContext(
         code=code,
         locator=locator,
@@ -165,19 +160,11 @@ def build_context(
         kappa=kappa,
         support=support,
         coeffs=coeffs,
-        f=f,
-        h=h,
+        forney=forney,
         a_evals=a_evals,
         to_elt=to_elt,
         to_digit=to_digit,
     )
-
-
-def _eval_support(field, support, coeffs, beta, j):
-    acc = 0
-    for z, cz in zip(support, coeffs):
-        acc = field.add(acc, field.mul(cz, field.pow(beta, j * z)))
-    return acc
 
 
 def syndromes(ctx: DecoderContext, received) -> Poly:
@@ -188,17 +175,13 @@ def syndromes(ctx: DecoderContext, received) -> Poly:
     if len(received) != n:
         raise LengthMismatch(f"expected {n} digits, got {len(received)}")
     field = ctx.field
-    try:
-        relts = [ctx.to_elt[d] for d in received]
-    except (IndexError, TypeError):
-        raise ValueError(f"digits must be integers in [0, {ctx.code.q})")
+    relts = digit_elements(ctx.to_elt, received)
     log = field.log
     cert = ctx.cert
     n_l = ctx.locator.n_l
     js = [j for j in range(cert.mu - 1) if ctx.a_evals[j % n_l]]
     l_alpha = log[ctx.alpha]
-    values = _log_eval(
-        field,
+    values = field.evaluate(
         [(i, log[r]) for i, r in enumerate(relts) if r],
         [(cert.w * j + cert.e) % n * l_alpha for j in js],
     )
@@ -206,34 +189,6 @@ def syndromes(ctx: DecoderContext, received) -> Poly:
     for j, v in zip(js, values):
         out[j] = field.mul(v, ctx.a_evals[j % n_l])
     return Poly(field, tuple(out))
-
-
-def _log_eval(field: FieldCtx, terms, points) -> list[int]:
-    """The polynomial sum of c_i * x^i, given as the (i, log c_i) pairs of its
-    nonzero terms, evaluated at each x = g^l for l in points (g the field
-    generator): every term is one antilog lookup, and the terms are summed
-    by XOR in characteristic 2 and by Zech logarithms otherwise."""
-    antilog, n_units = field.antilog, field.n_units
-    out = []
-    if field.p == 2:
-        for lx in points:
-            acc = 0
-            for i, l in terms:
-                acc ^= antilog[(l + i * lx) % n_units]
-            out.append(acc)
-        return out
-    z = field.zech()
-    for lx in points:
-        acc = -1
-        for i, l in terms:
-            t = (l + i * lx) % n_units
-            if acc < 0:
-                acc = t
-            else:
-                k = z[(t - acc) % n_units]
-                acc = (acc + k) % n_units if k >= 0 else -1
-        out.append(antilog[acc] if acc >= 0 else 0)
-    return out
 
 
 def solve_key_equation(S: Poly, mu: int) -> tuple[Poly, Poly]:
@@ -268,11 +223,7 @@ def find_error_positions(ctx: DecoderContext, lam: Poly) -> tuple[int, ...]:
     log = field.log
     l_start = log[field.pow(ctx.beta, -ctx.kappa)]
     l_step = log[field.inv(ctx.alpha_w)]
-    values = _log_eval(
-        field,
-        [(d, log[c]) for d, c in enumerate(lam.coeffs) if c],
-        [l_start + p * l_step for p in range(ctx.code.n)],
-    )
+    values = field.evaluate(lam.log_terms(), [l_start + p * l_step for p in range(ctx.code.n)])
     positions = [p for p, v in enumerate(values) if v == 0]
     if len(positions) * ctx.locator.d_l != lam.degree:
         raise InconsistentLocator(
@@ -286,26 +237,30 @@ def error_values(ctx: DecoderContext, lam: Poly, omega: Poly, positions) -> dict
 
     e_p = Omega(gamma_p) * alpha^(w*p) * f'(beta^-kappa) /
           (Lambda'(gamma_p) * alpha^(p*e) * h(beta^-kappa)),
-    gamma_p = beta^-kappa * alpha^(-w*p).  The factor alpha^(w*p) is the
-    inner derivative of f(x * alpha^(w*p)) inside Lambda'; since
-    gamma_p * alpha^(w*p) is the constant beta^-kappa, f' and h are
-    evaluated once.  Every value must land in the base field.
+    gamma_p = beta^-kappa * alpha^(-w*p), f = prod_z (1 - beta^z x) and
+    h = sum_z c_z prod_{z' != z} (1 - beta^z' x) over the locator support z
+    with twisted coefficients c_z.  The factor alpha^(w*p) is the inner
+    derivative of f(x * alpha^(w*p)) inside Lambda'.  At beta^-kappa every
+    term carrying the factor 1 - beta^(kappa - kappa) vanishes, so with
+    P = prod_{z != kappa} (1 - beta^(z - kappa)), nonzero as the support is
+    distinct mod n_l, f'(beta^-kappa) = -beta^kappa * P and
+    h(beta^-kappa) = c_kappa * P: their quotient is the constant
+    ctx.forney = -beta^kappa / c_kappa.  Every value must land in the base
+    field.
     """
     field = ctx.field
-    lam_d = lam.derivative()
-    ref = field.pow(ctx.beta, -ctx.kappa)
-    f_ref = ctx.f.derivative()(ref)
-    h_ref = ctx.h(ref)
-    if h_ref == 0 or f_ref == 0:
-        raise EvaluatorSingular("locator-derived polynomials vanish at the reference root")
+    log = field.log
+    l_start = log[field.pow(ctx.beta, -ctx.kappa)]
+    l_step = log[field.inv(ctx.alpha_w)]
+    gammas = [l_start + p * l_step for p in positions]
+    dens = field.evaluate(lam.derivative().log_terms(), gammas)
+    nums = field.evaluate(omega.log_terms(), gammas)
     out = {}
-    for p in positions:
-        gamma = field.mul(ref, field.pow(ctx.alpha_w, -p))
-        den = lam_d(gamma)
+    for p, num, den in zip(positions, nums, dens):
         if den == 0:
             raise EvaluatorSingular(f"Lambda' vanishes at the root for position {p}")
-        num = field.mul(omega(gamma), field.mul(field.pow(ctx.alpha_w, p), f_ref))
-        den = field.mul(den, field.mul(field.pow(ctx.alpha, p * ctx.cert.e), h_ref))
+        num = field.mul(num, field.mul(field.pow(ctx.alpha_w, p), ctx.forney))
+        den = field.mul(den, field.pow(ctx.alpha, p * ctx.cert.e))
         val = field.div(num, den)
         digit = ctx.to_digit.get(val)
         if digit is None:

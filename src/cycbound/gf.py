@@ -8,9 +8,13 @@ the generator x, so mul/div/pow are table lookups.  Addition is XOR in
 characteristic two.  In odd characteristic it goes through Zech logarithms,
 z[i] = log(1 + x^i), so that a + b = a * (1 + b/a) is three table lookups;
 the Zech table is built on the first odd-characteristic addition.
+Every polynomial evaluation goes through one kernel, FieldCtx.evaluate,
+which sums the terms of a polynomial given by the logarithms of its
+nonzero coefficients at many points given by their logarithms.
 
 Primitive polynomials are found by exhaustive search in lexicographic
-order (coefficients compared constant term first).  A candidate is
+order (coefficients compared constant term first), over the constant terms
+whose norm is primitive in GF(p) only.  A candidate is
 accepted when the residue class of x has multiplicative order p^m - 1 in
 the quotient ring; that order forces the quotient to be a field, so no
 separate irreducibility test is needed; for m >= 3 a root test in GF(p)
@@ -149,13 +153,7 @@ def _has_root_in_prime_field(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 def _is_primitive_poly(coeffs: tuple[int, ...], p: int, m: int) -> bool:
-    # The product of the roots, (-1)^m f(0), is the norm of a root, and the
-    # norm of a primitive element of GF(p^m) is a primitive element of GF(p)
-    # (Lidl & Niederreiter, Finite Fields, Thm 3.18).  This O(1) test keeps
-    # phi(p - 1) of the p constant terms, before any x-power.
-    norm = coeffs[0] if m % 2 == 0 else -coeffs[0] % p
-    if norm == 0 or any(pow(norm, (p - 1) // ell, p) == 1 for ell in prime_factors(p - 1)):
-        return False
+    # Only called with a constant term that passes the norm test of build_field.
     n_units = p**m - 1
     one = [0] * m
     one[0] = 1
@@ -252,6 +250,33 @@ class FieldCtx:
             self._zech = z
         return z
 
+    def evaluate(self, terms, points) -> list[int]:
+        """The polynomial sum of c_i * x^i, given as the (i, log c_i) pairs of
+        its nonzero terms, evaluated at each x = g^l for l in points (g the
+        generator): every term is one antilog lookup, and the terms are summed
+        by XOR in characteristic 2 and by Zech logarithms otherwise."""
+        antilog, n_units = self.antilog, self.n_units
+        out = []
+        if self.p == 2:
+            for lx in points:
+                acc = 0
+                for i, l in terms:
+                    acc ^= antilog[(l + i * lx) % n_units]
+                out.append(acc)
+            return out
+        z = self.zech()
+        for lx in points:
+            acc = -1
+            for i, l in terms:
+                t = (l + i * lx) % n_units
+                if acc < 0:
+                    acc = t
+                else:
+                    k = z[(t - acc) % n_units]
+                    acc = (acc + k) % n_units if k >= 0 else -1
+            out.append(antilog[acc] if acc >= 0 else 0)
+        return out
+
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
@@ -320,12 +345,22 @@ def build_field(p: int, m: int = 1) -> FieldCtx:
     ctx = _FIELD_CACHE.get(key)
     if ctx is not None:
         return ctx
-    for low in product(range(p), repeat=m):
-        cand = (*low, 1)
-        if _is_primitive_poly(cand, p, m):
-            ctx = FieldCtx(FieldSpec(p, m, cand))
-            _FIELD_CACHE[key] = ctx
-            return ctx
+    # The product of the roots, (-1)^m f(0), is the norm of a root, and the
+    # norm of a primitive element of GF(p^m) is a primitive element of GF(p)
+    # (Lidl & Niederreiter, Finite Fields, Thm 3.18).  So only the phi(p - 1)
+    # constant terms of primitive norm are enumerated, in ascending order,
+    # each followed by the higher coefficients in lexicographic order.
+    ells = prime_factors(p - 1)
+    for low in range(1, p):
+        norm = low if m % 2 == 0 else p - low
+        if any(pow(norm, (p - 1) // ell, p) == 1 for ell in ells):
+            continue
+        for high in product(range(p), repeat=m - 1):
+            cand = (low, *high, 1)
+            if _is_primitive_poly(cand, p, m):
+                ctx = FieldCtx(FieldSpec(p, m, cand))
+                _FIELD_CACHE[key] = ctx
+                return ctx
     raise AssertionError("no primitive polynomial found")  # unreachable
 
 
@@ -359,33 +394,6 @@ def nth_root_of_unity(ctx: FieldCtx, n: int) -> int:
     if n == 1:
         return 1
     return ctx.exp(ctx.n_units // n)
-
-
-def horner(ctx: FieldCtx, coeffs, x: int) -> int:
-    """Evaluate a low-to-high coefficient sequence of field elements at x."""
-    if x == 0:
-        return coeffs[0] if len(coeffs) else 0
-    log, antilog, n = ctx.log, ctx.antilog, ctx.n_units
-    lx = log[x]
-    if ctx.p == 2:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (antilog[(log[acc] + lx) % n] ^ c) if acc else c
-        return acc
-    # Odd p: carry log(acc), -1 for zero, and add c by its Zech logarithm.
-    z = ctx.zech()
-    la = -1
-    for c in reversed(coeffs):
-        if la < 0:
-            if c:
-                la = log[c]
-        elif c:
-            la += lx
-            k = z[(log[c] - la) % n]
-            la = (la + k) % n if k >= 0 else -1
-        else:
-            la = (la + lx) % n
-    return antilog[la] if la >= 0 else 0
 
 
 class DigitField:
@@ -461,17 +469,13 @@ def subfield_digit_maps(ctx: FieldCtx, q: int) -> tuple[tuple[int, ...], dict[in
     if a == 1:
         to_elt = tuple(range(p))
     else:
-        small = build_field(p, a)
-        pi = small.spec.prim_poly
+        pi = build_field(p, a).spec.prim_poly
         step = ctx.n_units // (q - 1)
-        w = 0
-        for t in range(1, q - 1):
-            x = ctx.exp(step * t)
-            if horner(ctx, pi, x) == 0:
-                w = x
-                break
-        if w == 0:
+        points = [step * t for t in range(1, q - 1)]
+        values = ctx.evaluate([(i, ctx.log[c]) for i, c in enumerate(pi) if c], points)
+        if 0 not in values:
             raise AssertionError("subfield generator not found")  # unreachable
+        w = ctx.exp(points[values.index(0)])
         elems = [0] * q
         cur = 1
         for d in range(1, q):
@@ -482,6 +486,19 @@ def subfield_digit_maps(ctx: FieldCtx, q: int) -> tuple[tuple[int, ...], dict[in
     result = (to_elt, to_digit)
     _SUBFIELD_CACHE[key] = result
     return result
+
+
+def digit_elements(to_elt, word) -> list[int]:
+    """The elements of a word of base-q digits under the digit -> element
+    table of subfield_digit_maps; ValueError unless every digit is an
+    integer in [0, q)."""
+    try:
+        elts = [to_elt[d] for d in word]
+    except (IndexError, TypeError):
+        elts = None
+    if elts is None or min(word, default=0) < 0:
+        raise ValueError(f"digits must be integers in [0, {len(to_elt)})")
+    return elts
 
 
 @dataclass(frozen=True)
@@ -512,10 +529,6 @@ class Poly:
     @classmethod
     def one(cls, field: FieldCtx) -> "Poly":
         return cls(field, (1,))
-
-    @classmethod
-    def x(cls, field: FieldCtx) -> "Poly":
-        return cls(field, (0, 1))
 
     @classmethod
     def monomial(cls, field: FieldCtx, degree: int, coeff: int = 1) -> "Poly":
@@ -591,8 +604,16 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
+    def log_terms(self) -> list[tuple[int, int]]:
+        """The (i, log c_i) pairs of the nonzero coefficients, the form in
+        which FieldCtx.evaluate takes a polynomial."""
+        log = self.field.log
+        return [(i, log[c]) for i, c in enumerate(self.coeffs) if c]
+
     def __call__(self, x: int) -> int:
-        return horner(self.field, self.coeffs, x)
+        if x == 0:
+            return self.coeffs[0] if self.coeffs else 0
+        return self.field.evaluate(self.log_terms(), (self.field.log[x],))[0]
 
     def derivative(self) -> "Poly":
         f = self.field
@@ -601,19 +622,6 @@ class Poly:
             k = i % f.p
             out.append(f.mul(self.coeffs[i], k) if k else 0)
         return Poly(f, tuple(out))
-
-    def monic(self) -> "Poly":
-        if self.is_zero() or self.coeffs[-1] == 1:
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    a._check(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
 
 
 def extended_euclid_step_sequence(A: Poly, B: Poly, stop_degree: int) -> tuple[Poly, Poly]:

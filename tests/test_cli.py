@@ -145,6 +145,7 @@ def test_bound_bad_spec_files(tmp_path):
 ZERO_CODE = {"q": 5, "n": 17, "coset_reps": [0, 1]}
 CODE65 = {"q": 2, "n": 65, "coset_reps": [1, 5]}
 EMPTY15 = {"q": 2, "n": 15, "coset_reps": []}
+EXAMPLE21 = {"q": 2, "n": 21, "coset_reps": [1, 3, 7, 9]}
 
 
 @pytest.mark.parametrize(
@@ -157,13 +158,17 @@ EMPTY15 = {"q": 2, "n": 15, "coset_reps": []}
         (CODE65, ["decode", "--spc", "5"]),
         (CODE65, ["decode", "--spc", "2"]),
         (EMPTY15, ["decode"]),
+        (EXAMPLE21, ["decode", "--spc", "0"]),
+        (EXAMPLE21, ["decode", "--spc", "5", "--trivial"]),
     ],
-    ids=["zero-bound", "zero-decode", "zero-trivial", "zero-spc2", "65-spc5", "65-spc2", "empty-decode"],
+    ids=["zero-bound", "zero-decode", "zero-trivial", "zero-spc2", "65-spc5", "65-spc2", "empty-decode",
+         "21-spc0", "21-spc5-trivial"],
 )
 def test_library_errors_exit_one(tmp_path, doc, argv):
     # a zero code, a locator length not coprime to n or q, and a code with no
     # certificate to decode by: each raises a library error, which the CLI
-    # reports as `error: ...` with exit 1
+    # reports as `error: ...` with exit 1; so do a parity-check length of 0,
+    # which is not an unset --spc, and --spc with --trivial, two locators
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     if argv[0] == "decode":
@@ -185,12 +190,24 @@ def test_bound_oracle_over_field_table_cap(tmp_path):
     assert doc["bch"]["value"] >= 2 and doc["ht"]["value"] >= 2 and doc["nzl"]["d_star"] >= 2
 
 
+# Received words of the decode goldens: three errors on example-21, which
+# --trivial (d* 5) cannot correct, and three and four errors on code 65 (d* 7).
+W21 = "101000000000000000100"
+W65_3 = "".join("1" if i in (0, 10, 61) else "0" for i in range(65))
+W65_4 = "".join("1" if i in (0, 1, 10, 61) else "0" for i in range(65))
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [
         (["check", "--json"], "check.json"),
         (["bound", "spec_example21.json"], "bound_example21.json"),
         (["bound", "spec_code65.json"], "bound_code65.json"),
+        (["decode", "spec_example21.json", "--received", W21], "decode_example21.json"),
+        (["decode", "spec_example21.json", "--received", W21, "--trivial"],
+         "decode_example21_trivial.json"),
+        (["decode", "spec_code65.json", "--received", W65_3], "decode_code65_3err.json"),
+        (["decode", "spec_code65.json", "--received", W65_4], "decode_code65_4err.json"),
     ],
 )
 def test_output_matches_golden(argv, golden):

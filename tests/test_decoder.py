@@ -18,7 +18,7 @@ from cycbound.decoder import (
     solve_key_equation,
     syndromes,
 )
-from cycbound.gf import Poly
+from cycbound.gf import Poly, combined_degree, min_extension_degree, prime_power
 
 
 @pytest.fixture(scope="module")
@@ -42,20 +42,78 @@ def _plant(rng, code, t):
     return cw, word, positions
 
 
+def _forney_polys(ctx):
+    """f = prod_z (1 - beta^z x) and h = sum_z c_z prod_{z' != z} (1 - beta^z' x)
+    over the locator support z with twisted coefficients c_z, built from
+    their definitions."""
+    field = ctx.field
+    lin = {z: Poly(field, (1, field.neg(field.pow(ctx.beta, z)))) for z in ctx.support}
+    f = Poly.one(field)
+    for z in ctx.support:
+        f = f * lin[z]
+    h = Poly.zero(field)
+    for z, c in zip(ctx.support, ctx.coeffs):
+        term = Poly(field, (c,))
+        for other in ctx.support:
+            if other != z:
+                term = term * lin[other]
+        h = h + term
+    return f, h
+
+
 def test_context_structure(ctx21, spc5):
     field = ctx21.field
     assert (field.p, field.m) == (2, 12)
     assert field.element_order(ctx21.alpha) == 21
     assert field.element_order(ctx21.beta) == 5
     assert ctx21.kappa == 0
-    assert ctx21.f.degree == 2 and ctx21.h.degree <= 1
+    f, h = _forney_polys(ctx21)
+    assert f.degree == 2 and h.degree <= 1
     # f(x) = (1 - x)(1 - x*beta) for the parity-check codeword 1 + x,
     # h(x) = a_0*(1 - x*beta) + a_1*(1 - x) with a = (1, 1) and shift 0
     beta = ctx21.beta
-    f_expected = Poly(field, (1, 1)) * Poly(field, (1, beta))
-    assert ctx21.f == f_expected
-    assert ctx21.h == Poly(field, (1, beta)) + Poly(field, (1, 1))
-    assert ctx21.f(field.pow(beta, -ctx21.kappa)) == 0
+    assert ctx21.support == (0, 1) and ctx21.coeffs == (1, 1)
+    assert f == Poly(field, (1, 1)) * Poly(field, (1, beta))
+    assert h == Poly(field, (1, beta)) + Poly(field, (1, 1))
+    assert f(field.pow(beta, -ctx21.kappa)) == 0
+
+
+# One code per q, each with custom locators coprime to its length; every
+# candidate locator whose combined field has at most 2^13 elements is tried.
+_FORNEY_CODES = {
+    2: ((65, (1, 5)), [(1, 7, (1, 2, 4)), (1, 3, (1, 2))]),
+    3: ((13, (1,)), [(1, 4, (1, 3)), (1, 2, (0,))]),
+    4: ((5, (1,)), [(1, 3, (1,)), (2, 3, (0,))]),
+    5: ((4, (1,)), [(1, 3, (1, 2)), (1, 3, (0,))]),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_FORNEY_CODES))
+def test_forney_constant_matches_definitions(q):
+    # the stored constant equals f'(beta^-kappa) / h(beta^-kappa) with f and
+    # h built from their definitions, for every locator kind
+    (n, reps), customs = _FORNEY_CODES[q]
+    code = cyclic.build_code(q, n, reps)
+    p, a = prime_power(q)
+    s = min_extension_degree(q, n)
+    locators = nzl.candidate_locators(n, q) + [nzl.custom_locator(q, *c) for c in customs]
+    kinds = set()
+    for loc in locators:
+        s_l = min_extension_degree(q**loc.u, loc.n_l)
+        if p ** (a * combined_degree(s, loc.u, s_l)) > 1 << 13:
+            continue
+        cert = nzl.mu_search(code.defining_set, n, loc)
+        if cert.mu < 2:
+            continue
+        ctx = build_context(code, loc, cert)
+        field = ctx.field
+        f, h = _forney_polys(ctx)
+        ref = field.pow(ctx.beta, -ctx.kappa)
+        assert h(ref) != 0
+        assert ctx.forney == field.div(f.derivative()(ref), h(ref)), loc
+        kinds.add(loc.kind)
+    expected = {"trivial", "spc", "rs", "custom"} | ({"hamming", "lowest-rate-d3"} if q == 2 else set())
+    assert kinds == expected
 
 
 def test_context_rejects_bad_certificate(example21, spc5, spc3):
@@ -73,8 +131,10 @@ def test_trivial_locator_reduces_to_classical(example21):
     loc = nzl.trivial_locator()
     cert = nzl.mu_search(example21.defining_set, 21, loc, search_w=False)
     ctx = build_context(example21, loc, cert)
-    assert ctx.f == Poly(ctx.field, (1, 1))  # 1 - x in characteristic 2
-    assert ctx.h == Poly.one(ctx.field)
+    f, h = _forney_polys(ctx)
+    assert f == Poly(ctx.field, (1, 1))  # 1 - x in characteristic 2
+    assert h == Poly.one(ctx.field)
+    assert ctx.forney == 1  # -beta^0 / 1 in characteristic 2
     assert cert.d_star == 5  # the BCH bound
 
 
@@ -98,6 +158,19 @@ def test_syndromes_zero_word_and_length(ctx21):
         syndromes(ctx21, (0,) * 20)
 
 
+@pytest.mark.parametrize("digit", [-1, 2], ids=["minus-one", "q"])
+@pytest.mark.parametrize("check", ["syndromes", "is_codeword"])
+def test_digits_outside_range_rejected(ctx21, example21, check, digit):
+    # -1 must not be read as the digit q - 1 by negative indexing
+    word = [0] * 21
+    word[3] = digit
+    with pytest.raises(ValueError, match=r"digits must be integers in \[0, 2\)"):
+        if check == "syndromes":
+            syndromes(ctx21, word)
+        else:
+            cyclic.is_codeword(example21, word)
+
+
 def test_syndromes_single_error_closed_form(ctx21):
     # one error of value 1 at position p: S_j = alpha^(p*(w*j+e)) * a(beta^(j+t))
     field = ctx21.field
@@ -119,6 +192,7 @@ def test_key_equation_matches_constructed_locator(ctx21, example21):
     # Lambda from the Euclidean algorithm equals prod f(x * alpha^(w*p))
     rng = random.Random(7)
     field = ctx21.field
+    f, _ = _forney_polys(ctx21)
     for t in (1, 2, 3):
         cw, word, positions = _plant(rng, example21, t)
         S = syndromes(ctx21, word)
@@ -127,7 +201,7 @@ def test_key_equation_matches_constructed_locator(ctx21, example21):
         for p in positions:
             shift = field.pow(ctx21.alpha_w, p)
             parts = tuple(
-                field.mul(c, field.pow(shift, i)) for i, c in enumerate(ctx21.f.coeffs)
+                field.mul(c, field.pow(shift, i)) for i, c in enumerate(f.coeffs)
             )
             expected = expected * Poly(field, parts)
         assert lam == expected
