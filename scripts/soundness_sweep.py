@@ -29,7 +29,7 @@ def main() -> int:
         help="comma-separated code lengths (default: every odd length up to 63 "
         "whose code field fits the field table cap)",
     )
-    parser.add_argument("--max-k", type=int, default=20)
+    parser.add_argument("--max-k", type=int, default=24)
     parser.add_argument("--limit", type=int, default=5000)
     parser.add_argument("--quiet", action="store_true", help="print only the summary")
     args = parser.parse_args()

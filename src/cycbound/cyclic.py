@@ -7,9 +7,11 @@ characterizations of binary cyclic codes together with the lowest-rate
 constructions built from them.
 
 The oracle runs in two phases: an information-set bound proves d from the
-low-weight messages of one systematic window, and the message scan then
+low-weight messages of one systematic window, which the cyclic shifts make
+stand for all n cyclic windows of k positions, and the message scan then
 stops at the first word of weight d, which is the word a scan of all
-q^k - 1 nonzero codewords would return.
+q^k - 1 nonzero codewords would return.  The first phase weighs binary
+rows as int masks and q-ary rows as gf.PackedWords.
 
 A code here is pinned down by (q, n, defining set) plus the canonical
 primitive n-th root of unity alpha of its construction field GF(q^s),
@@ -32,6 +34,7 @@ from .gf import (
     DigitField,
     FieldCtx,
     MAX_FIELD_SIZE,
+    PackedWords,
     Poly,
     build_field,
     digit_elements,
@@ -420,14 +423,18 @@ def _info_set_distance(q: int, g, n: int, k: int) -> int:
     multiple has the same weight) and the others over all nonzero digits.
 
     Soundness: any k consecutive positions of a cyclic code form an
-    information set, and a cyclic shift carries each of the n // k disjoint
-    windows {jk, ..., jk+k-1} onto {r, ..., n-1} without changing the
-    weight.  Once every word with at most w nonzeros in the window is
-    weighed, a word lighter than all of them has more than w nonzeros in
-    each of the n // k windows, so weight >= (n // k)(w + 1); the least
-    weight seen is d as soon as it is at most that.  At w = k every word
-    has been weighed and the Singleton bound d <= r + 1 <= (n // k)(k + 1)
-    ends the loop.
+    information set, and each of the n cyclic windows {j, ..., j+k-1 mod n}
+    is carried onto {r, ..., n-1} by a cyclic shift, which keeps the weight.
+    Once every word with at most w nonzeros in the window is weighed, take a
+    word c lighter than all of them.  None of its n shifts is weighed, so c
+    has more than w nonzeros in each of the n windows; each position lies in
+    exactly k windows, so k * wt(c) >= n(w + 1).  The least weight seen is
+    therefore d as soon as it is at most ceil(n(w + 1) / k).  At w = k every
+    word has been weighed and the Singleton bound d <= r + 1 <= ceil(n(k + 1)
+    / k) ends the loop.
+
+    Binary rows are int masks added by XOR; q-ary rows are PackedWords,
+    with all q - 1 multiples of each row built once.
     """
     r = n - k
     if q == 2:
@@ -443,30 +450,27 @@ def _info_set_distance(q: int, g, n: int, k: int) -> int:
             return min(reduce(xor, rows).bit_count() for rows in combinations(rems, w))
 
     else:
-        df = DigitField(q)
-        low = g[:r]
-        rems, rem = [], [df.neg(c) for c in low]  # x^r mod g
-        for _ in range(k):
-            rems.append(rem)
-            top = rem[-1] if rem else 0
-            rem = [df.sub(a, df.mul(top, gj)) for a, gj in zip([0] + rem[:-1], low)]
-        scaled = [[[df.mul(c, a) for a in row] for c in range(1, q)] for row in rems]
-
-        def add(u, v):
-            return [df.add(a, b) for a, b in zip(u, v)]
+        words = PackedWords(q, r)
+        df, add, weight, width = words.df, words.add, words.weight, words.width
+        # rows[i][c - 1] is c * (x^(r+i) mod g).  x times a row moves it up one
+        # coordinate and folds its top digit t back as t * (x^r mod g).
+        rows = [words.scaled([df.neg(c) for c in g[:r]])]
+        top = max(r - 1, 0) * width
+        fold = {words.pack([t]): row for t, row in enumerate(rows[0], 1)} | {0: 0}
+        for _ in range(k - 1):
+            rows.append([add((x - (x >> top << top)) << width, fold[x >> top]) for x in rows[-1]])
 
         def lightest(w):
             return min(
-                r - reduce(add, tail, rems[first]).count(0)
+                weight(reduce(add, tail, rows[first][0]))
                 for first, *rest in combinations(range(k), w)
-                for tail in product(*(scaled[i] for i in rest))
+                for tail in product(*(rows[i] for i in rest))
             )
 
-    reach = n // k
     best = n + 1
     for w in range(1, k + 1):
         best = min(best, w + lightest(w))
-        if best <= reach * (w + 1):
+        if best * k <= n * (w + 1) + k - 1:
             break
     return best
 
@@ -477,11 +481,15 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
 
     Two phases.  `_info_set_distance` proves d from the messages of low
     weight on one systematic window (the Brouwer-Zimmermann information-set
-    bound, made cheap by the cyclic shifts).  The ordered scan then walks
-    the messages, in Gray-code order for binary codes and in
-    itertools.product order otherwise, and stops at the first word of
-    weight d: the same word an exhaustive scan of all q^k - 1 nonzero
-    codewords returns.
+    bound): after every word with at most w nonzeros in the window is
+    weighed, the n cyclic shifts put any lighter word above w in all n
+    windows of k positions, so the least weight seen is d once it is at most
+    ceil(n(w + 1) / k).  Its rows are int masks for binary codes and
+    PackedWords otherwise, so a sum of rows is weighed in a few int
+    operations.  The ordered scan then walks the messages, in Gray-code
+    order for binary codes and in itertools.product order otherwise, and
+    stops at the first word of weight d: the same word an exhaustive scan
+    of all q^k - 1 nonzero codewords returns.
     """
     if spec.k == 0:
         raise ValueError("the zero code has no minimum distance")

@@ -27,6 +27,7 @@ between threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -435,6 +436,58 @@ class DigitField:
         if self.a == 1:
             return x * y % self.p
         return self._fr(self._ctx.mul(self._to(x), self._to(y)))
+
+
+class PackedWords:
+    """Words of length n over GF(q) packed into one int each, so that adding
+    two words or weighing one costs a few int operations.
+
+    Coordinate i holds the a base-p digits of the element its DigitField
+    digit stands for (the FieldCtx encoding of GF(p^a)), digit j in lane
+    i*a + j of b = bit_length(2p - 2) + 1 bits.  A lane holds the sum of two
+    digits, at most 2p - 2 < 2^(b-1), so its top bit is clear.  In
+    characteristic 2 words add by XOR.  Otherwise two words are added as
+    ints, and p is subtracted from each lane whose sum s is at least p, which
+    is where s + 2^(b-1) - p sets the top bit.  A coordinate of a*b bits is
+    nonzero exactly when its value plus 2^(ab-1) - 1 sets its top bit, so
+    the weight is one masked add and a bit count.
+    """
+
+    __slots__ = ("df", "add", "width", "_lanes", "_nz_bias", "_nz_top")
+
+    def __init__(self, q: int, n: int):
+        self.df = df = DigitField(q)
+        p, a = df.p, df.a
+        b = (2 * p - 2).bit_length() + 1
+        self.width = width = a * b
+        elements = range(q) if a == 1 else map(df._to, range(q))
+        self._lanes = [sum(e // p**j % p << j * b for j in range(a)) for e in elements]
+        every = sum(1 << i * width for i in range(n))  # 1 in each coordinate
+        self._nz_bias = every * ((1 << width - 1) - 1)
+        self._nz_top = every << width - 1
+        if p == 2:
+            self.add = operator.xor
+            return
+        lane = every * sum(1 << j * b for j in range(a))  # 1 in each lane
+        bias, top, shift = lane * ((1 << b - 1) - p), lane << b - 1, b - 1
+
+        def add(x: int, y: int) -> int:
+            s = x + y
+            return s - ((s + bias & top) >> shift) * p
+
+        self.add = add
+
+    def pack(self, digits) -> int:
+        lanes, width = self._lanes, self.width
+        return sum(lanes[d] << i * width for i, d in enumerate(digits))
+
+    def scaled(self, digits) -> list[int]:
+        """pack(c * digits) for c = 1, ..., q - 1."""
+        mul = self.df.mul
+        return [self.pack([mul(c, d) for d in digits]) for c in range(1, self.df.q)]
+
+    def weight(self, x: int) -> int:
+        return ((x + self._nz_bias) & self._nz_top).bit_count()
 
 
 def neg_one_digit(p: int, m: int) -> int:

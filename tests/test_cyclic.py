@@ -292,9 +292,12 @@ def _all_cyclic_codes(q, max_n, max_words, max_field):
                 yield build_code(q, n, [min(c) for c in chosen])
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
 def test_oracle_matches_full_enumeration(q):
-    codes = list(_all_cyclic_codes(q, 31, 1 << 12, 1 << 16))
+    # Binary codes run to n = 63: a stop rule one too weak passes every
+    # shorter code and fails on (2; 63) codes with k = 12.
+    max_n, max_field = (63, 1 << 20) if q == 2 else (31, 1 << 16)
+    codes = list(_all_cyclic_codes(q, max_n, 1 << 12, max_field))
     # the edge cases of the information-set stop rule are all present
     assert any(c.k == c.n for c in codes)  # empty defining set, d = 1
     assert any(c.k == 1 and c.n > 1 for c in codes)  # repetition code, d = n
@@ -302,6 +305,9 @@ def test_oracle_matches_full_enumeration(q):
     for code in codes:
         w = min_distance_oracle(code)
         assert (w.d, w.codeword) == _reference_oracle(code), code
+        # phase 1 on its own: the scan would hide a d proved too small
+        g = cyclic.generator_polynomial(code)
+        assert cyclic._info_set_distance(q, g, code.n, code.k) == w.d, code
         if code.k == code.n:
             assert w.d == 1
         if code.k == 1:
