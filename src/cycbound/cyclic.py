@@ -11,12 +11,14 @@ low-weight messages of one systematic window, which the cyclic shifts make
 stand for all n cyclic windows of k positions, and the message scan then
 stops at the first word of weight d, which is the word a scan of all
 q^k - 1 nonzero codewords would return.  The first phase weighs binary
-rows as int masks and q-ary rows as gf.PackedWords.
+rows as int masks and q-ary rows as gf.PackedWords, the rows c * (x^i mod g) of remainder_rows,
+which the decoder also sums to reduce a received word mod g.
 
 A code here is pinned down by (q, n, defining set) plus the canonical
 primitive n-th root of unity alpha of its construction field GF(q^s),
 s the multiplicative order of q mod n; the generator polynomial is the
-product of (x - alpha^i) over the defining set.  Bounds and the
+product of (x - alpha^i) over the defining set, built as the product of
+the cosets' minimal polynomials.  Bounds and the
 distance-2/3 logic never touch the field, so codes too long for the field
 table cap can still be constructed, bounded and certified.
 """
@@ -35,7 +37,6 @@ from .gf import (
     FieldCtx,
     MAX_FIELD_SIZE,
     PackedWords,
-    Poly,
     build_field,
     digit_elements,
     min_extension_degree,
@@ -178,23 +179,45 @@ def code_field(spec: CyclicCodeSpec) -> tuple[FieldCtx, int]:
 
 
 _GENPOLY_CACHE: dict[CyclicCodeSpec, tuple[int, ...]] = {}
+_MINPOLY_CACHE: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
 def generator_polynomial(spec: CyclicCodeSpec) -> tuple[int, ...]:
-    """Base-q digit coefficients of prod_{i in D_C} (x - alpha^i); monic."""
+    """Base-q digit coefficients of prod_{i in D_C} (x - alpha^i); monic.
+
+    D_C is the union of the cosets of the representatives, so the product is
+    that of their minimal polynomials, which have GF(q) coefficients and are
+    multiplied as digits."""
     hit = _GENPOLY_CACHE.get(spec)
     if hit is not None:
         return hit
+    df = DigitField(spec.q)
+    digits = (1,)
+    for rep in spec.coset_reps:
+        m = _minimal_polynomial(spec, rep)
+        digits = tuple(_mul_digits(df, digits, m, len(digits) + len(m) - 1))
+    _GENPOLY_CACHE[spec] = digits
+    return digits
+
+
+def _minimal_polynomial(spec: CyclicCodeSpec, rep: int) -> tuple[int, ...]:
+    """Base-q digits of prod_{i in C_rep} (x - alpha^i), alpha the root of
+    code_field; cached per (q, n, rep)."""
+    key = (spec.q, spec.n, rep)
+    hit = _MINPOLY_CACHE.get(key)
+    if hit is not None:
+        return hit
     ctx, alpha = code_field(spec)
-    g = Poly.one(ctx)
-    for i in spec.defining_set:
-        g = g * Poly(ctx, (ctx.neg(ctx.pow(alpha, i)), 1))
+    coeffs = [1]
+    for i in cyclotomic_coset(spec.n, spec.q, rep):
+        z = ctx.neg(ctx.pow(alpha, i))  # times x + z
+        coeffs = [ctx.add(lo, ctx.mul(z, hi)) for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
     _, to_digit = subfield_digit_maps(ctx, spec.q)
     try:
-        digits = tuple(to_digit[c] for c in g.coeffs)
-    except KeyError:  # pragma: no cover - closure of D_C guarantees subfield coeffs
-        raise AssertionError("generator coefficients left the base field")
-    _GENPOLY_CACHE[spec] = digits
+        digits = tuple(to_digit[c] for c in coeffs)
+    except KeyError:  # pragma: no cover - a coset is closed under x -> x^q
+        raise AssertionError("minimal polynomial coefficients left the base field")
+    _MINPOLY_CACHE[key] = digits
     return digits
 
 
@@ -287,12 +310,15 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+@lru_cache(maxsize=64)
 def bch_bound(spec: CyclicCodeSpec) -> BchWitness:
     """Longest arithmetic run in the defining set, as d >= run + 1.
 
     One `_longest_run` per step c; the witness is the longest run with
     the smallest start b, then the smallest step.  Scaling D by q permutes
     it, so one step c per class of units modulo the powers of q is scanned.
+    Results are memoized per spec, since `cycbound bound` asks for the BCH
+    value and then best_bound compares against it.
     """
     n, q = spec.n, spec.q
     if not spec.defining_set:
@@ -451,14 +477,9 @@ def _info_set_distance(q: int, g, n: int, k: int) -> int:
 
     else:
         words = PackedWords(q, r)
-        df, add, weight, width = words.df, words.add, words.weight, words.width
-        # rows[i][c - 1] is c * (x^(r+i) mod g).  x times a row moves it up one
-        # coordinate and folds its top digit t back as t * (x^r mod g).
-        rows = [words.scaled([df.neg(c) for c in g[:r]])]
-        top = max(r - 1, 0) * width
-        fold = {words.pack([t]): row for t, row in enumerate(rows[0], 1)} | {0: 0}
-        for _ in range(k - 1):
-            rows.append([add((x - (x >> top << top)) << width, fold[x >> top]) for x in rows[-1]])
+        add, weight = words.add, words.weight
+        # rows[i][c - 1] is c * (x^(r+i) mod g)
+        rows = [row[1:] for row in remainder_rows(words, g, n)[r:]]
 
         def lightest(w):
             return min(
@@ -473,6 +494,23 @@ def _info_set_distance(q: int, g, n: int, k: int) -> int:
         if best * k <= n * (w + 1) + k - 1:
             break
     return best
+
+
+def remainder_rows(words: PackedWords, g, count: int) -> list[tuple[int, ...]]:
+    """rows[i][c] = words.pack(c * (x^i mod g)) for i < count and every
+    digit c of GF(q), g monic of degree r in GF(q) digits and `words` over r
+    coordinates.  x times a row moves it up one coordinate and folds its top
+    digit t back as the row t * (x^r mod g), so a row costs q shifts and
+    adds."""
+    r = len(g) - 1
+    add, width = words.add, words.width
+    x_r = (0, *words.scaled([words.df.neg(c) for c in g[:r]]))
+    fold = {words.pack([t]): row for t, row in enumerate(x_r)}
+    top = max(r - 1, 0) * width
+    rows = [tuple(words.pack([c]) for c in range(words.df.q)) if r else x_r]
+    while len(rows) < count:
+        rows.append(tuple(add((x - (x >> top << top)) << width, fold[x >> top]) for x in rows[-1]))
+    return rows[:count]
 
 
 def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWitness:

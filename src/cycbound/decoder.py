@@ -3,32 +3,39 @@
 Given a code, a locator and a certificate (e, w, t_l, mu), the decoder
 works in the combined field GF(q^r) that houses both an order-n root alpha
 and an order-n_l root beta.  Syndromes are S_j = r(alpha^(w*j+e)) *
-a(beta^(j+t_l)); the Key Equation S = Omega / Lambda mod x^(mu-1) is
-solved with the extended Euclidean algorithm; error positions come from a
-root scan of Lambda and error values from a generalized Forney formula.
+a(beta^(j+t_l)).  r is evaluated only where a(beta^(j+t_l)) != 0, and
+there the certificate puts w*j+e in D_C, where the generator g vanishes;
+so each syndrome is that of s = r mod g, of fewer than n - k terms.  s is
+summed from precomputed packed rows c * (x^i mod g) (cyclic.remainder_rows,
+gf.PackedWords over GF(q)).  The Key Equation S = Omega / Lambda mod
+x^(mu-1) is solved with the extended Euclidean algorithm; error positions
+come from a root scan of Lambda and error values from a generalized Forney
+formula.
 The locator enters that formula only as f'(beta^-kappa) / h(beta^-kappa),
 kappa the smallest support index: every term of f' and h but kappa's
 vanishes there, which leaves the constant -beta^kappa / c_kappa, c_kappa
 the twisted locator coefficient at kappa.  All evaluations go through the
 field's kernel FieldCtx.evaluate.
 Up to floor((d_star - 1) / 2) errors are corrected, and every decode ends
-with a re-encoding check so a miscorrection outside the code is reported
-as a failure instead of returned silently.
+with a re-encoding check, the corrected word mod g must vanish, so a
+miscorrection outside the code is reported as a failure instead of
+returned silently; so is a word outside the code whose syndromes all
+vanish.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from . import cyclic
 from .gf import (
-    DigitField,
     FieldCtx,
+    PackedWords,
     Poly,
     build_field,
     combined_degree,
-    digit_elements,
     extended_euclid_step_sequence,
     min_extension_degree,
     nth_root_of_unity,
@@ -84,6 +91,9 @@ class DecoderContext:
     a_evals: tuple[int, ...]
     to_elt: tuple[int, ...]
     to_digit: dict[int, int]
+    words: PackedWords  # words over the n - k coordinates of a remainder mod g
+    rows: tuple[tuple[int, ...], ...]  # rows[i][c] packs c * (x^i mod g)
+    coord_logs: dict[int, int]  # packed coordinate of digit c -> log of c in field
 
 
 @dataclass
@@ -149,6 +159,8 @@ def build_context(
             raise AssertionError("locator codeword does not vanish on its defining set")
     # f'(beta^-kappa) / h(beta^-kappa) of the Forney formula (see error_values)
     forney = field.neg(field.div(field.pow(beta, kappa), coeffs[support.index(kappa)]))
+    g = cyclic.generator_polynomial(code)
+    words = PackedWords(q, len(g) - 1)
     return DecoderContext(
         code=code,
         locator=locator,
@@ -164,27 +176,49 @@ def build_context(
         a_evals=a_evals,
         to_elt=to_elt,
         to_digit=to_digit,
+        words=words,
+        rows=tuple(cyclic.remainder_rows(words, g, code.n)),
+        coord_logs={words.pack([d]): log[to_elt[d]] for d in range(1, q)},
     )
+
+
+def _remainder(ctx: DecoderContext, word) -> int:
+    """The word's remainder mod g, packed: the sum of rows[i][digit i]."""
+    rows = ctx.rows
+    if len(word) != len(rows):
+        raise LengthMismatch(f"expected {len(rows)} digits, got {len(word)}")
+    try:
+        if min(word, default=0) >= 0:
+            return reduce(ctx.words.add, [row[d] for row, d in zip(rows, word) if d], 0)
+    except (IndexError, TypeError):
+        pass
+    raise ValueError(f"digits must be integers in [0, {ctx.code.q})")
 
 
 def syndromes(ctx: DecoderContext, received) -> Poly:
-    """S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)) for j = 0..mu-2, with r
-    evaluated on the logarithms of the word's nonzero digits."""
-    received = tuple(received)
-    n = ctx.code.n
-    if len(received) != n:
-        raise LengthMismatch(f"expected {n} digits, got {len(received)}")
+    """S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)) for j = 0..mu-2.
+
+    r is evaluated only where a(beta^(j+t_l)) != 0, and there the
+    certificate puts w*j+e in D_C, where g vanishes; so r may be replaced
+    by its remainder s = r mod g, whose nonzero terms are evaluated."""
+    s = _remainder(ctx, tuple(received))
     field = ctx.field
-    relts = digit_elements(ctx.to_elt, received)
-    log = field.log
+    if not s:
+        return Poly(field, ())
+    coord_logs, width = ctx.coord_logs, ctx.words.width
+    mask = (1 << width) - 1
+    terms = []
+    i = 0
+    while s:
+        if s & mask:
+            terms.append((i, coord_logs[s & mask]))
+        s >>= width
+        i += 1
     cert = ctx.cert
     n_l = ctx.locator.n_l
     js = [j for j in range(cert.mu - 1) if ctx.a_evals[j % n_l]]
-    l_alpha = log[ctx.alpha]
-    values = field.evaluate(
-        [(i, log[r]) for i, r in enumerate(relts) if r],
-        [(cert.w * j + cert.e) % n * l_alpha for j in js],
-    )
+    l_alpha = field.log[ctx.alpha]
+    values = field.evaluate(terms, [(cert.w * j + cert.e) % ctx.code.n * l_alpha for j in js])
     out = [0] * (cert.mu - 1)
     for j, v in zip(js, values):
         out[j] = field.mul(v, ctx.a_evals[j % n_l])
@@ -276,9 +310,13 @@ def decode(ctx: DecoderContext, received) -> DecodeResult:
     raised (length/digit misuse excepted)."""
     received = tuple(received)
     S = syndromes(ctx, received)
-    if S.is_zero():
-        return DecodeResult("success", None, (), {}, received)
     try:
+        if S.is_zero():
+            # the syndromes see D_C only in part, so a word of weight at
+            # least d_star can zero them all without being a codeword
+            if _remainder(ctx, received):
+                raise ZeroSyndrome("syndromes vanish on a word outside the code")
+            return DecodeResult("success", None, (), {}, received)
         lam, omega = solve_key_equation(S, ctx.cert.mu)
         if not omega.degree < lam.degree:
             raise InconsistentLocator("evaluator degree not below locator degree")
@@ -286,11 +324,11 @@ def decode(ctx: DecoderContext, received) -> DecodeResult:
         if not positions:
             raise InconsistentLocator("nonzero syndrome but no error positions")
         values = error_values(ctx, lam, omega, positions)
-        df = DigitField(ctx.code.q)
+        df = ctx.words.df
         corrected = list(received)
         for p, v in values.items():
             corrected[p] = df.sub(corrected[p], v)
-        if not cyclic.is_codeword(ctx.code, corrected):
+        if _remainder(ctx, corrected):  # g divides exactly the codewords
             raise InconsistentLocator("corrected word fails the defining-set recheck")
     except DecoderError as err:
         return DecodeResult("failure", f"{type(err).__name__}: {err}", (), {}, None)

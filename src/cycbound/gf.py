@@ -684,16 +684,45 @@ def extended_euclid_step_sequence(A: Poly, B: Poly, stop_degree: int) -> tuple[P
     u_j * B = r_j (mod A).  Should the sequence hit a zero remainder before
     crossing the threshold, the last nonzero pair (the gcd and its
     cofactor) is returned, so stop_degree=0 yields the gcd up to a unit.
+
+    The steps run on coefficient lists: every product is one antilog lookup
+    on a sum of logarithms, and a subtraction is an addition whose product
+    carries log(-1) = (p^m - 1)/2 in odd characteristic.
     """
     A._check(B)
     if B.is_zero() or not A.degree > B.degree:
         raise ValueError("need deg A > deg B >= 0")
-    r_prev, r_cur = A, B
-    u_prev, u_cur = Poly.zero(A.field), Poly.one(A.field)
-    while r_cur.degree >= stop_degree:
-        q, rem = divmod(r_prev, r_cur)
-        if rem.is_zero():
+    f = A.field
+    log, antilog, n_units = f.log, f.antilog, f.n_units
+    add = operator.xor if f.p == 2 else f.add
+    l_neg = 0 if f.p == 2 else n_units // 2
+
+    def submul(acc: list[int], shift: int, l_c: int, terms) -> None:
+        # acc -= c * x^shift * (the polynomial of terms), c = g^l_c
+        for j, l in terms:
+            acc[shift + j] = add(acc[shift + j], antilog[(l_c + l + l_neg) % n_units])
+
+    def trim(c: list[int]) -> list[int]:
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    r_prev, r_cur = list(A.coeffs), list(B.coeffs)
+    u_prev, u_cur = [], [1]
+    while len(r_cur) > stop_degree:  # deg r_cur >= stop_degree
+        rem, dd = r_prev[:], len(r_cur) - 1
+        l_lead = log[r_cur[-1]]
+        cur_terms = [(j, log[c]) for j, c in enumerate(r_cur) if c]
+        u_terms = [(j, log[c]) for j, c in enumerate(u_cur) if c]
+        u_new = u_prev + [0] * (len(rem) - dd - 1 + len(u_cur) - len(u_prev))
+        for i in range(len(rem) - 1 - dd, -1, -1):
+            c = rem[i + dd]
+            if c:
+                l_q = log[c] - l_lead  # quotient coefficient of x^i
+                submul(rem, i, l_q, cur_terms)
+                submul(u_new, i, l_q, u_terms)
+        if not trim(rem):
             break
         r_prev, r_cur = r_cur, rem
-        u_prev, u_cur = u_cur, u_prev - q * u_cur
-    return r_cur, u_cur
+        u_prev, u_cur = u_cur, trim(u_new)
+    return Poly(f, tuple(r_cur)), Poly(f, tuple(u_cur))

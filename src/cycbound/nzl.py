@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import cyclic
 from .gf import (
@@ -387,12 +388,18 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int):
     return support, tuple(to_elt[word[i]] for i in support)
 
 
-def candidate_locators(n: int, q: int):
+def candidate_locators(n: int, q: int) -> list[LocatorSpec]:
     """Deterministic, deduplicated list of locator candidates for length n,
     each of length n_l <= MAX_N_L = 12 coprime to n: the trivial locator,
     single parity checks, cyclic Reed-Solomon codes over GF(q^u), u <= MAX_U
     = 4, and for q = 2 only the Hamming (7,4,3) and the lowest-rate
-    distance-three code of length 9, the only kinds that build a field."""
+    distance-three code of length 9, the only kinds that build a field.
+    The candidates are built once per (n, q); each call gets its own list."""
+    return list(_candidate_locators(n, q))
+
+
+@lru_cache(maxsize=256)
+def _candidate_locators(n: int, q: int) -> tuple[LocatorSpec, ...]:
     out: list[LocatorSpec] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
 
@@ -417,7 +424,7 @@ def candidate_locators(n: int, q: int):
         emit(hamming_locator())
     if q == 2 and math.gcd(n, 9) == 1:  # the one odd a*(2^g - 1) <= MAX_N_L, a >= 2
         emit(d3_locator(3, 2))
-    return out
+    return tuple(out)
 
 
 def certificate_rank(cert: NzlCertificate) -> tuple:

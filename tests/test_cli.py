@@ -195,6 +195,14 @@ def test_bound_oracle_over_field_table_cap(tmp_path):
 W21 = "101000000000000000100"
 W65_3 = "".join("1" if i in (0, 10, 61) else "0" for i in range(65))
 W65_4 = "".join("1" if i in (0, 1, 10, 61) else "0" for i in range(65))
+# Seeded codewords of the narrow-sense BCH codes (3; 80; 1,2,4,5) and
+# (2; 255; 1,3,5,7) with t = 3 and t = 4 errors.
+W80 = "02011200022221122112001002102210220111002112011212001211010110010001020110000101"
+W255 = (
+    "0010111011010010010110000011000101000110001100000011010011000100010010000110101100001"
+    "1011100111010011111001010000000010000001111100010110011110110000101101101011101110110"
+    "1100011110100111010001101011101010110111101001101001011000010110010011010100110101100"
+)
 
 
 @pytest.mark.parametrize(
@@ -208,6 +216,8 @@ W65_4 = "".join("1" if i in (0, 1, 10, 61) else "0" for i in range(65))
          "decode_example21_trivial.json"),
         (["decode", "spec_code65.json", "--received", W65_3], "decode_code65_3err.json"),
         (["decode", "spec_code65.json", "--received", W65_4], "decode_code65_4err.json"),
+        (["decode", "spec_bch80.json", "--received", W80], "decode_bch80.json"),
+        (["decode", "spec_bch255.json", "--received", W255], "decode_bch255.json"),
     ],
 )
 def test_output_matches_golden(argv, golden):
@@ -227,6 +237,18 @@ def test_bound_computes_ht_once(tmp_path):
     before = cyclic.ht_bound.cache_info()
     assert cli.main(["bound", str(path)]) == 0
     after = cyclic.ht_bound.cache_info()
+    assert after.misses == before.misses + 1
+    assert after.hits == before.hits + 1
+
+
+def test_bound_computes_bch_once(tmp_path):
+    from cycbound import cli, cyclic
+
+    path = tmp_path / "fresh.json"
+    path.write_text(json.dumps({"q": 2, "n": 31, "coset_reps": [1, 5], "name": "bch-once"}))
+    before = cyclic.bch_bound.cache_info()
+    assert cli.main(["bound", str(path)]) == 0
+    after = cyclic.bch_bound.cache_info()
     assert after.misses == before.misses + 1
     assert after.hits == before.hits + 1
 

@@ -24,6 +24,8 @@ from cycbound.cyclic import (
 from cycbound.gf import (
     DigitField,
     NotCoprime,
+    PackedWords,
+    Poly,
     build_field,
     min_extension_degree,
     prime_power,
@@ -62,12 +64,45 @@ def test_build_code_trivial_cases():
 def test_generator_polynomial_divides_whole_space(example21):
     # g(x) * h(x) = x^n - 1 over GF(2)
     g = cyclic.generator_polynomial(example21)
-    from cycbound.gf import Poly, build_field
-
     f2 = build_field(2, 1)
     gp = Poly(f2, g)
     xn1 = Poly(f2, (1,) + (0,) * 20 + (1,))
     assert (xn1 % gp).is_zero()
+
+
+@pytest.mark.parametrize("q, n, reps", [(2, 21, (1, 3, 7, 9)), (2, 63, (1, 5, 21)), (3, 26, (1, 2, 13)),
+                                        (4, 21, (1, 3, 7)), (5, 24, (1, 2)), (8, 9, (0, 1)), (9, 20, (1, 5))])
+def test_generator_polynomial_matches_linear_factors(q, n, reps):
+    # the product of the minimal polynomials equals prod (x - alpha^i) over
+    # D_C, multiplied out in the code field
+    code = build_code(q, n, reps)
+    ctx, alpha = cyclic.code_field(code)
+    g = Poly.one(ctx)
+    for i in code.defining_set:
+        g = g * Poly(ctx, (ctx.neg(ctx.pow(alpha, i)), 1))
+    _, to_digit = subfield_digit_maps(ctx, q)
+    assert cyclic.generator_polynomial(code) == tuple(to_digit[c] for c in g.coeffs)
+
+
+@pytest.mark.parametrize("q, n, reps", [(2, 21, (1, 3, 7, 9)), (2, 7, ()), (3, 80, (1, 2, 4, 5)),
+                                        (4, 21, (1, 3)), (5, 24, (1, 2)), (9, 10, (1,))])
+def test_remainder_rows_match_poly_divmod(q, n, reps):
+    # rows[i][c] packs c * (x^i mod g), the remainder taken by Poly divmod
+    code = build_code(q, n, reps)
+    g_digits = cyclic.generator_polynomial(code)
+    r = len(g_digits) - 1
+    words = PackedWords(q, r)
+    rows = cyclic.remainder_rows(words, g_digits, n)
+    p, a = prime_power(q)
+    small = build_field(p, a)
+    to_elt, to_digit = subfield_digit_maps(small, q)
+    g = Poly(small, [to_elt[d] for d in g_digits])
+    assert len(rows) == n
+    for i, row in enumerate(rows):
+        rem = Poly.monomial(small, i) % g
+        for c in range(q):
+            coeffs = rem.scale(to_elt[c]).coeffs
+            assert row[c] == words.pack([to_digit[e] for e in coeffs] + [0] * (r - len(coeffs)))
 
 
 def test_encode_produces_codewords(example21):

@@ -88,30 +88,39 @@ _FORNEY_CODES = {
 }
 
 
-@pytest.mark.parametrize("q", sorted(_FORNEY_CODES))
-def test_forney_constant_matches_definitions(q):
-    # the stored constant equals f'(beta^-kappa) / h(beta^-kappa) with f and
-    # h built from their definitions, for every locator kind
+@functools.lru_cache(maxsize=None)
+def _candidate_contexts(q):
+    """Contexts of the _FORNEY_CODES code over GF(q) for every candidate and
+    custom locator with mu >= 2 whose combined field has at most 2^13
+    elements."""
     (n, reps), customs = _FORNEY_CODES[q]
     code = cyclic.build_code(q, n, reps)
     p, a = prime_power(q)
     s = min_extension_degree(q, n)
     locators = nzl.candidate_locators(n, q) + [nzl.custom_locator(q, *c) for c in customs]
-    kinds = set()
+    out = []
     for loc in locators:
         s_l = min_extension_degree(q**loc.u, loc.n_l)
         if p ** (a * combined_degree(s, loc.u, s_l)) > 1 << 13:
             continue
         cert = nzl.mu_search(code.defining_set, n, loc)
-        if cert.mu < 2:
-            continue
-        ctx = build_context(code, loc, cert)
+        if cert.mu >= 2:
+            out.append(build_context(code, loc, cert))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", sorted(_FORNEY_CODES))
+def test_forney_constant_matches_definitions(q):
+    # the stored constant equals f'(beta^-kappa) / h(beta^-kappa) with f and
+    # h built from their definitions, for every locator kind
+    kinds = set()
+    for ctx in _candidate_contexts(q):
         field = ctx.field
         f, h = _forney_polys(ctx)
         ref = field.pow(ctx.beta, -ctx.kappa)
         assert h(ref) != 0
-        assert ctx.forney == field.div(f.derivative()(ref), h(ref)), loc
-        kinds.add(loc.kind)
+        assert ctx.forney == field.div(f.derivative()(ref), h(ref)), ctx.locator
+        kinds.add(ctx.locator.kind)
     expected = {"trivial", "spc", "rs", "custom"} | ({"hamming", "lowest-rate-d3"} if q == 2 else set())
     assert kinds == expected
 
@@ -353,6 +362,25 @@ def test_decode_random_noise_never_silent(ctx21, example21):
             assert res.reason and res.corrected is None
 
 
+@pytest.mark.parametrize("q, n, reps", [(2, 33, (0, 3, 5, 11)), (2, 127, (7, 15, 21, 23, 29))])
+def test_decode_zero_syndrome_outside_code_fails(q, n, reps):
+    # the syndromes evaluate a proper subset of D_C on these codes: a word of
+    # the larger code with only that subset as zeros has zero syndromes but
+    # is no codeword, and must not be returned as one
+    ctx = _context(q, n, reps)
+    cert = ctx.cert
+    seen = {(cert.e + cert.w * j) % n for j in range(cert.mu - 1) if ctx.a_evals[j % ctx.locator.n_l]}
+    larger = cyclic.build_code(q, n, cyclic._coset_reps(n, q, seen))
+    assert larger.k > ctx.code.k
+    rng = random.Random(3)
+    word = next(w for w in iter(lambda: cyclic.random_codeword(larger, rng), None)
+                if not cyclic.is_codeword(ctx.code, w))
+    assert syndromes(ctx, word).is_zero()
+    res = decode(ctx, word)
+    assert res.status == "failure" and res.corrected is None
+    assert res.reason == "ZeroSyndrome: syndromes vanish on a word outside the code"
+
+
 def test_position_map_injective(ctx21, ctx65):
     for ctx in (ctx21, ctx65):
         field = ctx.field
@@ -522,18 +550,24 @@ def _plain_horner(field, coeffs, x):
     return acc
 
 
-@pytest.mark.parametrize("name", sorted(_CONTEXTS))
+@pytest.mark.parametrize("name", sorted(_CONTEXTS) + [f"candidates-q{q}" for q in sorted(_FORNEY_CODES)])
 def test_syndromes_match_plain_evaluation(name):
-    ctx = _context(*_CONTEXTS[name])
-    field, cert, loc = ctx.field, ctx.cert, ctx.locator
-    support, base = nzl._locator_codeword_elements(field, ctx.beta, loc, ctx.code.q)
-    a = [0] * (max(support) + 1)
-    for z, c in zip(support, base):
-        a[z] = c
+    # the syndromes from r mod g equal r itself evaluated by Horner's rule,
+    # on arbitrary words and on codewords with 0..5 errors
+    if name in _CONTEXTS:
+        contexts = [_context(*_CONTEXTS[name])]
+    else:
+        contexts = _candidate_contexts(int(name.removeprefix("candidates-q")))
     rng = random.Random(31)
-    for t in range(6):
-        for _ in range(5):
-            _, word, _ = _plant(rng, ctx.code, t)
+    for ctx in contexts:
+        field, cert, loc, code = ctx.field, ctx.cert, ctx.locator, ctx.code
+        support, base = nzl._locator_codeword_elements(field, ctx.beta, loc, code.q)
+        a = [0] * (max(support) + 1)
+        for z, c in zip(support, base):
+            a[z] = c
+        words = [_plant(rng, code, t)[1] for t in range(min(6, code.n + 1)) for _ in range(5)]
+        words += [[rng.randrange(code.q) for _ in range(code.n)] for _ in range(10)]
+        for word in words:
             r = [ctx.to_elt[d] for d in word]
             expect = [
                 field.mul(
@@ -542,7 +576,27 @@ def test_syndromes_match_plain_evaluation(name):
                 )
                 for j in range(cert.mu - 1)
             ]
-            assert syndromes(ctx, word) == Poly(field, expect)
+            assert syndromes(ctx, word) == Poly(field, expect), (loc, word)
+
+
+def test_decode_rechecks_the_corrected_word(monkeypatch):
+    # a wrong error value leaves a word outside the code, which the final
+    # re-encoding check must refuse rather than return
+    ctx = _context(*_CONTEXTS["ternary-80"])
+    code = ctx.code
+    cw, word, _ = _plant(random.Random(5), code, 2)
+    assert decode(ctx, word).corrected == cw
+    real = decoder.error_values
+
+    def wrong(*args):
+        values = real(*args)
+        p = min(values)
+        return {**values, p: 3 - values[p]}  # swaps the nonzero digits 1 and 2
+
+    monkeypatch.setattr(decoder, "error_values", wrong)
+    res = decode(ctx, word)
+    assert res.status == "failure" and res.corrected is None
+    assert res.reason == "InconsistentLocator: corrected word fails the defining-set recheck"
 
 
 @pytest.mark.parametrize("name", ["binary-21", "ternary-80", "ternary-13-spc2"])

@@ -404,6 +404,7 @@ def test_candidate_locators_build_no_field(monkeypatch):
 
     monkeypatch.setattr(gf, "build_field", refuse)
     monkeypatch.setattr(nzl, "build_field", refuse)
+    nzl._candidate_locators.cache_clear()  # build the candidates, not recall them
     cands = {(n, q): candidate_locators(n, q) for n, q in [(80, 3), (124, 5), (10, 7)]}
     # SPC(11) over GF(7^10), beyond the table cap
     assert any(7**loc.u > gf.MAX_FIELD_SIZE for loc in cands[10, 7])
