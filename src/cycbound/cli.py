@@ -9,7 +9,7 @@ Code spec files are JSON documents with keys q, n, and exactly one of
 coset_reps / defining_set (lists of integers; negative exponents allowed,
 canonicalized mod n), plus an optional name.  A defining_set that is not
 closed under multiplication by q is closed with a warning on stderr.  Here
-and in cosets, q must be a prime power of at most 2^20 and n at most 4095.
+and in cosets, q must be a prime power of at most 2^20 and 1 <= n <= 4095.
 bound computes the BCH, HT and NZL bounds for every (q, n) it accepts, the
 NZL bound over the fixed locator family of nzl.candidate_locators; its
 oracle enumerates at most 2^24 codewords.
@@ -42,14 +42,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_q_n(q: int, n: int) -> None:
-    """Reject a length over MAX_N and a q that is not a prime power of at
-    most MAX_FIELD_SIZE, before any arithmetic on q: factoring a huge q
+    """Reject a length outside [1, MAX_N] and a q that is not a prime power
+    of at most MAX_FIELD_SIZE, before any arithmetic on q: factoring a huge q
     would not finish."""
     if n > MAX_N:
         raise UsageError(f"code length {n} is above the limit {MAX_N}")
     if q > MAX_FIELD_SIZE:
         raise UsageError(f"field size {q} is above the limit 2^20")
     prime_power(q)  # ValueError unless q is a prime power
+    if n < 1:
+        raise UsageError("length must be positive")
 
 
 def load_code_spec(path: str) -> cyclic.CyclicCodeSpec:
@@ -70,6 +72,8 @@ def load_code_spec(path: str) -> cyclic.CyclicCodeSpec:
     entries = doc[key]
     if not isinstance(entries, list) or not all(isinstance(i, int) for i in entries):
         raise UsageError(f"code spec needs '{key}' as a list of integers")
+    if not isinstance(doc.get("name"), (str, type(None))):
+        raise UsageError("code spec needs 'name' as a string")
     reps = entries if has_reps else cyclic._coset_reps(n, q, entries)
     code = cyclic.build_code(q, n, reps, name=doc.get("name"))
     if not has_reps:

@@ -11,14 +11,15 @@ low-weight messages of one systematic window, which the cyclic shifts make
 stand for all n cyclic windows of k positions, and the message scan then
 stops at the first word of weight d, which is the word a scan of all
 q^k - 1 nonzero codewords would return.  The first phase weighs binary
-rows as int masks and q-ary rows as gf.PackedWords, the rows c * (x^i mod g) of remainder_rows,
-which the decoder also sums to reduce a received word mod g.
+rows as int masks and q-ary rows as gf.PackedWords, the rows
+c * (x^i mod g) of gf.remainder_rows, which the decoder also sums to
+reduce a received word mod g.
 
 A code here is pinned down by (q, n, defining set) plus the canonical
 primitive n-th root of unity alpha of its construction field GF(q^s),
 s the multiplicative order of q mod n; the generator polynomial is the
 product of (x - alpha^i) over the defining set, built as the product of
-the cosets' minimal polynomials.  Bounds and the
+the cosets' minimal polynomials (gf.root_product).  Bounds and the
 distance-2/3 logic never touch the field, so codes too long for the field
 table cap can still be constructed, bounded and certified.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import combinations, islice, product
 from operator import xor
 
@@ -43,6 +44,8 @@ from .gf import (
     NotCoprime,
     nth_root_of_unity,
     prime_power,
+    remainder_rows,
+    root_product,
     subfield_digit_maps,
 )
 
@@ -79,7 +82,7 @@ class CyclicCodeSpec:
 class DistanceWitness:
     d: int
     codeword: tuple[int, ...] | None
-    method: str  # "oracle" | "gcd-test" | "weight3-construction"
+    method: str  # "oracle" | "weight3-construction"
 
 
 @dataclass(frozen=True)
@@ -161,64 +164,43 @@ def build_code(q: int, n: int, coset_reps, name: str | None = None) -> CyclicCod
     return CyclicCodeSpec(q, n, reps, defining, n - len(defining), name)
 
 
-_CODE_FIELD_CACHE: dict[tuple[int, int], tuple[FieldCtx, int]] = {}
-
-
 def code_field(spec: CyclicCodeSpec) -> tuple[FieldCtx, int]:
     """(construction field GF(q^s), canonical element alpha of order n)."""
-    key = (spec.q, spec.n)
-    hit = _CODE_FIELD_CACHE.get(key)
-    if hit is not None:
-        return hit
-    p, a = prime_power(spec.q)
-    s = min_extension_degree(spec.q, spec.n)
-    ctx = build_field(p, a * s)
-    alpha = nth_root_of_unity(ctx, spec.n)
-    _CODE_FIELD_CACHE[key] = (ctx, alpha)
-    return ctx, alpha
+    return _code_field(spec.q, spec.n)
 
 
-_GENPOLY_CACHE: dict[CyclicCodeSpec, tuple[int, ...]] = {}
-_MINPOLY_CACHE: dict[tuple[int, int, int], tuple[int, ...]] = {}
+@cache
+def _code_field(q: int, n: int) -> tuple[FieldCtx, int]:
+    p, a = prime_power(q)
+    ctx = build_field(p, a * min_extension_degree(q, n))
+    return ctx, nth_root_of_unity(ctx, n)
 
 
+@cache
 def generator_polynomial(spec: CyclicCodeSpec) -> tuple[int, ...]:
     """Base-q digit coefficients of prod_{i in D_C} (x - alpha^i); monic.
 
     D_C is the union of the cosets of the representatives, so the product is
     that of their minimal polynomials, which have GF(q) coefficients and are
     multiplied as digits."""
-    hit = _GENPOLY_CACHE.get(spec)
-    if hit is not None:
-        return hit
     df = DigitField(spec.q)
     digits = (1,)
     for rep in spec.coset_reps:
-        m = _minimal_polynomial(spec, rep)
+        m = _minimal_polynomial(spec.q, spec.n, rep)
         digits = tuple(_mul_digits(df, digits, m, len(digits) + len(m) - 1))
-    _GENPOLY_CACHE[spec] = digits
     return digits
 
 
-def _minimal_polynomial(spec: CyclicCodeSpec, rep: int) -> tuple[int, ...]:
+@cache
+def _minimal_polynomial(q: int, n: int, rep: int) -> tuple[int, ...]:
     """Base-q digits of prod_{i in C_rep} (x - alpha^i), alpha the root of
-    code_field; cached per (q, n, rep)."""
-    key = (spec.q, spec.n, rep)
-    hit = _MINPOLY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ctx, alpha = code_field(spec)
-    coeffs = [1]
-    for i in cyclotomic_coset(spec.n, spec.q, rep):
-        z = ctx.neg(ctx.pow(alpha, i))  # times x + z
-        coeffs = [ctx.add(lo, ctx.mul(z, hi)) for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
-    _, to_digit = subfield_digit_maps(ctx, spec.q)
+    code_field."""
+    ctx, alpha = _code_field(q, n)
+    _, to_digit = subfield_digit_maps(ctx, q)
     try:
-        digits = tuple(to_digit[c] for c in coeffs)
+        return tuple(to_digit[c] for c in root_product(ctx, alpha, cyclotomic_coset(n, q, rep)))
     except KeyError:  # pragma: no cover - a coset is closed under x -> x^q
         raise AssertionError("minimal polynomial coefficients left the base field")
-    _MINPOLY_CACHE[key] = digits
-    return digits
 
 
 def encode(spec: CyclicCodeSpec, message) -> tuple[int, ...]:
@@ -494,23 +476,6 @@ def _info_set_distance(q: int, g, n: int, k: int) -> int:
         if best * k <= n * (w + 1) + k - 1:
             break
     return best
-
-
-def remainder_rows(words: PackedWords, g, count: int) -> list[tuple[int, ...]]:
-    """rows[i][c] = words.pack(c * (x^i mod g)) for i < count and every
-    digit c of GF(q), g monic of degree r in GF(q) digits and `words` over r
-    coordinates.  x times a row moves it up one coordinate and folds its top
-    digit t back as the row t * (x^r mod g), so a row costs q shifts and
-    adds."""
-    r = len(g) - 1
-    add, width = words.add, words.width
-    x_r = (0, *words.scaled([words.df.neg(c) for c in g[:r]]))
-    fold = {words.pack([t]): row for t, row in enumerate(x_r)}
-    top = max(r - 1, 0) * width
-    rows = [tuple(words.pack([c]) for c in range(words.df.q)) if r else x_r]
-    while len(rows) < count:
-        rows.append(tuple(add((x - (x >> top << top)) << width, fold[x >> top]) for x in rows[-1]))
-    return rows[:count]
 
 
 def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWitness:

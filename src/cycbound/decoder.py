@@ -6,7 +6,7 @@ and an order-n_l root beta.  Syndromes are S_j = r(alpha^(w*j+e)) *
 a(beta^(j+t_l)).  r is evaluated only where a(beta^(j+t_l)) != 0, and
 there the certificate puts w*j+e in D_C, where the generator g vanishes;
 so each syndrome is that of s = r mod g, of fewer than n - k terms.  s is
-summed from precomputed packed rows c * (x^i mod g) (cyclic.remainder_rows,
+summed from precomputed packed rows c * (x^i mod g) (gf.remainder_rows,
 gf.PackedWords over GF(q)).  The Key Equation S = Omega / Lambda mod
 x^(mu-1) is solved with the extended Euclidean algorithm; error positions
 come from a root scan of Lambda and error values from a generalized Forney
@@ -40,6 +40,7 @@ from .gf import (
     min_extension_degree,
     nth_root_of_unity,
     prime_power,
+    remainder_rows,
     subfield_digit_maps,
 )
 from .nzl import LocatorSpec, NzlCertificate, _locator_codeword_elements, verify_certificate
@@ -89,11 +90,11 @@ class DecoderContext:
     coeffs: tuple[int, ...]
     forney: int
     a_evals: tuple[int, ...]
+    chien: tuple[int, ...]  # chien[p] = log(beta^-kappa * alpha^(-w*p)), p < n
     to_elt: tuple[int, ...]
     to_digit: dict[int, int]
     words: PackedWords  # words over the n - k coordinates of a remainder mod g
     rows: tuple[tuple[int, ...], ...]  # rows[i][c] packs c * (x^i mod g)
-    coord_logs: dict[int, int]  # packed coordinate of digit c -> log of c in field
 
 
 @dataclass
@@ -161,6 +162,8 @@ def build_context(
     forney = field.neg(field.div(field.pow(beta, kappa), coeffs[support.index(kappa)]))
     g = cyclic.generator_polynomial(code)
     words = PackedWords(q, len(g) - 1)
+    alpha_w = field.pow(alpha, cert.w)
+    l_start, l_step = log[field.pow(beta, -kappa)], log[field.inv(alpha_w)]
     return DecoderContext(
         code=code,
         locator=locator,
@@ -168,17 +171,17 @@ def build_context(
         field=field,
         alpha=alpha,
         beta=beta,
-        alpha_w=field.pow(alpha, cert.w),
+        alpha_w=alpha_w,
         kappa=kappa,
         support=support,
         coeffs=coeffs,
         forney=forney,
         a_evals=a_evals,
+        chien=tuple((l_start + p * l_step) % field.n_units for p in range(code.n)),
         to_elt=to_elt,
         to_digit=to_digit,
         words=words,
-        rows=tuple(cyclic.remainder_rows(words, g, code.n)),
-        coord_logs={words.pack([d]): log[to_elt[d]] for d in range(1, q)},
+        rows=tuple(remainder_rows(words, g, code.n)),
     )
 
 
@@ -205,15 +208,8 @@ def syndromes(ctx: DecoderContext, received) -> Poly:
     field = ctx.field
     if not s:
         return Poly(field, ())
-    coord_logs, width = ctx.coord_logs, ctx.words.width
-    mask = (1 << width) - 1
-    terms = []
-    i = 0
-    while s:
-        if s & mask:
-            terms.append((i, coord_logs[s & mask]))
-        s >>= width
-        i += 1
+    log, to_elt = field.log, ctx.to_elt
+    terms = [(i, log[to_elt[d]]) for i, d in enumerate(ctx.words.digits(s)) if d]
     cert = ctx.cert
     n_l = ctx.locator.n_l
     js = [j for j in range(cert.mu - 1) if ctx.a_evals[j % n_l]]
@@ -254,10 +250,7 @@ def find_error_positions(ctx: DecoderContext, lam: Poly) -> tuple[int, ...]:
     field = ctx.field
     if lam.is_zero() or lam(0) != 1:
         raise InconsistentLocator("locator polynomial must satisfy Lambda(0) = 1")
-    log = field.log
-    l_start = log[field.pow(ctx.beta, -ctx.kappa)]
-    l_step = log[field.inv(ctx.alpha_w)]
-    values = field.evaluate(lam.log_terms(), [l_start + p * l_step for p in range(ctx.code.n)])
+    values = field.evaluate(lam.log_terms(), ctx.chien)
     positions = [p for p, v in enumerate(values) if v == 0]
     if len(positions) * ctx.locator.d_l != lam.degree:
         raise InconsistentLocator(
@@ -283,10 +276,7 @@ def error_values(ctx: DecoderContext, lam: Poly, omega: Poly, positions) -> dict
     field.
     """
     field = ctx.field
-    log = field.log
-    l_start = log[field.pow(ctx.beta, -ctx.kappa)]
-    l_step = log[field.inv(ctx.alpha_w)]
-    gammas = [l_start + p * l_step for p in positions]
+    gammas = [ctx.chien[p] for p in positions]
     dens = field.evaluate(lam.derivative().log_terms(), gammas)
     nums = field.evaluate(omega.log_terms(), gammas)
     out = {}

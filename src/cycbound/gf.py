@@ -10,7 +10,10 @@ z[i] = log(1 + x^i), so that a + b = a * (1 + b/a) is three table lookups;
 the Zech table is built on the first odd-characteristic addition.
 Every polynomial evaluation goes through one kernel, FieldCtx.evaluate,
 which sums the terms of a polynomial given by the logarithms of its
-nonzero coefficients at many points given by their logarithms.
+nonzero coefficients at many points given by their logarithms, and every
+polynomial with given roots is built by root_product.  PackedWords packs a
+word over GF(q) into one int, read back by digits; remainder_rows builds
+the packed rows c * (x^i mod g) that the oracle and the decoder sum.
 
 Primitive polynomials are found by exhaustive search in lexicographic
 order (coefficients compared constant term first), over the constant terms
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 MAX_FIELD_SIZE = 1 << 20
@@ -55,18 +59,7 @@ class NotCoprime(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -397,6 +390,16 @@ def nth_root_of_unity(ctx: FieldCtx, n: int) -> int:
     return ctx.exp(ctx.n_units // n)
 
 
+def root_product(ctx: FieldCtx, root: int, exponents) -> tuple[int, ...]:
+    """Coefficients, x^0 first, of the monic prod (x - root^i) over i in
+    exponents."""
+    coeffs = [1]
+    for i in exponents:
+        z = ctx.neg(ctx.pow(root, i))  # times x + z
+        coeffs = [ctx.add(lo, ctx.mul(z, hi)) for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
+    return tuple(coeffs)
+
+
 class DigitField:
     """GF(q) on digit encodings 0..q-1.
 
@@ -453,15 +456,17 @@ class PackedWords:
     the weight is one masked add and a bit count.
     """
 
-    __slots__ = ("df", "add", "width", "_lanes", "_nz_bias", "_nz_top")
+    __slots__ = ("df", "n", "add", "width", "_lanes", "_digit_of", "_nz_bias", "_nz_top")
 
     def __init__(self, q: int, n: int):
         self.df = df = DigitField(q)
+        self.n = n
         p, a = df.p, df.a
         b = (2 * p - 2).bit_length() + 1
         self.width = width = a * b
         elements = range(q) if a == 1 else map(df._to, range(q))
         self._lanes = [sum(e // p**j % p << j * b for j in range(a)) for e in elements]
+        self._digit_of = {lane: d for d, lane in enumerate(self._lanes)}
         every = sum(1 << i * width for i in range(n))  # 1 in each coordinate
         self._nz_bias = every * ((1 << width - 1) - 1)
         self._nz_top = every << width - 1
@@ -481,6 +486,12 @@ class PackedWords:
         lanes, width = self._lanes, self.width
         return sum(lanes[d] << i * width for i, d in enumerate(digits))
 
+    def digits(self, x: int) -> list[int]:
+        """The n digits of a packed word, the inverse of pack."""
+        digit_of, width = self._digit_of, self.width
+        mask = (1 << width) - 1
+        return [digit_of[x >> i * width & mask] for i in range(self.n)]
+
     def scaled(self, digits) -> list[int]:
         """pack(c * digits) for c = 1, ..., q - 1."""
         mul = self.df.mul
@@ -488,6 +499,23 @@ class PackedWords:
 
     def weight(self, x: int) -> int:
         return ((x + self._nz_bias) & self._nz_top).bit_count()
+
+
+def remainder_rows(words: PackedWords, g, count: int) -> list[tuple[int, ...]]:
+    """rows[i][c] = words.pack(c * (x^i mod g)) for i < count and every
+    digit c of GF(q), g monic of degree r in GF(q) digits and `words` over r
+    coordinates.  x times a row moves it up one coordinate and folds its top
+    digit t back as the row t * (x^r mod g), so a row costs q shifts and
+    adds."""
+    r = len(g) - 1
+    add, width = words.add, words.width
+    x_r = (0, *words.scaled([words.df.neg(c) for c in g[:r]]))
+    fold = {words.pack([t]): row for t, row in enumerate(x_r)}
+    top = max(r - 1, 0) * width
+    rows = [tuple(words.pack([c]) for c in range(words.df.q)) if r else x_r]
+    while len(rows) < count:
+        rows.append(tuple(add((x - (x >> top << top)) << width, fold[x >> top]) for x in rows[-1]))
+    return rows[:count]
 
 
 def neg_one_digit(p: int, m: int) -> int:
@@ -501,9 +529,7 @@ def neg_one_digit(p: int, m: int) -> int:
     return (p**m + 1) // 2
 
 
-_SUBFIELD_CACHE: dict[tuple[int, int, int], tuple[tuple[int, ...], dict[int, int]]] = {}
-
-
+@cache
 def subfield_digit_maps(ctx: FieldCtx, q: int) -> tuple[tuple[int, ...], dict[int, int]]:
     """(digit -> element, element -> digit) tables for the order-q subfield.
 
@@ -512,10 +538,6 @@ def subfield_digit_maps(ctx: FieldCtx, q: int) -> tuple[tuple[int, ...], dict[in
     polynomial, so the digit arithmetic transfers as a field isomorphism and
     not merely a multiplicative one.
     """
-    key = (ctx.p, ctx.m, q)
-    cached = _SUBFIELD_CACHE.get(key)
-    if cached is not None:
-        return cached
     p, a = prime_power(q)
     if p != ctx.p or ctx.m % a:
         raise FieldMismatch(f"GF({q}) is not a subfield of GF({ctx.p}^{ctx.m})")
@@ -529,16 +551,8 @@ def subfield_digit_maps(ctx: FieldCtx, q: int) -> tuple[tuple[int, ...], dict[in
         if 0 not in values:
             raise AssertionError("subfield generator not found")  # unreachable
         w = ctx.exp(points[values.index(0)])
-        elems = [0] * q
-        cur = 1
-        for d in range(1, q):
-            elems[d] = cur
-            cur = ctx.mul(cur, w)
-        to_elt = tuple(elems)
-    to_digit = {e: d for d, e in enumerate(to_elt)}
-    result = (to_elt, to_digit)
-    _SUBFIELD_CACHE[key] = result
-    return result
+        to_elt = (0, *(ctx.pow(w, d - 1) for d in range(1, q)))
+    return to_elt, {e: d for d, e in enumerate(to_elt)}
 
 
 def digit_elements(to_elt, word) -> list[int]:

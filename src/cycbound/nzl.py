@@ -23,12 +23,12 @@ from functools import lru_cache
 from . import cyclic
 from .gf import (
     NotCoprime,
-    Poly,
     build_field,
     min_extension_degree,
     neg_one_digit,
     nth_root_of_unity,
     prime_power,
+    root_product,
     subfield_digit_maps,
 )
 from .cyclic import SearchCapExceeded, PreconditionViolated
@@ -364,13 +364,11 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int):
         _, g, r = locator.meta
         u = locator.n_l // ((1 << g) - 1)
         return cyclic._weight3_support(ctx, ctx.pow(beta, u), g, u, r), (1,) * 3
-    g = Poly.one(ctx)
-    for i in locator.defining_set:
-        g = g * Poly(ctx, (ctx.neg(ctx.pow(beta, i)), 1))
+    g = root_product(ctx, beta, locator.defining_set)
     if kind == "rs":
-        if not all(g.coeffs):
+        if not all(g):
             raise AssertionError("Reed-Solomon generator with zero coefficient")
-        return tuple(range(len(g.coeffs))), g.coeffs
+        return tuple(range(len(g))), g
     # hamming / custom: brute force against this beta, on digits, which
     # subfield_digit_maps carries over as a field isomorphism
     q_l = q**locator.u
@@ -378,9 +376,9 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int):
     if q_l**k_l > LOCATOR_SEARCH_CAP:
         raise SearchCapExceeded(f"{q_l}^{k_l} messages exceed the cap {LOCATOR_SEARCH_CAP}")
     to_elt, to_digit = subfield_digit_maps(ctx, q_l)
-    if any(c not in to_digit for c in g.coeffs):
+    if any(c not in to_digit for c in g):
         raise PreconditionViolated("defining set is not closed under multiplication by q_l")
-    g_digits = tuple(to_digit[c] for c in g.coeffs)
+    g_digits = tuple(to_digit[c] for c in g)
     best, word = cyclic._first_min_weight_word(q_l, g_digits, k_l, stop=locator.d_l)
     if best != locator.d_l:
         raise AssertionError("no codeword of the declared minimum weight found")

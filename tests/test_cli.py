@@ -64,6 +64,14 @@ def test_cosets_not_coprime():
     assert "error" in res.stderr
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_cosets_length_not_positive(n):
+    res = run_cli("cosets", n, "2")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "error: length must be positive\n"
+
+
 def test_bound_example21(spec21):
     res = run_cli("bound", spec21)
     assert res.returncode == 0
@@ -124,14 +132,17 @@ def test_bound_bad_spec_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("bound", str(bad)).returncode == 1
-    # entries that are not integers, a zero length and a length not coprime
-    # to q: each is a clean usage error, never a traceback or a hang
+    # entries that are not integers, a zero length, a length not coprime
+    # to q and a name that is not a string: each is a clean usage error,
+    # never a traceback or a hang
     malformed = [
         {"q": 2, "n": 7, "coset_reps": [1.5]},
         {"q": 2, "n": 7, "defining_set": [1.5]},
         {"q": 2, "n": 7, "coset_reps": "ab"},
         {"q": 2, "n": 0, "defining_set": [1]},
         {"q": 2, "n": 4, "defining_set": [1]},
+        {"q": 2, "n": 7, "coset_reps": [1], "name": [1, 2]},
+        {"q": 2, "n": 7, "coset_reps": [1], "name": {"a": 1}},
     ]
     for i, doc in enumerate(malformed):
         path = tmp_path / f"malformed{i}.json"
@@ -218,6 +229,8 @@ W255 = (
         (["decode", "spec_code65.json", "--received", W65_4], "decode_code65_4err.json"),
         (["decode", "spec_bch80.json", "--received", W80], "decode_bch80.json"),
         (["decode", "spec_bch255.json", "--received", W255], "decode_bch255.json"),
+        (["bound", "spec_q4_21.json"], "bound_q4_21.json"),
+        (["bound", "spec_bch80.json"], "bound_bch80.json"),
     ],
 )
 def test_output_matches_golden(argv, golden):

@@ -29,6 +29,8 @@ from cycbound.gf import (
     build_field,
     min_extension_degree,
     prime_power,
+    remainder_rows,
+    root_product,
     subfield_digit_maps,
 )
 
@@ -82,6 +84,9 @@ def test_generator_polynomial_matches_linear_factors(q, n, reps):
         g = g * Poly(ctx, (ctx.neg(ctx.pow(alpha, i)), 1))
     _, to_digit = subfield_digit_maps(ctx, q)
     assert cyclic.generator_polynomial(code) == tuple(to_digit[c] for c in g.coeffs)
+    # the helper behind the minimal and locator polynomials, on the whole set
+    assert root_product(ctx, alpha, code.defining_set) == g.coeffs
+    assert root_product(ctx, alpha, ()) == (1,)
 
 
 @pytest.mark.parametrize("q, n, reps", [(2, 21, (1, 3, 7, 9)), (2, 7, ()), (3, 80, (1, 2, 4, 5)),
@@ -92,7 +97,7 @@ def test_remainder_rows_match_poly_divmod(q, n, reps):
     g_digits = cyclic.generator_polynomial(code)
     r = len(g_digits) - 1
     words = PackedWords(q, r)
-    rows = cyclic.remainder_rows(words, g_digits, n)
+    rows = remainder_rows(words, g_digits, n)
     p, a = prime_power(q)
     small = build_field(p, a)
     to_elt, to_digit = subfield_digit_maps(small, q)

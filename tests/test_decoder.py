@@ -535,6 +535,18 @@ _CONTEXTS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(_CONTEXTS))
+def test_chien_points_match_definition(name):
+    # chien[p] is the log of gamma_p = beta^-kappa * alpha^(-w*p), the point
+    # at which the root scan and the Forney formula evaluate for position p
+    ctx = _context(*_CONTEXTS[name])
+    field = ctx.field
+    assert len(ctx.chien) == ctx.code.n
+    for p in range(ctx.code.n):
+        gamma = field.div(field.pow(ctx.beta, -ctx.kappa), field.pow(ctx.alpha, ctx.cert.w * p))
+        assert ctx.chien[p] == field.log[gamma]
+
+
 def _digit_add(p, a, b):
     r, place = 0, 1
     while a or b:

@@ -275,6 +275,29 @@ def test_packed_words_match_digit_field(q, data):
         assert words.weight(packed) == n - total.count(0)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_packed_words_digits_invert_pack(q, data):
+    # digits reads the lane layout back; the decoder takes a remainder's
+    # terms from it
+    n = data.draw(st.integers(min_value=0, max_value=40))
+    word = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    words = gf.PackedWords(q, n)
+    assert words.digits(words.pack(word)) == word
+    assert words.digits(0) == [0] * n
+
+
+def test_is_prime_matches_sieve():
+    limit = 10_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, limit):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, limit, i))
+    assert [gf.is_prime(n) for n in range(limit)] == sieve
+    assert not any(gf.is_prime(n) for n in (-1, -2, -3, -7, -10_007))
+
+
 def test_neg_one_digit_matches_digit_field():
     # the closed form spc_locator uses instead of building GF(q)
     qs = [q for q in range(2, (1 << 14) + 1) if len(gf.prime_factors(q)) == 1]
