@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Sweep all small binary cyclic codes and check every emitted bound
-against the exhaustive minimum-distance oracle.
+against the exact minimum-distance oracle.
 
 Prints one row per code (length, dimension, bch, ht, d_star, oracle) and
 exits nonzero if any bound exceeds the oracle or a BCH witness, HT witness

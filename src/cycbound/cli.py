@@ -12,7 +12,8 @@ closed under multiplication by q is closed with a warning on stderr.  Here
 and in cosets, q must be a prime power of at most 2^20 and 1 <= n <= 4095.
 bound computes the BCH, HT and NZL bounds for every (q, n) it accepts, the
 NZL bound over the fixed locator family of nzl.candidate_locators; its
-oracle enumerates at most 2^24 codewords.
+oracle takes codes of at most 2^24 codewords, and its word of weight d is
+re-checked as a codeword before d is printed.
 
 Received words are strings of base-q digits with the coefficient of x^0
 first (use comma-separated digits when q > 10).
@@ -54,13 +55,18 @@ def _check_q_n(q: int, n: int) -> None:
         raise UsageError("length must be positive")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: Python reads true and false as ints, JSON does not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_code_spec(path: str) -> cyclic.CyclicCodeSpec:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise UsageError("code spec must be a JSON object")
     for key in ("q", "n"):
-        if not isinstance(doc.get(key), int):
+        if not _is_int(doc.get(key)):
             raise UsageError(f"code spec needs integer '{key}'")
     q, n = doc["q"], doc["n"]
     _check_q_n(q, n)
@@ -70,7 +76,7 @@ def load_code_spec(path: str) -> cyclic.CyclicCodeSpec:
         raise UsageError("exactly one of coset_reps / defining_set is required")
     key = "coset_reps" if has_reps else "defining_set"
     entries = doc[key]
-    if not isinstance(entries, list) or not all(isinstance(i, int) for i in entries):
+    if not isinstance(entries, list) or not all(map(_is_int, entries)):
         raise UsageError(f"code spec needs '{key}' as a list of integers")
     if not isinstance(doc.get("name"), (str, type(None))):
         raise UsageError("code spec needs 'name' as a string")
@@ -160,11 +166,15 @@ def cmd_bound(args) -> int:
     if args.oracle or want_all:
         try:
             wit = cyclic.min_distance_oracle(code)
-            record["oracle"] = {"d": wit.d, "capped": False}
         except TooManyCodewords:
             record["oracle"] = {"d": None, "capped": True}
         except FieldTooLarge as err:
             record["oracle"] = {"d": None, "capped": True, "skipped": str(err)}
+        else:
+            weight = sum(1 for c in wit.codeword if c)
+            if weight != wit.d or not cyclic.is_codeword(code, wit.codeword):
+                return _unverified("oracle word")
+            record["oracle"] = {"d": wit.d, "capped": False}
     if args.human:
         name = code.name or f"({code.q}; {code.n}, {code.k})"
         print(f"code       {name}")

@@ -6,14 +6,13 @@ minimum-distance oracle, and the distance-two / distance-three
 characterizations of binary cyclic codes together with the lowest-rate
 constructions built from them.
 
-The oracle runs in two phases: an information-set bound proves d from the
-low-weight messages of one systematic window, which the cyclic shifts make
-stand for all n cyclic windows of k positions, and the message scan then
-stops at the first word of weight d, which is the word a scan of all
-q^k - 1 nonzero codewords would return.  The first phase weighs binary
-rows as int masks and q-ary rows as gf.PackedWords, the rows
-c * (x^i mod g) of gf.remainder_rows, which the decoder also sums to
-reduce a received word mod g.
+The oracle is one information-set pass: it weighs the systematic
+codewords of low message weight on one window, which the cyclic shifts make
+stand for all n cyclic windows of k positions, and the lightest word seen
+is both the proof of d and its witness.  Binary rows are int masks; q-ary
+rows are gf.PackedWords built on the rows c * (x^i mod g) of
+gf.remainder_rows, which the decoder also sums to reduce a received word
+mod g.
 
 A code here is pinned down by (q, n, defining set) plus the canonical
 primitive n-th root of unity alpha of its construction field GF(q^s),
@@ -55,7 +54,7 @@ class DuplicateCoset(ValueError):
 
 
 class TooManyCodewords(ValueError):
-    """The exhaustive oracle would enumerate more codewords than the cap."""
+    """The code has more codewords (q^k) than the oracle's cap admits."""
 
 
 class SearchCapExceeded(ValueError):
@@ -418,17 +417,16 @@ def verify_ht_witness(spec: CyclicCodeSpec, wit: HtWitness) -> bool:
     )
 
 
-def _info_set_distance(q: int, g, n: int, k: int) -> int:
-    """Minimum distance of the cyclic code with monic generator g (GF(q)
-    digits, degree r = n - k), from the low-weight messages of one
-    information set.
+def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWitness:
+    """Exact minimum distance d with a codeword of weight d, over codes with
+    at most `cap` codewords (q^k), from the low-weight messages of one
+    information set (the Brouwer-Zimmermann bound).
 
-    Systematic row i is x^(r+i) - (x^(r+i) mod g): the unit vector at
-    position r + i of the window {r, ..., n-1} plus a parity part.  The word
-    with w nonzero message digits c_i therefore has weight
-    w + wt(sum c_i (x^(r+i) mod g)).  For w = 1, 2, ... every set of w
-    rows is weighed with its first coefficient fixed to 1 (a scalar
-    multiple has the same weight) and the others over all nonzero digits.
+    Systematic row i is x^(r+i) - (x^(r+i) mod g), r = n - k: the unit
+    vector at position r + i of the window {r, ..., n-1} plus a parity
+    part.  For w = 1, 2, ... every sum of w rows is weighed, its first
+    coefficient fixed to 1 (a scalar multiple has the same weight) and the
+    others over all nonzero digits; the lightest sum seen is the witness.
 
     Soundness: any k consecutive positions of a cyclic code form an
     information set, and each of the n cyclic windows {j, ..., j+k-1 mod n}
@@ -441,83 +439,60 @@ def _info_set_distance(q: int, g, n: int, k: int) -> int:
     word has been weighed and the Singleton bound d <= r + 1 <= ceil(n(k + 1)
     / k) ends the loop.
 
-    Binary rows are int masks added by XOR; q-ary rows are PackedWords,
-    with all q - 1 multiples of each row built once.
-    """
-    r = n - k
-    if q == 2:
-        gmask = sum(gi << i for i, gi in enumerate(g))
-        rems, rem = [], gmask ^ (1 << r)  # x^r mod g
-        for _ in range(k):
-            rems.append(rem)
-            rem <<= 1
-            if rem >> r & 1:
-                rem ^= gmask
-
-        def lightest(w):
-            return min(reduce(xor, rows).bit_count() for rows in combinations(rems, w))
-
-    else:
-        words = PackedWords(q, r)
-        add, weight = words.add, words.weight
-        # rows[i][c - 1] is c * (x^(r+i) mod g)
-        rows = [row[1:] for row in remainder_rows(words, g, n)[r:]]
-
-        def lightest(w):
-            return min(
-                weight(reduce(add, tail, rows[first][0]))
-                for first, *rest in combinations(range(k), w)
-                for tail in product(*(rows[i] for i in rest))
-            )
-
-    best = n + 1
-    for w in range(1, k + 1):
-        best = min(best, w + lightest(w))
-        if best * k <= n * (w + 1) + k - 1:
-            break
-    return best
-
-
-def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWitness:
-    """Exact minimum distance d with the first minimum-weight codeword, over
-    codes with at most `cap` codewords (q^k).
-
-    Two phases.  `_info_set_distance` proves d from the messages of low
-    weight on one systematic window (the Brouwer-Zimmermann information-set
-    bound): after every word with at most w nonzeros in the window is
-    weighed, the n cyclic shifts put any lighter word above w in all n
-    windows of k positions, so the least weight seen is d once it is at most
-    ceil(n(w + 1) / k).  Its rows are int masks for binary codes and
-    PackedWords otherwise, so a sum of rows is weighed in a few int
-    operations.  The ordered scan then walks the messages, in Gray-code
-    order for binary codes and in itertools.product order otherwise, and
-    stops at the first word of weight d: the same word an exhaustive scan
-    of all q^k - 1 nonzero codewords returns.
+    Binary rows are int masks added by XOR.  A q-ary row is a PackedWords
+    word over n coordinates, c * x^(r+i) plus the gf.remainder_rows entry
+    for -c, with all q - 1 multiples of each row built once.
     """
     if spec.k == 0:
         raise ValueError("the zero code has no minimum distance")
     if spec.q**spec.k > cap:
         raise TooManyCodewords(f"{spec.q}^{spec.k} codewords exceed the cap {cap}")
+    q, n, k = spec.q, spec.n, spec.k
     g = generator_polynomial(spec)
-    n, k = spec.n, spec.k
-    d = _info_set_distance(spec.q, g, n, k)
-    if spec.q == 2:
+    r = n - k
+    if q == 2:
         gmask = sum(gi << i for i, gi in enumerate(g))
-        cw = 0
-        best = n + 1
-        best_cw = 0
-        for i in range(1, 1 << k):
-            cw ^= gmask << ((i & -i).bit_length() - 1)
-            w = cw.bit_count()
-            if w < best:
-                best = w
-                best_cw = cw
-                if best == d:
-                    break
-        word = tuple((best_cw >> i) & 1 for i in range(n))
-        return DistanceWitness(best, word, "oracle")
-    best, word = _first_min_weight_word(spec.q, g, k, stop=d)
-    return DistanceWitness(best, word, "oracle")
+        rows, rem = [], gmask ^ (1 << r)  # x^r mod g
+        for i in range(k):
+            rows.append(rem | 1 << (r + i))
+            rem <<= 1
+            if rem >> r & 1:
+                rem ^= gmask
+        weight = int.bit_count
+
+        def lightest(w):
+            return min((reduce(xor, rs) for rs in combinations(rows, w)), key=weight)
+
+        def digits(x):
+            return tuple(x >> i & 1 for i in range(n))
+
+    else:
+        words = PackedWords(q, n)
+        add, weight, neg = words.add, words.weight, words.df.neg
+        # rows[i][c - 1] is c * x^(r+i) - c * (x^(r+i) mod g)
+        rows = [
+            [words.pack([c]) << (r + i) * words.width | rem[neg(c)] for c in range(1, q)]
+            for i, rem in enumerate(remainder_rows(words, g, n)[r:])
+        ]
+
+        def lightest(w):
+            return min(
+                (
+                    reduce(add, tail, rows[first][0])
+                    for first, *rest in combinations(range(k), w)
+                    for tail in product(*(rows[i] for i in rest))
+                ),
+                key=weight,
+            )
+
+        def digits(x):
+            return tuple(words.digits(x))
+
+    w, best = 1, lightest(1)
+    while weight(best) * k > n * (w + 1) + k - 1:
+        w += 1
+        best = min(best, lightest(w), key=weight)
+    return DistanceWitness(weight(best), digits(best), "oracle")
 
 
 def has_distance_two(n: int, coset_reps) -> bool:

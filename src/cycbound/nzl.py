@@ -321,16 +321,16 @@ def d3_locator(a: int, g: int, r: int = 1) -> LocatorSpec:
 
 
 def custom_locator(q: int, u: int, n_l: int, defining_set) -> LocatorSpec:
-    """Locator from an explicit defining set; its minimum distance and a
-    minimum-weight codeword are established by brute force, never trusted."""
+    """Locator from an explicit defining set; its minimum distance comes from
+    the oracle and its codeword from min_weight_codeword, never trusted."""
     q_l = q**u
     code = cyclic.build_code(q_l, n_l, cyclic._coset_reps(n_l, q_l, defining_set))
     if set(code.defining_set) != {i % n_l for i in defining_set}:
         raise PreconditionViolated("defining set is not closed under multiplication by q_l")
-    wit = cyclic.min_distance_oracle(code, cap=LOCATOR_SEARCH_CAP)
-    support = tuple(i for i, c in enumerate(wit.codeword) if c)
-    coeffs = tuple(wit.codeword[i] for i in support)
-    return LocatorSpec("custom", u, n_l, code.defining_set, wit.d, support, coeffs)
+    d_l = cyclic.min_distance_oracle(code, cap=LOCATOR_SEARCH_CAP).d
+    spec = LocatorSpec("custom", u, n_l, code.defining_set, d_l, (), None)
+    support, coeffs = min_weight_codeword(q, spec)
+    return replace(spec, support=support, coeffs=coeffs)
 
 
 def min_weight_codeword(q: int, locator: LocatorSpec):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cycbound.cyclic import BchWitness, HtWitness
+from cycbound.cyclic import BchWitness, DistanceWitness, HtWitness
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -132,9 +132,9 @@ def test_bound_bad_spec_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("bound", str(bad)).returncode == 1
-    # entries that are not integers, a zero length, a length not coprime
-    # to q and a name that is not a string: each is a clean usage error,
-    # never a traceback or a hang
+    # entries that are not integers (JSON booleans included), a zero
+    # length, a length not coprime to q and a name that is not a string:
+    # each is a clean usage error, never a traceback or a hang
     malformed = [
         {"q": 2, "n": 7, "coset_reps": [1.5]},
         {"q": 2, "n": 7, "defining_set": [1.5]},
@@ -143,6 +143,9 @@ def test_bound_bad_spec_files(tmp_path):
         {"q": 2, "n": 4, "defining_set": [1]},
         {"q": 2, "n": 7, "coset_reps": [1], "name": [1, 2]},
         {"q": 2, "n": 7, "coset_reps": [1], "name": {"a": 1}},
+        {"q": True, "n": 7, "coset_reps": [1]},
+        {"q": 2, "n": True, "coset_reps": []},
+        {"q": 2, "n": 7, "coset_reps": [True]},
     ]
     for i, doc in enumerate(malformed):
         path = tmp_path / f"malformed{i}.json"
@@ -283,8 +286,13 @@ def test_decode_spc_searches_steps_like_bound(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name, bad",
-    [("bch_bound", BchWitness(9, 1, 1)), ("ht_bound", HtWitness(9, 1, 5, 1, 8, 1))],
-    ids=["bch", "ht"],
+    [
+        ("bch_bound", BchWitness(9, 1, 1)),
+        ("ht_bound", HtWitness(9, 1, 5, 1, 8, 1)),
+        # weight 1 = d, but x^0 is no codeword of a code with zeros
+        ("min_distance_oracle", DistanceWitness(1, (1,) + (0,) * 20, "oracle")),
+    ],
+    ids=["bch", "ht", "oracle"],
 )
 def test_bound_unverified_witness_exits_two(spec21, capsys, monkeypatch, name, bad):
     # a witness that fails its independent re-check is never emitted

@@ -216,8 +216,9 @@ def test_custom_locator_distance_from_oracle():
     loc = nzl.custom_locator(2, 1, 7, (3, 5, 6))
     assert loc.d_l == 3  # computed, not trusted
     assert len(loc.support) == 3
-    # a locator over GF(4): the oracle and the locator brute force find the
-    # same first minimum-weight word
+    # the stored word is the one the decoder re-derives per field
+    assert min_weight_codeword(2, loc) == (loc.support, loc.coeffs)
+    # a locator over GF(4)
     loc4 = nzl.custom_locator(2, 2, 5, (1, 4))
     assert (loc4.d_l, loc4.support, loc4.coeffs) == (3, (2, 3, 4), (1, 2, 1))
     assert min_weight_codeword(2, loc4) == (loc4.support, loc4.coeffs)
