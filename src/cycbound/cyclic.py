@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from operator import xor
 
 from .gf import (
@@ -220,24 +220,6 @@ def _mul_digits(df: DigitField, m, g, n: int) -> list[int]:
                 if gj:
                     out[i + j] = df.add(out[i + j], df.mul(mi, gj))
     return out
-
-
-def _first_min_weight_word(q: int, g, k: int, stop: int):
-    """(weight, word) of the first minimum-weight nonzero word m(x)g(x), for
-    g given by GF(q) digits and m over the q^k digit messages in
-    itertools.product order; the scan ends at the first word of weight
-    `stop`.  The word is None when there is no nonzero message (k = 0)."""
-    df = DigitField(q)
-    n = len(g) + k - 1
-    best, best_cw = n + 1, None
-    for msg in islice(product(range(q), repeat=k), 1, None):  # skip m = 0
-        cw = _mul_digits(df, msg, g, n)
-        w = n - cw.count(0)
-        if w < best:
-            best, best_cw = w, tuple(cw)
-            if best == stop:
-                break
-    return best, best_cw
 
 
 def random_codeword(spec: CyclicCodeSpec, rng) -> tuple[int, ...]:
@@ -549,7 +531,11 @@ def distance_three_witness(n: int, coset_reps, g: int, r: int) -> DistanceWitnes
         ctx = build_field(2, g)
         beta = nth_root_of_unity(ctx, G)
         root, scale = beta, u
-    support = _weight3_support(ctx, beta, g, u, r)
+    # b solves 1 + beta + beta^b = 0; exponent quotients are taken mod G
+    target = ctx.add(1, beta)
+    b = next(k for k in range(1, G) if ctx.pow(beta, k) == target)
+    rinv = pow(r, -1, G)
+    support = tuple(sorted({0, u * rinv, u * (b * rinv % G)}))
     if len(support) != 3:
         raise AssertionError("degenerate support")  # impossible: b != 0, 1
     for i in sorted(defining):
@@ -562,17 +548,6 @@ def distance_three_witness(n: int, coset_reps, g: int, r: int) -> DistanceWitnes
     for z in support:
         word[z] = 1
     return DistanceWitness(3, tuple(word), "weight3-construction")
-
-
-def _weight3_support(ctx: FieldCtx, beta: int, g: int, u: int, r: int) -> tuple[int, ...]:
-    """Support {0, u/r, u*b/r} of the weight-3 word 1 + x^(u/r) + x^(ub/r),
-    for beta of order G = 2^g - 1 in ctx and b solving 1 + beta + beta^b = 0
-    (exponent quotients taken mod G)."""
-    G = (1 << g) - 1
-    target = ctx.add(1, beta)
-    b = next(k for k in range(1, G) if ctx.pow(beta, k) == target)
-    rinv = pow(r, -1, G)
-    return tuple(sorted({0, u * rinv, u * (b * rinv % G)}))
 
 
 def lowest_rate_d2_code(a: int, g: int) -> CyclicCodeSpec:

@@ -2,15 +2,18 @@
 
 Given a code, a locator and a certificate (e, w, t_l, mu), the decoder
 works in the combined field GF(q^r) that houses both an order-n root alpha
-and an order-n_l root beta.  Syndromes are S_j = r(alpha^(w*j+e)) *
-a(beta^(j+t_l)).  r is evaluated only where a(beta^(j+t_l)) != 0, and
-there the certificate puts w*j+e in D_C, where the generator g vanishes;
-so each syndrome is that of s = r mod g, of fewer than n - k terms.  s is
-summed from precomputed packed rows c * (x^i mod g) (gf.remainder_rows,
-gf.PackedWords over GF(q)).  The Key Equation S = Omega / Lambda mod
-x^(mu-1) is solved with the extended Euclidean algorithm; error positions
-come from a root scan of Lambda and error values from a generalized Forney
-formula.
+and an order-n_l root beta.  a is the locator's stored codeword (the
+generator polynomial for Reed-Solomon), its digits mapped into GF(q^r);
+alpha is the first order-n root at which g vanishes on D_C, and beta the
+first order-n_l root at which a vanishes on D_L.  Syndromes are
+S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)).  r is evaluated only where
+a(beta^(j+t_l)) != 0, and there the certificate puts w*j+e in D_C, where
+the generator g vanishes; so each syndrome is that of s = r mod g, of
+fewer than n - k terms.  s is summed from precomputed packed rows
+c * (x^i mod g) (gf.remainder_rows, gf.PackedWords over GF(q)).  The Key
+Equation S = Omega / Lambda mod x^(mu-1) is solved with the extended
+Euclidean algorithm; error positions come from a root scan of Lambda and
+error values from a generalized Forney formula.
 The locator enters that formula only as f'(beta^-kappa) / h(beta^-kappa),
 kappa the smallest support index: every term of f' and h but kappa's
 vanishes there, which leaves the constant -beta^kappa / c_kappa, c_kappa
@@ -106,20 +109,20 @@ class DecodeResult:
     corrected: tuple[int, ...] | None
 
 
-def _aligned_code_root(field: FieldCtx, code: cyclic.CyclicCodeSpec, to_elt) -> int:
-    # The generator polynomial pins the code to a specific order-n root; an
-    # independently built field has its own tables, so locate the power of
-    # the canonical root that the generator actually vanishes on.
-    log = field.log
-    l_zeta = log[nth_root_of_unity(field, code.n)]
-    g = cyclic.generator_polynomial(code)
-    terms = [(i, log[to_elt[d]]) for i, d in enumerate(g) if d]
-    for t in range(1, code.n + 1):
-        if math.gcd(t, code.n) != 1:
+def _aligned_root(field: FieldCtx, n: int, terms, zeros) -> int:
+    """zeta^t for the first unit t = 1, 2, ... mod n at which the polynomial
+    with (i, log c_i) terms vanishes at zeta^(t*z) for every z in `zeros`,
+    zeta the canonical order-n root of the field.  A generator polynomial
+    or a stored locator word pins its code to such a root, and an
+    independently built field has its own tables, so the root is searched
+    for rather than assumed."""
+    l_zeta = field.log[nth_root_of_unity(field, n)]
+    for t in range(1, n + 1):
+        if math.gcd(t, n) != 1:
             continue
-        if not any(field.evaluate(terms, [l_zeta * t * rep for rep in code.coset_reps])):
+        if not any(field.evaluate(terms, [l_zeta * t * z for z in zeros])):
             return field.exp(l_zeta * t)
-    raise AssertionError("no aligned order-n root found")  # unreachable
+    raise PreconditionViolated(f"the word vanishes on {tuple(zeros)} at no root of order {n}")
 
 
 def build_context(
@@ -132,6 +135,8 @@ def build_context(
         raise PreconditionViolated("certificate must have mu >= 2")
     if not verify_certificate(code.defining_set, code.n, cert):
         raise PreconditionViolated("certificate does not verify against the code")
+    if len(locator.support) != locator.d_l:
+        raise PreconditionViolated("locator codeword weight differs from d_l")
     q = code.q
     p, a = prime_power(q)
     s = min_extension_degree(q, code.n)
@@ -140,9 +145,14 @@ def build_context(
     r = combined_degree(s, locator.u, s_l)
     field = build_field(p, a * r)
     to_elt, to_digit = subfield_digit_maps(field, q)
-    alpha = _aligned_code_root(field, code, to_elt)
-    beta = nth_root_of_unity(field, locator.n_l)
-    support, base_coeffs = _locator_codeword_elements(field, beta, locator, q)
+    log = field.log
+    g = cyclic.generator_polynomial(code)
+    alpha = _aligned_root(field, code.n, [(i, log[to_elt[d]]) for i, d in enumerate(g) if d],
+                          code.coset_reps)
+    support, base_coeffs = _locator_codeword_elements(
+        field, nth_root_of_unity(field, locator.n_l), locator, q)
+    beta = _aligned_root(field, locator.n_l, [(z, log[c]) for z, c in zip(support, base_coeffs)],
+                         locator.defining_set)
     # The certificate shift twists the codeword: coefficients pick up
     # beta^(z * t_l) so that the twisted word evaluated at beta^j equals
     # a(beta^(j + t_l)).
@@ -150,17 +160,13 @@ def build_context(
         field.mul(cz, field.pow(beta, z * cert.t_l)) for z, cz in zip(support, base_coeffs)
     )
     kappa = min(support)
-    log = field.log
     a_evals = tuple(field.evaluate([(z, log[cz]) for z, cz in zip(support, coeffs)],
                                    [j * log[beta] for j in range(locator.n_l)]))
-    if len(support) != locator.d_l:
-        raise AssertionError("locator codeword weight differs from d_l")
     for i in locator.defining_set:
         if a_evals[(i - cert.t_l) % locator.n_l] != 0:
             raise AssertionError("locator codeword does not vanish on its defining set")
     # f'(beta^-kappa) / h(beta^-kappa) of the Forney formula (see error_values)
     forney = field.neg(field.div(field.pow(beta, kappa), coeffs[support.index(kappa)]))
-    g = cyclic.generator_polynomial(code)
     words = PackedWords(q, len(g) - 1)
     alpha_w = field.pow(alpha, cert.w)
     l_start, l_step = log[field.pow(beta, -kappa)], log[field.inv(alpha_w)]

@@ -9,8 +9,11 @@ the best such certificate, knows the closed forms for single-parity-check
 and Reed-Solomon locators, generates candidate locator codes, and emits
 the bound-to-HT ratio grids as CSV.
 
-The search itself is pure modular-index combinatorics; fields only enter
-when locator codewords are realized (see `min_weight_codeword` and the
+The search itself is pure modular-index combinatorics.  Each locator
+stores one nonzero codeword of weight d_l when its spec is built, as
+base-q^u digits; the decoder maps those digits into its own field.  Only
+Reed-Solomon locators store none: their word is the generator polynomial,
+expanded in whatever field is in use (see `min_weight_codeword` and the
 decoder module).
 """
 
@@ -24,6 +27,7 @@ from . import cyclic
 from .gf import (
     NotCoprime,
     build_field,
+    digit_elements,
     min_extension_degree,
     neg_one_digit,
     nth_root_of_unity,
@@ -31,11 +35,11 @@ from .gf import (
     root_product,
     subfield_digit_maps,
 )
-from .cyclic import SearchCapExceeded, PreconditionViolated
+from .cyclic import PreconditionViolated
 
 MAX_N_L = 12  # longest candidate locator
 MAX_U = 4  # largest extension degree of a Reed-Solomon candidate
-LOCATOR_SEARCH_CAP = 1 << 20  # messages a locator brute force may enumerate
+LOCATOR_SEARCH_CAP = 1 << 20  # codewords q_l^k_l the oracle may weigh for a custom locator
 
 LOCATOR_KINDS = (
     "trivial",
@@ -53,13 +57,15 @@ class DegenerateCover(ValueError):
 
 @dataclass(frozen=True)
 class LocatorSpec:
-    """A non-zero-locator code over GF(q^u).
+    """A non-zero-locator code over GF(q^u), q_l = q^u.
 
-    support/coeffs describe a verified minimum-weight codeword in the
-    locator's canonical splitting field (coeffs as base-q_l digits; None
-    for Reed-Solomon locators, whose codeword is the generator polynomial
-    and is re-expanded from the defining set in whatever field is in use).
-    meta carries construction parameters for kinds that need them.
+    support/coeffs are the one nonzero codeword of weight d_l that the
+    bound and the decoder use, chosen when the spec is built: coeffs are
+    its nonzero coefficients as base-q_l digits, a polynomial over GF(q_l)
+    that vanishes on D_L at some order-n_l root of unity.  Reed-Solomon
+    locators store coeffs = None: their word is the generator polynomial,
+    all d_l coefficients nonzero by the MDS property, expanded at whatever
+    root is in use.
     """
 
     kind: str
@@ -69,13 +75,18 @@ class LocatorSpec:
     d_l: int
     support: tuple[int, ...]
     coeffs: tuple[int, ...] | None
-    meta: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.kind not in LOCATOR_KINDS:
             raise ValueError(f"unknown locator kind {self.kind!r}")
         if self.u < 1 or self.n_l < 1 or self.d_l < 1:
             raise ValueError("locator parameters must be positive")
+        if (self.coeffs is None) != (self.kind == "rs"):
+            raise ValueError("Reed-Solomon locators store no codeword; every other kind stores one")
+        if list(self.support) != sorted(set(range(self.n_l)).intersection(self.support)):
+            raise ValueError("support must be increasing exponents in [0, n_l)")
+        if self.coeffs is not None and (len(self.coeffs) != len(self.support) or 0 in self.coeffs):
+            raise ValueError("coeffs must give one nonzero digit per support index")
 
 
 @dataclass(frozen=True)
@@ -305,42 +316,40 @@ def rs_locator(n_l: int, k_l: int, q: int) -> LocatorSpec:
 
 def hamming_locator() -> LocatorSpec:
     """The binary (7, 4, 3) Hamming code with defining set {3, 5, 6}."""
-    spec = LocatorSpec("hamming", 1, 7, (3, 5, 6), 3, (), None)
-    support, coeffs = min_weight_codeword(2, spec)
-    return replace(spec, support=support, coeffs=coeffs)
+    return replace(custom_locator(2, 1, 7, (3, 5, 6)), kind="hamming")
 
 
 def d3_locator(a: int, g: int, r: int = 1) -> LocatorSpec:
-    """Lowest-rate distance-three binary locator of length a*(2^g - 1)."""
+    """Lowest-rate distance-three binary locator of length a*(2^g - 1), with
+    the weight-3 word of cyclic.distance_three_witness."""
     code = cyclic.lowest_rate_d3_code(a, g, r)
-    spec = LocatorSpec(
-        "lowest-rate-d3", 1, code.n, code.defining_set, 3, (), None, meta=(a, g, r)
-    )
-    support, coeffs = min_weight_codeword(2, spec)
-    return replace(spec, support=support, coeffs=coeffs)
+    wit = cyclic.distance_three_witness(code.n, code.coset_reps, g, r)
+    support = tuple(i for i, c in enumerate(wit.codeword) if c)
+    return LocatorSpec("lowest-rate-d3", 1, code.n, code.defining_set, wit.d, support, (1,) * wit.d)
 
 
 def custom_locator(q: int, u: int, n_l: int, defining_set) -> LocatorSpec:
-    """Locator from an explicit defining set; its minimum distance comes from
-    the oracle and its codeword from min_weight_codeword, never trusted."""
+    """Locator from an explicit defining set, closed under multiplication by
+    q_l = q^u.  Its minimum distance and its stored word both come from one
+    min_distance_oracle pass, capped at LOCATOR_SEARCH_CAP codewords; the
+    word is a codeword of that code, so it vanishes on D_L at the canonical
+    root of cyclic.code_field."""
     q_l = q**u
     code = cyclic.build_code(q_l, n_l, cyclic._coset_reps(n_l, q_l, defining_set))
     if set(code.defining_set) != {i % n_l for i in defining_set}:
         raise PreconditionViolated("defining set is not closed under multiplication by q_l")
-    d_l = cyclic.min_distance_oracle(code, cap=LOCATOR_SEARCH_CAP).d
-    spec = LocatorSpec("custom", u, n_l, code.defining_set, d_l, (), None)
-    support, coeffs = min_weight_codeword(q, spec)
-    return replace(spec, support=support, coeffs=coeffs)
+    wit = cyclic.min_distance_oracle(code, cap=LOCATOR_SEARCH_CAP)
+    support = tuple(i for i, c in enumerate(wit.codeword) if c)
+    coeffs = tuple(wit.codeword[i] for i in support)
+    return LocatorSpec("custom", u, n_l, code.defining_set, wit.d, support, coeffs)
 
 
 def min_weight_codeword(q: int, locator: LocatorSpec):
-    """(support, digit coefficients) of a minimum-weight locator codeword,
-    realized in the locator's canonical splitting field.
-
-    single parity check -> 1 - x; Reed-Solomon -> the generator polynomial
-    (all d_l coefficients nonzero by the MDS property); lowest-rate
-    distance-three -> the ternomial construction; anything else by brute
-    force over at most LOCATOR_SEARCH_CAP messages q_l^k_l."""
+    """(support, base-q_l digit coefficients) of the locator's codeword: the
+    stored word, or for Reed-Solomon the generator polynomial in the
+    locator's canonical splitting field."""
+    if locator.coeffs is not None:
+        return locator.support, locator.coeffs
     q_l = q**locator.u
     p, a = prime_power(q_l)
     s_l = min_extension_degree(q_l, locator.n_l)
@@ -352,38 +361,16 @@ def min_weight_codeword(q: int, locator: LocatorSpec):
 
 
 def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int):
-    """Minimum-weight locator codeword (support, field elements) for the
-    concrete order-n_l root beta of ctx.  The codeword of a binary kind
-    depends on which root is in play, so it is re-derived per context."""
-    kind = locator.kind
-    if kind == "trivial":
-        return (0,), (1,)
-    if kind == "spc":
-        return (0, 1), (1, ctx.neg(1))
-    if kind == "lowest-rate-d3":
-        _, g, r = locator.meta
-        u = locator.n_l // ((1 << g) - 1)
-        return cyclic._weight3_support(ctx, ctx.pow(beta, u), g, u, r), (1,) * 3
+    """The locator's codeword as (support, elements of ctx): the stored
+    digits through subfield_digit_maps, or the Reed-Solomon generator
+    polynomial at the order-n_l root beta."""
+    if locator.coeffs is not None:
+        to_elt, _ = subfield_digit_maps(ctx, q**locator.u)
+        return locator.support, tuple(digit_elements(to_elt, locator.coeffs))
     g = root_product(ctx, beta, locator.defining_set)
-    if kind == "rs":
-        if not all(g):
-            raise AssertionError("Reed-Solomon generator with zero coefficient")
-        return tuple(range(len(g))), g
-    # hamming / custom: brute force against this beta, on digits, which
-    # subfield_digit_maps carries over as a field isomorphism
-    q_l = q**locator.u
-    k_l = locator.n_l - len(locator.defining_set)
-    if q_l**k_l > LOCATOR_SEARCH_CAP:
-        raise SearchCapExceeded(f"{q_l}^{k_l} messages exceed the cap {LOCATOR_SEARCH_CAP}")
-    to_elt, to_digit = subfield_digit_maps(ctx, q_l)
-    if any(c not in to_digit for c in g):
-        raise PreconditionViolated("defining set is not closed under multiplication by q_l")
-    g_digits = tuple(to_digit[c] for c in g)
-    best, word = cyclic._first_min_weight_word(q_l, g_digits, k_l, stop=locator.d_l)
-    if best != locator.d_l:
-        raise AssertionError("no codeword of the declared minimum weight found")
-    support = tuple(i for i, c in enumerate(word) if c)
-    return support, tuple(to_elt[word[i]] for i in support)
+    if not all(g):
+        raise AssertionError("Reed-Solomon generator with zero coefficient")
+    return tuple(range(len(g))), g
 
 
 def candidate_locators(n: int, q: int) -> list[LocatorSpec]:

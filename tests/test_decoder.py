@@ -18,7 +18,14 @@ from cycbound.decoder import (
     solve_key_equation,
     syndromes,
 )
-from cycbound.gf import Poly, combined_degree, min_extension_degree, prime_power
+from cycbound.gf import (
+    Poly,
+    combined_degree,
+    min_extension_degree,
+    prime_power,
+    subfield_digit_maps,
+)
+from cycbound.nzl import verify_certificate
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +130,48 @@ def test_forney_constant_matches_definitions(q):
         kinds.add(ctx.locator.kind)
     expected = {"trivial", "spc", "rs", "custom"} | ({"hamming", "lowest-rate-d3"} if q == 2 else set())
     assert kinds == expected
+
+
+def _untwisted_word(ctx):
+    """The context's locator word before the certificate shift twisted it,
+    as (support, base-q_l digits)."""
+    field, loc = ctx.field, ctx.locator
+    _, to_digit = subfield_digit_maps(field, ctx.code.q**loc.u)
+    return ctx.support, tuple(
+        to_digit[field.div(c, field.pow(ctx.beta, z * ctx.cert.t_l))]
+        for z, c in zip(ctx.support, ctx.coeffs)
+    )
+
+
+@pytest.mark.parametrize("q", sorted(_FORNEY_CODES))
+def test_context_word_is_the_stored_word(q):
+    # the decoder uses the word its locator spec stores (and `bound`
+    # prints), for every kind that stores one; on (2; 3; 1) and (2; 9; 1)
+    # the canonical order-7 root is not the one the Hamming word needs
+    contexts = list(_candidate_contexts(q))
+    if q == 2:
+        for n in (3, 9):
+            code, loc = cyclic.build_code(2, n, (1,)), nzl.hamming_locator()
+            contexts.append(build_context(code, loc, nzl.mu_search(code.defining_set, n, loc)))
+    kinds = set()
+    for ctx in contexts:
+        loc = ctx.locator
+        if loc.coeffs is not None:
+            assert _untwisted_word(ctx) == (loc.support, loc.coeffs), (ctx.code, loc)
+            kinds.add(loc.kind)
+    binary_only = {"hamming", "lowest-rate-d3"} if q == 2 else set()
+    assert kinds == {"trivial", "spc", "custom"} | binary_only
+
+
+def test_context_refuses_a_word_outside_the_locator():
+    # 1 + x + x^2 vanishes on {3, 5, 6} at no root of order 7, so no beta
+    # makes it a Hamming codeword: the context is refused, nothing decoded
+    code = cyclic.build_code(2, 9, (1,))
+    bad = nzl.LocatorSpec("hamming", 1, 7, (3, 5, 6), 3, (0, 1, 2), (1, 1, 1))
+    cert = nzl.mu_search(code.defining_set, 9, bad)
+    assert cert.mu >= 2 and verify_certificate(code.defining_set, 9, cert)
+    with pytest.raises(PreconditionViolated, match="no root of order 7"):
+        build_context(code, bad, cert)
 
 
 def test_context_rejects_bad_certificate(example21, spc5, spc3):
@@ -321,8 +370,8 @@ def test_decode_gf4_with_locator():
 
 
 def test_decode_with_d3_locator():
-    # the lowest-rate distance-3 locator has a beta-dependent codeword, so
-    # this exercises the per-context realization end to end
+    # decodes end to end with the stored weight-3 word 1 + x^3 + x^6 of
+    # the lowest-rate distance-3 locator
     rng = random.Random(3)
     code = cyclic.build_code(2, 7, (1,))
     loc = nzl.d3_locator(3, 2, 1)

@@ -18,7 +18,6 @@ from cycbound.nzl import (
     DegenerateCover,
     InvalidGeometry,
     LocatorSpec,
-    SearchCapExceeded,
     best_bound,
     candidate_locators,
     d3_locator,
@@ -192,7 +191,7 @@ def test_min_weight_codeword_rs():
 
 def test_min_weight_codeword_hamming():
     loc = hamming_locator()
-    assert loc.support == (3, 4, 6)
+    assert loc.support == (0, 1, 3)  # the oracle's word: g = 1 + x + x^3 itself
     support, coeffs = min_weight_codeword(2, loc)
     assert len(support) == 3 and coeffs == (1, 1, 1)
     # weight-3 word must vanish on the defining set in the canonical field
@@ -216,29 +215,49 @@ def test_custom_locator_distance_from_oracle():
     loc = nzl.custom_locator(2, 1, 7, (3, 5, 6))
     assert loc.d_l == 3  # computed, not trusted
     assert len(loc.support) == 3
-    # the stored word is the one the decoder re-derives per field
+    # the stored word is the one min_weight_codeword and the decoder use
     assert min_weight_codeword(2, loc) == (loc.support, loc.coeffs)
     # a locator over GF(4)
     loc4 = nzl.custom_locator(2, 2, 5, (1, 4))
-    assert (loc4.d_l, loc4.support, loc4.coeffs) == (3, (2, 3, 4), (1, 2, 1))
+    assert (loc4.d_l, loc4.support, loc4.coeffs) == (3, (0, 1, 2), (1, 2, 1))
     assert min_weight_codeword(2, loc4) == (loc4.support, loc4.coeffs)
+    # 1 + w x + x^2 vanishes on {1, 4} at the canonical order-5 root of GF(16)
+    word = [0] * 5
+    for z, c in zip(loc4.support, loc4.coeffs):
+        word[z] = c
+    assert cyclic.is_codeword(cyclic.build_code(4, 5, (1,)), word)
 
 
 def test_min_weight_codeword_search_cap():
-    # the binary (31, 26) Hamming code: 2^26 messages exceed the fixed cap
+    # the binary (31, 26) Hamming code: its 2^26 codewords exceed the cap
+    # of the oracle pass that custom_locator takes its distance and word from
     c1 = tuple(sorted(cyclic.cyclotomic_coset(31, 2, 1)))
-    loc = LocatorSpec("custom", 1, 31, c1, 3, (), None)
     assert 2 ** (31 - len(c1)) > nzl.LOCATOR_SEARCH_CAP
-    with pytest.raises(SearchCapExceeded):
-        min_weight_codeword(2, loc)
+    with pytest.raises(cyclic.TooManyCodewords):
+        nzl.custom_locator(2, 1, 31, c1)
     # {1} is not closed under doubling mod 7: no binary code to search
     with pytest.raises(nzl.PreconditionViolated):
-        min_weight_codeword(2, LocatorSpec("custom", 1, 7, (1,), 3, (), None))
+        nzl.custom_locator(2, 1, 7, (1,))
 
 
 def test_locator_kind_validation():
     with pytest.raises(ValueError):
         LocatorSpec("parity", 1, 5, (0,), 2, (0, 1), (1, 1))
+    # only a Reed-Solomon spec goes without a stored word, and it has none
+    with pytest.raises(ValueError):
+        LocatorSpec("custom", 1, 7, (1, 2, 4), 3, (0, 1, 3), None)
+    with pytest.raises(ValueError):
+        LocatorSpec("rs", 1, 4, (0, 1), 3, (0, 1, 2), (1, 1, 1))
+    # a stored word has one nonzero digit per support index
+    with pytest.raises(ValueError):
+        LocatorSpec("custom", 1, 7, (1, 2, 4), 3, (0, 1, 3), (1, 1))
+    with pytest.raises(ValueError):
+        LocatorSpec("custom", 1, 7, (1, 2, 4), 3, (0, 1, 3), (1, 0, 1))
+    # ... at distinct exponents below n_l: 1 + x^5 is 1 + 1 = 0 mod x^5 - 1
+    with pytest.raises(ValueError):
+        LocatorSpec("spc", 4, 5, (0,), 2, (0, 5), (1, 1))
+    with pytest.raises(ValueError):
+        LocatorSpec("custom", 1, 7, (1, 2, 4), 3, (0, 3, 1), (1, 1, 1))
 
 
 def test_candidate_locators_carry_minimum_weight_codewords():
