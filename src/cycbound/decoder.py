@@ -10,20 +10,28 @@ S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)).  r is evaluated only where
 a(beta^(j+t_l)) != 0, and there the certificate puts w*j+e in D_C, where
 the generator g vanishes; so each syndrome is that of s = r mod g, of
 fewer than n - k terms.  s is summed from precomputed packed rows
-c * (x^i mod g) (gf.remainder_rows, gf.PackedWords over GF(q)).  The Key
-Equation S = Omega / Lambda mod x^(mu-1) is solved with the extended
-Euclidean algorithm; error positions come from a root scan of Lambda and
-error values from a generalized Forney formula.
-The locator enters that formula only as f'(beta^-kappa) / h(beta^-kappa),
-kappa the smallest support index: every term of f' and h but kappa's
-vanishes there, which leaves the constant -beta^kappa / c_kappa, c_kappa
-the twisted locator coefficient at kappa.  All evaluations go through the
+c * (x^i mod g) (gf.remainder_rows, gf.PackedWords over GF(q)), once per
+word: the syndromes, the zero-syndrome test and the final re-encoding
+check all read it.  The Key Equation S = Omega / Lambda mod x^(mu-1) is
+solved with the extended Euclidean algorithm; error positions come from a
+root scan of Lambda and error values from a generalized Forney formula.
+The root scan runs on packed rows too: for every power i up to
+floor((mu - 1) / 2), the largest degree of Lambda, every place b < m of
+GF(p^m) and every digit d of GF(p), the context packs d * x^b * gamma_p^i
+over the n Chien points gamma_p (gf.PackedLanes), so Lambda at all n points
+is a sum of one such row per nonzero digit of its coefficients.
+The locator enters the Forney formula only as f'(beta^-kappa) /
+h(beta^-kappa), kappa the smallest support index: every term of f' and h
+but kappa's vanishes there, which leaves the constant -beta^kappa /
+c_kappa, c_kappa the twisted locator coefficient at kappa.  The syndromes,
+the Forney formula and the context's own evaluations go through the
 field's kernel FieldCtx.evaluate.
 Up to floor((d_star - 1) / 2) errors are corrected, and every decode ends
 with a re-encoding check, the corrected word mod g must vanish, so a
 miscorrection outside the code is reported as a failure instead of
 returned silently; so is a word outside the code whose syndromes all
-vanish.
+vanish.  r mod g is linear, so the corrected word's remainder is s plus
+the rows -v * (x^p mod g) of the corrections v at positions p.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from functools import reduce
 from . import cyclic
 from .gf import (
     FieldCtx,
+    PackedLanes,
     PackedWords,
     Poly,
     build_field,
@@ -98,6 +107,8 @@ class DecoderContext:
     to_digit: dict[int, int]
     words: PackedWords  # words over the n - k coordinates of a remainder mod g
     rows: tuple[tuple[int, ...], ...]  # rows[i][c] packs c * (x^i mod g)
+    points: PackedLanes  # words of GF(p^m) elements over the n Chien points
+    scan: tuple[tuple[tuple[int, ...], ...], ...]  # scan[i][b][d] packs d * x^b * gamma_p^i
 
 
 @dataclass
@@ -123,6 +134,53 @@ def _aligned_root(field: FieldCtx, n: int, terms, zeros) -> int:
         if not any(field.evaluate(terms, [l_zeta * t * z for z in zeros])):
             return field.exp(l_zeta * t)
     raise PreconditionViolated(f"the word vanishes on {tuple(zeros)} at no root of order {n}")
+
+
+def _scan_rows(field: FieldCtx, points: PackedLanes, chien, count: int):
+    """rows[i][b][d] packs d * x^b * gamma_p^i over the points p, gamma_p =
+    g^chien[p], for i < count, b < m and every digit d of GF(p), x = g the
+    generator; Lambda(0) = 1, so power 0 has place 0 only.  x times a row
+    moves every point's digits up one lane and folds each top digit t back
+    as t * (x^m - f) over all points at once, f the primitive polynomial;
+    the multiples d are lane adds.  gamma_p^(i+1) is the sum over places b
+    of the rows (i, b, d) restricted to the points whose gamma_p has digit d
+    at place b.  So only gamma itself is packed from the antilog table, and
+    every other row costs a few int operations.
+    """
+    p, m, b = field.p, field.m, points.lane_bits
+    every, full = points.every, (1 << points.width) - 1
+    low, top = every * ((1 << b) - 1), (m - 1) * b
+    keep = every * ((1 << top) - 1)  # all lanes but the top one
+    # x^m = sum_j c_j x^j, c_j = -f_j: spread[c] has a 1 in every lane j with c_j = c
+    spread = [0] * p
+    for j, c in enumerate(field.spec.prim_poly[:m]):
+        spread[-c % p] |= 1 << j * b
+
+    def times_x(x: int) -> int:
+        t = x >> top & low
+        t_times = points.multiples(t)
+        # t * spread[c] copies t into the lanes j, disjoint, with no carry
+        fold = sum(t_times[c] * spread[c] for c in range(1, p) if spread[c])
+        return points.add((x & keep) << b, fold)
+
+    gamma = points.pack_elements([field.antilog[l] for l in chien])
+    pick = []  # pick[j][d]: all bits of the points whose gamma has digit d >= 1 at place j
+    for j in range(m):
+        t = gamma >> j * b & low
+        # bit 0 of a point is set where its digit t is at least d
+        at_least = [(t + every * ((1 << b - 1) - d)) >> b - 1 & every for d in range(1, p)] + [0]
+        pick.append([0] + [(at_least[d - 1] ^ at_least[d]) * full for d in range(1, p)])
+    rows, row = [(tuple(points.multiples(every)),)], gamma
+    for i in range(1, count):
+        if i > 1:
+            row = reduce(points.add, [r[d] & pick[j][d]
+                                      for j, r in enumerate(rows[-1]) for d in range(1, p)], 0)
+        per_place = [tuple(points.multiples(row))]
+        for _ in range(m - 1):
+            row = times_x(row)
+            per_place.append(tuple(points.multiples(row)))
+        rows.append(tuple(per_place))
+    return tuple(rows)
 
 
 def build_context(
@@ -170,6 +228,8 @@ def build_context(
     words = PackedWords(q, len(g) - 1)
     alpha_w = field.pow(alpha, cert.w)
     l_start, l_step = log[field.pow(beta, -kappa)], log[field.inv(alpha_w)]
+    chien = tuple((l_start + p * l_step) % field.n_units for p in range(code.n))
+    points = PackedLanes(field.p, field.m, code.n)
     return DecoderContext(
         code=code,
         locator=locator,
@@ -183,15 +243,18 @@ def build_context(
         coeffs=coeffs,
         forney=forney,
         a_evals=a_evals,
-        chien=tuple((l_start + p * l_step) % field.n_units for p in range(code.n)),
+        chien=chien,
         to_elt=to_elt,
         to_digit=to_digit,
         words=words,
         rows=tuple(remainder_rows(words, g, code.n)),
+        points=points,
+        # solve_key_equation keeps deg Lambda <= floor((mu - 1) / 2)
+        scan=_scan_rows(field, points, chien, (cert.mu - 1) // 2 + 1),
     )
 
 
-def _remainder(ctx: DecoderContext, word) -> int:
+def remainder(ctx: DecoderContext, word) -> int:
     """The word's remainder mod g, packed: the sum of rows[i][digit i]."""
     rows = ctx.rows
     if len(word) != len(rows):
@@ -204,13 +267,13 @@ def _remainder(ctx: DecoderContext, word) -> int:
     raise ValueError(f"digits must be integers in [0, {ctx.code.q})")
 
 
-def syndromes(ctx: DecoderContext, received) -> Poly:
-    """S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)) for j = 0..mu-2.
+def syndromes(ctx: DecoderContext, s: int) -> Poly:
+    """S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)) for j = 0..mu-2, from the
+    packed remainder s = r mod g of the received word r (see remainder).
 
     r is evaluated only where a(beta^(j+t_l)) != 0, and there the
     certificate puts w*j+e in D_C, where g vanishes; so r may be replaced
-    by its remainder s = r mod g, whose nonzero terms are evaluated."""
-    s = _remainder(ctx, tuple(received))
+    by s, whose nonzero terms are evaluated."""
     field = ctx.field
     if not s:
         return Poly(field, ())
@@ -251,13 +314,25 @@ def solve_key_equation(S: Poly, mu: int) -> tuple[Poly, Poly]:
 
 def find_error_positions(ctx: DecoderContext, lam: Poly) -> tuple[int, ...]:
     """Positions p with Lambda(beta^-kappa * alpha^(-w*p)) = 0; the count
-    must tile deg Lambda into d_l-sized blocks.  The root scan is a Chien
-    search on the logarithms of Lambda's nonzero coefficients."""
-    field = ctx.field
+    must tile deg Lambda into d_l-sized blocks.  The root scan (Chien) sums,
+    for every nonzero base-p digit d at place b of every coefficient
+    lambda_i, the packed row d * x^b * gamma_p^i of all n points at once;
+    the points where the sum is zero are the roots."""
     if lam.is_zero() or lam(0) != 1:
         raise InconsistentLocator("locator polynomial must satisfy Lambda(0) = 1")
-    values = field.evaluate(lam.log_terms(), ctx.chien)
-    positions = [p for p, v in enumerate(values) if v == 0]
+    if lam.degree >= len(ctx.scan):
+        raise InconsistentLocator(
+            f"degree {lam.degree} exceeds the correctable {len(ctx.scan) - 1}")
+    p, add = ctx.field.p, ctx.points.add
+    acc = 0
+    for rows, c in zip(ctx.scan, lam.coeffs):
+        for row in rows:
+            if not c:
+                break
+            c, d = divmod(c, p)
+            if d:
+                acc = add(acc, row[d])
+    positions = ctx.points.zeros(acc)
     if len(positions) * ctx.locator.d_l != lam.degree:
         raise InconsistentLocator(
             f"{len(positions)} roots cannot account for degree {lam.degree}"
@@ -305,12 +380,13 @@ def decode(ctx: DecoderContext, received) -> DecodeResult:
     """Bounded-distance decode; failures are reported in the result, never
     raised (length/digit misuse excepted)."""
     received = tuple(received)
-    S = syndromes(ctx, received)
+    s = remainder(ctx, received)
+    S = syndromes(ctx, s)
     try:
         if S.is_zero():
             # the syndromes see D_C only in part, so a word of weight at
             # least d_star can zero them all without being a codeword
-            if _remainder(ctx, received):
+            if s:
                 raise ZeroSyndrome("syndromes vanish on a word outside the code")
             return DecodeResult("success", None, (), {}, received)
         lam, omega = solve_key_equation(S, ctx.cert.mu)
@@ -320,11 +396,12 @@ def decode(ctx: DecoderContext, received) -> DecodeResult:
         if not positions:
             raise InconsistentLocator("nonzero syndrome but no error positions")
         values = error_values(ctx, lam, omega, positions)
-        df = ctx.words.df
+        df, add = ctx.words.df, ctx.words.add
         corrected = list(received)
         for p, v in values.items():
             corrected[p] = df.sub(corrected[p], v)
-        if _remainder(ctx, corrected):  # g divides exactly the codewords
+            s = add(s, ctx.rows[p][df.neg(v)])  # r mod g is linear
+        if s:  # g divides exactly the codewords
             raise InconsistentLocator("corrected word fails the defining-set recheck")
     except DecoderError as err:
         return DecodeResult("failure", f"{type(err).__name__}: {err}", (), {}, None)

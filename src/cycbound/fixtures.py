@@ -191,8 +191,8 @@ def _fixture_table() -> list[tuple[str, callable]]:
         ctx = decoder.build_context(code, loc, cert)
         rng = random.Random(99)
         zeros = all(
-            decoder.syndromes(ctx, cyclic.random_codeword(code, rng)).is_zero()
-            for _ in range(25)
+            decoder.syndromes(ctx, decoder.remainder(ctx, cw)).is_zero()
+            for cw in (cyclic.random_codeword(code, rng) for _ in range(25))
         )
         return (5, True), (cert.d_star, zeros)
 

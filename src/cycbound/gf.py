@@ -10,10 +10,13 @@ z[i] = log(1 + x^i), so that a + b = a * (1 + b/a) is three table lookups;
 the Zech table is built on the first odd-characteristic addition.
 Every polynomial evaluation goes through one kernel, FieldCtx.evaluate,
 which sums the terms of a polynomial given by the logarithms of its
-nonzero coefficients at many points given by their logarithms, and every
-polynomial with given roots is built by root_product.  PackedWords packs a
-word over GF(q) into one int, read back by digits; remainder_rows builds
-the packed rows c * (x^i mod g) that the oracle and the decoder sum.
+nonzero coefficients at many points given by their logarithms, except the
+decoder's root scan, which sums PackedLanes rows of its fixed points; and
+every polynomial with given roots is built by root_product.  PackedLanes
+packs a word of GF(p^a) elements into one int, with lane-wise addition and
+a zero-coordinate test; PackedWords does so for a word over GF(q), read
+back by digits; remainder_rows builds the packed rows c * (x^i mod g) that
+the oracle and the decoder sum.
 
 Primitive polynomials are found by exhaustive search in lexicographic
 order (coefficients compared constant term first), over the constant terms
@@ -441,33 +444,30 @@ class DigitField:
         return self._fr(self._ctx.mul(self._to(x), self._to(y)))
 
 
-class PackedWords:
-    """Words of length n over GF(q) packed into one int each, so that adding
-    two words or weighing one costs a few int operations.
+class PackedLanes:
+    """Words of n coordinates in GF(p^a) packed into one int each, so that
+    adding two words or finding their zero coordinates costs a few int
+    operations.
 
-    Coordinate i holds the a base-p digits of the element its DigitField
-    digit stands for (the FieldCtx encoding of GF(p^a)), digit j in lane
-    i*a + j of b = bit_length(2p - 2) + 1 bits.  A lane holds the sum of two
-    digits, at most 2p - 2 < 2^(b-1), so its top bit is clear.  In
-    characteristic 2 words add by XOR.  Otherwise two words are added as
-    ints, and p is subtracted from each lane whose sum s is at least p, which
-    is where s + 2^(b-1) - p sets the top bit.  A coordinate of a*b bits is
-    nonzero exactly when its value plus 2^(ab-1) - 1 sets its top bit, so
-    the weight is one masked add and a bit count.
+    Coordinate i holds the a base-p digits of its element (the FieldCtx
+    encoding of GF(p^a)), digit j in lane i*a + j of b = bit_length(2p - 2)
+    + 1 bits.  A lane holds the sum of two digits, at most 2p - 2 < 2^(b-1),
+    so its top bit is clear.  In characteristic 2 words add by XOR.
+    Otherwise two words are added as ints, and p is subtracted from each lane
+    whose sum s is at least p, which is where s + 2^(b-1) - p sets the top
+    bit.  A coordinate of a*b bits is nonzero exactly when its value plus
+    2^(ab-1) - 1 sets its top bit, so the weight is one masked add and a bit
+    count.
     """
 
-    __slots__ = ("df", "n", "add", "width", "_lanes", "_digit_of", "_nz_bias", "_nz_top")
+    __slots__ = ("p", "a", "n", "lane_bits", "width", "every", "add", "_nz_bias", "_nz_top")
 
-    def __init__(self, q: int, n: int):
-        self.df = df = DigitField(q)
-        self.n = n
-        p, a = df.p, df.a
-        b = (2 * p - 2).bit_length() + 1
+    def __init__(self, p: int, a: int, n: int):
+        self.p, self.a, self.n = p, a, n
+        self.lane_bits = b = (2 * p - 2).bit_length() + 1
         self.width = width = a * b
-        elements = range(q) if a == 1 else map(df._to, range(q))
-        self._lanes = [sum(e // p**j % p << j * b for j in range(a)) for e in elements]
-        self._digit_of = {lane: d for d, lane in enumerate(self._lanes)}
-        every = sum(1 << i * width for i in range(n))  # 1 in each coordinate
+        # 1 in each coordinate, as a repunit in base 2^width (linear time)
+        self.every = every = ((1 << n * width) - 1) // ((1 << width) - 1)
         self._nz_bias = every * ((1 << width - 1) - 1)
         self._nz_top = every << width - 1
         if p == 2:
@@ -481,6 +481,56 @@ class PackedWords:
             return s - ((s + bias & top) >> shift) * p
 
         self.add = add
+
+    def pack_elements(self, elements) -> int:
+        """The word whose coordinate i holds elements[i], in linear time.  In
+        characteristic 2 the elements are read as one binary string of
+        width-bit fields and each digit plane is shifted into its lane;
+        otherwise each coordinate's lanes are written out as binary."""
+        p, a, b, width = self.p, self.a, self.lane_bits, self.width
+        if p == 2:
+            spec = f"0{width}b"
+            staged = int("".join([format(e, spec) for e in reversed(elements)]) or "0", 2)
+            return sum((staged >> j & self.every) << j * b for j in range(a))
+        lane = f"0{b}b"
+        bits = "".join([format(e // p**j % p, lane)
+                        for e in reversed(elements) for j in range(a - 1, -1, -1)])
+        return int(bits or "0", 2)
+
+    def multiples(self, x: int) -> list[int]:
+        """c * x, every lane times c in GF(p), for c = 0, ..., p - 1."""
+        out = [0, x]
+        for _ in range(self.p - 2):
+            out.append(self.add(out[-1], x))
+        return out
+
+    def zeros(self, x: int) -> list[int]:
+        """The coordinates of x that are zero, ascending."""
+        z = self._nz_top & ~(x + self._nz_bias)
+        out = []
+        while z:
+            low = z & -z
+            out.append(low.bit_length() // self.width - 1)
+            z ^= low
+        return out
+
+    def weight(self, x: int) -> int:
+        return ((x + self._nz_bias) & self._nz_top).bit_count()
+
+
+class PackedWords(PackedLanes):
+    """Words of length n over GF(q) packed as PackedLanes words, coordinate i
+    holding the element of GF(p^a) that its DigitField digit stands for."""
+
+    __slots__ = ("df", "_lanes", "_digit_of")
+
+    def __init__(self, q: int, n: int):
+        self.df = df = DigitField(q)
+        super().__init__(df.p, df.a, n)
+        p, a, b = df.p, df.a, self.lane_bits
+        elements = range(q) if a == 1 else map(df._to, range(q))
+        self._lanes = [sum(e // p**j % p << j * b for j in range(a)) for e in elements]
+        self._digit_of = {lane: d for d, lane in enumerate(self._lanes)}
 
     def pack(self, digits) -> int:
         lanes, width = self._lanes, self.width
@@ -496,9 +546,6 @@ class PackedWords:
         """pack(c * digits) for c = 1, ..., q - 1."""
         mul = self.df.mul
         return [self.pack([mul(c, d) for d in digits]) for c in range(1, self.df.q)]
-
-    def weight(self, x: int) -> int:
-        return ((x + self._nz_bias) & self._nz_top).bit_count()
 
 
 def remainder_rows(words: PackedWords, g, count: int) -> list[tuple[int, ...]]:

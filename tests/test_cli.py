@@ -217,6 +217,17 @@ W255 = (
     "1011100111010011111001010000000010000001111100010110011110110000101101101011101110110"
     "1100011110100111010001101011101010110111101001101001011000010110010011010100110101100"
 )
+# Seeded codewords with t = 3 and t + 1 = 4 errors of (2; 127; 7,15,21,23,29),
+# decoded with a parity-check locator (d_l = 2) in GF(2^14), and of the
+# narrow-sense BCH code (3; 121; 1,2,4,5).
+W127_3 = ("0101111011000011110010101101010000100110100011110010011001111010010011010100000010101"
+          "011011110000001011011010101010001011111110")
+W127_4 = ("1000010100101111001000000011101000010111010100011111011100010110100111100100110110100"
+          "111101010111011011011110101010010000110010")
+W121_3 = ("2010012020011210002012000021100022210212221122211220200012010011200211100012112122210"
+          "012002011112122222200112011102101101")
+W121_4 = ("0122111222212120022221011220102000000122210000020110111110000120101201022021100221121"
+          "100212212000200220002020022002020021")
 
 
 @pytest.mark.parametrize(
@@ -234,6 +245,10 @@ W255 = (
         (["decode", "spec_bch255.json", "--received", W255], "decode_bch255.json"),
         (["bound", "spec_q4_21.json"], "bound_q4_21.json"),
         (["bound", "spec_bch80.json"], "bound_bch80.json"),
+        (["decode", "spec_code127.json", "--received", W127_3], "decode_code127_3err.json"),
+        (["decode", "spec_code127.json", "--received", W127_4], "decode_code127_4err.json"),
+        (["decode", "spec_bch121.json", "--received", W121_3], "decode_bch121_3err.json"),
+        (["decode", "spec_bch121.json", "--received", W121_4], "decode_bch121_4err.json"),
     ],
 )
 def test_output_matches_golden(argv, golden):
