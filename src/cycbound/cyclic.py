@@ -9,10 +9,11 @@ constructions built from them.
 The oracle is one information-set pass: it weighs the systematic
 codewords of low message weight on one window, which the cyclic shifts make
 stand for all n cyclic windows of k positions, and the lightest word seen
-is both the proof of d and its witness.  Binary rows are int masks; q-ary
-rows are gf.PackedWords built on the rows c * (x^i mod g) of
-gf.remainder_rows, which the decoder also sums to reduce a received word
-mod g.
+is both the proof of d and its witness.  Binary rows are int masks, and a
+sum of w rows is a carried (w - 2)-row prefix XOR one entry of a per-code
+table of two-row sums; q-ary rows are gf.PackedWords built on the rows
+c * (x^i mod g) of gf.remainder_rows, which the decoder also sums to reduce
+a received word mod g.
 
 A code here is pinned down by (q, n, defining set) plus the canonical
 primitive n-th root of unity alpha of its construction field GF(q^s),
@@ -30,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import combinations, product
-from operator import xor
 
 from .gf import (
     DigitField,
@@ -421,9 +421,16 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
     word has been weighed and the Singleton bound d <= r + 1 <= ceil(n(k + 1)
     / k) ends the loop.
 
-    Binary rows are int masks added by XOR.  A q-ary row is a PackedWords
-    word over n coordinates, c * x^(r+i) plus the gf.remainder_rows entry
-    for -c, with all q - 1 multiples of each row built once.
+    Binary rows are int masks added by XOR.  tail[s], built once when w
+    first reaches 2, lists rows[i] ^ rows[j] for s <= i < j in lexicographic
+    order; the w-row sums are walked depth first over their first w - 2
+    rows, carrying that prefix sum, and each leaf XORs the prefix into
+    tail[j], j one past the prefix's last row.  That is one XOR and one bit
+    count per word, in the order of itertools.combinations, and the best
+    word is replaced only by a strictly lighter one, so the first lightest
+    word in that order wins.  A q-ary row is a PackedWords word over n
+    coordinates, c * x^(r+i) plus the gf.remainder_rows entry for -c, with
+    all q - 1 multiples of each row built once.
     """
     if spec.k == 0:
         raise ValueError("the zero code has no minimum distance")
@@ -441,9 +448,28 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
             if rem >> r & 1:
                 rem ^= gmask
         weight = int.bit_count
+        tail = [[] for _ in range(k)]
 
         def lightest(w):
-            return min((reduce(xor, rs) for rs in combinations(rows, w)), key=weight)
+            if w == 1:
+                return min(rows, key=weight)
+            if w == 2:  # w runs 1, 2, ...: build the table once, when first needed
+                for s in range(k - 2, -1, -1):
+                    tail[s] = [rows[s] ^ x for x in rows[s + 1:]] + tail[s + 1]
+            best, least = None, n + 1
+
+            def walk(start, depth, prefix):
+                nonlocal best, least
+                if depth:
+                    for i in range(start, k - depth - 1):
+                        walk(i + 1, depth - 1, prefix ^ rows[i])
+                    return
+                word = min([prefix ^ x for x in tail[start]], key=weight)
+                if weight(word) < least:
+                    best, least = word, weight(word)
+
+            walk(0, w - 2, 0)
+            return best
 
         def digits(x):
             return tuple(x >> i & 1 for i in range(n))

@@ -1,7 +1,12 @@
 import math
 import random
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cycbound import cyclic
 from cycbound.cyclic import (
@@ -344,6 +349,72 @@ def test_oracle_matches_full_enumeration(q):
             assert w.d == 1
         if code.k == 1:
             assert w.d == code.n
+
+
+def _reference_binary_oracle(code):
+    """(d, codeword, last w) of the binary information-set pass with each
+    w-row sum built from scratch by reduce(xor, ...) over combinations, and
+    the same rows and stop rule as min_distance_oracle: min keeps the first
+    lightest word, so this is the lexicographically first one."""
+    n, k = code.n, code.k
+    r = n - k
+    gmask = sum(gi << i for i, gi in enumerate(cyclic.generator_polynomial(code)))
+    rows, rem = [], gmask ^ (1 << r)
+    for i in range(k):
+        rows.append(rem | 1 << (r + i))
+        rem <<= 1
+        if rem >> r & 1:
+            rem ^= gmask
+    weight = int.bit_count
+
+    def lightest(w):
+        return min((reduce(xor, rs) for rs in combinations(rows, w)), key=weight)
+
+    w, best = 1, lightest(1)
+    while weight(best) * k > n * (w + 1) + k - 1:
+        w += 1
+        best = min(best, lightest(w), key=weight)
+    return weight(best), tuple(best >> i & 1 for i in range(n)), w
+
+
+def test_binary_oracle_word_matches_lex_first_reference():
+    codes = list(_all_cyclic_codes(2, 63, 1 << 12, 1 << 20))
+    stops = {}
+    for code in codes:
+        d, word, stop = _reference_binary_oracle(code)
+        got = min_distance_oracle(code)
+        assert (got.d, got.codeword) == (d, word), code
+        stops[code] = stop
+    # the tail table is empty (k = 1), holds one pair (k = 2) or every pair
+    # of the whole space (k = n), and the walk reaches depth >= 2 (w >= 4)
+    assert any(c.k == 1 and c.n > 1 for c in codes)
+    assert any(c.k == 2 for c in codes)
+    assert any(c.k == c.n and c.n > 2 for c in codes)
+    assert max(stops.values()) >= 4
+
+
+@st.composite
+def _long_binary_codes(draw):
+    """Binary cyclic codes of length 127 or 255 with 1 <= k <= 16: the
+    cosets kept as nonzeros are drawn one by one while they fit."""
+    n = draw(st.sampled_from([127, 255]))
+    cosets = cyclic.coset_partition(n, 2)
+    picks = draw(st.lists(st.integers(0, len(cosets) - 1), min_size=1, max_size=6))
+    kept, k = set(), 0
+    for i in picks:
+        if i not in kept and k + len(cosets[i]) <= 16:
+            kept.add(i)
+            k += len(cosets[i])
+    return build_code(2, n, [min(c) for i, c in enumerate(cosets) if i not in kept])
+
+
+@seed(2012)
+@settings(max_examples=50, deadline=None)
+@given(_long_binary_codes())
+def test_binary_oracle_word_matches_reference_long_codes(code):
+    d, word, _ = _reference_binary_oracle(code)
+    got = min_distance_oracle(code)
+    assert (got.d, got.codeword) == (d, word)
 
 
 def test_has_distance_two():
