@@ -38,8 +38,11 @@ def main() -> int:
     t0 = time.monotonic()
     violations = 0
     count = 0
-    for code, bch, ht, cert, d in nzl.sweep_soundness(lengths, args.max_k, args.limit):
+    for code in cyclic.enumerate_small_codes(lengths, args.max_k, args.limit):
         count += 1
+        cert, comparison = nzl.best_bound(code)
+        bch, ht = comparison["bch"], comparison["ht"]
+        d = cyclic.min_distance_oracle(code).d
         sound = bch <= d and ht <= d and cert.d_star <= d
         bch_wit, ht_wit = cyclic.bch_bound(code), cyclic.ht_bound(code)
         verified = (

@@ -183,6 +183,8 @@ def cmd_bound(args) -> int:
             if key in record:
                 entry = record[key]
                 value = entry.get("value", entry.get("d_star", entry.get("d")))
+                if entry.get("capped"):
+                    value = f"skipped: {entry['skipped']}" if "skipped" in entry else "capped"
                 print(f"{key:<10} {value}")
     else:
         print(json.dumps(record, indent=2))

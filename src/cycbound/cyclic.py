@@ -58,7 +58,9 @@ class TooManyCodewords(ValueError):
 
 
 class SearchCapExceeded(ValueError):
-    """A bounded search was asked to exceed its configured cap."""
+    """A bounded search was asked to exceed its configured cap.  Nothing in
+    src raises it; it stays because perfbench/workloads.py (Certify.probe)
+    imports it."""
 
 
 class PreconditionViolated(ValueError):
@@ -300,22 +302,20 @@ def bch_bound(spec: CyclicCodeSpec) -> BchWitness:
 
 
 @lru_cache(maxsize=64)
-def ht_bound(spec: CyclicCodeSpec, *, exhaustive: bool = False) -> HtWitness:
+def ht_bound(spec: CyclicCodeSpec) -> HtWitness:
     """Hartmann-Tzeng bound: best d0 + nu over witness templates (see HtWitness).
 
-    The default search uses the normalized single-multiplier family
-    (m2 = 1: consecutive runs of length d0-1 stacked nu+1 times at a unit
-    stride m1), which costs a factor phi(n) less than the raw
-    two-multiplier family and still dominates the BCH bound, since a plain
-    arithmetic run is the d0 = 2 case.  `exhaustive=True` searches the full
-    (m1, m2) family instead; it can be strictly stronger (a handful of
-    length-31 codes reach 8 versus the normalized 7) and is kept for
-    cross-validation.  Results are memoized per (spec, exhaustive),
-    since `cycbound bound` asks for the HT value and then best_bound
-    compares against it.
+    The search uses the normalized single-multiplier family (m2 = 1:
+    consecutive runs of length d0-1 stacked nu+1 times at a unit stride
+    m1), which costs a factor phi(n) less than the raw two-multiplier
+    family and still dominates the BCH bound, since a plain arithmetic run
+    is the d0 = 2 case.  The full (m1, m2) family can be strictly stronger
+    (a handful of length-31 codes reach 8 versus the normalized 7).
+    Results are memoized per spec, since `cycbound bound` asks for the HT
+    value and then best_bound compares against it.
 
     Among the templates of the best value the witness has the smallest
-    nu, then the smallest b1, m1 and m2; `_ht_template` finds it per m2.
+    nu, then the smallest b1 and m1; `_ht_template` finds it.
     The search is index arithmetic on the defining set alone, with no
     field and no length cap.
     """
@@ -326,9 +326,7 @@ def ht_bound(spec: CyclicCodeSpec, *, exhaustive: bool = False) -> HtWitness:
         raise ValueError("the zero code has no minimum distance")
     mask = sum(1 << i for i in spec.defining_set)  # bit i for exponent i
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    neg_value, nu, b1, m1, m2 = min(
-        _ht_template(mask, n, units, m2) for m2 in (units if exhaustive else (1,))
-    )
+    neg_value, nu, b1, m1, m2 = _ht_template(mask, n, units, 1)
     return HtWitness(-neg_value, b1, m1, m2, -neg_value - nu, nu)
 
 

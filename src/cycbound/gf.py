@@ -227,10 +227,6 @@ class FieldCtx:
     def __repr__(self) -> str:
         return f"FieldCtx(GF({self.p}^{self.m}))"
 
-    @property
-    def generator(self) -> int:
-        return self.exp(1)
-
     def exp(self, i: int) -> int:
         return self.antilog[i % self.n_units] if self.n_units else 1
 
@@ -641,12 +637,8 @@ class Poly:
         return cls(field, ())
 
     @classmethod
-    def one(cls, field: FieldCtx) -> "Poly":
-        return cls(field, (1,))
-
-    @classmethod
-    def monomial(cls, field: FieldCtx, degree: int, coeff: int = 1) -> "Poly":
-        return cls(field, (0,) * degree + (coeff,))
+    def monomial(cls, field: FieldCtx, degree: int) -> "Poly":
+        return cls(field, (0,) * degree + (1,))
 
     @property
     def degree(self):
@@ -655,68 +647,11 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _check(self, other: "Poly"):
-        if self.field is not other.field:
-            raise FieldMismatch("polynomials over different field contexts")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, tuple(out))
-
-    def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, tuple(f.neg(c) for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(f)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-        return Poly(f, tuple(out))
-
     def scale(self, c: int) -> "Poly":
         f = self.field
         if c == 0:
             return Poly.zero(f)
         return Poly(f, tuple(f.mul(a, c) for a in self.coeffs))
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        f = self.field
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree
-        lead_inv = f.inv(other.coeffs[-1])
-        quo = [0] * max(dn - dd + 1, 0)
-        for i in range(dn - dd, -1, -1):
-            c = rem[i + dd]
-            if c:
-                qc = f.mul(c, lead_inv)
-                quo[i] = qc
-                for j, oc in enumerate(other.coeffs):
-                    rem[i + j] = f.sub(rem[i + j], f.mul(qc, oc))
-        return Poly(f, tuple(quo)), Poly(f, tuple(rem))
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
 
     def log_terms(self) -> list[tuple[int, int]]:
         """The (i, log c_i) pairs of the nonzero coefficients, the form in
@@ -750,7 +685,8 @@ def extended_euclid_step_sequence(A: Poly, B: Poly, stop_degree: int) -> tuple[P
     on a sum of logarithms, and a subtraction is an addition whose product
     carries log(-1) = (p^m - 1)/2 in odd characteristic.
     """
-    A._check(B)
+    if A.field is not B.field:
+        raise FieldMismatch("polynomials over different field contexts")
     if B.is_zero() or not A.degree > B.degree:
         raise ValueError("need deg A > deg B >= 0")
     f = A.field

@@ -485,11 +485,3 @@ def ratio_grid_csv(nu_range, d0_range, m_rule, out):
     for nu, d0, m, d_star, ht, ratio in ratio_grid(nu_range, d0_range, m_rule):
         out.write(f"{nu},{d0},{m},{d_star},{ht},{ratio!r}\n")
 
-
-def sweep_soundness(lengths, max_k: int = 16, limit: int = 5000):
-    """Yield (code, bch, ht, certificate, oracle_distance) over all small
-    binary cyclic codes; consumers assert every bound <= oracle distance."""
-    for code in cyclic.enumerate_small_codes(lengths, max_k, limit):
-        cert, comparison = best_bound(code)
-        oracle = cyclic.min_distance_oracle(code)
-        yield code, comparison["bch"], comparison["ht"], cert, oracle.d

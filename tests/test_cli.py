@@ -475,6 +475,34 @@ def test_bound_human(spec21):
     assert "oracle     8" in res.stdout
 
 
+@pytest.mark.parametrize("spec, line", [
+    ({"q": 2, "n": 65, "coset_reps": [1, 5]}, "capped"),  # 2^41 codewords
+    ({"q": 3, "n": 25, "coset_reps": [1]}, "skipped: 3^20 exceeds the table bound 2^20"),
+], ids=["capped", "skipped"])
+def test_bound_human_oracle_reason(tmp_path, spec, line):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = run_cli("bound", str(path), "--oracle", "--human", timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.endswith(f"oracle     {line}\n")
+
+
+def test_readme_library_example_runs(capsys):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        blocks = fh.read().split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})
+    assert capsys.readouterr().out == "5 6\nsuccess [2, 9, 17]\n"
+
+
+def test_soundness_sweep_script():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "soundness_sweep.py")
+    res = subprocess.run([sys.executable, script, "--lengths", "257", "--quiet"],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "33 codes checked" in res.stdout and ", 0 violations" in res.stdout
+
+
 def test_decode_codeword_identity(spec21):
     res = run_cli("decode", spec21, "--received", "0" * 21, "--spc", "5")
     doc = json.loads(res.stdout)
