@@ -12,10 +12,8 @@ from .gf import (
     DigitField,
     FieldCtx,
     FieldSpec,
-    Poly,
     build_field,
     combined_degree,
-    extended_euclid_step_sequence,
     min_extension_degree,
     nth_root_of_unity,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "HtWitness",
     "LocatorSpec",
     "NzlCertificate",
-    "Poly",
     "bch_bound",
     "best_bound",
     "build_code",
@@ -76,7 +73,6 @@ __all__ = [
     "decode",
     "distance_three_witness",
     "encode",
-    "extended_euclid_step_sequence",
     "generator_polynomial",
     "has_distance_two",
     "ht_bound",

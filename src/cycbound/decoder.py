@@ -6,16 +6,17 @@ and an order-n_l root beta.  a is the locator's stored codeword (the
 generator polynomial for Reed-Solomon), its digits mapped into GF(q^r);
 alpha is the first order-n root at which g vanishes on D_C, and beta the
 first order-n_l root at which a vanishes on D_L.  Syndromes are
-S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)).  r is evaluated only where
-a(beta^(j+t_l)) != 0, and there the certificate puts w*j+e in D_C, where
-the generator g vanishes; so each syndrome is that of s = r mod g, of
-fewer than n - k terms.  s is summed from precomputed packed rows
-c * (x^i mod g) (gf.remainder_rows, gf.PackedWords over GF(q)), once per
-word: the syndromes, the zero-syndrome test and the final re-encoding
-check all read it.  The Key Equation S = Omega / Lambda mod x^(mu-1) is
-solved with the extended Euclidean algorithm; error positions come from a
-root scan of Lambda and error values from a generalized Forney formula.
-The root scan runs on packed rows too: for every power i up to
+S_j = r(alpha^(w*j+e)) * a_j, a_j = a(beta^(j+t_l)), for j < mu - 1.
+Both S and the remainder r mod g are GF(q)-linear in the digits of the
+received word r, so one packed row per position i and digit c holds
+c * (x^i mod g) over the n - k coordinates of a remainder (gf.PackedWords)
+and, above them, c * alpha^((w*j+e)*i) * a_j for every j: one pass over
+the word sums both.  The syndromes, the zero-syndrome test and the final
+re-encoding check all read that one sum.  The Key Equation
+S = Omega / Lambda mod x^(mu-1) is solved by Berlekamp-Massey, equivalent
+to the paper's Euclidean formulation (Dornstetter 1987); error positions
+come from a root scan of Lambda and error values from a generalized Forney
+formula.  The root scan runs on packed rows too: for every power i up to
 floor((mu - 1) / 2), the largest degree of Lambda, every place b < m of
 GF(p^m) and every digit d of GF(p), the context packs d * x^b * gamma_p^i
 over the n Chien points gamma_p (gf.PackedLanes), so Lambda at all n points
@@ -23,32 +24,32 @@ is a sum of one such row per nonzero digit of its coefficients.
 The locator enters the Forney formula only as f'(beta^-kappa) /
 h(beta^-kappa), kappa the smallest support index: every term of f' and h
 but kappa's vanishes there, which leaves the constant -beta^kappa /
-c_kappa, c_kappa the twisted locator coefficient at kappa.  The syndromes,
-the Forney formula and the context's own evaluations go through the
-field's kernel FieldCtx.evaluate.
+c_kappa, c_kappa the twisted locator coefficient at kappa.  The Forney
+formula and the context's own evaluations go through the field's kernel
+FieldCtx.evaluate.
 Up to floor((d_star - 1) / 2) errors are corrected, and every decode ends
 with a re-encoding check, the corrected word mod g must vanish, so a
 miscorrection outside the code is reported as a failure instead of
 returned silently; so is a word outside the code whose syndromes all
-vanish.  r mod g is linear, so the corrected word's remainder is s plus
-the rows -v * (x^p mod g) of the corrections v at positions p.
+vanish.  r mod g is linear, so the corrected word's remainder is the sum
+plus the rows -v * (x^p mod g) of the corrections v at positions p.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from typing import Callable
 
 from . import cyclic
 from .gf import (
     FieldCtx,
     PackedLanes,
     PackedWords,
-    Poly,
     build_field,
     combined_degree,
-    extended_euclid_step_sequence,
     min_extension_degree,
     nth_root_of_unity,
     prime_power,
@@ -106,7 +107,13 @@ class DecoderContext:
     to_elt: tuple[int, ...]
     to_digit: dict[int, int]
     words: PackedWords  # words over the n - k coordinates of a remainder mod g
-    rows: tuple[tuple[int, ...], ...]  # rows[i][c] packs c * (x^i mod g)
+    # rows[i][c] packs c * (x^i mod g) in its low `high` bits and, above, the
+    # syndrome row c * alpha^((w*j+e)*i) * a_j in fields of syn_width bits
+    rows: tuple[tuple[int, ...], ...]
+    add: Callable[[int, int], int]  # the sum of two rows, lane by lane
+    high: int
+    syn_width: int
+    syn_low: int  # odd p: the bits of lane 0 of every syndrome field
     points: PackedLanes  # words of GF(p^m) elements over the n Chien points
     scan: tuple[tuple[tuple[int, ...], ...], ...]  # scan[i][b][d] packs d * x^b * gamma_p^i
 
@@ -183,6 +190,45 @@ def _scan_rows(field: FieldCtx, points: PackedLanes, chien, count: int):
     return tuple(rows)
 
 
+def _rows(field: FieldCtx, words: PackedWords, g, n: int, to_elt, l_alpha: int, cert, a_j,
+          width: int, row_lanes: PackedLanes) -> list[tuple[int, ...]]:
+    """rows[i][c] for i < n and every digit c of GF(q): c * (x^i mod g) over
+    the coordinates of `words` in the low bits, and above them, in field j
+    of `width` bits, c * alpha^((w*j+e)*i) * a_j for j < mu - 1, log alpha
+    = l_alpha: the element itself for p = 2, its base-p digits in m lanes of
+    row_lanes otherwise.  Where a_j = 0 the field stays 0.  The element at
+    (i, j) is the antilog of log c + log a_j + i*(w*j+e)*l_alpha, so a
+    column j is one stride through the antilog table, and the fields are
+    disjoint, so a row is their sum.  For prime q the digits c > 1 are lane
+    multiples of c = 1."""
+    p, m, n_units = field.p, field.m, field.n_units
+    log, antilog = field.log, field.antilog
+    q, high, b = words.df.q, words.n * words.width, words.lane_bits
+
+    @cache
+    def lanes_of(e: int) -> int:
+        return sum(e // p**t % p << t * b for t in range(m))
+
+    def column(l_c: int, j: int) -> list[int]:
+        start, shift = l_c + log[a_j[j]], high + j * width
+        # a step of 0 (w*j+e = 0 mod n) walks by n_units: k % n_units stays put
+        step = (cert.w * j + cert.e) * l_alpha % n_units or n_units
+        ks = range(start, start + n * step, step)
+        if p == 2:
+            return [antilog[k % n_units] << shift for k in ks]
+        return [lanes_of(antilog[k % n_units]) << shift for k in ks]
+
+    remainders = remainder_rows(words, g, n)
+
+    def digit_rows(c: int) -> list[int]:
+        columns = [column(log[to_elt[c]], j) for j, a in enumerate(a_j) if a]
+        return list(map(sum, zip([r[c] for r in remainders], *columns)))
+
+    if q == p:
+        return [tuple(row_lanes.multiples(row)) for row in digit_rows(1)]
+    return [(0, *row) for row in zip(*[digit_rows(c) for c in range(1, q)])]
+
+
 def build_context(
     code: cyclic.CyclicCodeSpec, locator: LocatorSpec, cert: NzlCertificate
 ) -> DecoderContext:
@@ -230,6 +276,10 @@ def build_context(
     l_start, l_step = log[field.pow(beta, -kappa)], log[field.inv(alpha_w)]
     chien = tuple((l_start + p * l_step) % field.n_units for p in range(code.n))
     points = PackedLanes(field.p, field.m, code.n)
+    a_j = [a_evals[j % locator.n_l] for j in range(cert.mu - 1)]
+    row_lanes = PackedLanes(p, 1, words.n * a + len(a_j) * field.m)
+    b = words.lane_bits
+    width = field.m if p == 2 else field.m * b  # m plain bits, or m lanes
     return DecoderContext(
         code=code,
         locator=locator,
@@ -247,7 +297,11 @@ def build_context(
         to_elt=to_elt,
         to_digit=to_digit,
         words=words,
-        rows=tuple(remainder_rows(words, g, code.n)),
+        rows=tuple(_rows(field, words, g, code.n, to_elt, log[alpha], cert, a_j, width, row_lanes)),
+        add=row_lanes.add,
+        high=words.n * words.width,
+        syn_width=width,
+        syn_low=0 if p == 2 else PackedLanes(p, field.m, len(a_j)).every * ((1 << b) - 1),
         points=points,
         # solve_key_equation keeps deg Lambda <= floor((mu - 1) / 2)
         scan=_scan_rows(field, points, chien, (cert.mu - 1) // 2 + 1),
@@ -255,77 +309,113 @@ def build_context(
 
 
 def remainder(ctx: DecoderContext, word) -> int:
-    """The word's remainder mod g, packed: the sum of rows[i][digit i]."""
+    """The word's packed row sum, the sum of rows[i][digit i]: its remainder
+    mod g in the low ctx.high bits and its syndromes above (see syndromes)."""
     rows = ctx.rows
     if len(word) != len(rows):
         raise LengthMismatch(f"expected {len(rows)} digits, got {len(word)}")
     try:
         if min(word, default=0) >= 0:
-            return reduce(ctx.words.add, [row[d] for row, d in zip(rows, word) if d], 0)
+            return reduce(ctx.add, [row[d] for row, d in zip(rows, word) if d], 0)
     except (IndexError, TypeError):
         pass
     raise ValueError(f"digits must be integers in [0, {ctx.code.q})")
 
 
-def syndromes(ctx: DecoderContext, s: int) -> Poly:
-    """S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)) for j = 0..mu-2, from the
-    packed remainder s = r mod g of the received word r (see remainder).
-
-    r is evaluated only where a(beta^(j+t_l)) != 0, and there the
-    certificate puts w*j+e in D_C, where g vanishes; so r may be replaced
-    by s, whose nonzero terms are evaluated."""
-    field = ctx.field
-    if not s:
-        return Poly(field, ())
-    log, to_elt = field.log, ctx.to_elt
-    terms = [(i, log[to_elt[d]]) for i, d in enumerate(ctx.words.digits(s)) if d]
-    cert = ctx.cert
-    n_l = ctx.locator.n_l
-    js = [j for j in range(cert.mu - 1) if ctx.a_evals[j % n_l]]
-    l_alpha = field.log[ctx.alpha]
-    values = field.evaluate(terms, [(cert.w * j + cert.e) % ctx.code.n * l_alpha for j in js])
-    out = [0] * (cert.mu - 1)
-    for j, v in zip(js, values):
-        out[j] = field.mul(v, ctx.a_evals[j % n_l])
-    return Poly(field, tuple(out))
+def syndromes(ctx: DecoderContext, s: int) -> list[int]:
+    """S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)) for j = 0..mu-2, read out of
+    the high bits of the packed row sum s of the received word r (see
+    remainder).  In odd characteristic each field holds the base-p digits
+    of its element in m lanes, folded here into sum_i d_i * p^i."""
+    y = s >> ctx.high
+    p = ctx.field.p
+    if p != 2:
+        b, low = ctx.words.lane_bits, ctx.syn_low
+        y = sum((y >> i * b & low) * p**i for i in range(ctx.field.m))
+    width = ctx.syn_width
+    mask = (1 << width) - 1
+    return [y >> j * width & mask for j in range(ctx.cert.mu - 1)]
 
 
-def solve_key_equation(S: Poly, mu: int) -> tuple[Poly, Poly]:
-    """(Lambda, Omega) with S*Lambda = Omega mod x^(mu-1), Lambda(0) = 1.
+def solve_key_equation(field: FieldCtx, S, mu: int) -> tuple[list[int], list[int]]:
+    """(Lambda, Omega) with S*Lambda = Omega mod x^(mu-1) and Lambda(0) = 1,
+    as coefficient lists, x^0 first and no trailing zeros, from the
+    syndromes S_0..S_(mu-2) (missing ones are 0), by Berlekamp-Massey:
+    Lambda is the shortest linear recurrence that generates S, of length L,
+    and deg Omega < L.
 
     Decoding t <= floor((d_star - 1)/2) errors needs deg Lambda = t*d_l and
     deg Omega <= t*d_l - 1, and d_star = ceil(mu/d_l) forces
     (d_star - 1)*d_l < mu, hence 2*t*d_l <= (d_star - 1)*d_l <= mu - 1.
-    So the locator degree stays <= floor((mu-1)/2) and the evaluator degree
-    strictly below ceil((mu-1)/2): the Euclidean remainder sequence on
-    (x^(mu-1), S) crosses that split exactly once, at the sought pair.
-    ceil((mu-1)/2) == mu // 2 for both parities.
+    A recurrence of length at most (mu - 1)/2 that generates mu - 1 terms is
+    the only shortest one, so within the radius Lambda is the error
+    pattern's locator, the pair the Euclidean algorithm on (x^(mu-1), S)
+    returns (Dornstetter 1987).  L never decreases, and no pattern within
+    the radius needs L > floor((mu - 1)/2), so the solver stops there.
+    Products are antilog lookups on sums of logarithms; a subtraction adds
+    a product that carries log(-1) = (p^m - 1)/2 in odd characteristic.
     """
-    if S.is_zero():
+    count = mu - 1
+    S = [*S, *[0] * (count - len(S))]
+    if not any(S):
         raise ZeroSyndrome("syndrome polynomial is zero")
-    field = S.field
-    omega_raw, lam_raw = extended_euclid_step_sequence(Poly.monomial(field, mu - 1), S, mu // 2)
-    c = lam_raw(0)
-    if c == 0:
-        raise InconsistentLocator("locator polynomial vanishes at zero")
-    cinv = field.inv(c)
-    return lam_raw.scale(cinv), omega_raw.scale(cinv)
+    log, antilog, n_units = field.log, field.antilog, field.n_units
+    add = operator.xor if field.p == 2 else field.add
+    l_neg = 0 if field.p == 2 else n_units // 2
+    top = count // 2
+    # lam generates S_0..S_(r-1) with length `length`; prev is lam before its
+    # last length change, when its discrepancy had log l_prev
+    lam, prev, length, shift, l_prev = [1], [1], 0, 1, 0
+    for r in range(count):
+        d = S[r]
+        for i in range(1, len(lam)):
+            c, s = lam[i], S[r - i]
+            if c and s:
+                d = add(d, antilog[(log[c] + log[s]) % n_units])
+        if not d:
+            shift += 1
+            continue
+        l_q = log[d] - l_prev + l_neg  # lam - (d / d_prev) * x^shift * prev
+        new = lam + [0] * (len(prev) + shift - len(lam))
+        for j, c in enumerate(prev, shift):
+            if c:
+                new[j] = add(new[j], antilog[(l_q + log[c]) % n_units])
+        if 2 * length <= r:
+            length, prev, l_prev, shift = r + 1 - length, lam, log[d], 1
+            if length > top:
+                raise InconsistentLocator(f"degree {length} exceeds the correctable {top}")
+        else:
+            shift += 1
+        lam = new
+    while not lam[-1]:
+        lam.pop()
+    omega = []
+    for k in range(length):
+        v = 0
+        for i, c in enumerate(lam[:k + 1]):
+            s = S[k - i]
+            if c and s:
+                v = add(v, antilog[(log[c] + log[s]) % n_units])
+        omega.append(v)
+    while omega and not omega[-1]:
+        omega.pop()
+    return lam, omega
 
 
-def find_error_positions(ctx: DecoderContext, lam: Poly) -> tuple[int, ...]:
-    """Positions p with Lambda(beta^-kappa * alpha^(-w*p)) = 0; the count
-    must tile deg Lambda into d_l-sized blocks.  The root scan (Chien) sums,
-    for every nonzero base-p digit d at place b of every coefficient
-    lambda_i, the packed row d * x^b * gamma_p^i of all n points at once;
-    the points where the sum is zero are the roots."""
-    if lam.is_zero() or lam(0) != 1:
+def find_error_positions(ctx: DecoderContext, lam) -> tuple[int, ...]:
+    """Positions p with Lambda(beta^-kappa * alpha^(-w*p)) = 0, Lambda a
+    coefficient list; the count must tile deg Lambda into d_l-sized blocks.
+    The root scan (Chien) sums, for every nonzero base-p digit d at place b
+    of every coefficient lambda_i, the packed row d * x^b * gamma_p^i of all
+    n points at once; the points where the sum is zero are the roots."""
+    if not lam or lam[0] != 1:
         raise InconsistentLocator("locator polynomial must satisfy Lambda(0) = 1")
-    if lam.degree >= len(ctx.scan):
-        raise InconsistentLocator(
-            f"degree {lam.degree} exceeds the correctable {len(ctx.scan) - 1}")
+    degree = len(lam) - 1
+    if degree >= len(ctx.scan):
+        raise InconsistentLocator(f"degree {degree} exceeds the correctable {len(ctx.scan) - 1}")
     p, add = ctx.field.p, ctx.points.add
     acc = 0
-    for rows, c in zip(ctx.scan, lam.coeffs):
+    for rows, c in zip(ctx.scan, lam):
         for row in rows:
             if not c:
                 break
@@ -333,15 +423,13 @@ def find_error_positions(ctx: DecoderContext, lam: Poly) -> tuple[int, ...]:
             if d:
                 acc = add(acc, row[d])
     positions = ctx.points.zeros(acc)
-    if len(positions) * ctx.locator.d_l != lam.degree:
-        raise InconsistentLocator(
-            f"{len(positions)} roots cannot account for degree {lam.degree}"
-        )
+    if len(positions) * ctx.locator.d_l != degree:
+        raise InconsistentLocator(f"{len(positions)} roots cannot account for degree {degree}")
     return tuple(positions)
 
 
-def error_values(ctx: DecoderContext, lam: Poly, omega: Poly, positions) -> dict[int, int]:
-    """Generalized Forney formula.
+def error_values(ctx: DecoderContext, lam, omega, positions) -> dict[int, int]:
+    """Generalized Forney formula, on the coefficient lists Lambda and Omega.
 
     e_p = Omega(gamma_p) * alpha^(w*p) * f'(beta^-kappa) /
           (Lambda'(gamma_p) * alpha^(p*e) * h(beta^-kappa)),
@@ -356,18 +444,21 @@ def error_values(ctx: DecoderContext, lam: Poly, omega: Poly, positions) -> dict
     ctx.forney = -beta^kappa / c_kappa.  Every value must land in the base
     field.
     """
-    field = ctx.field
+    field, e = ctx.field, ctx.cert.e
+    log, antilog, n_units, char = field.log, field.antilog, field.n_units, field.p
     gammas = [ctx.chien[p] for p in positions]
-    dens = field.evaluate(lam.derivative().log_terms(), gammas)
-    nums = field.evaluate(omega.log_terms(), gammas)
+    # Lambda' = sum_i (i mod p) * lambda_i * x^(i-1), i mod p an element of GF(p)
+    dens = field.evaluate([(i - 1, log[c] + log[i % char]) for i, c in enumerate(lam)
+                           if c and i % char], gammas)
+    nums = field.evaluate([(i, log[c]) for i, c in enumerate(omega) if c], gammas)
+    l_alpha_w, l_alpha, l_forney = log[ctx.alpha_w], log[ctx.alpha], log[ctx.forney]
     out = {}
     for p, num, den in zip(positions, nums, dens):
         if den == 0:
             raise EvaluatorSingular(f"Lambda' vanishes at the root for position {p}")
-        num = field.mul(num, field.mul(field.pow(ctx.alpha_w, p), ctx.forney))
-        den = field.mul(den, field.pow(ctx.alpha, p * ctx.cert.e))
-        val = field.div(num, den)
-        digit = ctx.to_digit.get(val)
+        # num * alpha_w^p * forney / (den * alpha^(p*e))
+        l_val = log[num] + p * l_alpha_w + l_forney - log[den] - p * e * l_alpha
+        digit = ctx.to_digit.get(antilog[l_val % n_units] if num else 0)
         if digit is None:
             raise ValueOutsideBaseField(f"error value at position {p} is not in GF({ctx.code.q})")
         if digit == 0:
@@ -383,25 +474,25 @@ def decode(ctx: DecoderContext, received) -> DecodeResult:
     s = remainder(ctx, received)
     S = syndromes(ctx, s)
     try:
-        if S.is_zero():
+        if not any(S):
             # the syndromes see D_C only in part, so a word of weight at
             # least d_star can zero them all without being a codeword
             if s:
                 raise ZeroSyndrome("syndromes vanish on a word outside the code")
             return DecodeResult("success", None, (), {}, received)
-        lam, omega = solve_key_equation(S, ctx.cert.mu)
-        if not omega.degree < lam.degree:
+        lam, omega = solve_key_equation(ctx.field, S, ctx.cert.mu)
+        if not len(omega) < len(lam):
             raise InconsistentLocator("evaluator degree not below locator degree")
         positions = find_error_positions(ctx, lam)
         if not positions:
             raise InconsistentLocator("nonzero syndrome but no error positions")
         values = error_values(ctx, lam, omega, positions)
-        df, add = ctx.words.df, ctx.words.add
+        df, add = ctx.words.df, ctx.add
         corrected = list(received)
         for p, v in values.items():
             corrected[p] = df.sub(corrected[p], v)
-            s = add(s, ctx.rows[p][df.neg(v)])  # r mod g is linear
-        if s:  # g divides exactly the codewords
+            s = add(s, ctx.rows[p][df.neg(v)])  # the row sum is linear
+        if s & (1 << ctx.high) - 1:  # g divides exactly the codewords
             raise InconsistentLocator("corrected word fails the defining-set recheck")
     except DecoderError as err:
         return DecodeResult("failure", f"{type(err).__name__}: {err}", (), {}, None)

@@ -1,4 +1,4 @@
-"""Table-based finite fields GF(p^m) and polynomial arithmetic over them.
+"""Table-based finite fields GF(p^m) and packed words over them.
 
 Field elements are integers in [0, p^m): the base-p digits of the integer
 are the coordinates in the polynomial basis, digit i holding the
@@ -11,8 +11,9 @@ the Zech table is built on the first odd-characteristic addition.
 Every polynomial evaluation goes through one kernel, FieldCtx.evaluate,
 which sums the terms of a polynomial given by the logarithms of its
 nonzero coefficients at many points given by their logarithms, except the
-decoder's root scan, which sums PackedLanes rows of its fixed points; and
-every polynomial with given roots is built by root_product.  PackedLanes
+decoder's syndromes and root scan, which sum packed rows built once per
+decoding context; and every polynomial with given roots is built by
+root_product.  PackedLanes
 packs a word of GF(p^a) elements into one int, with lane-wise addition and
 a zero-coordinate test; PackedWords does so for a word over GF(q), read
 back by digits; remainder_rows builds the packed rows c * (x^i mod g) that
@@ -54,7 +55,7 @@ class OrderDoesNotDivide(ValueError):
 
 
 class FieldMismatch(ValueError):
-    """Operands belong to different field contexts."""
+    """A field is not a subfield of the given field context."""
 
 
 class NotCoprime(ValueError):
@@ -170,7 +171,7 @@ def _is_primitive_poly(coeffs: tuple[int, ...], p: int, m: int) -> bool:
 class FieldCtx:
     """Arithmetic context for GF(p^m).  Obtain instances via build_field.
 
-    For odd p, add/neg/sub work on logarithms.  The Zech table z[i] =
+    For odd p, add and neg work on logarithms.  The Zech table z[i] =
     log(1 + x^i), with -1 where 1 + x^i = 0, is built by zech() on first use
     (binary fields never build it).  The build is deterministic, so two
     threads racing on it only duplicate work.
@@ -287,11 +288,6 @@ class FieldCtx:
             return a
         # -1 = x^(N/2) for N = p^m - 1 even
         return self.antilog[(self.log[a] + self.n_units // 2) % self.n_units]
-
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -609,117 +605,3 @@ def digit_elements(to_elt, word) -> list[int]:
     if elts is None or min(word, default=0) < 0:
         raise ValueError(f"digits must be integers in [0, {len(to_elt)})")
     return elts
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Dense univariate polynomial over a FieldCtx; coeffs[i] multiplies x^i.
-
-    The zero polynomial has an empty coefficient tuple and degree -inf.
-    """
-
-    field: FieldCtx
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        c = self.coeffs
-        if not isinstance(c, tuple):
-            c = tuple(c)
-            object.__setattr__(self, "coeffs", c)
-        if c and c[-1] == 0:
-            i = len(c)
-            while i and c[i - 1] == 0:
-                i -= 1
-            object.__setattr__(self, "coeffs", c[:i])
-
-    @classmethod
-    def zero(cls, field: FieldCtx) -> "Poly":
-        return cls(field, ())
-
-    @classmethod
-    def monomial(cls, field: FieldCtx, degree: int) -> "Poly":
-        return cls(field, (0,) * degree + (1,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def scale(self, c: int) -> "Poly":
-        f = self.field
-        if c == 0:
-            return Poly.zero(f)
-        return Poly(f, tuple(f.mul(a, c) for a in self.coeffs))
-
-    def log_terms(self) -> list[tuple[int, int]]:
-        """The (i, log c_i) pairs of the nonzero coefficients, the form in
-        which FieldCtx.evaluate takes a polynomial."""
-        log = self.field.log
-        return [(i, log[c]) for i, c in enumerate(self.coeffs) if c]
-
-    def __call__(self, x: int) -> int:
-        if x == 0:
-            return self.coeffs[0] if self.coeffs else 0
-        return self.field.evaluate(self.log_terms(), (self.field.log[x],))[0]
-
-    def derivative(self) -> "Poly":
-        f = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            k = i % f.p
-            out.append(f.mul(self.coeffs[i], k) if k else 0)
-        return Poly(f, tuple(out))
-
-
-def extended_euclid_step_sequence(A: Poly, B: Poly, stop_degree: int) -> tuple[Poly, Poly]:
-    """Remainder sequence r_{-1}=A, r_0=B with B-cofactors u_j.
-
-    Returns the first pair (r_j, u_j) with deg r_j < stop_degree, where
-    u_j * B = r_j (mod A).  Should the sequence hit a zero remainder before
-    crossing the threshold, the last nonzero pair (the gcd and its
-    cofactor) is returned, so stop_degree=0 yields the gcd up to a unit.
-
-    The steps run on coefficient lists: every product is one antilog lookup
-    on a sum of logarithms, and a subtraction is an addition whose product
-    carries log(-1) = (p^m - 1)/2 in odd characteristic.
-    """
-    if A.field is not B.field:
-        raise FieldMismatch("polynomials over different field contexts")
-    if B.is_zero() or not A.degree > B.degree:
-        raise ValueError("need deg A > deg B >= 0")
-    f = A.field
-    log, antilog, n_units = f.log, f.antilog, f.n_units
-    add = operator.xor if f.p == 2 else f.add
-    l_neg = 0 if f.p == 2 else n_units // 2
-
-    def submul(acc: list[int], shift: int, l_c: int, terms) -> None:
-        # acc -= c * x^shift * (the polynomial of terms), c = g^l_c
-        for j, l in terms:
-            acc[shift + j] = add(acc[shift + j], antilog[(l_c + l + l_neg) % n_units])
-
-    def trim(c: list[int]) -> list[int]:
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    r_prev, r_cur = list(A.coeffs), list(B.coeffs)
-    u_prev, u_cur = [], [1]
-    while len(r_cur) > stop_degree:  # deg r_cur >= stop_degree
-        rem, dd = r_prev[:], len(r_cur) - 1
-        l_lead = log[r_cur[-1]]
-        cur_terms = [(j, log[c]) for j, c in enumerate(r_cur) if c]
-        u_terms = [(j, log[c]) for j, c in enumerate(u_cur) if c]
-        u_new = u_prev + [0] * (len(rem) - dd - 1 + len(u_cur) - len(u_prev))
-        for i in range(len(rem) - 1 - dd, -1, -1):
-            c = rem[i + dd]
-            if c:
-                l_q = log[c] - l_lead  # quotient coefficient of x^i
-                submul(rem, i, l_q, cur_terms)
-                submul(u_new, i, l_q, u_terms)
-        if not trim(rem):
-            break
-        r_prev, r_cur = r_cur, rem
-        u_prev, u_cur = u_cur, trim(u_new)
-    return Poly(f, tuple(r_cur)), Poly(f, tuple(u_cur))

@@ -1,16 +1,143 @@
 """Plain references that the tests check src against and that nothing at
-runtime calls: ring arithmetic on gf.Poly, and the Hartmann-Tzeng search
-over every inner step m2.
-
-The polynomial operations are functions rather than a Poly subclass: the
-frozen dataclass compares equal only within one class, so a subclass
-instance would never equal a Poly returned by src.
+runtime calls: the dense polynomial Poly over a FieldCtx with its ring
+arithmetic, the extended Euclidean Key Equation solver that the decoder's
+Berlekamp-Massey is checked against, and the Hartmann-Tzeng search over
+every inner step m2.
 """
 
 import math
+import operator
+from dataclasses import dataclass
 
 from cycbound import cyclic
-from cycbound.gf import FieldMismatch, Poly
+from cycbound.gf import FieldCtx, FieldMismatch
+
+
+@dataclass(frozen=True)
+class Poly:
+    """Dense univariate polynomial over a FieldCtx; coeffs[i] multiplies x^i.
+
+    The zero polynomial has an empty coefficient tuple and degree -inf.
+    """
+
+    field: FieldCtx
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        c = self.coeffs
+        if not isinstance(c, tuple):
+            c = tuple(c)
+            object.__setattr__(self, "coeffs", c)
+        if c and c[-1] == 0:
+            i = len(c)
+            while i and c[i - 1] == 0:
+                i -= 1
+            object.__setattr__(self, "coeffs", c[:i])
+
+    @classmethod
+    def zero(cls, field: FieldCtx) -> "Poly":
+        return cls(field, ())
+
+    @classmethod
+    def monomial(cls, field: FieldCtx, degree: int) -> "Poly":
+        return cls(field, (0,) * degree + (1,))
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def scale(self, c: int) -> "Poly":
+        f = self.field
+        if c == 0:
+            return Poly.zero(f)
+        return Poly(f, tuple(f.mul(a, c) for a in self.coeffs))
+
+    def log_terms(self) -> list[tuple[int, int]]:
+        """The (i, log c_i) pairs of the nonzero coefficients, the form in
+        which FieldCtx.evaluate takes a polynomial."""
+        log = self.field.log
+        return [(i, log[c]) for i, c in enumerate(self.coeffs) if c]
+
+    def __call__(self, x: int) -> int:
+        if x == 0:
+            return self.coeffs[0] if self.coeffs else 0
+        return self.field.evaluate(self.log_terms(), (self.field.log[x],))[0]
+
+    def derivative(self) -> "Poly":
+        f = self.field
+        out = []
+        for i in range(1, len(self.coeffs)):
+            k = i % f.p
+            out.append(f.mul(self.coeffs[i], k) if k else 0)
+        return Poly(f, tuple(out))
+
+
+def extended_euclid_step_sequence(A: Poly, B: Poly, stop_degree: int) -> tuple[Poly, Poly]:
+    """Remainder sequence r_{-1}=A, r_0=B with B-cofactors u_j.
+
+    Returns the first pair (r_j, u_j) with deg r_j < stop_degree, where
+    u_j * B = r_j (mod A).  Should the sequence hit a zero remainder before
+    crossing the threshold, the last nonzero pair (the gcd and its
+    cofactor) is returned, so stop_degree=0 yields the gcd up to a unit.
+
+    The steps run on coefficient lists: every product is one antilog lookup
+    on a sum of logarithms, and a subtraction is an addition whose product
+    carries log(-1) = (p^m - 1)/2 in odd characteristic.
+    """
+    if A.field is not B.field:
+        raise FieldMismatch("polynomials over different field contexts")
+    if B.is_zero() or not A.degree > B.degree:
+        raise ValueError("need deg A > deg B >= 0")
+    f = A.field
+    log, antilog, n_units = f.log, f.antilog, f.n_units
+    add = operator.xor if f.p == 2 else f.add
+    l_neg = 0 if f.p == 2 else n_units // 2
+
+    def submul(acc: list[int], shift: int, l_c: int, terms) -> None:
+        # acc -= c * x^shift * (the polynomial of terms), c = g^l_c
+        for j, l in terms:
+            acc[shift + j] = add(acc[shift + j], antilog[(l_c + l + l_neg) % n_units])
+
+    def trim(c: list[int]) -> list[int]:
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    r_prev, r_cur = list(A.coeffs), list(B.coeffs)
+    u_prev, u_cur = [], [1]
+    while len(r_cur) > stop_degree:  # deg r_cur >= stop_degree
+        rem, dd = r_prev[:], len(r_cur) - 1
+        l_lead = log[r_cur[-1]]
+        cur_terms = [(j, log[c]) for j, c in enumerate(r_cur) if c]
+        u_terms = [(j, log[c]) for j, c in enumerate(u_cur) if c]
+        u_new = u_prev + [0] * (len(rem) - dd - 1 + len(u_cur) - len(u_prev))
+        for i in range(len(rem) - 1 - dd, -1, -1):
+            c = rem[i + dd]
+            if c:
+                l_q = log[c] - l_lead  # quotient coefficient of x^i
+                submul(rem, i, l_q, cur_terms)
+                submul(u_new, i, l_q, u_terms)
+        if not trim(rem):
+            break
+        r_prev, r_cur = r_cur, rem
+        u_prev, u_cur = u_cur, trim(u_new)
+    return Poly(f, tuple(r_cur)), Poly(f, tuple(u_cur))
+
+
+def euclid_key_equation(field: FieldCtx, S, mu: int) -> tuple[Poly, Poly]:
+    """The Key Equation solved as the decoder solved it before
+    Berlekamp-Massey: the Euclidean remainder sequence on (x^(mu-1), S),
+    stopped at the first remainder of degree below mu // 2 =
+    ceil((mu - 1)/2), normalized so that Lambda(0) = 1.  Returns
+    (Lambda, Omega), or raises ValueError where Lambda(0) = 0."""
+    omega, lam = extended_euclid_step_sequence(Poly.monomial(field, mu - 1), Poly(field, S), mu // 2)
+    c = lam(0)
+    if c == 0:
+        raise ValueError("locator polynomial vanishes at zero")
+    return lam.scale(field.inv(c)), omega.scale(field.inv(c))
 
 
 def _same_field(a: Poly, b: Poly):
@@ -66,7 +193,7 @@ def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         qc = f.mul(rem[i + dd], lead_inv)
         quo[i] = qc
         for j, c in enumerate(b.coeffs):
-            rem[i + j] = f.sub(rem[i + j], f.mul(qc, c))
+            rem[i + j] = f.add(rem[i + j], f.neg(f.mul(qc, c)))
     return Poly(f, quo), Poly(f, rem)
 
 

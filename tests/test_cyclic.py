@@ -29,7 +29,6 @@ from cycbound.gf import (
     DigitField,
     NotCoprime,
     PackedWords,
-    Poly,
     build_field,
     min_extension_degree,
     prime_power,
@@ -37,7 +36,7 @@ from cycbound.gf import (
     root_product,
     subfield_digit_maps,
 )
-from reference import ht_every_m2, pmod, pmul, pone
+from reference import Poly, ht_every_m2, pmod, pmul, pone
 
 
 def test_cyclotomic_cosets():

@@ -1,5 +1,9 @@
+import ast
 import functools
+import inspect
+import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,14 +24,13 @@ from cycbound.decoder import (
     syndromes,
 )
 from cycbound.gf import (
-    Poly,
     combined_degree,
     min_extension_degree,
     prime_power,
     subfield_digit_maps,
 )
 from cycbound.nzl import verify_certificate
-from reference import padd, pmod, pmul, pone
+from reference import Poly, euclid_key_equation, padd, pmod, pmul, pone
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,12 @@ def ctx21(example21, spc5):
 def ctx65(code65, spc3):
     cert = nzl.mu_search(code65.defining_set, 65, spc3, search_w=False)
     return build_context(code65, spc3, cert)
+
+
+def _key_equation(field, S, mu):
+    """solve_key_equation's coefficient lists as reference Polys."""
+    lam, omega = solve_key_equation(field, S, mu)
+    return Poly(field, lam), Poly(field, omega)
 
 
 def _plant(rng, code, t):
@@ -202,19 +211,19 @@ def test_syndromes_vanish_on_codewords(ctx21, example21):
     rng = random.Random(101)
     for _ in range(1000):
         cw = cyclic.random_codeword(example21, rng)
-        assert syndromes(ctx21, remainder(ctx21, cw)).is_zero()
+        assert not any(syndromes(ctx21, remainder(ctx21, cw)))
 
 
 def test_syndromes_vanish_on_codewords_65(ctx65, code65):
     rng = random.Random(102)
     for _ in range(1000):
         cw = cyclic.random_codeword(code65, rng)
-        assert syndromes(ctx65, remainder(ctx65, cw)).is_zero()
+        assert not any(syndromes(ctx65, remainder(ctx65, cw)))
 
 
 def test_syndromes_zero_word_and_length(ctx21):
     assert remainder(ctx21, (0,) * 21) == 0
-    assert syndromes(ctx21, 0).is_zero()
+    assert not any(syndromes(ctx21, 0))
     with pytest.raises(LengthMismatch):
         remainder(ctx21, (0,) * 20)
 
@@ -245,19 +254,19 @@ def test_syndromes_single_error_closed_form(ctx21):
                 field.pow(ctx21.alpha, p * (cert.w * j + cert.e) % 21),
                 ctx21.a_evals[j % 5],
             )
-            got = S.coeffs[j] if j < len(S.coeffs) else 0
+            got = S[j]
             assert got == expect
 
 
 def test_key_equation_matches_constructed_locator(ctx21, example21):
-    # Lambda from the Euclidean algorithm equals prod f(x * alpha^(w*p))
+    # Lambda from Berlekamp-Massey equals prod f(x * alpha^(w*p))
     rng = random.Random(7)
     field = ctx21.field
     f, _ = _forney_polys(ctx21)
     for t in (1, 2, 3):
         cw, word, positions = _plant(rng, example21, t)
         S = syndromes(ctx21, remainder(ctx21, word))
-        lam, omega = solve_key_equation(S, ctx21.cert.mu)
+        lam, omega = _key_equation(field, S, ctx21.cert.mu)
         expected = pone(field)
         for p in positions:
             shift = field.pow(ctx21.alpha_w, p)
@@ -270,8 +279,9 @@ def test_key_equation_matches_constructed_locator(ctx21, example21):
 
 
 def test_key_equation_rejects_zero_syndrome(ctx21):
-    with pytest.raises(ZeroSyndrome):
-        solve_key_equation(Poly.zero(ctx21.field), ctx21.cert.mu)
+    for S in (Poly.zero(ctx21.field).coeffs, [0] * (ctx21.cert.mu - 1)):
+        with pytest.raises(ZeroSyndrome):
+            solve_key_equation(ctx21.field, S, ctx21.cert.mu)
 
 
 def test_key_equation_smallest_instance():
@@ -279,7 +289,7 @@ def test_key_equation_smallest_instance():
 
     f = build_field(2, 4)
     S = Poly(f, (3,))  # S_0 != 0, everything else 0, mu = 3
-    lam, omega = solve_key_equation(S, 3)
+    lam, omega = _key_equation(f, S.coeffs, 3)
     assert lam(0) == 1
     assert omega == pmod(pmul(S, lam), Poly.monomial(f, 2))
 
@@ -290,22 +300,22 @@ def test_find_error_positions_roundtrip(ctx21, example21):
     for t in (1, 2, 3):
         cw, word, positions = _plant(rng, example21, t)
         S = syndromes(ctx21, remainder(ctx21, word))
-        lam, _ = solve_key_equation(S, ctx21.cert.mu)
+        lam, _ = solve_key_equation(ctx21.field, S, ctx21.cert.mu)
         assert sorted(find_error_positions(ctx21, lam)) == sorted(positions)
 
 
 def test_find_error_positions_trivial(ctx21):
-    assert find_error_positions(ctx21, pone(ctx21.field)) == ()
+    assert find_error_positions(ctx21, pone(ctx21.field).coeffs) == ()
     with pytest.raises(InconsistentLocator):
         # degree 1 cannot be tiled by d_l = 2 roots
-        find_error_positions(ctx21, Poly(ctx21.field, (1, ctx21.alpha)))
+        find_error_positions(ctx21, Poly(ctx21.field, (1, ctx21.alpha)).coeffs)
 
 
 def test_error_values_binary(ctx21, example21):
     rng = random.Random(9)
     cw, word, positions = _plant(rng, example21, 3)
     S = syndromes(ctx21, remainder(ctx21, word))
-    lam, omega = solve_key_equation(S, ctx21.cert.mu)
+    lam, omega = solve_key_equation(ctx21.field, S, ctx21.cert.mu)
     E = find_error_positions(ctx21, lam)
     values = error_values(ctx21, lam, omega, E)
     assert all(v == 1 for v in values.values())
@@ -427,7 +437,7 @@ def test_decode_zero_syndrome_outside_code_fails(q, n, reps):
     rng = random.Random(3)
     word = next(w for w in iter(lambda: cyclic.random_codeword(larger, rng), None)
                 if not cyclic.is_codeword(ctx.code, w))
-    assert syndromes(ctx, remainder(ctx, word)).is_zero()
+    assert not any(syndromes(ctx, remainder(ctx, word)))
     res = decode(ctx, word)
     assert res.status == "failure" and res.corrected is None
     assert res.reason == "ZeroSyndrome: syndromes vanish on a word outside the code"
@@ -473,7 +483,7 @@ def _bch_textbook_decode(field, alpha, n, b, delta, word_elts):
             q[i] = coef
             if coef:
                 for j, cj in enumerate(c):
-                    a[i + j] = field.sub(a[i + j], field.mul(coef, cj))
+                    a[i + j] = field.add(a[i + j], field.neg(field.mul(coef, cj)))
         return _trim(q), _trim(a)
 
     def peval(a, x):
@@ -497,7 +507,7 @@ def _bch_textbook_decode(field, alpha, n, b, delta, word_elts):
         for i, x in enumerate(u_prev):
             new_u[i] = x
         for i, x in enumerate(qu):
-            new_u[i] = field.sub(new_u[i], x)
+            new_u[i] = field.add(new_u[i], field.neg(x))
         u_prev, u_cur = u_cur, _trim(new_u)
     sigma, omega = u_cur, r_cur
     if not sigma or sigma[0] == 0:
@@ -577,6 +587,22 @@ def _context(q, n, reps, spc=None):
     return build_context(code, loc, cert)
 
 
+# The six codes of the benchmark's decode workload, with their best_bound
+# certificates, a GF(4) code, and two codes decoded in the prime fields
+# GF(7) and GF(13), where a point is a single lane.
+_SCAN_CODES = [
+    (2, 21, (1, 3, 7, 9)), (2, 65, (1, 5)), (2, 127, (7, 15, 21, 23, 29)),
+    (2, 255, (1, 3, 5, 7)), (3, 80, (1, 2, 4, 5)), (3, 121, (1, 2, 4, 5)), (4, 21, (1, 2, 3)),
+    (7, 6, (1, 2)), (13, 12, (1, 2, 3)),
+]
+
+
+# GF(q) digits that span several lanes of a row: (8; 9; 1,3), d* = 5 in
+# GF(2^6), and (9; 10; 1,2,3), d* = 4 in GF(3^4), whose syndromes sit next to
+# the remainder in odd characteristic.
+_MULTI_LANE_CODES = [(8, 9, (1, 3)), (9, 10, (1, 2, 3))]
+_SYNDROME_KEYS = {str(key): key for key in _SCAN_CODES + _MULTI_LANE_CODES}
+
 # (2; 21) with SPC(5), (3; 80) with the trivial locator and t = 3,
 # (3; 13; 1,4) with SPC(2) and w = 3, (3; 13; 1) with SPC(4) and t_l = 2
 _CONTEXTS = {
@@ -614,12 +640,15 @@ def _plain_horner(field, coeffs, x):
     return acc
 
 
-@pytest.mark.parametrize("name", sorted(_CONTEXTS) + [f"candidates-q{q}" for q in sorted(_FORNEY_CODES)])
+@pytest.mark.parametrize(
+    "name", sorted(_CONTEXTS) + [f"candidates-q{q}" for q in sorted(_FORNEY_CODES)] + list(_SYNDROME_KEYS))
 def test_syndromes_match_plain_evaluation(name):
-    # the syndromes from r mod g equal r itself evaluated by Horner's rule,
-    # on arbitrary words and on codewords with 0..5 errors
+    # the syndromes read out of the packed row sum equal r itself evaluated
+    # by Horner's rule, on arbitrary words and on codewords with 0..5 errors
     if name in _CONTEXTS:
         contexts = [_context(*_CONTEXTS[name])]
+    elif name in _SYNDROME_KEYS:
+        contexts = [_context(*_SYNDROME_KEYS[name])]
     else:
         contexts = _candidate_contexts(int(name.removeprefix("candidates-q")))
     rng = random.Random(31)
@@ -640,7 +669,20 @@ def test_syndromes_match_plain_evaluation(name):
                 )
                 for j in range(cert.mu - 1)
             ]
-            assert syndromes(ctx, remainder(ctx, word)) == Poly(field, expect), (loc, word)
+            assert syndromes(ctx, remainder(ctx, word)) == expect, (loc, word)
+
+
+@pytest.mark.parametrize("key, field, d_star", zip(_MULTI_LANE_CODES, [(2, 6), (3, 4)], [5, 4]), ids=str)
+def test_decode_roundtrip_multi_lane_digits(key, field, d_star):
+    ctx = _context(*key)
+    assert (ctx.field.p, ctx.field.m) == field and ctx.cert.d_star == d_star
+    t = (d_star - 1) // 2
+    rng = random.Random(33)
+    for trial in range(60):
+        cw, word, positions = _plant(rng, ctx.code, 1 + trial % t)
+        res = decode(ctx, word)
+        assert res.status == "success" and res.corrected == cw, (trial, res.reason)
+        assert res.positions == tuple(sorted(positions))
 
 
 def test_decode_rechecks_the_corrected_word(monkeypatch):
@@ -690,7 +732,7 @@ def test_find_error_positions_ternary_roundtrip():
     for t in (1, 2, 3):
         for _ in range(20):
             cw, word, positions = _plant(rng, ctx.code, t)
-            lam, _ = solve_key_equation(syndromes(ctx, remainder(ctx, word)), ctx.cert.mu)
+            lam, _ = solve_key_equation(ctx.field, syndromes(ctx, remainder(ctx, word)), ctx.cert.mu)
             assert sorted(find_error_positions(ctx, lam)) == sorted(positions)
             res = decode(ctx, word)
             assert res.status == "success" and res.corrected == cw
@@ -712,19 +754,9 @@ def _reference_positions(ctx, lam):
 
 def _scan_outcome(ctx, lam):
     try:
-        return find_error_positions(ctx, lam)
+        return find_error_positions(ctx, lam.coeffs)
     except InconsistentLocator as err:
         return str(err)
-
-
-# The six codes of the benchmark's decode workload, with their best_bound
-# certificates, a GF(4) code, and two codes decoded in the prime fields
-# GF(7) and GF(13), where a point is a single lane.
-_SCAN_CODES = [
-    (2, 21, (1, 3, 7, 9)), (2, 65, (1, 5)), (2, 127, (7, 15, 21, 23, 29)),
-    (2, 255, (1, 3, 5, 7)), (3, 80, (1, 2, 4, 5)), (3, 121, (1, 2, 4, 5)), (4, 21, (1, 2, 3)),
-    (7, 6, (1, 2)), (13, 12, (1, 2, 3)),
-]
 
 
 @pytest.mark.parametrize(
@@ -765,7 +797,7 @@ def test_find_error_positions_refuses_degree_beyond_rows(ctx21):
     # below); a hand-built one is refused instead of read past the rows
     lam = padd(Poly.monomial(ctx21.field, len(ctx21.scan)), pone(ctx21.field))
     with pytest.raises(InconsistentLocator, match="exceeds the correctable"):
-        find_error_positions(ctx21, lam)
+        find_error_positions(ctx21, lam.coeffs)
 
 
 @given(data=st.data())
@@ -779,11 +811,56 @@ def test_key_equation_degree_bound(data):
                        .filter(any))
     S = Poly(field, tuple(coeffs))
     try:
-        lam, omega = solve_key_equation(S, mu)
+        lam, omega = _key_equation(field, coeffs, mu)
     except InconsistentLocator:
         return
     assert lam(0) == 1 and lam.degree <= (mu - 1) // 2
     assert pmod(pmul(S, lam), Poly.monomial(field, mu - 1)) == omega
+
+
+# every candidate context of the q = 5 code has t = 0
+@pytest.mark.parametrize("key", _SCAN_CODES + ["candidates-q2", "candidates-q3", "candidates-q4"], ids=str)
+def test_berlekamp_massey_matches_euclid(key):
+    # on 1..t planted errors Berlekamp-Massey returns the normalized pair of
+    # the Euclidean solver that it replaced
+    if isinstance(key, str):
+        contexts = _candidate_contexts(int(key.removeprefix("candidates-q")))
+    else:
+        contexts = [_context(*key)]
+    rng = random.Random(51)
+    checked = 0
+    for ctx in contexts:
+        field, mu = ctx.field, ctx.cert.mu
+        for errors in range(1, (ctx.cert.d_star - 1) // 2 + 1):
+            for _ in range(4):
+                _, word, _ = _plant(rng, ctx.code, errors)
+                S = syndromes(ctx, remainder(ctx, word))
+                assert _key_equation(field, S, mu) == euclid_key_equation(field, S, mu), (ctx.code, S)
+                checked += 1
+    assert checked
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_berlekamp_massey_agrees_with_euclid_on_any_syndromes(data):
+    # beyond the radius too: where the Euclidean pair passes decode's check
+    # deg Omega < deg Lambda, Berlekamp-Massey returns that pair, and where
+    # it fails (Lambda(0) = 0 or the degree check), Berlekamp-Massey fails
+    field = _context(*data.draw(st.sampled_from(sorted(_CONTEXTS.values())))).field
+    mu = data.draw(st.integers(2, 16))
+    S = data.draw(st.lists(st.sampled_from([0, 0, 1, field.order - 1]) | st.integers(0, field.order - 1),
+                           min_size=mu - 1, max_size=mu - 1).filter(any))
+    try:
+        lam, omega = euclid_key_equation(field, S, mu)
+        reference = (lam, omega) if omega.degree < lam.degree else None
+    except ValueError:
+        reference = None
+    try:
+        lam, omega = _key_equation(field, S, mu)
+        ours = (lam, omega) if omega.degree < lam.degree else None
+    except InconsistentLocator:
+        ours = None
+    assert ours == reference
 
 
 def _reference_decode(ctx, received):
@@ -792,14 +869,14 @@ def _reference_decode(ctx, received):
     s = remainder(ctx, received)
     S = syndromes(ctx, s)
     try:
-        if S.is_zero():
+        if not any(S):
             if s:
                 raise ZeroSyndrome("syndromes vanish on a word outside the code")
             return decoder.DecodeResult("success", None, (), {}, tuple(received))
-        lam, omega = solve_key_equation(S, ctx.cert.mu)
-        if not omega.degree < lam.degree:
+        lam, omega = solve_key_equation(ctx.field, S, ctx.cert.mu)
+        if not len(omega) < len(lam):
             raise InconsistentLocator("evaluator degree not below locator degree")
-        positions = _reference_positions(ctx, lam)
+        positions = _reference_positions(ctx, Poly(ctx.field, lam))
         if isinstance(positions, str):
             raise InconsistentLocator(positions)
         if not positions:
@@ -863,3 +940,63 @@ def test_decode_roundtrip_longest_lengths(q, n, reps):
         res = decode(ctx, word)
         assert res.status == "success" and res.corrected == cw
         assert res.positions == tuple(sorted(positions))
+
+
+# --- the contract with the benchmark's tracer --------------------------------
+
+
+def _traced_decoder_names():
+    """TRACED["decoder"] of perfbench/spans.py, read from the source file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)["decoder"]
+    raise AssertionError("perfbench/spans.py assigns no TRACED table")
+
+
+def test_traced_names_are_module_functions_that_decode_calls(monkeypatch):
+    # the tracer rebinds each name in the module namespace, so each must be a
+    # module-level function, and decode must reach the per-word ones through
+    # the module globals
+    names = _traced_decoder_names()
+    assert "decode" in names
+    for name in names:
+        assert inspect.isfunction(getattr(decoder, name, None)), name
+    calls = dict.fromkeys(set(names) - {"build_context", "decode"}, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(decoder, name, counted(name, getattr(decoder, name)))
+    ctx = _context(*_SCAN_CODES[0])
+    cw, word, _ = _plant(random.Random(61), ctx.code, 2)
+    assert decode(ctx, word).corrected == cw
+    assert all(calls.values()), calls
+
+
+_REASON = re.compile(r"(ZeroSyndrome|InconsistentLocator|EvaluatorSingular|ValueOutsideBaseField): \S.*")
+
+
+@pytest.mark.parametrize("key", _SCAN_CODES[:6], ids=str)
+def test_failure_reasons_are_class_and_message(key):
+    # the tracer splits a reason on ":" and counts the class before it; on
+    # the benchmark's decode codes with 0..t+2 errors every failure names one
+    # of the four failure classes
+    ctx = _context(*key)
+    t = (ctx.cert.d_star - 1) // 2
+    rng = random.Random(62)
+    seen = set()
+    for errors in range(t + 3):
+        for _ in range(24):
+            _, word, _ = _plant(rng, ctx.code, errors)
+            res = decode(ctx, word)
+            if res.status == "success":
+                assert res.reason is None
+            else:
+                assert _REASON.fullmatch(res.reason), res.reason
+                seen.add(res.reason.split(":", 1)[0])
+    assert seen
