@@ -3,8 +3,9 @@
 against the exact minimum-distance oracle.
 
 Prints one row per code (length, dimension, bch, ht, d_star, oracle) and
-exits nonzero if any bound exceeds the oracle or a BCH witness, HT witness
-or locator certificate fails independent re-verification.
+exits nonzero if any bound exceeds the oracle, the oracle's word is not a
+codeword of weight d, or a BCH witness, HT witness or locator certificate
+fails independent re-verification.
 """
 
 import argparse
@@ -42,11 +43,14 @@ def main() -> int:
         count += 1
         cert, comparison = nzl.best_bound(code)
         bch, ht = comparison["bch"], comparison["ht"]
-        d = cyclic.min_distance_oracle(code).d
+        oracle = cyclic.min_distance_oracle(code)
+        d = oracle.d
         sound = bch <= d and ht <= d and cert.d_star <= d
         bch_wit, ht_wit = cyclic.bch_bound(code), cyclic.ht_bound(code)
         verified = (
-            (bch_wit.value, ht_wit.value) == (bch, ht)
+            sum(1 for x in oracle.codeword if x) == d
+            and cyclic.is_codeword(code, oracle.codeword)
+            and (bch_wit.value, ht_wit.value) == (bch, ht)
             and cyclic.verify_bch_witness(code, bch_wit)
             and cyclic.verify_ht_witness(code, ht_wit)
             and nzl.verify_certificate(code.defining_set, code.n, cert)

@@ -9,11 +9,11 @@ constructions built from them.
 The oracle is one information-set pass: it weighs the systematic
 codewords of low message weight on one window, which the cyclic shifts make
 stand for all n cyclic windows of k positions, and the lightest word seen
-is both the proof of d and its witness.  Binary rows are int masks, and a
-sum of w rows is a carried (w - 2)-row prefix XOR one entry of a per-code
-table of two-row sums; q-ary rows are gf.PackedWords built on the rows
-c * (x^i mod g) of gf.remainder_rows, which the decoder also sums to reduce
-a received word mod g.
+is both the proof of d and its witness.  Its rows are gf.PackedWords words,
+one bit per coordinate over GF(2), built on the rows c * (x^i mod g) of
+gf.remainder_rows, which the decoder also sums to reduce a received word
+mod g.  One walk serves every q: a sum of w rows is a carried (w - 2)-row
+prefix plus one entry of a per-code table of two-row sums.
 
 A code here is pinned down by (q, n, defining set) plus the canonical
 primitive n-th root of unity alpha of its construction field GF(q^s),
@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
-from itertools import combinations, product
+from functools import cache, lru_cache
+from itertools import chain, cycle, repeat
 
 from .gf import (
     DigitField,
@@ -205,10 +205,12 @@ def _minimal_polynomial(q: int, n: int, rep: int) -> tuple[int, ...]:
 
 
 def encode(spec: CyclicCodeSpec, message) -> tuple[int, ...]:
-    """message (k base-q digits, low degree first) -> codeword m(x)g(x)."""
+    """message (k base-q digits, low degree first) -> codeword m(x)g(x);
+    ValueError unless every digit is an integer in [0, q)."""
     message = tuple(message)
     if len(message) != spec.k:
         raise ValueError(f"message must have {spec.k} digits")
+    message = digit_elements(range(spec.q), message)  # each digit as itself
     g = generator_polynomial(spec)
     return tuple(_mul_digits(DigitField(spec.q), message, g, spec.n))
 
@@ -419,86 +421,72 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
     word has been weighed and the Singleton bound d <= r + 1 <= ceil(n(k + 1)
     / k) ends the loop.
 
-    Binary rows are int masks added by XOR.  tail[s], built once when w
-    first reaches 2, lists rows[i] ^ rows[j] for s <= i < j in lexicographic
-    order; the w-row sums are walked depth first over their first w - 2
-    rows, carrying that prefix sum, and each leaf XORs the prefix into
-    tail[j], j one past the prefix's last row.  That is one XOR and one bit
-    count per word, in the order of itertools.combinations, and the best
-    word is replaced only by a strictly lighter one, so the first lightest
-    word in that order wins.  A q-ary row is a PackedWords word over n
-    coordinates, c * x^(r+i) plus the gf.remainder_rows entry for -c, with
-    all q - 1 multiples of each row built once.
+    A row is a gf.PackedWords word, one bit per GF(2) digit, so a sum is
+    one words.add and a weight one words.weight; rows[i][c - 1] is
+    c * x^(r+i) above the gf.remainder_rows entry for -c.  At w = 2 each
+    row, with digit 1, is added to every later row and digit.  tail[s],
+    built when w first reaches 3 (it holds (q - 1)^2 sums per pair of rows,
+    w = 2 only q - 1), lists rows[i][a] + rows[j][b] for s <= i < j in the
+    order (i, j, a, b).  From w = 3 on the w-row sums are walked depth first
+    over their first w - 2 rows, the first with digit 1, carrying that
+    prefix sum, and each leaf adds it to every entry of tail[j], j one past
+    the prefix's last row: one add and one weight per word.  Only a strictly
+    lighter word replaces the best, so the first lightest word in walk order
+    wins: by rows, then digits, up to w = 3, and beyond it each prefix row's
+    digit before the next row.
     """
     if spec.k == 0:
         raise ValueError("the zero code has no minimum distance")
     if spec.q**spec.k > cap:
         raise TooManyCodewords(f"{spec.q}^{spec.k} codewords exceed the cap {cap}")
     q, n, k = spec.q, spec.n, spec.k
-    g = generator_polynomial(spec)
     r = n - k
-    if q == 2:
-        gmask = sum(gi << i for i, gi in enumerate(g))
-        rows, rem = [], gmask ^ (1 << r)  # x^r mod g
-        for i in range(k):
-            rows.append(rem | 1 << (r + i))
-            rem <<= 1
-            if rem >> r & 1:
-                rem ^= gmask
-        weight = int.bit_count
-        tail = [[] for _ in range(k)]
+    words = PackedWords(q, n)
+    add, weight, width = words.add, words.weight, words.width
+    rems = remainder_rows(words, generator_polynomial(spec), range(r, n))
+    shifts = range(r * width, n * width, width)
+    # columns[c - 1][i] = rows[i][c - 1] is c * x^(r+i) - c * (x^(r+i) mod g)
+    columns = [[u << shift | rem[neg_c] for shift, rem in zip(shifts, rems)]
+               for u, neg_c in zip(words.units[1:], map(words.df.neg, range(1, q)))]
+    rows = list(zip(*columns))
+    tail = [[] for _ in range(k)]
 
-        def lightest(w):
-            if w == 1:
-                return min(rows, key=weight)
-            if w == 2:  # w runs 1, 2, ...: build the table once, when first needed
-                for s in range(k - 2, -1, -1):
-                    tail[s] = [rows[s] ^ x for x in rows[s + 1:]] + tail[s + 1]
-            best, least = None, n + 1
+    def lightest(w):
+        if w == 1:
+            return min(columns[0], key=weight)
+        if w == 2:
+            flat = [y for row in rows for y in row]
+            return min(chain.from_iterable(map(add, repeat(row[0]), flat[(i + 1) * (q - 1):])
+                                           for i, row in enumerate(rows)), key=weight)
+        if w == 3:  # w runs 1, 2, ...: build the table once, when first needed
+            # spread[s] repeats each rows[s][a] and tiled each row q - 1 times,
+            # so cycling spread[s] along tiled pairs them in the order (j, a, b)
+            spread = list(zip(*[column for column in columns for _ in range(q - 1)]))
+            m, tiled = (q - 1) ** 2, [y for row in rows for y in row * (q - 1)]
+            for s in range(k - 2, -1, -1):
+                tail[s] = [*map(add, cycle(spread[s]), tiled[(s + 1) * m:]), *tail[s + 1]]
+        best, least = None, n + 1
 
-            def walk(start, depth, prefix):
-                nonlocal best, least
-                if depth:
-                    for i in range(start, k - depth - 1):
-                        walk(i + 1, depth - 1, prefix ^ rows[i])
-                    return
-                word = min([prefix ^ x for x in tail[start]], key=weight)
-                if weight(word) < least:
-                    best, least = word, weight(word)
+        def walk(start, depth, prefix):
+            nonlocal best, least
+            if depth:
+                for i in range(start, k - depth - 1):
+                    for x in rows[i]:
+                        walk(i + 1, depth - 1, add(prefix, x))
+                return
+            word = min(map(add, repeat(prefix), tail[start]), key=weight)
+            if weight(word) < least:
+                best, least = word, weight(word)
 
-            walk(0, w - 2, 0)
-            return best
-
-        def digits(x):
-            return tuple(x >> i & 1 for i in range(n))
-
-    else:
-        words = PackedWords(q, n)
-        add, weight, neg = words.add, words.weight, words.df.neg
-        # rows[i][c - 1] is c * x^(r+i) - c * (x^(r+i) mod g)
-        rows = [
-            [words.pack([c]) << (r + i) * words.width | rem[neg(c)] for c in range(1, q)]
-            for i, rem in enumerate(remainder_rows(words, g, n)[r:])
-        ]
-
-        def lightest(w):
-            return min(
-                (
-                    reduce(add, tail, rows[first][0])
-                    for first, *rest in combinations(range(k), w)
-                    for tail in product(*(rows[i] for i in rest))
-                ),
-                key=weight,
-            )
-
-        def digits(x):
-            return tuple(words.digits(x))
+        for i in range(k - w + 1):  # the first row, with digit 1
+            walk(i + 1, w - 3, rows[i][0])
+        return best
 
     w, best = 1, lightest(1)
     while weight(best) * k > n * (w + 1) + k - 1:
         w += 1
         best = min(best, lightest(w), key=weight)
-    return DistanceWitness(weight(best), digits(best), "oracle")
+    return DistanceWitness(weight(best), tuple(words.digits(best)), "oracle")
 
 
 def has_distance_two(n: int, coset_reps) -> bool:

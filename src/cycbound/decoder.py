@@ -218,7 +218,7 @@ def _rows(field: FieldCtx, words: PackedWords, g, n: int, to_elt, l_alpha: int, 
             return [antilog[k % n_units] << shift for k in ks]
         return [lanes_of(antilog[k % n_units]) << shift for k in ks]
 
-    remainders = remainder_rows(words, g, n)
+    remainders = remainder_rows(words, g, range(n))
 
     def digit_rows(c: int) -> list[int]:
         columns = [column(log[to_elt[c]], j) for j, a in enumerate(a_j) if a]

@@ -14,10 +14,11 @@ nonzero coefficients at many points given by their logarithms, except the
 decoder's syndromes and root scan, which sum packed rows built once per
 decoding context; and every polynomial with given roots is built by
 root_product.  PackedLanes
-packs a word of GF(p^a) elements into one int, with lane-wise addition and
-a zero-coordinate test; PackedWords does so for a word over GF(q), read
+packs a word of GF(p^a) elements into one int, one bit per GF(2) digit and
+a few bits per base-p digit otherwise, with lane-wise addition, a weight
+and a zero-coordinate test; PackedWords does so for a word over GF(q), read
 back by digits; remainder_rows builds the packed rows c * (x^i mod g) that
-the oracle and the decoder sum.
+the oracle (i from deg g) and the decoder (i from 0) sum.
 
 Primitive polynomials are found by exhaustive search in lexicographic
 order (coefficients compared constant term first), over the constant terms
@@ -37,7 +38,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import product, repeat
 
 MAX_FIELD_SIZE = 1 << 20
 
@@ -442,26 +443,28 @@ class PackedLanes:
     operations.
 
     Coordinate i holds the a base-p digits of its element (the FieldCtx
-    encoding of GF(p^a)), digit j in lane i*a + j of b = bit_length(2p - 2)
-    + 1 bits.  A lane holds the sum of two digits, at most 2p - 2 < 2^(b-1),
-    so its top bit is clear.  In characteristic 2 words add by XOR.
-    Otherwise two words are added as ints, and p is subtracted from each lane
-    whose sum s is at least p, which is where s + 2^(b-1) - p sets the top
-    bit.  A coordinate of a*b bits is nonzero exactly when its value plus
-    2^(ab-1) - 1 sets its top bit, so the weight is one masked add and a bit
-    count.
+    encoding of GF(p^a)), digit j in lane i*a + j of b bits.  Over GF(2)
+    b = 1, as the bit is its own nonzero test.  Otherwise b =
+    bit_length(2p - 2) + 1: a lane holds the sum of two digits, at most
+    2p - 2 < 2^(b-1), so its top bit is clear.  In characteristic 2 words
+    add by XOR.  Otherwise two words are added as ints, and p is subtracted
+    from each lane whose sum s is at least p, which is where s + 2^(b-1) - p
+    sets the top bit.  A coordinate of a*b bits is nonzero exactly when its
+    value plus 2^(ab-1) - 1 sets its top bit, so the weight is one masked add
+    and a bit count, or a bit count alone when b = 1.
     """
 
-    __slots__ = ("p", "a", "n", "lane_bits", "width", "every", "add", "_nz_bias", "_nz_top")
+    __slots__ = ("p", "a", "n", "lane_bits", "width", "every", "add", "weight", "_nz_bias", "_nz_top")
 
     def __init__(self, p: int, a: int, n: int):
         self.p, self.a, self.n = p, a, n
-        self.lane_bits = b = (2 * p - 2).bit_length() + 1
+        self.lane_bits = b = 1 if (p, a) == (2, 1) else (2 * p - 2).bit_length() + 1
         self.width = width = a * b
         # 1 in each coordinate, as a repunit in base 2^width (linear time)
         self.every = every = ((1 << n * width) - 1) // ((1 << width) - 1)
-        self._nz_bias = every * ((1 << width - 1) - 1)
-        self._nz_top = every << width - 1
+        self._nz_bias = nz_bias = every * ((1 << width - 1) - 1)
+        self._nz_top = nz_top = every << width - 1
+        self.weight = int.bit_count if width == 1 else lambda x: ((x + nz_bias) & nz_top).bit_count()
         if p == 2:
             self.add = operator.xor
             return
@@ -506,27 +509,27 @@ class PackedLanes:
             z ^= low
         return out
 
-    def weight(self, x: int) -> int:
-        return ((x + self._nz_bias) & self._nz_top).bit_count()
-
 
 class PackedWords(PackedLanes):
     """Words of length n over GF(q) packed as PackedLanes words, coordinate i
     holding the element of GF(p^a) that its DigitField digit stands for."""
 
-    __slots__ = ("df", "_lanes", "_digit_of")
+    __slots__ = ("df", "units", "_bits", "_digit_of")
 
     def __init__(self, q: int, n: int):
         self.df = df = DigitField(q)
         super().__init__(df.p, df.a, n)
         p, a, b = df.p, df.a, self.lane_bits
         elements = range(q) if a == 1 else map(df._to, range(q))
-        self._lanes = [sum(e // p**j % p << j * b for j in range(a)) for e in elements]
-        self._digit_of = {lane: d for d, lane in enumerate(self._lanes)}
+        # units[d] = pack([d]), digit d at coordinate 0
+        self.units = units = [sum(e // p**j % p << j * b for j in range(a)) for e in elements]
+        self._bits = [format(u, f"0{self.width}b") for u in units]
+        self._digit_of = {u: d for d, u in enumerate(units)}
 
     def pack(self, digits) -> int:
-        lanes, width = self._lanes, self.width
-        return sum(lanes[d] << i * width for i, d in enumerate(digits))
+        """The word of a sequence of digits, written out as binary."""
+        bits = self._bits
+        return int("".join([bits[d] for d in reversed(digits)]) or "0", 2)
 
     def digits(self, x: int) -> list[int]:
         """The n digits of a packed word, the inverse of pack."""
@@ -536,25 +539,33 @@ class PackedWords(PackedLanes):
 
     def scaled(self, digits) -> list[int]:
         """pack(c * digits) for c = 1, ..., q - 1."""
-        mul = self.df.mul
-        return [self.pack([mul(c, d) for d in digits]) for c in range(1, self.df.q)]
+        table = [[self.df.mul(c, d) for d in range(self.df.q)] for c in range(1, self.df.q)]
+        return [self.pack([times[d] for d in digits]) for times in table]
 
 
-def remainder_rows(words: PackedWords, g, count: int) -> list[tuple[int, ...]]:
-    """rows[i][c] = words.pack(c * (x^i mod g)) for i < count and every
-    digit c of GF(q), g monic of degree r in GF(q) digits and `words` over r
-    coordinates.  x times a row moves it up one coordinate and folds its top
-    digit t back as the row t * (x^r mod g), so a row costs q shifts and
-    adds."""
-    r = len(g) - 1
-    add, width = words.add, words.width
-    x_r = (0, *words.scaled([words.df.neg(c) for c in g[:r]]))
-    fold = {words.pack([t]): row for t, row in enumerate(x_r)}
+def remainder_rows(words: PackedWords, g, exponents: range) -> list[tuple[int, ...]]:
+    """rows[j][c] = words.pack(c * (x^i mod g)) for i the j-th member of
+    `exponents`, a range of step 1 starting at most at r = deg g, and every
+    digit c of GF(q), g monic in GF(q) digits and `words` over at least r
+    coordinates.  A range from r starts at the row x^r mod g, which is
+    also the fold: x times a row moves it up one coordinate and folds its
+    top digit t back as the row t * (x^r mod g), so a row costs q - 1
+    shifts and adds, made one digit c at a time."""
+    r, q = len(g) - 1, words.df.q
+    add, width, units = words.add, words.width, words.units
+    g_rows = words.scaled(g[:r])
+    x_r = (0, *[g_rows[words.df.neg(c) - 1] for c in range(1, q)])
+    fold = dict(zip(units, x_r))
     top = max(r - 1, 0) * width
-    rows = [tuple(words.pack([c]) for c in range(words.df.q)) if r else x_r]
-    while len(rows) < count:
-        rows.append(tuple(add((x - (x >> top << top)) << width, fold[x >> top]) for x in rows[-1]))
-    return rows[:count]
+    low, i = (1 << top) - 1, exponents.start
+    columns = []
+    for x in x_r[1:] if i == r else [u << i * width for u in units[1:]]:
+        column = []
+        for _ in exponents:
+            column.append(x)
+            x = add((x & low) << width, fold[x >> top])
+        columns.append(column)
+    return list(zip(repeat(0), *columns))
 
 
 def neg_one_digit(p: int, m: int) -> int:

@@ -1,16 +1,18 @@
 """Plain references that the tests check src against and that nothing at
 runtime calls: the dense polynomial Poly over a FieldCtx with its ring
 arithmetic, the extended Euclidean Key Equation solver that the decoder's
-Berlekamp-Massey is checked against, and the Hartmann-Tzeng search over
-every inner step m2.
+Berlekamp-Massey is checked against, the Hartmann-Tzeng search over every
+inner step m2, and the q-ary distance oracle that rebuilds every w-row sum.
 """
 
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations, product
 
 from cycbound import cyclic
-from cycbound.gf import FieldCtx, FieldMismatch
+from cycbound.gf import FieldCtx, FieldMismatch, PackedWords, remainder_rows
 
 
 @dataclass(frozen=True)
@@ -212,3 +214,37 @@ def ht_every_m2(spec) -> cyclic.HtWitness:
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
     neg_value, nu, b1, m1, m2 = min(cyclic._ht_template(mask, n, units, m2) for m2 in units)
     return cyclic.HtWitness(-neg_value, b1, m1, m2, -neg_value - nu, nu)
+
+
+def qary_oracle(spec) -> tuple[int, tuple[int, ...], int]:
+    """(d, codeword, w) of the information-set pass of
+    cyclic.min_distance_oracle with every w-row sum rebuilt by
+    reduce(add, ...) over combinations x product: the same rows, the first
+    row's digit fixed to 1, and the same stop rule; w is the number of rows
+    in the codeword's sum.  min keeps the first lightest word, so this is
+    the first one in (rows, then digits) lexicographic order."""
+    q, n, k = spec.q, spec.n, spec.k
+    r = n - k
+    words = PackedWords(q, n)
+    add, weight, neg = words.add, words.weight, words.df.neg
+    # rows[i][c - 1] is c * x^(r+i) - c * (x^(r+i) mod g)
+    rows = [
+        [words.pack([c]) << (r + i) * words.width | rem[neg(c)] for c in range(1, q)]
+        for i, rem in enumerate(remainder_rows(words, cyclic.generator_polynomial(spec), range(n))[r:])
+    ]
+
+    def lightest(w):
+        return min(
+            (
+                reduce(add, tail, rows[first][0])
+                for first, *rest in combinations(range(k), w)
+                for tail in product(*(rows[i] for i in rest))
+            ),
+            key=weight,
+        )
+
+    w, best, found = 1, lightest(1), 1
+    while weight(best) * k > n * (w + 1) + k - 1:
+        w += 1
+        best, found = min((best, found), (lightest(w), w), key=lambda x: weight(x[0]))
+    return weight(best), tuple(words.digits(best)), found

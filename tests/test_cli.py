@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from cycbound import cyclic
 from cycbound.cyclic import BchWitness, DistanceWitness, HtWitness
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -501,6 +504,42 @@ def test_soundness_sweep_script():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "33 codes checked" in res.stdout and ", 0 violations" in res.stdout
+
+
+def _lighter(word):
+    # drops the first nonzero digit: weight d - 1
+    i = next(i for i, x in enumerate(word) if x)
+    return word[:i] + (0,) + word[i + 1:]
+
+
+def _moved(word):
+    # moves the first nonzero digit onto the first zero, if there is one:
+    # weight d, and no codeword when d >= 3, since the two words differ by a
+    # binomial
+    if 0 not in word:
+        return word
+    i, j = next(i for i, x in enumerate(word) if x), word.index(0)
+    out = list(word)
+    out[i], out[j] = 0, word[i]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("wrong", [_lighter, _moved])
+def test_soundness_sweep_script_checks_the_oracle_word(monkeypatch, capsys, wrong):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "soundness_sweep.py")
+    spec = importlib.util.spec_from_file_location("soundness_sweep", script)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+
+    def wrong_word(code):
+        wit = cyclic.min_distance_oracle(code)
+        return DistanceWitness(wit.d, wrong(wit.codeword), wit.method)
+
+    # only the script's oracle lies; nzl's locators keep the true one
+    monkeypatch.setattr(sweep, "cyclic", SimpleNamespace(**{**vars(cyclic), "min_distance_oracle": wrong_word}))
+    monkeypatch.setattr(sys, "argv", ["soundness_sweep.py", "--lengths", "15", "--quiet"])
+    assert sweep.main() == 1
+    assert "VIOLATION" in capsys.readouterr().out
 
 
 def test_decode_codeword_identity(spec21):

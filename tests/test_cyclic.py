@@ -36,7 +36,7 @@ from cycbound.gf import (
     root_product,
     subfield_digit_maps,
 )
-from reference import Poly, ht_every_m2, pmod, pmul, pone
+from reference import Poly, ht_every_m2, pmod, pmul, pone, qary_oracle
 
 
 def test_cyclotomic_cosets():
@@ -101,7 +101,9 @@ def test_remainder_rows_match_poly_divmod(q, n, reps):
     g_digits = cyclic.generator_polynomial(code)
     r = len(g_digits) - 1
     words = PackedWords(q, r)
-    rows = remainder_rows(words, g_digits, n)
+    rows = remainder_rows(words, g_digits, range(n))
+    # a range from r = deg g starts at x^r mod g, the oracle's rows
+    assert remainder_rows(words, g_digits, range(r, n)) == rows[r:]
     p, a = prime_power(q)
     small = build_field(p, a)
     to_elt, to_digit = subfield_digit_maps(small, q)
@@ -119,6 +121,14 @@ def test_encode_produces_codewords(example21):
     for _ in range(25):
         cw = cyclic.random_codeword(example21, rng)
         assert cyclic.is_codeword(example21, cw)
+
+
+@pytest.mark.parametrize("q, n, reps, message", [(2, 7, (1,), (7, 0, 0, 0)), (2, 7, (1,), (-1, 0, 0, 0)),
+                                                  (4, 5, (1,), (-2, 0, 0)), (4, 5, (1,), (5, 0, 0))])
+def test_encode_rejects_digits_outside_the_field(q, n, reps, message):
+    # the same check and message as is_codeword's
+    with pytest.raises(ValueError, match=rf"digits must be integers in \[0, {q}\)"):
+        cyclic.encode(build_code(q, n, reps), message)
 
 
 def test_bch_bound_example21(example21):
@@ -343,6 +353,8 @@ def test_oracle_matches_full_enumeration(q):
     for code in codes:
         w = min_distance_oracle(code)
         assert w.d == _reference_distance(code), code
+        if q > 2:  # the binary walk has its own reference below
+            assert (w.d, w.codeword) == qary_oracle(code)[:2], code
         assert sum(1 for c in w.codeword if c) == w.d, code
         assert cyclic.is_codeword(code, w.codeword), code
         if code.k == code.n:
@@ -391,6 +403,25 @@ def test_binary_oracle_word_matches_lex_first_reference():
     assert any(c.k == 2 for c in codes)
     assert any(c.k == c.n and c.n > 2 for c in codes)
     assert max(stops.values()) >= 4
+
+
+@pytest.mark.parametrize("q, n, k, rows", [(3, 40, 9, 3), (3, 40, 10, 4), (5, 24, 6, 3), (9, 40, 4, 3)])
+def test_qary_oracle_word_matches_reference_past_two_rows(q, n, k, rows):
+    # the full-enumeration codes find every q-ary witness within two rows;
+    # these codes find some with three (the table of two-row sums) and,
+    # for (3; 40) at k = 10, four (the walk's prefix, whose digit runs
+    # before the next row)
+    cosets = cyclic.coset_partition(n, q)
+    found = set()
+    for t in range(1, k + 1):
+        for kept in combinations(cosets, t):  # the nonzeros of a code of dimension k
+            if sum(map(len, kept)) == k:
+                code = build_code(q, n, [min(c) for c in cosets if c not in kept])
+                d, word, w = qary_oracle(code)
+                got = min_distance_oracle(code)
+                assert (got.d, got.codeword) == (d, word), code
+                found.add(w)
+    assert max(found) == rows
 
 
 @st.composite

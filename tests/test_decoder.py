@@ -30,7 +30,7 @@ from cycbound.gf import (
     subfield_digit_maps,
 )
 from cycbound.nzl import verify_certificate
-from reference import Poly, euclid_key_equation, padd, pmod, pmul, pone
+from reference import Poly, euclid_key_equation, padd, pdivmod, pmod, pmul, pone, psub
 
 
 @pytest.fixture(scope="module")
@@ -458,33 +458,7 @@ def test_position_map_injective(ctx21, ctx65):
 
 def _bch_textbook_decode(field, alpha, n, b, delta, word_elts):
     """Plain narrow-sense-style BCH decoder: syndromes at alpha^(b+i),
-    Euclidean solver on bare coefficient lists, root scan, Forney."""
-
-    def pmul(a, c):
-        out = [0] * (len(a) + len(c) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, cj in enumerate(c):
-                    if cj:
-                        out[i + j] = field.add(out[i + j], field.mul(ai, cj))
-        return _trim(out)
-
-    def _trim(a):
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def pdivmod(a, c):
-        a = list(a)
-        q = [0] * max(len(a) - len(c) + 1, 1)
-        inv = field.inv(c[-1])
-        for i in range(len(a) - len(c), -1, -1):
-            coef = field.mul(a[i + len(c) - 1], inv)
-            q[i] = coef
-            if coef:
-                for j, cj in enumerate(c):
-                    a[i + j] = field.add(a[i + j], field.neg(field.mul(coef, cj)))
-        return _trim(q), _trim(a)
+    Euclidean solver on the reference Poly arithmetic, root scan, Forney."""
 
     def peval(a, x):
         acc = 0
@@ -496,20 +470,13 @@ def _bch_textbook_decode(field, alpha, n, b, delta, word_elts):
     if not any(S):
         return []
     # Euclidean algorithm on (x^(delta-1), S)
-    r_prev = [0] * (delta - 1) + [1]
-    r_cur = _trim(list(S))
-    u_prev, u_cur = [], [1]
-    while r_cur and len(r_cur) - 1 >= (delta - 1) / 2:
+    r_prev, r_cur = Poly.monomial(field, delta - 1), Poly(field, S)
+    u_prev, u_cur = Poly.zero(field), pone(field)
+    while r_cur.degree >= (delta - 1) / 2:
         q, rem = pdivmod(r_prev, r_cur)
         r_prev, r_cur = r_cur, rem
-        qu = pmul(q, u_cur)
-        new_u = [0] * max(len(u_prev), len(qu))
-        for i, x in enumerate(u_prev):
-            new_u[i] = x
-        for i, x in enumerate(qu):
-            new_u[i] = field.add(new_u[i], field.neg(x))
-        u_prev, u_cur = u_cur, _trim(new_u)
-    sigma, omega = u_cur, r_cur
+        u_prev, u_cur = u_cur, psub(u_prev, pmul(q, u_cur))
+    sigma, omega = list(u_cur.coeffs), list(r_cur.coeffs)
     if not sigma or sigma[0] == 0:
         return None
     c0inv = field.inv(sigma[0])

@@ -258,11 +258,11 @@ def test_digit_field_prime():
     assert list(to_elt) == [0, 1, 2]
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 25])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_packed_words_match_digit_field(q, data):
-    # the oracle's q-ary rows: pack, add, scaled rows and weight against
+    # the oracle's rows: pack, add, scaled rows and weight against
     # DigitField digit by digit; q = 9 and 25 have odd p and two lanes
     p, a = gf.prime_power(q)
     n = data.draw(st.integers(min_value=0, max_value=30))
@@ -271,10 +271,12 @@ def test_packed_words_match_digit_field(q, data):
     pack = words.pack
     # coordinate i, lane j holds base-p digit j of the element of digit u[i]
     to_elt, _ = gf.subfield_digit_maps(build_field(p, a), q)
-    b = (2 * p - 2).bit_length() + 1
+    # of b bits: one bit for a GF(2) digit, room for the sum of two otherwise
+    b = 1 if q == 2 else (2 * p - 2).bit_length() + 1
     u = us[0]
     assert pack(u) == sum(to_elt[d] // p**j % p << (i * a + j) * b for i, d in enumerate(u) for j in range(a))
     assert words.scaled(u) == [pack([df.mul(c, d) for d in u]) for c in range(1, q)]
+    assert words.units == [pack([d]) for d in range(q)]
     assert words.weight(pack(u)) == n - u.count(0)
     # sums of several words stay reduced lane by lane
     total, packed = us[0], pack(us[0])
