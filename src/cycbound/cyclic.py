@@ -152,17 +152,16 @@ def build_code(q: int, n: int, coset_reps, name: str | None = None) -> CyclicCod
         raise ValueError("length must be positive")
     if math.gcd(n, q) != 1:
         raise NotCoprime(f"gcd({n}, {q}) != 1")
-    cosets = []
     seen: set[int] = set()
+    reps = []
     for r in coset_reps:
-        c = cyclotomic_coset(n, q, r)
-        if min(c) in {min(x) for x in cosets}:
+        if r % n in seen:  # cosets are disjoint or equal
             raise DuplicateCoset(f"representative {r} repeats a coset")
+        c = cyclotomic_coset(n, q, r)
         seen |= c
-        cosets.append(c)
+        reps.append(min(c))
     defining = tuple(sorted(seen))
-    reps = tuple(sorted(min(c) for c in cosets))
-    return CyclicCodeSpec(q, n, reps, defining, n - len(defining), name)
+    return CyclicCodeSpec(q, n, tuple(sorted(reps)), defining, n - len(defining), name)
 
 
 def code_field(spec: CyclicCodeSpec) -> tuple[FieldCtx, int]:
@@ -242,13 +241,21 @@ def is_codeword(spec: CyclicCodeSpec, word) -> bool:
     return not any(ctx.evaluate(terms, [r * log[alpha] for r in spec.coset_reps]))
 
 
+@lru_cache(maxsize=256)
+def _units(n: int) -> tuple[int, ...]:
+    """The units of Z_n in [1, n), increasing."""
+    return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
+
+
+@lru_cache(maxsize=256)
 def _orbit_reps(n: int, group) -> tuple[int, ...]:
     """Smallest member of each orbit of the units mod n under multiplication
-    by `group`, a subgroup of the units."""
+    by `group`, a subgroup of the units given as a tuple or frozenset.
+    Memoized, since most codes of one length share the group."""
     seen: set[int] = set()
     reps = []
-    for u in range(1, n):
-        if u not in seen and math.gcd(u, n) == 1:
+    for u in _units(n):
+        if u not in seen:
             reps.append(u)
             seen.update(s * u % n for s in group)
     return tuple(reps)
@@ -327,8 +334,7 @@ def ht_bound(spec: CyclicCodeSpec) -> HtWitness:
     if len(spec.defining_set) == n:
         raise ValueError("the zero code has no minimum distance")
     mask = sum(1 << i for i in spec.defining_set)  # bit i for exponent i
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    neg_value, nu, b1, m1, m2 = _ht_template(mask, n, units, 1)
+    neg_value, nu, b1, m1, m2 = _ht_template(mask, n, _units(n), 1)
     return HtWitness(-neg_value, b1, m1, m2, -neg_value - nu, nu)
 
 

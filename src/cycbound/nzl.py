@@ -117,60 +117,100 @@ def _stepped(row: bytes, w: int) -> bytes:
     return (row * w)[::w]
 
 
-def _step_orbits(in_c: bytes, n: int):
+def _step_orbits(in_c: bytes, reps, n: int):
     """(orbit representatives, stabilizer) for the unit steps w mod n, n > 1.
 
     The stabilizer S = {s unit : s*D_C = D_C} acts on the steps by
     multiplication; each representative is the smallest w of its orbit S*w.
     A unit s is in S when s*D_C lies in D_C, since multiplying by a unit is
-    a bijection, so the units are filtered by s*i in D_C for one i of D_C
-    after another.  _code_rows computes this once per code, for every
-    locator scanned against it.
+    a bijection.  `reps` holds one member of each coset of D_C under x -> q*x
+    (D_C itself always qualifies): s*(r*q^j) = (s*r)*q^j and D_C is closed
+    under x -> q*x, so s*D_C lies in D_C once s*r is in D_C for every r of
+    reps, and the units are filtered by one r after another.  _code_rows
+    computes this once per code, for every locator scanned against it.
     """
-    stab = [s for s in range(1, n) if math.gcd(s, n) == 1]
-    for i in range(n):
-        if in_c[i]:
-            stab = [s for s in stab if in_c[s * i % n]]
-    return cyclic._orbit_reps(n, stab), tuple(stab)
+    stab = cyclic._units(n)
+    for r in reps:
+        stab = [s for s in stab if in_c[s * r % n]]
+    stab = tuple(stab)
+    return cyclic._orbit_reps(n, stab), stab
 
 
-def _code_rows(defining_set, n: int, search_w: bool):
-    """The per-code half of the locator scan: ([(w, D_C row stepped by w)],
-    stabilizer), one step w per stabilizer orbit (w = 1 alone when
-    `search_w` is off).  It depends only on (D_C, n), so one code's rows
-    serve every locator."""
+def _code_rows(defining_set, reps, n: int, search_w: bool):
+    """The per-code half of the locator scan: ([(w, D_C row stepped by w,
+    layers)], stabilizer), one step w per stabilizer orbit (w = 1 alone
+    when `search_w` is off).  layers[r - 1] is the n-bit Hartmann-Tzeng
+    layer T_r(w) = {a : a, a + w, ..., a + (r - 1)w in D_C} for r = 1 ..
+    MAX_N_L (T_1 = D_C, T_(r+1) = T_r & rot(T_r, w)), 0 once empty.  `reps`
+    are as in _step_orbits.  The rows depend only on the code, so one code's
+    rows serve every locator."""
     in_c = bytearray(n)
+    mask = 0
     for i in defining_set:
         in_c[i % n] = 1
+        mask |= 1 << i % n
     in_c = bytes(in_c)
     if search_w and n > 1:
-        ws, stab = _step_orbits(in_c, n)
+        ws, stab = _step_orbits(in_c, reps, n)
     else:
         ws, stab = [1 % n], (1,)
-    return [(w, _stepped(in_c, w or 1)) for w in ws], stab  # w = 0 only when n = 1
+    rows = []
+    for w in ws:  # w = 0 only when n = 1
+        layers, t, back = [0] * MAX_N_L, mask, n - w
+        for r in range(MAX_N_L):
+            if not t:
+                break
+            layers[r] = t
+            t &= (t >> w) | (t << back)  # the AND drops the bits above n
+        rows.append((w, _stepped(in_c, w or 1), layers))
+    return rows, stab
+
+
+@lru_cache(maxsize=1024)
+def _locator_zeros(n_l: int, defining_set) -> tuple[frozenset[int], int]:
+    """(D_L as residues mod n_l, m): m is the length of the longest cyclic
+    block of consecutive residues outside D_L, n_l when D_L is empty and 0
+    when D_L is all of Z_(n_l)."""
+    in_l = frozenset(i % n_l for i in defining_set)
+    m = run = 0
+    for i in range(2 * n_l):  # twice round, for the block that wraps
+        run = 0 if i % n_l in in_l else run + 1
+        m = max(m, run)
+    return in_l, min(m, n_l)
 
 
 def _scan(n: int, code_rows, locator: LocatorSpec, floor: int) -> NzlCertificate | None:
     """The mu_search certificate of `locator` from the code's _code_rows, or
     None when no run of covered indices is at least `floor` long.  Floor 0
     always gives the certificate: mu = 1, the empty run, when no index is
-    covered."""
+    covered.  See mu_search for the scan, the layer test and the
+    degeneracy test."""
     n_l = locator.n_l
     if math.gcd(n, n_l) != 1:
         raise NotCoprime(f"gcd({n}, {n_l}) != 1")
-    in_l = {i % n_l for i in locator.defining_set}
+    in_l, m = _locator_zeros(n_l, tuple(locator.defining_set))
     rows, stab = code_rows
+    if not m or 0 not in rows[0][1]:
+        raise DegenerateCover("the code and locator zero sets cover every index")
+    m = min(m, MAX_N_L)  # the layers kept per step
     total = n * n_l
     ones = b"\1" * n  # the n cycle indices of one locator residue
     best = None  # (-mu, e, t_l, w)
     longest = b"\1" * max(floor, 1)  # the longest run found so far, or the least that counts
-    for w, code_row in rows:
+    for w, code_row, layers in rows:
+        k = (len(longest) - m + 1) // n_l
+        if k > 0:  # the step needs a k-run of T_m(w) at step w*n_l
+            t, step = layers[m - 1], w * n_l % n
+            back = n - step
+            while t and k > 1:
+                t &= (t >> step) | (t << back)
+                k -= 1
+            if not t:
+                continue
         cover = bytearray(code_row * n_l)
         for t in in_l:
             cover[t::n_l] = ones
         z = cover.find(0)
-        if z < 0:
-            raise DegenerateCover("the code and locator zero sets cover every index")
         cover = cover[z:] + cover[:z]
         if longest not in cover:
             continue
@@ -219,6 +259,36 @@ def mu_search(
     skip a step whose longest run is shorter than the best so far, and find
     the starts of its longest runs.
 
+    Degeneracy: by the CRT, cycle index j is uncovered exactly when
+    w*j mod n is outside D_C and j mod n_l is outside D_L, and such a j
+    exists for every unit w unless D_C = Z_n or D_L = Z_(n_l).  On that
+    condition DegenerateCover is raised before any step is scanned.
+
+    Most steps are ruled out before their n*n_l-byte cover is built, by a
+    Hartmann-Tzeng layer of D_C (Hartmann & Tzeng, IEEE Trans. IT 18(2),
+    1972).  Let b, b + 1, ..., b + m - 1 be a cyclic block of m >= 1
+    residues mod n_l outside D_L; the scan takes the longest, which for the
+    trivial, SPC and RS locators (D_L = [0, n_l - k_l)) is every residue
+    outside D_L.  Let T_m(w) = {a : a, a + w, ..., a + (m - 1)w in D_C}.
+
+    Lemma.  If cycle indices p .. p + L - 1 are all covered, T_m(w) holds
+    a run of length k = floor((L - m + 1)/n_l) at the step s = w*n_l mod n.
+    Proof: let j in [p, p + L - m] with j = b mod n_l.  Indices j .. j + m - 1
+    are covered and their residues b .. b + m - 1 lie outside D_L, so D_C
+    covers them: w*j, w*j + w, ..., w*j + (m - 1)w are in D_C, that is w*j
+    is in T_m(w).  The interval holds L - m + 1 consecutive integers, so at
+    least k such j, j_0 + i*n_l for i < k, whose indices w*j_0 + i*s form
+    a run of T_m(w) at step s, a unit since gcd(n_l, n) = 1.
+
+    So a step w whose T_m(w) has no k-run at step s, k taken with L the
+    length of the run the scan still needs, holds no such run either, and
+    is skipped by at most k - 1 AND-rotations of an n-bit mask; the
+    substring test would have skipped it too, so no certificate and no
+    tie-break changes.  For the trivial locator (n_l = m = 1, k = L) the
+    test is exact.  The proof holds for any block outside D_L, so a block
+    longer than the MAX_N_L layers that _code_rows keeps per step is read
+    as one of MAX_N_L residues.
+
     Steps are scanned one per orbit of the multiplier stabilizer
     S = {s unit mod n : s*D_C = D_C}: the step s*w sees the same cover as w,
     with every run start e moved to s*e and t_l unchanged, so each longest
@@ -227,11 +297,12 @@ def mu_search(
     S contains the powers of q.  `search_w=False` scans w = 1 alone, the
     paper's form of the bound.
 
-    The stepped code rows and the orbits depend only on the code; they are
-    built by _code_rows, which ranked_certificates and best_bound call once
-    per code for all their locators.
+    The stepped code rows, their layers and the orbits depend only on the
+    code; they are built by _code_rows, which ranked_certificates and
+    best_bound call once per code for all their locators.
     """
-    return _scan(n, _code_rows(defining_set, n, search_w), locator, 0)
+    defining_set = tuple(defining_set)
+    return _scan(n, _code_rows(defining_set, defining_set, n, search_w), locator, 0)
 
 
 def verify_certificate(defining_set, n: int, cert: NzlCertificate) -> bool:
@@ -425,7 +496,7 @@ def ranked_certificates(
     each the one mu_search gives, sorted by certificate_rank.  The code's
     stepped rows are built once and shared by all candidates; `search_w` is
     as in mu_search."""
-    rows = _code_rows(code.defining_set, code.n, search_w)
+    rows = _code_rows(code.defining_set, code.coset_reps, code.n, search_w)
     cands = candidate_locators(code.n, code.q)
     return sorted((_scan(code.n, rows, loc, 0) for loc in cands), key=certificate_rank)
 
@@ -446,13 +517,23 @@ def best_bound(code: cyclic.CyclicCodeSpec, *, search_w: bool = True):
     (d_l, n_l).  Either way L cannot outrank the incumbent.  A locator that
     reaches its floor gets its full mu_search certificate, since a floor at
     or below its longest run changes neither that run nor the tie-break.
-    Each cover is tested for DegenerateCover before the floor, as in
+    DegenerateCover is tested once per locator, before any step, as in
     mu_search.
+
+    The floor is what makes the Hartmann-Tzeng layer test of mu_search
+    pay.  A step w is scanned only when T_m(w), the starts of the step-w
+    runs of length m in D_C (m the longest block of locator residues
+    outside D_L), holds a run of length floor((L - m + 1)/n_l) at step
+    w*n_l mod n, L the run length still needed.  Every covered run of
+    length L holds that many starts of D_C-only blocks, n_l apart on the
+    cycle (the lemma and its proof are in mu_search), so a step that fails
+    the test has no run of length L, and skipping it changes no
+    certificate.
     """
     bch = cyclic.bch_bound(code).value
     ht = cyclic.ht_bound(code).value
     n = code.n
-    rows = _code_rows(code.defining_set, n, search_w)
+    rows = _code_rows(code.defining_set, code.coset_reps, n, search_w)
     best = None
     for loc in candidate_locators(n, code.q):
         if best is None:

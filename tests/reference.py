@@ -2,7 +2,8 @@
 runtime calls: the dense polynomial Poly over a FieldCtx with its ring
 arithmetic, the extended Euclidean Key Equation solver that the decoder's
 Berlekamp-Massey is checked against, the Hartmann-Tzeng search over every
-inner step m2, and the q-ary distance oracle that rebuilds every w-row sum.
+inner step m2, the q-ary distance oracle that rebuilds every w-row sum,
+and the locator scan that builds the cover of every step.
 """
 
 import math
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
 
-from cycbound import cyclic
-from cycbound.gf import FieldCtx, FieldMismatch, PackedWords, remainder_rows
+from cycbound import cyclic, nzl
+from cycbound.gf import FieldCtx, FieldMismatch, NotCoprime, PackedWords, remainder_rows
 
 
 @dataclass(frozen=True)
@@ -248,3 +249,77 @@ def qary_oracle(spec) -> tuple[int, tuple[int, ...], int]:
         w += 1
         best, found = min((best, found), (lightest(w), w), key=lambda x: weight(x[0]))
     return weight(best), tuple(words.digits(best)), found
+
+
+def scan_code_rows(defining_set, n: int, search_w: bool):
+    """([(w, D_C row stepped by w)], stabilizer) as nzl._code_rows builds
+    them, without the layers: one step per orbit of the stabilizer, which is
+    found by testing every member of D_C."""
+    in_c = bytearray(n)
+    for i in defining_set:
+        in_c[i % n] = 1
+    in_c = bytes(in_c)
+    if not (search_w and n > 1):
+        return [(1 % n, in_c)], (1,)
+    stab = [s for s in range(1, n) if math.gcd(s, n) == 1]
+    for i in range(n):
+        if in_c[i]:
+            stab = [s for s in stab if in_c[s * i % n]]
+    stab = tuple(stab)
+    return [(w, (in_c * w)[::w]) for w in cyclic._orbit_reps(n, stab)], stab
+
+
+def scan(n: int, code_rows, locator, floor: int):
+    """nzl._scan without the Hartmann-Tzeng layer test: the cover of every
+    step is built, and DegenerateCover is raised when a cover has no gap."""
+    n_l = locator.n_l
+    if math.gcd(n, n_l) != 1:
+        raise NotCoprime(f"gcd({n}, {n_l}) != 1")
+    in_l = {i % n_l for i in locator.defining_set}
+    rows, stab = code_rows
+    total = n * n_l
+    ones = b"\1" * n
+    best = None  # (-mu, e, t_l, w)
+    longest = b"\1" * max(floor, 1)
+    for w, code_row in rows:
+        cover = bytearray(code_row * n_l)
+        for t in in_l:
+            cover[t::n_l] = ones
+        z = cover.find(0)
+        if z < 0:
+            raise nzl.DegenerateCover("the code and locator zero sets cover every index")
+        cover = cover[z:] + cover[:z]
+        if longest not in cover:
+            continue
+        while longest + b"\1" in cover:
+            longest += b"\1"
+        mu = len(longest) + 1
+        run = b"\0" + longest
+        at = cover.find(run)
+        while at >= 0:
+            first = (z + at + 1) % total
+            e, t_l = w * first % n, first % n_l
+            for s in stab:
+                cand = (-mu, s * e % n, t_l, s * w % n)
+                if best is None or cand < best:
+                    best = cand
+            at = cover.find(run, at + mu)
+    if best is None:
+        if floor:
+            return None
+        return nzl.NzlCertificate(0, 1 % n, 0, 1, nzl.nzl_bound(1, locator.d_l), locator)
+    neg_mu, e, t_l, w = best
+    mu = -neg_mu
+    return nzl.NzlCertificate(e, w, t_l, mu, nzl.nzl_bound(mu, locator.d_l), locator)
+
+
+def mu_search(defining_set, n: int, locator, *, search_w: bool = True):
+    """nzl.mu_search on the reference scan."""
+    return scan(n, scan_code_rows(defining_set, n, search_w), locator, 0)
+
+
+def ranked_certificates(code, *, search_w: bool = True):
+    """nzl.ranked_certificates on the reference scan."""
+    rows = scan_code_rows(code.defining_set, code.n, search_w)
+    certs = (scan(code.n, rows, loc, 0) for loc in nzl.candidate_locators(code.n, code.q))
+    return sorted(certs, key=nzl.certificate_rank)

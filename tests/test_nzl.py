@@ -35,6 +35,7 @@ from cycbound.nzl import (
     trivial_locator,
     verify_certificate,
 )
+import reference
 from reference import ht_every_m2
 
 
@@ -583,6 +584,133 @@ def test_mu_search_stabilizer_larger_than_q_powers():
         assert (cert.mu, cert.e, cert.t_l, cert.w) == _naive_mu_search(
             code.defining_set, 15, loc, ws
         ), loc
+
+
+def _outcome(f):
+    """f()'s value, or the class and text of what it raised."""
+    try:
+        return f()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_search_matches_reference(code, mu_search_too):
+    # the layer test only skips covers that the reference builds in vain,
+    # so every certificate, tie-break and exception is the reference's
+    n, D = code.n, code.defining_set
+    for search_w in (True, False):
+        rows, stab = nzl._code_rows(D, code.coset_reps, n, search_w)
+        ref_rows = reference.scan_code_rows(D, n, search_w)
+        assert (stab, [r[:2] for r in rows]) == (ref_rows[1], ref_rows[0]), code
+        ranked = _outcome(lambda: ranked_certificates(code, search_w=search_w))
+        assert ranked == _outcome(lambda: reference.ranked_certificates(code, search_w=search_w)), code
+        if not isinstance(ranked, list):
+            continue
+        assert best_bound(code, search_w=search_w)[0] == ranked[0], code
+        for cert in ranked:  # at a floor of mu - 1 the run is found, at mu it is not
+            for floor in (cert.mu - 1, cert.mu):
+                got = nzl._scan(n, (rows, stab), cert.locator, floor)
+                assert got == reference.scan(n, ref_rows, cert.locator, floor), (code, cert, floor)
+        if not mu_search_too:
+            continue
+        for loc in candidate_locators(n, code.q):
+            got = _outcome(lambda: mu_search(D, n, loc, search_w=search_w))
+            assert got == _outcome(lambda: reference.mu_search(D, n, loc, search_w=search_w)), (code, loc)
+
+
+@pytest.mark.parametrize("q, lengths", [(2, range(1, 22, 2)), (3, range(1, 15)), (4, range(1, 16, 2)), (5, range(1, 13))])
+def test_search_matches_reference_scan_on_every_small_code(q, lengths):
+    for n in lengths:
+        if math.gcd(n, q) != 1:
+            continue
+        cosets = cyclic.coset_partition(n, q)
+        for chosen in range(1 << len(cosets)):
+            reps = [min(c) for i, c in enumerate(cosets) if chosen >> i & 1]
+            _assert_search_matches_reference(cyclic.build_code(q, n, reps), True)
+
+
+@pytest.mark.parametrize("q, n", [(2, 127), (2, 255), (3, 121)])
+def test_search_matches_reference_scan_on_long_codes(q, n):
+    # random codes with about 40 % of the indices as zeros, as in certify
+    rng = random.Random(n)
+    cosets = cyclic.coset_partition(n, q)[1:]
+    for _ in range(3):
+        rng.shuffle(cosets)
+        reps, size = [], 0
+        for c in cosets:
+            if size + len(c) <= 0.4 * n:
+                reps.append(min(c))
+                size += len(c)
+        _assert_search_matches_reference(cyclic.build_code(q, n, reps), False)
+
+
+def _gap(D_L, n_l):
+    """Length of the longest cyclic block of residues mod n_l outside D_L."""
+    return max(
+        next((r for r in range(n_l) if (b + r) % n_l in D_L), n_l) for b in range(n_l)
+    )
+
+
+def _layer(D, n, w, m):
+    """T_m(w) = {a : a, a + w, ..., a + (m - 1)w in D}."""
+    return {a for a in range(n) if all((a + i * w) % n in D for i in range(m))}
+
+
+def _has_run(T, n, step, k):
+    return any(all((a + i * step) % n in T for i in range(k)) for a in range(n))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_ht_layer_lemma(data):
+    # a covered run of length L on the step-w cycle forces a run of length
+    # floor((L - m + 1)/n_l) at step w*n_l in the layer T_m(w), m the longest
+    # block of locator residues outside D_L
+    n = data.draw(st.integers(2, 40), label="n")
+    D = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1), label="D")
+    n_ls = [m for m in range(1, 16) if math.gcd(m, n) == 1]
+    candidates = [loc for q in (2, 3) if math.gcd(n, q) == 1 for loc in candidate_locators(n, q)]
+    if candidates and data.draw(st.booleans(), label="candidate"):
+        loc = data.draw(st.sampled_from(candidates), label="locator")
+    else:
+        n_l = data.draw(st.sampled_from(n_ls), label="n_l")
+        DL = data.draw(st.sets(st.integers(0, n_l - 1), max_size=n_l - 1), label="DL")
+        loc = LocatorSpec("custom", 1, n_l, tuple(sorted(DL)), 1, (0,), (1,))
+    n_l, DL = loc.n_l, set(loc.defining_set)
+    w = data.draw(st.sampled_from(cyclic._units(n)), label="w")
+    covered = [(w * j) % n in D or j % n_l in DL for j in range(n * n_l)]
+    longest = run = 0
+    for c in covered * 2:  # twice round, for the run that wraps
+        run = run + 1 if c else 0
+        longest = max(longest, run)
+    m = _gap(DL, n_l)
+    assert nzl._locator_zeros(n_l, loc.defining_set) == (frozenset(DL), m)
+    for L in range(1, longest + 1):
+        k = (L - m + 1) // n_l
+        assert k < 1 or _has_run(_layer(D, n, w, m), n, w * n_l % n, k), (L, k, m)
+    rows, _ = nzl._code_rows(sorted(D), sorted(D), n, True)
+    for step, _, layers in rows:
+        for r, t in enumerate(layers, 1):
+            assert t == sum(1 << a for a in _layer(D, n, step, r)), (step, r)
+    # the scan built on the lemma, also where m exceeds the MAX_N_L layers kept
+    assert mu_search(sorted(D), n, loc) == reference.mu_search(sorted(D), n, loc)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_mu_search_degenerate_exactly_when_a_zero_set_is_full(data):
+    # by the CRT some cycle index is uncovered unless D_C = Z_n or D_L = Z_(n_l)
+    n = data.draw(st.integers(1, 30), label="n")
+    n_l = data.draw(st.sampled_from([m for m in range(1, 13) if math.gcd(m, n) == 1]), label="n_l")
+    D = data.draw(st.sets(st.integers(0, n - 1)), label="D")
+    DL = data.draw(st.sets(st.integers(0, n_l - 1)), label="DL")
+    loc = LocatorSpec("custom", 1, n_l, tuple(sorted(DL)), 1, (0,), (1,))
+    search_w = data.draw(st.booleans(), label="search_w")
+    if len(D) == n or len(DL) == n_l:
+        with pytest.raises(DegenerateCover):
+            mu_search(sorted(D), n, loc, search_w=search_w)
+    else:
+        assert mu_search(sorted(D), n, loc, search_w=search_w).mu >= 1
 
 
 def _naive_ht(D, n):
