@@ -284,29 +284,61 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-@lru_cache(maxsize=64)
-def bch_bound(spec: CyclicCodeSpec) -> BchWitness:
-    """Longest arithmetic run in the defining set, as d >= run + 1.
+@lru_cache(maxsize=256)
+def _strides(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(reps, half, orbit) for the unit strides mod n: reps holds the
+    smallest member of each orbit of the units under x -> q*x, half the
+    units m1 <= n/2, and orbit[i] the position in reps of the orbit of
+    half[i].  Memoized, since most codes of one length share q."""
+    powers = cyclotomic_coset(n, q, 1)
+    reps = _orbit_reps(n, powers)
+    where = {s * c % n: j for j, c in enumerate(reps) for s in powers}
+    half = tuple(u for u in _units(n) if 2 * u <= n)
+    return reps, half, tuple(where[u] for u in half)
 
-    One `_longest_run` per step c; the witness is the longest run with
-    the smallest start b, then the smallest step.  Scaling D by q permutes
-    it, so one step c per class of units modulo the powers of q is scanned.
-    Results are memoized per spec, since `cycbound bound` asks for the BCH
-    value and then best_bound compares against it.
+
+@lru_cache(maxsize=64)
+def _stride_runs(spec: CyclicCodeSpec) -> tuple[int, tuple[int, int, int], tuple[int, ...]]:
+    """(mask, BCH key, lengths) for a defining set D neither empty nor all
+    of Z_n: mask holds bit i for each exponent i of D, lengths[j] is
+    L_1(c), the length of the longest step-c run in D, for the j-th stride
+    c of _strides(n, q)[0], and the key (-(L + 1), b, c) is the least over
+    those strides of the longest run L, its lowest start b and c.
+
+    Scaling by q permutes D, so the step-q*c runs are the step-c runs
+    scaled by q and L_1(q*c) = L_1(c): one `_longest_run` per orbit of the
+    units under x -> q*x gives L_1 of every unit stride.  bch_bound reads
+    the key and ht_bound the lengths, the bottom layer of its search.
+    Memoized per spec, so one `cycbound bound` makes one pass for both.
     """
-    n, q = spec.n, spec.q
-    if not spec.defining_set:
-        return BchWitness(1, None, None)
-    if len(spec.defining_set) == n:
-        raise ValueError("the zero code has no minimum distance")
-    mask = sum(1 << i for i in spec.defining_set)  # bit i for exponent i
-    best = None  # (-value, b, m1)
-    for c in _orbit_reps(n, cyclotomic_coset(n, q, 1)):
+    n = spec.n
+    mask = sum(1 << i for i in spec.defining_set)
+    lengths = []
+    best = None
+    for c in _strides(n, spec.q)[0]:
         length, starts = _longest_run(mask, n, c)
         key = (-(length + 1), _lowest_bit(starts), c)
         if best is None or key < best:
             best = key
-    neg_value, b, m1 = best
+        lengths.append(length)
+    return mask, best, tuple(lengths)
+
+
+@lru_cache(maxsize=64)
+def bch_bound(spec: CyclicCodeSpec) -> BchWitness:
+    """Longest arithmetic run in the defining set, as d >= run + 1.
+
+    The witness is the longest run with the smallest start b, then the
+    smallest step; `_stride_runs` scans one step per class of units modulo
+    the powers of q, since scaling D by q permutes it.  Results are
+    memoized per spec, since `cycbound bound` asks for the BCH value and
+    then best_bound compares against it.
+    """
+    if not spec.defining_set:
+        return BchWitness(1, None, None)
+    if len(spec.defining_set) == spec.n:
+        raise ValueError("the zero code has no minimum distance")
+    neg_value, b, m1 = _stride_runs(spec)[1]
     return BchWitness(-neg_value, b, m1)
 
 
@@ -324,56 +356,96 @@ def ht_bound(spec: CyclicCodeSpec) -> HtWitness:
     value and then best_bound compares against it.
 
     Among the templates of the best value the witness has the smallest
-    nu, then the smallest b1 and m1; `_ht_template` finds it.
-    The search is index arithmetic on the defining set alone, with no
-    field and no length cap.
+    nu, then the smallest b1 and m1; `_ht_template` finds it.  Its bottom
+    layer is D itself, whose longest runs L_1(m1) the BCH pass
+    `_stride_runs` has already found for every stride, so the search
+    starts from the BCH value and rescans only the strides that can still
+    reach the best value on a higher layer.  The search is index
+    arithmetic on the defining set alone, with no field and no length cap.
     """
     n = spec.n
     if not spec.defining_set:
         return HtWitness(1, None, None, None, None, None)
     if len(spec.defining_set) == n:
         raise ValueError("the zero code has no minimum distance")
-    mask = sum(1 << i for i in spec.defining_set)  # bit i for exponent i
-    neg_value, nu, b1, m1, m2 = _ht_template(mask, n, _units(n), 1)
+    mask, _, lengths = _stride_runs(spec)
+    _, half, orbit = _strides(n, spec.q)
+    neg_value, nu, b1, m1, m2 = _ht_template(mask, n, half, [lengths[j] for j in orbit], 1)
     return HtWitness(-neg_value, b1, m1, m2, -neg_value - nu, nu)
 
 
-def _ht_template(mask: int, n: int, units, m2: int) -> tuple[int, ...]:
+def _ht_template(mask: int, n: int, half, first, m2: int) -> tuple[int, ...]:
     """Key (-value, nu, b1, m1, m2) of the best HT template with inner step
     m2 over the unit strides m1, for the defining set `mask` (an n-bit
-    mask, neither empty nor all of Z_n).
+    mask, neither empty nor all of Z_n).  `half` holds the unit strides
+    m1 <= n/2 and first[i] = L_1(half[i]), the length of the longest
+    step-half[i] run in D.
 
     Layer T_r holds the starts of the step-m2 runs of length >= r in D
     (T_1 = D, T_(r+1) = T_r & rot(T_r, m2)).  A template with d0 - 1 = r
     stacks nu + 1 of their starts at stride m1, so the best value is the
     maximum over r and m1 of r + L_r(m1), with L_r(m1) the longest step-m1
-    run in T_r.  A run read backwards is a run of step n - m1, so the value
-    scan takes m1 <= n/2 alone, and skips a layer whose r + |T_r| cannot
-    beat the best so far.  At the best value nu = value - r - 1, so the
-    smallest nu comes from the highest layer that reaches it, which the
-    downward scan keeps; b1 is then the lowest start of a longest run there
-    over all strides m1, and m1 the smallest stride with a run opening at
-    b1.
+    run in T_r.  A run read backwards is a run of step n - m1, so only the
+    strides m1 <= n/2 are read.  At the best value nu = value - r - 1, so
+    the smallest nu comes from the highest layer that reaches it; b1 is
+    then the lowest start of a longest run there over all strides m1, and
+    m1 the smallest stride with a run opening at b1.
+
+    The layers are climbed from T_1 = D, whatever m2 is, so `first` gives
+    layer 1 without a scan and the value starts at 1 + max L_1, the BCH
+    value.  Pruning: T_r is in T_(r-1), so L_r(m1) is at most ub(m1), the
+    run of m1 on the last layer where it was scanned, and layer r rescans
+    m1 only when r + ub(m1) >= value, the best value so far; a stride left
+    out cannot reach value on layer r.  A layer that reaches value (>=,
+    ties go up) becomes the top and keeps its rescanned runs and their
+    starts, which hold every stride with L_r(m1) = value - r; the run
+    {a, a + m1, ..., a + (L - 1)m1} read backwards is a step-(n - m1) run
+    opening at a + (L - 1)m1, so the starts of n - m1 are those of m1
+    rotated by (L - 1)m1.
+
+    Stopping: T_(r+1) is a proper subset of T_r (a nonempty set closed
+    under + m2, a unit, is all of Z_n), so r + |T_r| never grows with r,
+    and the climb stops at the first layer where it is below value, or
+    empty: no later layer can tie.  A layer of one member is therefore the
+    last, and its member is a run of length 1 at every stride, so it
+    reaches value, r + 1 >= value, without a scan.  When the longest runs
+    of the top layer have length 1, every stride ties and every member of
+    the layer opens one, so b1 is its lowest member and m1 = 1.
     """
-    layers = []
-    t = mask
-    while t:
-        layers.append(t)
-        t &= (t >> m2) | (t << (n - m2))
-    half = [u for u in units if 2 * u <= n]
-    value, top, top_runs = 0, 0, ()
-    for r in range(len(layers), 0, -1):
-        t = layers[r - 1]
-        if r + t.bit_count() <= value:
-            continue
-        runs = [_longest_run(t, n, m1)[0] for m1 in half]
-        if r + max(runs) > value:
-            value, top, top_runs = r + max(runs), r, runs
+    ub = list(first)
+    value = 1 + max(ub)
+    top, top_layer, top_runs = 1, mask, [(u, run, None) for u, run in zip(half, ub)]
+    t, r, back = mask, 1, n - m2
+    while True:
+        t &= (t >> m2) | (t << back)  # the AND drops the bits above n
+        r += 1
+        size = t.bit_count()
+        if not t or r + size < value:
+            break
+        if size == 1:  # the last layer, a 1-run at every stride
+            value, top, top_layer = r + 1, r, t
+            break
+        scanned = []
+        for i, u in enumerate(ub):
+            if r + u >= value:
+                run, starts = _longest_run(t, n, half[i])
+                ub[i] = run
+                scanned.append((half[i], run, starts))
+        longest = max((run for _, run, _ in scanned), default=0)
+        if r + longest >= value:  # r < value when no stride is rescanned
+            value, top, top_layer, top_runs = r + longest, r, t, scanned
     need = value - top
-    strides = sorted({m for u, run in zip(half, top_runs) if run == need for m in (u, n - u)})
-    starts = {m1: _longest_run(layers[top - 1], n, m1)[1] for m1 in strides}
-    b1 = min(_lowest_bit(s) for s in starts.values())
-    m1 = next(m for m in strides if starts[m] >> b1 & 1)
+    if need == 1:  # every stride ties, every member of the layer a start
+        return (-value, 0, _lowest_bit(top_layer), 1, m2)
+    starts = {}
+    for u, run, x in top_runs:
+        if run == need:
+            if x is None:  # layer 1, known by its lengths alone
+                x = _longest_run(top_layer, n, u)[1]
+            c = (need - 1) * u % n  # a run read backwards opens c further on
+            starts[u], starts[n - u] = x, (x << c | x >> (n - c)) & ((1 << n) - 1)
+    b1 = min(map(_lowest_bit, starts.values()))
+    m1 = min(m for m, x in starts.items() if x >> b1 & 1)
     return (-value, need - 1, b1, m1, m2)
 
 

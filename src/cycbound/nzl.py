@@ -112,9 +112,23 @@ def nzl_bound(mu: int, d_l: int) -> int:
     return -(-mu // d_l)
 
 
-def _stepped(row: bytes, w: int) -> bytes:
-    """The row read at stride w: out[i] = row[w*i mod len(row)], for w >= 1."""
-    return (row * w)[::w]
+def _stepped(row: bytes, members, w: int) -> bytes:
+    """The row read at stride w: out[i] = row[w*i mod n], n = len(row), for
+    a unit w, where row holds the digit "1" at the residues mod n of
+    `members` and "0" elsewhere.  The stride-w slice of the w-fold
+    repetition copies n*w bytes; writing "1" at w^-1 * d for each member d
+    costs about as much as _WRITE_COST bytes of copying per member, so long
+    rows are written."""
+    n = len(row)
+    if len(members) * _WRITE_COST >= n * w:
+        return (row * w)[::w]
+    out, inv = bytearray(b"0") * n, pow(w, -1, n)
+    for d in members:
+        out[d * inv % n] = 49  # the digit "1"
+    return bytes(out)
+
+
+_WRITE_COST = 3000  # measured: about 110 ns per write, 0.04 ns per copied byte
 
 
 def _step_orbits(in_c: bytes, reps, n: int):
@@ -137,33 +151,96 @@ def _step_orbits(in_c: bytes, reps, n: int):
 
 
 def _code_rows(defining_set, reps, n: int, search_w: bool):
-    """The per-code half of the locator scan: ([(w, D_C row stepped by w,
-    layers)], stabilizer), one step w per stabilizer orbit (w = 1 alone
-    when `search_w` is off).  layers[r - 1] is the n-bit Hartmann-Tzeng
-    layer T_r(w) = {a : a, a + w, ..., a + (r - 1)w in D_C} for r = 1 ..
-    MAX_N_L (T_1 = D_C, T_(r+1) = T_r & rot(T_r, w)), 0 once empty.  `reps`
-    are as in _step_orbits.  The rows depend only on the code, so one code's
-    rows serve every locator."""
+    """The per-code half of the locator scan: (rows, stabilizer, layers,
+    ones, rotations).  rows holds (w, D_C row stepped by w), one step w per
+    stabilizer orbit (w = 1 alone when `search_w` is off); the stepped row
+    is M_w = {a : w*a in D_C} as a string of n digits "0" and "1".  `reps`
+    are as in _step_orbits.
+
+    layers[r - 1], r = 1 .. MAX_N_L, packs one field per step: field i,
+    bits i*(n + 1) .. i*(n + 1) + n - 1, holds the step-1 Hartmann-Tzeng
+    layer T_r(M_w) = {a : a, a + 1, ..., a + r - 1 in M_w} of the i-th
+    step's row, and bit i*(n + 1) + n is a guard bit, always 0; `ones`
+    has bit 0 of every field.  Since w*(a + i) = w*a + i*w, this field is
+    w^-1 * T_r(w), with T_r(w) = {a : a, a + w, ..., a + (r - 1)w in D_C}
+    the step-w layer of D_C.  A run {a, a + w*n_l, ...} of T_r(w) is w times
+    a run {b, b + n_l, ...} of field i, so the layer test of mu_search, a
+    k-run of T_m(w) at step w*n_l, is a k-run at step n_l in field i: the
+    same step in every field.  Layer 1 is the rows read as one binary
+    numeral, and T_(r+1) = T_r & rot(T_r, 1) in every field at once by
+    _field_rotation.  `rotations` caches the rotation by n_l for _scan.
+    The rows depend only on the code, so one code's rows serve every
+    locator."""
     in_c = bytearray(n)
-    mask = 0
     for i in defining_set:
         in_c[i % n] = 1
-        mask |= 1 << i % n
     in_c = bytes(in_c)
     if search_w and n > 1:
         ws, stab = _step_orbits(in_c, reps, n)
     else:
         ws, stab = [1 % n], (1,)
-    rows = []
-    for w in ws:  # w = 0 only when n = 1
-        layers, t, back = [0] * MAX_N_L, mask, n - w
-        for r in range(MAX_N_L):
-            if not t:
-                break
-            layers[r] = t
-            t &= (t >> w) | (t << back)  # the AND drops the bits above n
-        rows.append((w, _stepped(in_c, w or 1), layers))
-    return rows, stab
+    digits = in_c.translate(_DIGITS)
+    rows = [(w, _stepped(digits, defining_set, w or 1)) for w in ws]  # w = 0 only when n = 1
+    ones, fields = 1, 1
+    while fields < len(rows):  # doubling, then cut to one bit per step
+        ones |= ones << fields * (n + 1)
+        fields *= 2
+    ones &= (1 << len(rows) * (n + 1)) - 1
+    # the highest field first, each as its guard bit and then bits n - 1 .. 0
+    t = int(b"".join([b"0" + row[::-1] for _, row in reversed(rows)]), 2)
+    rotate = _field_rotation(n, 1 % n, ones)
+    layers = [0] * MAX_N_L
+    for r in range(MAX_N_L):
+        if not t:
+            break
+        layers[r] = t
+        t &= rotate(t)
+    return rows, stab, layers, ones, {}
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _field_rotation(n: int, s: int, ones: int):
+    """The map rotating every field of a packed int down by s, 0 <= s < n:
+    each field is n bits with a zero guard bit above (see _code_rows),
+    `ones` has bit 0 of every field, and field value t goes to
+    (t >> s) | (t << (n - s)) cut to n bits.  The two shifts of the whole
+    int carry bits across fields; the masks lo (bits 0 .. n - s - 1 of each
+    field) and hi (bits n - s .. n - 1) keep only the bits of each half
+    that come from the field itself, so the guard bits stay 0."""
+    back = n - s
+    lo, hi = (ones << back) - ones, (ones << n) - (ones << back)
+    return lambda x: x >> s & lo | x << back & hi
+
+
+def _nonzero_fields(x: int, n: int, ones: int, first: int, end: int):
+    """The indices, increasing, of the nonzero fields of the packed int x,
+    whose field j is field first + j of a _code_rows layer, so that only
+    first .. end - 1 can occur.  Adding 2^n - 1 to a field carries into
+    its guard bit exactly when the field is nonzero, and no carry leaves
+    the field; the guard bits are moved to bit 0 of each field and
+    counted, and unless every field is set they are read off the bytes of
+    the int, visited by bytes.find in one linear pass once each nonzero
+    byte is translated to 1."""
+    g = (x + (ones << n) - ones) >> n & ones
+    if g.bit_count() == end - first:
+        return range(first, end)
+    data = g.to_bytes((g.bit_length() + 7) // 8, "little")
+    marks = data.translate(_NONZERO)
+    out = []
+    j = marks.find(1)
+    while j >= 0:
+        v = data[j]  # one field bit per byte, unless n + 1 < 8
+        while v:
+            low = v & -v
+            out.append(first + (8 * j + low.bit_length() - 1) // (n + 1))
+            v ^= low
+        j = marks.find(1, j + 1)
+    return out
+
+
+_NONZERO = bytes([0] + [1] * 255)
 
 
 @lru_cache(maxsize=1024)
@@ -179,56 +256,88 @@ def _locator_zeros(n_l: int, defining_set) -> tuple[frozenset[int], int]:
     return in_l, min(m, n_l)
 
 
+def _cover(code_row: bytes, in_l, n_l: int) -> tuple[bytearray, int]:
+    """(cover, z) for one step w: the n*n_l cycle indices j, digit "1" when
+    w*j mod n is in D_C (code_row, the stepped row, tiled n_l times) or
+    j mod n_l is in D_L (the indices t, t + n_l, ... of each locator zero
+    t), rotated to open at z, the first uncovered index.  mu_search builds
+    it only for the steps that pass the layer test."""
+    cover = bytearray(code_row * n_l)
+    covered = b"1" * len(code_row)  # the n cycle indices of one locator residue
+    for t in in_l:
+        cover[t::n_l] = covered
+    z = cover.find(b"0")
+    return cover[z:] + cover[:z], z
+
+
 def _scan(n: int, code_rows, locator: LocatorSpec, floor: int) -> NzlCertificate | None:
     """The mu_search certificate of `locator` from the code's _code_rows, or
     None when no run of covered indices is at least `floor` long.  Floor 0
     always gives the certificate: mu = 1, the empty run, when no index is
     covered.  See mu_search for the scan, the layer test and the
-    degeneracy test."""
+    degeneracy test.
+
+    The layer test runs on all steps at once (the packed form of the lemma
+    is in _code_rows): k - 1 AND-rotations by n_l of the packed layer
+    T_m leave in field i the starts of the step-n_l k-runs of
+    w_i^-1 * T_m(w_i), and only the steps with a nonzero field get a cover,
+    in order.  When a longer run raises k, the steps not yet scanned are
+    tested again with the new k, so each step is tested with the k of the
+    run still needed when it comes up, as a test of its own layer alone
+    would be, and the same covers are built."""
     n_l = locator.n_l
     if math.gcd(n, n_l) != 1:
         raise NotCoprime(f"gcd({n}, {n_l}) != 1")
     in_l, m = _locator_zeros(n_l, tuple(locator.defining_set))
-    rows, stab = code_rows
-    if not m or 0 not in rows[0][1]:
+    rows, stab, layers, ones, rotations = code_rows
+    if not m or b"0" not in rows[0][1]:
         raise DegenerateCover("the code and locator zero sets cover every index")
-    m = min(m, MAX_N_L)  # the layers kept per step
+    m = min(m, MAX_N_L)  # the layers kept
     total = n * n_l
-    ones = b"\1" * n  # the n cycle indices of one locator residue
     best = None  # (-mu, e, t_l, w)
-    longest = b"\1" * max(floor, 1)  # the longest run found so far, or the least that counts
-    for w, code_row, layers in rows:
+    longest = b"1" * max(floor, 1)  # the longest run found so far, or the least that counts
+    start = 0  # the first step not yet scanned
+    while start < len(rows):
         k = (len(longest) - m + 1) // n_l
-        if k > 0:  # the step needs a k-run of T_m(w) at step w*n_l
-            t, step = layers[m - 1], w * n_l % n
-            back = n - step
-            while t and k > 1:
-                t &= (t >> step) | (t << back)
-                k -= 1
-            if not t:
+        steps = range(start, len(rows))
+        if k > 0:  # the steps whose T_m(M_w) has a k-run at step n_l
+            x = layers[m - 1] >> start * (n + 1)
+            if k > 1 and x:
+                rotate = rotations.get(n_l)
+                if rotate is None:
+                    rotate = rotations[n_l] = _field_rotation(n, n_l % n, ones)
+                for _ in range(k - 1):
+                    x &= rotate(x)
+                    if not x:
+                        break
+            if not x:
+                break
+            steps = _nonzero_fields(x, n, ones, start, len(rows))
+        for i in steps:
+            w, code_row = rows[i]
+            cover, z = _cover(code_row, in_l, n_l)
+            if longest not in cover:
                 continue
-        cover = bytearray(code_row * n_l)
-        for t in in_l:
-            cover[t::n_l] = ones
-        z = cover.find(0)
-        cover = cover[z:] + cover[:z]
-        if longest not in cover:
-            continue
-        while longest + b"\1" in cover:
-            longest += b"\1"
-        mu = len(longest) + 1
-        # cover opens with an uncovered index and holds no longer run, so
-        # each match of this pattern is one longest run, opening at at + 1
-        run = b"\0" + longest
-        at = cover.find(run)
-        while at >= 0:
-            first = (z + at + 1) % total
-            e, t_l = w * first % n, first % n_l
-            for s in stab:
-                cand = (-mu, s * e % n, t_l, s * w % n)
-                if best is None or cand < best:
-                    best = cand
-            at = cover.find(run, at + mu)
+            while longest + b"1" in cover:
+                longest += b"1"
+            mu = len(longest) + 1
+            # cover opens with an uncovered index and holds no longer run, so
+            # each match of this pattern is one longest run, opening at at + 1
+            run = b"0" + longest
+            at = cover.find(run)
+            while at >= 0:
+                first = (z + at + 1) % total
+                e, t_l = w * first % n, first % n_l
+                for s in stab:
+                    cand = (-mu, s * e % n, t_l, s * w % n)
+                    if best is None or cand < best:
+                        best = cand
+                at = cover.find(run, at + mu)
+            if (len(longest) - m + 1) // n_l > max(k, 0):
+                start = i + 1
+                break
+        else:
+            break
     if best is None:
         if floor:
             return None
@@ -282,12 +391,15 @@ def mu_search(
 
     So a step w whose T_m(w) has no k-run at step s, k taken with L the
     length of the run the scan still needs, holds no such run either, and
-    is skipped by at most k - 1 AND-rotations of an n-bit mask; the
-    substring test would have skipped it too, so no certificate and no
-    tie-break changes.  For the trivial locator (n_l = m = 1, k = L) the
-    test is exact.  The proof holds for any block outside D_L, so a block
-    longer than the MAX_N_L layers that _code_rows keeps per step is read
-    as one of MAX_N_L residues.
+    is skipped before its cover is built; the substring test would have
+    skipped it too, so no certificate and no tie-break changes.  In packed
+    form (see _code_rows), T_m(w) = w * T_m(M_w) with M_w the stepped row,
+    and a k-run at step w*n_l is w times a k-run of T_m(M_w) at step n_l:
+    the same step for every w, so k - 1 AND-rotations of one int holding
+    every step's T_m(M_w) test all steps at once.  For the trivial locator
+    (n_l = m = 1, k = L) the test is exact.  The proof holds for any block
+    outside D_L, so a block longer than the MAX_N_L layers that _code_rows
+    keeps is read as one of MAX_N_L residues.
 
     Steps are scanned one per orbit of the multiplier stabilizer
     S = {s unit mod n : s*D_C = D_C}: the step s*w sees the same cover as w,

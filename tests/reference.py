@@ -2,8 +2,10 @@
 runtime calls: the dense polynomial Poly over a FieldCtx with its ring
 arithmetic, the extended Euclidean Key Equation solver that the decoder's
 Berlekamp-Massey is checked against, the Hartmann-Tzeng search over every
-inner step m2, the q-ary distance oracle that rebuilds every w-row sum,
-and the locator scan that builds the cover of every step.
+inner step m2 and the unseeded template search it used to run on, the
+q-ary distance oracle that rebuilds every w-row sum, the locator scan that
+builds the cover of every step, and the one that tests each step's own
+Hartmann-Tzeng layer before building its cover.
 """
 
 import math
@@ -207,14 +209,46 @@ def pmod(a: Poly, b: Poly) -> Poly:
 def ht_every_m2(spec) -> cyclic.HtWitness:
     """The best HT template over the full (m1, m2) family, m2 every unit:
     cyclic.ht_bound searches m2 = 1 only, and the full family can be
-    stronger.  Ties go to the smallest nu, b1, m1 and then m2."""
+    stronger.  Ties go to the smallest nu, b1, m1 and then m2.  The bottom
+    layer of every m2 is D itself, so its longest runs, found here by plain
+    _longest_run calls, seed the search of every m2."""
     n = spec.n
     if not spec.defining_set:
         return cyclic.HtWitness(1, None, None, None, None, None)
     mask = sum(1 << i for i in spec.defining_set)
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    neg_value, nu, b1, m1, m2 = min(cyclic._ht_template(mask, n, units, m2) for m2 in units)
+    half = [u for u in units if 2 * u <= n]
+    first = [cyclic._longest_run(mask, n, u)[0] for u in half]
+    neg_value, nu, b1, m1, m2 = min(cyclic._ht_template(mask, n, half, first, m2) for m2 in units)
     return cyclic.HtWitness(-neg_value, b1, m1, m2, -neg_value - nu, nu)
+
+
+def ht_template(mask: int, n: int, units, m2: int) -> tuple[int, ...]:
+    """cyclic._ht_template as it was before its seed: every layer T_r is
+    built, and the layers are scanned from the top down, each at every
+    stride m1 <= n/2 unless r + |T_r| cannot beat the best value so far;
+    a strictly better value replaces the best, so the highest layer that
+    reaches it wins.  Same key (-value, nu, b1, m1, m2)."""
+    layers = []
+    t = mask
+    while t:
+        layers.append(t)
+        t &= (t >> m2) | (t << (n - m2))
+    half = [u for u in units if 2 * u <= n]
+    value, top, top_runs = 0, 0, ()
+    for r in range(len(layers), 0, -1):
+        t = layers[r - 1]
+        if r + t.bit_count() <= value:
+            continue
+        runs = [cyclic._longest_run(t, n, m1)[0] for m1 in half]
+        if r + max(runs) > value:
+            value, top, top_runs = r + max(runs), r, runs
+    need = value - top
+    strides = sorted({m for u, run in zip(half, top_runs) if run == need for m in (u, n - u)})
+    starts = {m1: cyclic._longest_run(layers[top - 1], n, m1)[1] for m1 in strides}
+    b1 = min(cyclic._lowest_bit(s) for s in starts.values())
+    m1 = next(m for m in strides if starts[m] >> b1 & 1)
+    return (-value, need - 1, b1, m1, m2)
 
 
 def qary_oracle(spec) -> tuple[int, tuple[int, ...], int]:
@@ -253,8 +287,9 @@ def qary_oracle(spec) -> tuple[int, tuple[int, ...], int]:
 
 def scan_code_rows(defining_set, n: int, search_w: bool):
     """([(w, D_C row stepped by w)], stabilizer) as nzl._code_rows builds
-    them, without the layers: one step per orbit of the stabilizer, which is
-    found by testing every member of D_C."""
+    them, with the rows as 0/1 bytes in place of its digits "0"/"1" and
+    without the layers: one step per orbit of the stabilizer, which is found
+    by testing every member of D_C."""
     in_c = bytearray(n)
     for i in defining_set:
         in_c[i % n] = 1
@@ -323,3 +358,81 @@ def ranked_certificates(code, *, search_w: bool = True):
     rows = scan_code_rows(code.defining_set, code.n, search_w)
     certs = (scan(code.n, rows, loc, 0) for loc in nzl.candidate_locators(code.n, code.q))
     return sorted(certs, key=nzl.certificate_rank)
+
+
+def layer_code_rows(defining_set, n: int, search_w: bool):
+    """The rows of nzl._code_rows as the per-step layer test read them:
+    ([(w, D_C row stepped by w as 0/1 bytes, layers)], stabilizer), with
+    layers[r - 1] the n-bit step-w Hartmann-Tzeng layer
+    T_r(w) = {a : a, a + w, ..., a + (r - 1)w in D_C} of D_C itself, for
+    r = 1 .. nzl.MAX_N_L, 0 once empty."""
+    rows, stab = scan_code_rows(defining_set, n, search_w)
+    mask = sum(1 << a for a in range(n) if rows[0][1][a])
+    out = []
+    for w, row in rows:
+        layers, t = [0] * nzl.MAX_N_L, mask
+        for r in range(nzl.MAX_N_L):
+            if not t:
+                break
+            layers[r] = t
+            t &= (t >> w) | (t << (n - w))
+        out.append((w, row, layers))
+    return out, stab
+
+
+def layer_scan(n: int, code_rows, locator, floor: int, built: list):
+    """nzl._scan with the layer test run step by step, on each step's own
+    layer T_m(w) of D_C, with the k of the run still needed when the step
+    comes up: a step is skipped when T_m(w) has no k-run at step w*n_l.
+    `code_rows` come from layer_code_rows.  Appends to `built` the step of
+    each cover it builds."""
+    n_l = locator.n_l
+    if math.gcd(n, n_l) != 1:
+        raise NotCoprime(f"gcd({n}, {n_l}) != 1")
+    in_l, m = nzl._locator_zeros(n_l, tuple(locator.defining_set))
+    rows, stab = code_rows
+    if not m or 0 not in rows[0][1]:
+        raise nzl.DegenerateCover("the code and locator zero sets cover every index")
+    m = min(m, nzl.MAX_N_L)
+    total = n * n_l
+    ones = b"\1" * n
+    best = None  # (-mu, e, t_l, w)
+    longest = b"\1" * max(floor, 1)
+    for w, code_row, layers in rows:
+        k = (len(longest) - m + 1) // n_l
+        if k > 0:
+            t, step = layers[m - 1], w * n_l % n
+            back = n - step
+            while t and k > 1:
+                t &= (t >> step) | (t << back)
+                k -= 1
+            if not t:
+                continue
+        built.append(w)
+        cover = bytearray(code_row * n_l)
+        for t in in_l:
+            cover[t::n_l] = ones
+        z = cover.find(0)
+        cover = cover[z:] + cover[:z]
+        if longest not in cover:
+            continue
+        while longest + b"\1" in cover:
+            longest += b"\1"
+        mu = len(longest) + 1
+        run = b"\0" + longest
+        at = cover.find(run)
+        while at >= 0:
+            first = (z + at + 1) % total
+            e, t_l = w * first % n, first % n_l
+            for s in stab:
+                cand = (-mu, s * e % n, t_l, s * w % n)
+                if best is None or cand < best:
+                    best = cand
+            at = cover.find(run, at + mu)
+    if best is None:
+        if floor:
+            return None
+        return nzl.NzlCertificate(0, 1 % n, 0, 1, nzl.nzl_bound(1, locator.d_l), locator)
+    neg_mu, e, t_l, w = best
+    mu = -neg_mu
+    return nzl.NzlCertificate(e, w, t_l, mu, nzl.nzl_bound(mu, locator.d_l), locator)

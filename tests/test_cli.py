@@ -275,6 +275,19 @@ def test_bound_computes_ht_once(tmp_path):
     assert after.hits == before.hits + 1
 
 
+def test_bound_makes_one_stride_pass(tmp_path):
+    # bch_bound and ht_bound share the pass over the unit strides of D_C
+    from cycbound import cli, cyclic
+
+    path = tmp_path / "fresh.json"
+    path.write_text(json.dumps({"q": 2, "n": 31, "coset_reps": [1, 5], "name": "stride-once"}))
+    before = cyclic._stride_runs.cache_info()
+    assert cli.main(["bound", str(path)]) == 0
+    after = cyclic._stride_runs.cache_info()
+    assert after.misses == before.misses + 1
+    assert after.hits == before.hits + 1
+
+
 def test_bound_computes_bch_once(tmp_path):
     from cycbound import cli, cyclic
 

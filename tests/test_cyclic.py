@@ -5,7 +5,7 @@ from itertools import combinations
 from operator import xor
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from cycbound import cyclic
@@ -36,6 +36,7 @@ from cycbound.gf import (
     root_product,
     subfield_digit_maps,
 )
+import reference
 from reference import Poly, ht_every_m2, pmod, pmul, pone, qary_oracle
 
 
@@ -162,6 +163,28 @@ def test_ht_bound_empty_and_long():
     assert ht_bound(build_code(2, 9, ())).value == 1
     code = build_code(2, 257, (1,))
     assert verify_ht_witness(code, ht_bound(code))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_seeded_ht_template_matches_unseeded(data):
+    # the BCH stride pass seeds layer 1 of every inner step m2; the seeded
+    # climb keeps the unseeded top-down search's key, tie-break included
+    q = data.draw(st.sampled_from([2, 3, 4, 5]), label="q")
+    n = data.draw(st.integers(2, 70).filter(lambda n: math.gcd(n, q) == 1), label="n")
+    cosets = cyclic.coset_partition(n, q)
+    chosen = data.draw(st.sets(st.sampled_from(range(len(cosets))), min_size=1), label="cosets")
+    code = build_code(q, n, [min(cosets[i]) for i in chosen])
+    assume(code.k > 0)
+    mask, key, lengths = cyclic._stride_runs(code)
+    reps, half, orbit = cyclic._strides(n, q)
+    first = [lengths[j] for j in orbit]
+    assert first == [cyclic._longest_run(mask, n, u)[0] for u in half]
+    runs = [cyclic._longest_run(mask, n, c) for c in reps]
+    assert key == min((-(length + 1), cyclic._lowest_bit(starts), c) for (length, starts), c in zip(runs, reps))
+    units = cyclic._units(n)
+    for m2 in (1, data.draw(st.sampled_from(units), label="m2")):
+        assert cyclic._ht_template(mask, n, half, first, m2) == reference.ht_template(mask, n, units, m2), m2
 
 
 def test_ht_exhaustive_cross_validation():

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycbound import cyclic, gf, nzl
@@ -594,23 +594,70 @@ def _outcome(f):
         return type(exc), str(exc)
 
 
+def _digits(row):
+    """A 0/1 byte row as the "0"/"1" digits that nzl._code_rows keeps."""
+    return bytes(row).translate(bytes.maketrans(b"\0\1", b"01"))
+
+
+def _scan_building(n, code_rows, locator, floor):
+    """(nzl._scan's outcome, the steps whose cover it builds, in order)."""
+    built, real = [], nzl._cover
+
+    def cover(code_row, in_l, n_l):
+        built.append(next(w for w, row in code_rows[0] if row is code_row))
+        return real(code_row, in_l, n_l)
+
+    nzl._cover = cover
+    try:
+        return _outcome(lambda: nzl._scan(n, code_rows, locator, floor)), built
+    finally:
+        nzl._cover = real
+
+
+def _best_bound_floors(code, search_w):
+    """The (locator, floor) pairs best_bound scans, in order."""
+    calls, real = [], nzl._scan
+
+    def scan(n, rows, loc, floor):
+        calls.append((loc, floor))
+        return real(n, rows, loc, floor)
+
+    nzl._scan = scan
+    try:
+        best_bound(code, search_w=search_w)
+    finally:
+        nzl._scan = real
+    return calls
+
+
 def _assert_search_matches_reference(code, mu_search_too):
     # the layer test only skips covers that the reference builds in vain,
-    # so every certificate, tie-break and exception is the reference's
+    # so every certificate, tie-break and exception is the reference's; the
+    # packed test builds the covers of exactly the steps that the per-step
+    # test passes
     n, D = code.n, code.defining_set
     for search_w in (True, False):
-        rows, stab = nzl._code_rows(D, code.coset_reps, n, search_w)
+        code_rows = nzl._code_rows(D, code.coset_reps, n, search_w)
         ref_rows = reference.scan_code_rows(D, n, search_w)
-        assert (stab, [r[:2] for r in rows]) == (ref_rows[1], ref_rows[0]), code
+        assert code_rows[1] == ref_rows[1], code
+        assert code_rows[0] == [(w, _digits(row)) for w, row in ref_rows[0]], code
+        layer_rows = reference.layer_code_rows(D, n, search_w)
         ranked = _outcome(lambda: ranked_certificates(code, search_w=search_w))
         assert ranked == _outcome(lambda: reference.ranked_certificates(code, search_w=search_w)), code
         if not isinstance(ranked, list):
             continue
         assert best_bound(code, search_w=search_w)[0] == ranked[0], code
+        scans = _best_bound_floors(code, search_w)
         for cert in ranked:  # at a floor of mu - 1 the run is found, at mu it is not
-            for floor in (cert.mu - 1, cert.mu):
-                got = nzl._scan(n, (rows, stab), cert.locator, floor)
-                assert got == reference.scan(n, ref_rows, cert.locator, floor), (code, cert, floor)
+            scans += [(cert.locator, floor) for floor in (0, cert.mu - 1, cert.mu)]
+        for loc, floor in scans:
+            got, built = _scan_building(n, code_rows, loc, floor)
+            ref_built = []
+            want = _outcome(lambda: reference.layer_scan(n, layer_rows, loc, floor, ref_built))
+            assert got == want, (code, loc, floor)
+            assert built == ref_built, (code, loc, floor)
+            if floor:
+                assert got == reference.scan(n, ref_rows, loc, floor), (code, loc, floor)
         if not mu_search_too:
             continue
         for loc in candidate_locators(n, code.q):
@@ -688,12 +735,75 @@ def test_ht_layer_lemma(data):
     for L in range(1, longest + 1):
         k = (L - m + 1) // n_l
         assert k < 1 or _has_run(_layer(D, n, w, m), n, w * n_l % n, k), (L, k, m)
-    rows, _ = nzl._code_rows(sorted(D), sorted(D), n, True)
-    for step, _, layers in rows:
-        for r, t in enumerate(layers, 1):
-            assert t == sum(1 << a for a in _layer(D, n, step, r)), (step, r)
+    # field i of packed layer r is w_i^-1 * T_r(w_i) with its guard bit 0,
+    # and the packed layer test passes field i exactly when T_m(w_i) has a
+    # k-run at step w_i*n_l
+    rows, _, layers, ones, _ = nzl._code_rows(sorted(D), sorted(D), n, True)
+    width = n + 1
+    assert ones == sum(1 << i * width for i in range(len(rows)))
+    for i, (step, row) in enumerate(rows):
+        assert row == bytes(48 + ((step * a) % n in D) for a in range(n)), step
+    for r, t in enumerate(layers, 1):
+        assert t >> len(rows) * width == 0, r
+        for i, (step, _) in enumerate(rows):
+            inv = pow(step, -1, n)
+            assert t >> i * width & ((1 << width) - 1) == sum(
+                1 << inv * a % n for a in _layer(D, n, step, r)), (step, r)
+    m = min(m, nzl.MAX_N_L)
+    rotate = nzl._field_rotation(n, n_l % n, ones)
+    x, tops = layers[m - 1], [_layer(D, n, step, m) for step, _ in rows]
+    for k in range(1, n + 2):
+        want = [i for i, (step, _) in enumerate(rows) if _has_run(tops[i], n, step * n_l % n, k)]
+        assert list(nzl._nonzero_fields(x, n, ones, 0, len(rows))) == want, k
+        x &= rotate(x)
     # the scan built on the lemma, also where m exceeds the MAX_N_L layers kept
     assert mu_search(sorted(D), n, loc) == reference.mu_search(sorted(D), n, loc)
+
+
+@st.composite
+def _packed(draw):
+    """(n, s, fields): a field length n, a rotation 0 <= s < n and field values."""
+    n = draw(st.integers(1, 40), label="n")
+    s = draw(st.integers(0, n - 1), label="s")
+    return n, s, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8), label="fields")
+
+
+def _pack(n, fields):
+    return sum(t << i * (n + 1) for i, t in enumerate(fields))
+
+
+@given(_packed())
+@example((1, 0, [1, 0, 1]))
+@example((9, 0, [0b101000011, 0, 0b111111111]))
+@settings(max_examples=300, deadline=None)
+def test_field_rotation_rotates_each_field(case):
+    n, s, fields = case
+    ones = _pack(n, [1] * len(fields))
+    want = [((t >> s) | (t << (n - s))) & ((1 << n) - 1) for t in fields]
+    assert nzl._field_rotation(n, s, ones)(_pack(n, fields)) == _pack(n, want)
+
+
+@given(_packed(), st.integers(0, 5))
+@example((1, 0, [1, 0, 1]), 2)
+@settings(max_examples=300, deadline=None)
+def test_nonzero_fields_lists_the_nonzero_fields(case, first):
+    n, _, fields = case
+    ones = _pack(n, [1] * (first + len(fields)))
+    got = nzl._nonzero_fields(_pack(n, fields), n, ones, first, first + len(fields))
+    assert list(got) == [first + i for i, t in enumerate(fields) if t]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_stepped_reads_the_row_at_stride_w(data):
+    # short rows and dense ones are sliced, long sparse ones written member
+    # by member; both read out[a] = row[w*a mod n]
+    n = data.draw(st.integers(1, 400), label="n")
+    size = data.draw(st.sampled_from([3, n]), label="size")
+    members = data.draw(st.lists(st.integers(-2 * n, 2 * n), max_size=size), label="D")
+    w = data.draw(st.sampled_from(cyclic._units(n) or (1,)), label="w")
+    row = bytes(48 + (a in {d % n for d in members}) for a in range(n))
+    assert nzl._stepped(row, members, w) == bytes(row[w * a % n] for a in range(n))
 
 
 @given(st.data())
