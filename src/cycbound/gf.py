@@ -538,9 +538,14 @@ class PackedWords(PackedLanes):
         return [digit_of[x >> i * width & mask] for i in range(self.n)]
 
     def scaled(self, digits) -> list[int]:
-        """pack(c * digits) for c = 1, ..., q - 1."""
-        table = [[self.df.mul(c, d) for d in range(self.df.q)] for c in range(1, self.df.q)]
-        return [self.pack([times[d] for d in digits]) for times in table]
+        """pack(c * digits) for c = 1, ..., q - 1, multiplying only the
+        digits that occur, so the cost is (q - 1) times their number."""
+        mul, occurring = self.df.mul, set(digits)
+        out = []
+        for c in range(1, self.df.q):
+            times = {d: mul(c, d) for d in occurring}
+            out.append(self.pack([times[d] for d in digits]))
+        return out
 
 
 def remainder_rows(words: PackedWords, g, exponents: range) -> list[tuple[int, ...]]:

@@ -154,7 +154,8 @@ def _code_rows(defining_set, reps, n: int, search_w: bool):
     k-run of T_m(w) at step w*n_l, is a k-run at step n_l in field i: the
     same step in every field.  Layer 1 is the rows read as one binary
     numeral, and T_(r+1) = T_r & rot(T_r, 1) in every field at once by
-    _field_rotation.  `rotations` caches the rotation by n_l for _scan.
+    _field_rotation.  `rotations` caches the rotation by n_l for _scan,
+    shared by every locator of that length.
     The rows depend only on the code, so one code's rows serve every
     locator."""
     in_c = bytearray(n)
@@ -200,46 +201,16 @@ def _field_rotation(n: int, s: int, ones: int):
     return lambda x: x >> s & lo | x << back & hi
 
 
-def _nonzero_fields(x: int, n: int, ones: int, first: int, end: int):
-    """The indices, increasing, of the nonzero fields of the packed int x,
-    whose field j is field first + j of a _code_rows layer, so that only
-    first .. end - 1 can occur.  Adding 2^n - 1 to a field carries into
-    its guard bit exactly when the field is nonzero, and no carry leaves
-    the field; the guard bits are moved to bit 0 of each field and
-    counted, and unless every field is set they are read off the bytes of
-    the int, visited by bytes.find in one linear pass once each nonzero
-    byte is translated to 1."""
-    g = (x + (ones << n) - ones) >> n & ones
-    if g.bit_count() == end - first:
-        return range(first, end)
-    data = g.to_bytes((g.bit_length() + 7) // 8, "little")
-    marks = data.translate(_NONZERO)
-    out = []
-    j = marks.find(1)
-    while j >= 0:
-        v = data[j]  # one field bit per byte, unless n + 1 < 8
-        while v:
-            low = v & -v
-            out.append(first + (8 * j + low.bit_length() - 1) // (n + 1))
-            v ^= low
-        j = marks.find(1, j + 1)
-    return out
-
-
-_NONZERO = bytes([0] + [1] * 255)
-
-
 @lru_cache(maxsize=1024)
 def _locator_zeros(n_l: int, defining_set) -> tuple[frozenset[int], int]:
     """(D_L as residues mod n_l, m): m is the length of the longest cyclic
     block of consecutive residues outside D_L, n_l when D_L is empty and 0
     when D_L is all of Z_(n_l)."""
     in_l = frozenset(i % n_l for i in defining_set)
-    m = run = 0
-    for i in range(2 * n_l):  # twice round, for the block that wraps
-        run = 0 if i % n_l in in_l else run + 1
-        m = max(m, run)
-    return in_l, min(m, n_l)
+    if not in_l:
+        return in_l, n_l
+    gaps = sum(1 << i for i in range(n_l) if i not in in_l)
+    return in_l, cyclic._longest_run(gaps, n_l, 1)[0]
 
 
 def _cover(code_row: bytes, in_l, n_l: int) -> tuple[bytearray, int]:
@@ -263,14 +234,13 @@ def _scan(n: int, code_rows, locator: LocatorSpec, floor: int) -> NzlCertificate
     covered.  See mu_search for the scan, the layer test and the
     degeneracy test.
 
-    The layer test runs on all steps at once (the packed form of the lemma
-    is in _code_rows): k - 1 AND-rotations by n_l of the packed layer
-    T_m leave in field i the starts of the step-n_l k-runs of
-    w_i^-1 * T_m(w_i), and only the steps with a nonzero field get a cover,
-    in order.  When a longer run raises k, the steps not yet scanned are
-    tested again with the new k, so each step is tested with the k of the
-    run still needed when it comes up, as a test of its own layer alone
-    would be, and the same covers are built."""
+    The layer test runs on every step's field of the packed layer T_m (see
+    _code_rows): runs[j - 1], T_m after j - 1 AND-rotations by n_l, holds
+    in field i the starts of the step-n_l j-runs of w_i^-1 * T_m(w_i), and
+    step i gets a cover only when field i of runs[k - 1] is nonzero.  k is
+    taken from the run still needed when the step comes up, as a test of
+    its own layer alone would take it, so the same covers are built; k
+    never falls, so once runs[k - 1] is 0 no later step can pass."""
     n_l = locator.n_l
     if math.gcd(n, n_l) != 1:
         raise NotCoprime(f"gcd({n}, {n_l}) != 1")
@@ -282,48 +252,39 @@ def _scan(n: int, code_rows, locator: LocatorSpec, floor: int) -> NzlCertificate
     total = n * n_l
     best = None  # (-mu, e, t_l, w)
     longest = b"1" * max(floor, 1)  # the longest run found so far, or the least that counts
-    start = 0  # the first step not yet scanned
-    while start < len(rows):
+    rotate = rotations.get(n_l)
+    if rotate is None:
+        rotate = rotations[n_l] = _field_rotation(n, n_l % n, ones)
+    field = (1 << n) - 1
+    runs = [layers[m - 1]]
+    for i, (w, code_row) in enumerate(rows):
         k = (len(longest) - m + 1) // n_l
-        steps = range(start, len(rows))
-        if k > 0:  # the steps whose T_m(M_w) has a k-run at step n_l
-            x = layers[m - 1] >> start * (n + 1)
-            if k > 1 and x:
-                rotate = rotations.get(n_l)
-                if rotate is None:
-                    rotate = rotations[n_l] = _field_rotation(n, n_l % n, ones)
-                for _ in range(k - 1):
-                    x &= rotate(x)
-                    if not x:
-                        break
+        if k > 0:  # does field i of T_m hold a k-run at step n_l?
+            while len(runs) < k and runs[-1]:
+                runs.append(runs[-1] & rotate(runs[-1]))
+            x = runs[min(k, len(runs)) - 1]  # 0 when the runs die out before k
             if not x:
                 break
-            steps = _nonzero_fields(x, n, ones, start, len(rows))
-        for i in steps:
-            w, code_row = rows[i]
-            cover, z = _cover(code_row, in_l, n_l)
-            if longest not in cover:
+            if not x >> i * (n + 1) & field:
                 continue
-            while longest + b"1" in cover:
-                longest += b"1"
-            mu = len(longest) + 1
-            # cover opens with an uncovered index and holds no longer run, so
-            # each match of this pattern is one longest run, opening at at + 1
-            run = b"0" + longest
-            at = cover.find(run)
-            while at >= 0:
-                first = (z + at + 1) % total
-                e, t_l = w * first % n, first % n_l
-                for s in stab:
-                    cand = (-mu, s * e % n, t_l, s * w % n)
-                    if best is None or cand < best:
-                        best = cand
-                at = cover.find(run, at + mu)
-            if (len(longest) - m + 1) // n_l > max(k, 0):
-                start = i + 1
-                break
-        else:
-            break
+        cover, z = _cover(code_row, in_l, n_l)
+        if longest not in cover:
+            continue
+        while longest + b"1" in cover:
+            longest += b"1"
+        mu = len(longest) + 1
+        # cover opens with an uncovered index and holds no longer run, so
+        # each match of this pattern is one longest run, opening at at + 1
+        run = b"0" + longest
+        at = cover.find(run)
+        while at >= 0:
+            first = (z + at + 1) % total
+            e, t_l = w * first % n, first % n_l
+            for s in stab:
+                cand = (-mu, s * e % n, t_l, s * w % n)
+                if best is None or cand < best:
+                    best = cand
+            at = cover.find(run, at + mu)
     if best is None:
         if floor:
             return None
@@ -381,8 +342,9 @@ def mu_search(
     skipped it too, so no certificate and no tie-break changes.  In packed
     form (see _code_rows), T_m(w) = w * T_m(M_w) with M_w the stepped row,
     and a k-run at step w*n_l is w times a k-run of T_m(M_w) at step n_l:
-    the same step for every w, so k - 1 AND-rotations of one int holding
-    every step's T_m(M_w) test all steps at once.  For the trivial locator
+    the same step for every w, so the k - 1 AND-rotations of one int
+    holding every step's T_m(M_w) are made once per locator, and each step
+    reads its own field of the result.  For the trivial locator
     (n_l = m = 1, k = L) the test is exact.  The proof holds for any block
     outside D_L, so a block longer than the MAX_N_L layers that _code_rows
     keeps is read as one of MAX_N_L residues.

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -205,6 +206,21 @@ def test_bound_oracle_over_field_table_cap(tmp_path):
     assert doc["oracle"]["d"] is None and doc["oracle"]["capped"] is True
     assert "table bound" in doc["oracle"]["skipped"]
     assert doc["bch"]["value"] >= 2 and doc["ht"]["value"] >= 2 and doc["nzl"]["d_star"] >= 2
+
+
+def _two_gigabytes_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("args, reps", [(("decode", "--received", "1,0,0"), [1]), (("bound",), [1, 2])])
+def test_large_field_runs_in_two_gigabytes(tmp_path, args, reps):
+    # a (q - 1) x q table of GF(65536) digit products would not fit; bound
+    # runs the oracle here (k = 1), and both build remainder rows over GF(q)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"q": 65536, "n": 3, "coset_reps": reps}))
+    res = run_cli(args[0], str(spec), *args[1:], timeout=120,
+                  preexec_fn=_two_gigabytes_of_address_space)
+    assert res.returncode == 0, res.stderr
 
 
 # Received words of the decode goldens: three errors on example-21, which

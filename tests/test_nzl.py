@@ -735,8 +735,8 @@ def test_ht_layer_lemma(data):
         k = (L - m + 1) // n_l
         assert k < 1 or _has_run(_layer(D, n, w, m), n, w * n_l % n, k), (L, k, m)
     # field i of packed layer r is w_i^-1 * T_r(w_i) with its guard bit 0,
-    # and the packed layer test passes field i exactly when T_m(w_i) has a
-    # k-run at step w_i*n_l
+    # and after k - 1 AND-rotations by n_l of T_m field i is nonzero exactly
+    # when T_m(w_i) has a k-run at step w_i*n_l
     rows, _, layers, ones, _ = nzl._code_rows(sorted(D), sorted(D), n, True)
     width = n + 1
     assert ones == sum(1 << i * width for i in range(len(rows)))
@@ -753,7 +753,7 @@ def test_ht_layer_lemma(data):
     x, tops = layers[m - 1], [_layer(D, n, step, m) for step, _ in rows]
     for k in range(1, n + 2):
         want = [i for i, (step, _) in enumerate(rows) if _has_run(tops[i], n, step * n_l % n, k)]
-        assert list(nzl._nonzero_fields(x, n, ones, 0, len(rows))) == want, k
+        assert [i for i in range(len(rows)) if x >> i * width & ((1 << n) - 1)] == want, k
         if not want:  # no k-run, so no longer run either
             assert x == 0
             break
@@ -783,16 +783,6 @@ def test_field_rotation_rotates_each_field(case):
     ones = _pack(n, [1] * len(fields))
     want = [((t >> s) | (t << (n - s))) & ((1 << n) - 1) for t in fields]
     assert nzl._field_rotation(n, s, ones)(_pack(n, fields)) == _pack(n, want)
-
-
-@given(_packed(), st.integers(0, 5))
-@example((1, 0, [1, 0, 1]), 2)
-@settings(max_examples=100, deadline=None)
-def test_nonzero_fields_lists_the_nonzero_fields(case, first):
-    n, _, fields = case
-    ones = _pack(n, [1] * (first + len(fields)))
-    got = nzl._nonzero_fields(_pack(n, fields), n, ones, first, first + len(fields))
-    assert list(got) == [first + i for i, t in enumerate(fields) if t]
 
 
 @given(st.data())
