@@ -10,9 +10,15 @@ S_j = r(alpha^(w*j+e)) * a_j, a_j = a(beta^(j+t_l)), for j < mu - 1.
 Both S and the remainder r mod g are GF(q)-linear in the digits of the
 received word r, so one packed row per position i and digit c holds
 c * (x^i mod g) over the n - k coordinates of a remainder (gf.PackedWords)
-and, above them, c * alpha^((w*j+e)*i) * a_j for every j: one pass over
-the word sums both.  The syndromes, the zero-syndrome test and the final
-re-encoding check all read that one sum.  The Key Equation
+and, above them, c * alpha^((w*j+e)*i) * a_j for every j: one sum of the
+rows the word's digits select gives both.  The word is read once as bytes
+(q <= 256), and the rows are picked at C level, by itertools.compress per
+digit value for q <= 3, so the interpreter never steps through the word.
+In odd characteristic every base-p digit of a row has a byte lane when a
+byte holds four digits (p < 65): the rows are summed as plain ints by the
+built-in sum and each byte is then reduced mod p by one bytes.translate.
+The syndromes, the zero-syndrome test and the final re-encoding check all
+read that one reduced sum.  The Key Equation
 S = Omega / Lambda mod x^(mu-1) is solved by Berlekamp-Massey, equivalent
 to the paper's Euclidean formulation (Dornstetter 1987); error positions
 come from a root scan of Lambda and error values from a generalized Forney
@@ -39,9 +45,11 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from functools import cache, reduce
-from typing import Callable
+from itertools import chain, compress, islice
+from typing import Callable, Iterable
 
 from . import cyclic
 from .gf import (
@@ -106,16 +114,24 @@ class DecoderContext:
     chien: tuple[int, ...]  # chien[p] = log(beta^-kappa * alpha^(-w*p)), p < n
     to_elt: tuple[int, ...]
     to_digit: dict[int, int]
-    words: PackedWords  # words over the n - k coordinates of a remainder mod g
+    words: PackedWords  # over the n - k coordinates of a remainder mod g, in the rows' lanes
     # rows[i][c] packs c * (x^i mod g) in its low `high` bits and, above, the
     # syndrome row c * alpha^((w*j+e)*i) * a_j in fields of syn_width bits
     rows: tuple[tuple[int, ...], ...]
-    add: Callable[[int, int], int]  # the sum of two rows, lane by lane
+    columns: tuple[tuple[int, ...], ...]  # q <= 3: columns[c][i] = rows[i][c]; else empty
     high: int
     syn_width: int
     syn_low: int  # odd p: the bits of lane 0 of every syndrome field
+    # sum_rows(rows, count, s) = s plus the rows, at most count of them, lane
+    # by lane (see _sum_rows)
+    sum_rows: Callable[[Iterable[int], int, int], int]
     points: PackedLanes  # words of GF(p^m) elements over the n Chien points
     scan: tuple[tuple[tuple[int, ...], ...], ...]  # scan[i][b][d] packs d * x^b * gamma_p^i
+
+
+_BYTES = bytes(range(256))
+# _SELECT[c] maps byte c to 1 and every other byte to 0, for the digits c < 3
+_SELECT = tuple(bytes(c) + b"\x01" + bytes(255 - c) for c in range(3))
 
 
 @dataclass
@@ -196,11 +212,12 @@ def _rows(field: FieldCtx, words: PackedWords, g, n: int, to_elt, l_alpha: int, 
     the coordinates of `words` in the low bits, and above them, in field j
     of `width` bits, c * alpha^((w*j+e)*i) * a_j for j < mu - 1, log alpha
     = l_alpha: the element itself for p = 2, its base-p digits in m lanes of
-    row_lanes otherwise.  Where a_j = 0 the field stays 0.  The element at
-    (i, j) is the antilog of log c + log a_j + i*(w*j+e)*l_alpha, so a
-    column j is one stride through the antilog table, and the fields are
-    disjoint, so a row is their sum.  For prime q the digits c > 1 are lane
-    multiples of c = 1."""
+    row_lanes otherwise, lanes as wide as those of `words` (a byte each
+    where the decoder folds its sums bytewise).  Where a_j = 0 the field
+    stays 0.  The element at (i, j) is the antilog of log c + log a_j +
+    i*(w*j+e)*l_alpha, so a column j is one stride through the antilog
+    table, and the fields are disjoint, so a row is their sum.  For prime q
+    the digits c > 1 are lane multiples of c = 1."""
     p, m, n_units = field.p, field.m, field.n_units
     log, antilog = field.log, field.antilog
     q, high, b = words.df.q, words.n * words.width, words.lane_bits
@@ -227,6 +244,29 @@ def _rows(field: FieldCtx, words: PackedWords, g, n: int, to_elt, l_alpha: int, 
     if q == p:
         return [tuple(row_lanes.multiples(row)) for row in digit_rows(1)]
     return [(0, *row) for row in zip(*[digit_rows(c) for c in range(1, q)])]
+
+
+def _sum_rows(p: int, size: int, add) -> Callable[[Iterable[int], int, int], int]:
+    """sum_rows(rows, count, s): s plus the rows, at most count of them, lane
+    by lane mod p, s and the result reduced.  On byte lanes (size > 0, the
+    bytes of a row) the built-in sum adds the rows as plain ints, and one
+    translate then reduces every byte of the total mod p.  A byte holds a
+    reduced sum plus `every` rows of digits at most p - 1, so a long sum is
+    reduced every `every` rows.  Otherwise `add` reduces the rows pairwise,
+    XOR for p = 2."""
+    if not size:
+        return lambda rows, count, s: reduce(add, rows, s)
+    mod_p = bytes(i % p for i in range(256))
+    every = 255 // (p - 1) - 1
+
+    def sum_rows(rows: Iterable[int], count: int, s: int) -> int:
+        rows = iter(rows)
+        for _ in range(0, count, every):
+            total = sum(islice(rows, every), s).to_bytes(size, "little")
+            s = int.from_bytes(total.translate(mod_p), "little")
+        return s
+
+    return sum_rows
 
 
 def build_context(
@@ -271,15 +311,21 @@ def build_context(
             raise AssertionError("locator codeword does not vanish on its defining set")
     # f'(beta^-kappa) / h(beta^-kappa) of the Forney formula (see error_values)
     forney = field.neg(field.div(field.pow(beta, kappa), coeffs[support.index(kappa)]))
-    words = PackedWords(q, len(g) - 1)
+    # odd p: one byte lane per GF(p) digit of a row where a byte holds four
+    # digits, so that a sum of rows folds mod p bytewise at most every three
+    # rows (_sum_rows); folding more often is no faster than the lane add
+    lane_bits = 8 if p != 2 and 4 * (p - 1) < 256 else None
+    words = PackedWords(q, len(g) - 1, lane_bits)
     alpha_w = field.pow(alpha, cert.w)
     l_start, l_step = log[field.pow(beta, -kappa)], log[field.inv(alpha_w)]
     chien = tuple((l_start + p * l_step) % field.n_units for p in range(code.n))
     points = PackedLanes(field.p, field.m, code.n)
     a_j = [a_evals[j % locator.n_l] for j in range(cert.mu - 1)]
-    row_lanes = PackedLanes(p, 1, words.n * a + len(a_j) * field.m)
+    row_lanes = PackedLanes(p, 1, words.n * a + len(a_j) * field.m, lane_bits)
     b = words.lane_bits
     width = field.m if p == 2 else field.m * b  # m plain bits, or m lanes
+    high = words.n * words.width
+    rows = tuple(_rows(field, words, g, code.n, to_elt, log[alpha], cert, a_j, width, row_lanes))
     return DecoderContext(
         code=code,
         locator=locator,
@@ -297,36 +343,61 @@ def build_context(
         to_elt=to_elt,
         to_digit=to_digit,
         words=words,
-        rows=tuple(_rows(field, words, g, code.n, to_elt, log[alpha], cert, a_j, width, row_lanes)),
-        add=row_lanes.add,
-        high=words.n * words.width,
+        rows=rows,
+        columns=tuple(zip(*rows)) if q <= 3 else (),
+        high=high,
         syn_width=width,
-        syn_low=0 if p == 2 else PackedLanes(p, field.m, len(a_j)).every * ((1 << b) - 1),
+        syn_low=0 if p == 2 else PackedLanes(p, field.m, len(a_j), b).every * ((1 << b) - 1),
+        sum_rows=_sum_rows(p, (high + len(a_j) * width) // 8 if lane_bits else 0, row_lanes.add),
         points=points,
         # solve_key_equation keeps deg Lambda <= floor((mu - 1) / 2)
         scan=_scan_rows(field, points, chien, (cert.mu - 1) // 2 + 1),
     )
 
 
+def _digits(word, q: int):
+    """The word's digits as bytes (q <= 256) or as an unsigned array, read in
+    one C-level pass; ValueError unless every digit is an integer in
+    [0, q).  A selector of remainder would read an out-of-range byte as no
+    digit at all, so the valid bytes are deleted and nothing may remain."""
+    try:
+        digits = bytes(word) if q <= 256 else array("L", word)
+    except (TypeError, ValueError, OverflowError):
+        digits = None
+    if digits is None or (digits.translate(None, _BYTES[:q]) if q <= 256
+                          else max(digits, default=0) >= q):
+        raise ValueError(f"digits must be integers in [0, {q})")
+    return digits
+
+
 def remainder(ctx: DecoderContext, word) -> int:
     """The word's packed row sum, the sum of rows[i][digit i]: its remainder
-    mod g in the low ctx.high bits and its syndromes above (see syndromes)."""
-    rows = ctx.rows
-    if len(word) != len(rows):
-        raise LengthMismatch(f"expected {len(rows)} digits, got {len(word)}")
-    try:
-        if min(word, default=0) >= 0:
-            return reduce(ctx.add, [row[d] for row, d in zip(rows, word) if d], 0)
-    except (IndexError, TypeError):
-        pass
-    raise ValueError(f"digits must be integers in [0, {ctx.code.q})")
+    mod g in the low ctx.high bits and its syndromes above (see syndromes),
+    every lane reduced.  The rows are picked at C level, so the interpreter
+    never steps through the word: for q <= 3, compress takes the rows of
+    column c at the bytes equal to c, one scan per digit value c present;
+    with more digit values those scans cost more than one map of
+    operator.getitem over the positions, which picks every row, the zero
+    rows of digit 0 included."""
+    n, q = ctx.code.n, ctx.code.q
+    if len(word) != n:
+        raise LengthMismatch(f"expected {n} digits, got {len(word)}")
+    digits = _digits(word, q)
+    if q <= 3:
+        columns = ctx.columns
+        terms = chain.from_iterable(compress(columns[c], digits.translate(_SELECT[c]))
+                                    for c in range(1, q) if c in digits)
+    else:
+        terms = map(operator.getitem, ctx.rows, digits)
+    return ctx.sum_rows(terms, n, 0)
 
 
 def syndromes(ctx: DecoderContext, s: int) -> list[int]:
     """S_j = r(alpha^(w*j+e)) * a(beta^(j+t_l)) for j = 0..mu-2, read out of
     the high bits of the packed row sum s of the received word r (see
     remainder).  In odd characteristic each field holds the base-p digits
-    of its element in m lanes, folded here into sum_i d_i * p^i."""
+    of its element in m lanes (bytes for p < 65), each reduced mod p by the
+    row pass, and they are folded here into sum_i d_i * p^i."""
     y = s >> ctx.high
     p = ctx.field.p
     if p != 2:
@@ -487,11 +558,12 @@ def decode(ctx: DecoderContext, received) -> DecodeResult:
         if not positions:
             raise InconsistentLocator("nonzero syndrome but no error positions")
         values = error_values(ctx, lam, omega, positions)
-        df, add = ctx.words.df, ctx.add
+        df, rows = ctx.words.df, ctx.rows
         corrected = list(received)
         for p, v in values.items():
             corrected[p] = df.sub(corrected[p], v)
-            s = add(s, ctx.rows[p][df.neg(v)])  # the row sum is linear
+        # the row sum is linear: add the rows of the corrections -v at p
+        s = ctx.sum_rows([rows[p][df.neg(v)] for p, v in values.items()], len(values), s)
         if s & (1 << ctx.high) - 1:  # g divides exactly the codewords
             raise InconsistentLocator("corrected word fails the defining-set recheck")
     except DecoderError as err:

@@ -15,10 +15,11 @@ decoder's syndromes and root scan, which sum packed rows built once per
 decoding context; and every polynomial with given roots is built by
 root_product.  PackedLanes
 packs a word of GF(p^a) elements into one int, one bit per GF(2) digit and
-a few bits per base-p digit otherwise, with lane-wise addition, a weight
-and a zero-coordinate test; PackedWords does so for a word over GF(q), read
-back by digits; remainder_rows builds the packed rows c * (x^i mod g) that
-the oracle (i from deg g) and the decoder (i from 0) sum.
+a few bits (or, on request, a byte) per base-p digit otherwise, with
+lane-wise addition, a weight and a zero-coordinate test; PackedWords does
+so for a word over GF(q), read back by digits; remainder_rows builds the
+packed rows c * (x^i mod g) that the oracle (i from deg g) and the decoder
+(i from 0) sum.
 
 Primitive polynomials are found by exhaustive search in lexicographic
 order (coefficients compared constant term first), over the constant terms
@@ -446,8 +447,10 @@ class PackedLanes:
     encoding of GF(p^a)), digit j in lane i*a + j of b bits.  Over GF(2)
     b = 1, as the bit is its own nonzero test.  Otherwise b =
     bit_length(2p - 2) + 1: a lane holds the sum of two digits, at most
-    2p - 2 < 2^(b-1), so its top bit is clear.  In characteristic 2 words
-    add by XOR.  Otherwise two words are added as ints, and p is subtracted
+    2p - 2 < 2^(b-1), so its top bit is clear.  A caller may ask for wider
+    lanes: the decoder's rows for p < 65 take lane_bits = 8, one byte per
+    digit, and reduce their sums mod p byte by byte.  In characteristic 2
+    words add by XOR.  Otherwise two words are added as ints, and p is subtracted
     from each lane whose sum s is at least p, which is where s + 2^(b-1) - p
     sets the top bit.  A coordinate of a*b bits is nonzero exactly when its
     value plus 2^(ab-1) - 1 sets its top bit, so the weight is one masked add
@@ -456,9 +459,11 @@ class PackedLanes:
 
     __slots__ = ("p", "a", "n", "lane_bits", "width", "every", "add", "weight", "_nz_bias", "_nz_top")
 
-    def __init__(self, p: int, a: int, n: int):
+    def __init__(self, p: int, a: int, n: int, lane_bits: int | None = None):
         self.p, self.a, self.n = p, a, n
-        self.lane_bits = b = 1 if (p, a) == (2, 1) else (2 * p - 2).bit_length() + 1
+        if lane_bits is None:
+            lane_bits = 1 if (p, a) == (2, 1) else (2 * p - 2).bit_length() + 1
+        self.lane_bits = b = lane_bits
         self.width = width = a * b
         # 1 in each coordinate, as a repunit in base 2^width (linear time)
         self.every = every = ((1 << n * width) - 1) // ((1 << width) - 1)
@@ -516,9 +521,9 @@ class PackedWords(PackedLanes):
 
     __slots__ = ("df", "units", "_bits", "_digit_of")
 
-    def __init__(self, q: int, n: int):
+    def __init__(self, q: int, n: int, lane_bits: int | None = None):
         self.df = df = DigitField(q)
-        super().__init__(df.p, df.a, n)
+        super().__init__(df.p, df.a, n, lane_bits)
         p, a, b = df.p, df.a, self.lane_bits
         elements = range(q) if a == 1 else map(df._to, range(q))
         # units[d] = pack([d]), digit d at coordinate 0

@@ -228,17 +228,24 @@ def test_syndromes_zero_word_and_length(ctx21):
         remainder(ctx21, (0,) * 20)
 
 
-@pytest.mark.parametrize("digit", [-1, 2], ids=["minus-one", "q"])
+@pytest.mark.parametrize("digit", [-1, "q", 256, 1.0], ids=["minus-one", "q", "256", "float"])
 @pytest.mark.parametrize("check", ["syndromes", "is_codeword"])
-def test_digits_outside_range_rejected(ctx21, example21, check, digit):
-    # -1 must not be read as the digit q - 1 by negative indexing
-    word = [0] * 21
-    word[3] = digit
-    with pytest.raises(ValueError, match=r"digits must be integers in \[0, 2\)"):
-        if check == "syndromes":
-            remainder(ctx21, word)
-        else:
-            cyclic.is_codeword(example21, word)
+def test_digits_outside_range_rejected(check, digit):
+    # -1 must not be read as the digit q - 1 by negative indexing, and a
+    # byte outside [0, q) must not be read as the digit 0 by a selector; on
+    # (2; 21), (3; 80) and GF(4), and past either side of the byte lanes
+    for key in [_CONTEXTS["binary-21"], _CONTEXTS["ternary-80"], (4, 21, (1, 2, 3)), *_EDGE_CODES]:
+        ctx = _context(*key)
+        q = ctx.code.q
+        if digit == 256 and q > 256:
+            continue
+        word = [0] * ctx.code.n
+        word[3] = q if digit == "q" else digit
+        with pytest.raises(ValueError, match=rf"digits must be integers in \[0, {q}\)"):
+            if check == "syndromes":
+                remainder(ctx, word)
+            else:
+                cyclic.is_codeword(ctx.code, word)
 
 
 def test_syndromes_single_error_closed_form(ctx21):
@@ -568,7 +575,14 @@ _SCAN_CODES = [
 # GF(2^6), and (9; 10; 1,2,3), d* = 4 in GF(3^4), whose syndromes sit next to
 # the remainder in odd characteristic.
 _MULTI_LANE_CODES = [(8, 9, (1, 3)), (9, 10, (1, 2, 3))]
-_SYNDROME_KEYS = {str(key): key for key in _SCAN_CODES + _MULTI_LANE_CODES}
+# Both sides of the decoder's byte lanes: GF(61), the largest p whose byte
+# holds four digits, which folds its row sums every three rows; GF(67), the
+# smallest p that keeps its own lanes and their lane add, and GF(131), whose
+# byte would not hold the sum of two digits; GF(256), the largest q whose
+# digits fit a byte; and GF(257), whose digits do not.
+_EDGE_CODES = [(61, 12, (1, 2, 3, 4)), (67, 11, (1, 2, 3)), (131, 13, (1, 2, 3)),
+               (256, 17, (1, 2, 3)), (257, 16, (1, 2, 3, 4))]
+_SYNDROME_KEYS = {str(key): key for key in _SCAN_CODES + _MULTI_LANE_CODES + _EDGE_CODES}
 
 # (2; 21) with SPC(5), (3; 80) with the trivial locator and t = 3,
 # (3; 13; 1,4) with SPC(2) and w = 3, (3; 13; 1) with SPC(4) and t_l = 2
@@ -650,6 +664,37 @@ def test_decode_roundtrip_multi_lane_digits(key, field, d_star):
         res = decode(ctx, word)
         assert res.status == "success" and res.corrected == cw, (trial, res.reason)
         assert res.positions == tuple(sorted(positions))
+
+
+@pytest.mark.parametrize("key, lane_bits", zip(_EDGE_CODES, [8, 9, 10, 3, 11]), ids=str)
+def test_decode_roundtrip_either_side_of_the_byte_lanes(key, lane_bits):
+    ctx = _context(*key)
+    assert ctx.words.lane_bits == lane_bits
+    t = (ctx.cert.d_star - 1) // 2
+    rng = random.Random(35)
+    for trial in range(20):
+        cw, word, positions = _plant(rng, ctx.code, trial % (t + 1))
+        res = decode(ctx, word)
+        assert res.status == "success" and res.corrected == cw, (trial, res.reason)
+        assert res.positions == tuple(sorted(positions))
+
+
+@pytest.mark.parametrize("key", _SCAN_CODES + _MULTI_LANE_CODES + _EDGE_CODES, ids=str)
+def test_remainder_half_is_the_word_mod_g(key):
+    # the low ctx.high bits of the row sum, read back by words.digits, are r
+    # mod g by long division, on random words and on codewords with 0..t + 1
+    # errors
+    ctx = _context(*key)
+    code, field, to_elt = ctx.code, ctx.field, ctx.to_elt
+    g = Poly(field, [to_elt[d] for d in cyclic.generator_polynomial(code)])
+    t = (ctx.cert.d_star - 1) // 2
+    rng = random.Random(36)
+    words = [_plant(rng, code, e)[1] for e in range(t + 2) for _ in range(3)]
+    words += [[rng.randrange(code.q) for _ in range(code.n)] for _ in range(6)]
+    for word in words:
+        rem = pmod(Poly(field, [to_elt[d] for d in word]), g).coeffs
+        expect = [ctx.to_digit[c] for c in rem] + [0] * (g.degree - len(rem))
+        assert ctx.words.digits(remainder(ctx, word) & (1 << ctx.high) - 1) == expect, word
 
 
 def test_decode_rechecks_the_corrected_word(monkeypatch):
