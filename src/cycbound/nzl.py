@@ -149,13 +149,14 @@ def _code_rows(defining_set, reps, n: int, search_w: bool):
     step's row, and bit i*(n + 1) + n is a guard bit, always 0; `ones`
     has bit 0 of every field.  Since w*(a + i) = w*a + i*w, this field is
     w^-1 * T_r(w), with T_r(w) = {a : a, a + w, ..., a + (r - 1)w in D_C}
-    the step-w layer of D_C.  A run {a, a + w*n_l, ...} of T_r(w) is w times
-    a run {b, b + n_l, ...} of field i, so the layer test of mu_search, a
-    k-run of T_m(w) at step w*n_l, is a k-run at step n_l in field i: the
-    same step in every field.  Layer 1 is the rows read as one binary
-    numeral, and T_(r+1) = T_r & rot(T_r, 1) in every field at once by
-    _field_rotation.  `rotations` caches the rotation by n_l for _scan,
-    shared by every locator of that length.
+    the step-w layer of D_C.  A run {a, a + w*p, ...} of T_r(w) is w times
+    a run {b, b + p, ...} of field i, so the layer test of mu_search, a
+    k-run of T_m(w) at step w*p, p the period of the locator's zeros, is a
+    k-run at step p in field i: the same step in every field.  Layer 1 is
+    the rows read as one binary numeral, and T_(r+1) = T_r & rot(T_r, 1)
+    in every field at once by _field_rotation.  `rotations` caches the
+    rotation by p for _scan, keyed by p and shared by every locator of
+    that period.
     The rows depend only on the code, so one code's rows serve every
     locator."""
     in_c = bytearray(n)
@@ -202,15 +203,26 @@ def _field_rotation(n: int, s: int, ones: int):
 
 
 @lru_cache(maxsize=1024)
-def _locator_zeros(n_l: int, defining_set) -> tuple[frozenset[int], int]:
-    """(D_L as residues mod n_l, m): m is the length of the longest cyclic
-    block of consecutive residues outside D_L, n_l when D_L is empty and 0
-    when D_L is all of Z_(n_l)."""
+def _locator_zeros(n_l: int, defining_set) -> tuple[frozenset[int], int, int, tuple[int, ...]]:
+    """(D_L as residues mod n_l, m, p, s) for the layer tests of _scan.
+
+    m is the length of the longest cyclic block of consecutive residues
+    outside D_L, n_l when D_L is empty and 0 when D_L is all of Z_(n_l).
+    p is the period of D_L, the least p >= 1 with D_L + p = D_L; it divides
+    n_l, and the blocks outside D_L repeat every p residues.  s[L], for
+    L < m + p - 1, is the least over the n_l phases t of the longest block
+    of residues outside D_L among the window t, t + 1, ..., t + L - 1: every
+    L consecutive residues hold a block of s[L] outside D_L, and s[L] never
+    falls as L grows, since a longer window holds the shorter one."""
     in_l = frozenset(i % n_l for i in defining_set)
-    if not in_l:
-        return in_l, n_l
-    gaps = sum(1 << i for i in range(n_l) if i not in in_l)
-    return in_l, cyclic._longest_run(gaps, n_l, 1)[0]
+    gaps = "".join("0" if t in in_l else "1" for t in range(n_l))
+    m = min(n_l, max(map(len, (gaps * 2).split("0"))))
+    p = next(d for d in range(1, n_l + 1) if gaps[d:] + gaps[:d] == gaps)
+    tiled = gaps * 3  # every window opens below n_l and is shorter than 2*n_l
+    stretch = tuple(
+        min(max(map(len, tiled[t : t + L].split("0"))) for t in range(n_l)) for L in range(m + p - 1)
+    )
+    return in_l, m, p, stretch
 
 
 def _cover(code_row: bytes, in_l, n_l: int) -> tuple[bytearray, int]:
@@ -234,39 +246,50 @@ def _scan(n: int, code_rows, locator: LocatorSpec, floor: int) -> NzlCertificate
     covered.  See mu_search for the scan, the layer test and the
     degeneracy test.
 
-    The layer test runs on every step's field of the packed layer T_m (see
-    _code_rows): runs[j - 1], T_m after j - 1 AND-rotations by n_l, holds
-    in field i the starts of the step-n_l j-runs of w_i^-1 * T_m(w_i), and
-    step i gets a cover only when field i of runs[k - 1] is nonzero.  k is
-    taken from the run still needed when the step comes up, as a test of
-    its own layer alone would take it, so the same covers are built; k
-    never falls, so once runs[k - 1] is 0 no later step can pass."""
+    Each step is tested on its own field of a packed layer (see
+    _code_rows) before its cover is built, with L the run still needed when
+    the step comes up, m the longest block outside D_L (at most MAX_N_L)
+    and p, s from _locator_zeros.  When k = floor((L - m + 1)/p) > 0,
+    runs[j - 1], T_m after j - 1 AND-rotations by p, holds in field i the
+    starts of the step-p j-runs of w_i^-1 * T_m(w_i), and the step is
+    tested on runs[k - 1].  When k = 0 it is tested on layer s[L], which
+    holds w_i^-1 * T_(s[L])(w_i) in field i; s[L] = 0 rules out no step.
+    k and s[L] are taken as a test of the step's own layers alone would
+    take them, so the same covers are built; neither falls as L grows, so
+    once the layer read is 0 no later step can pass.  The scan opens at a
+    run as long as the number of nonempty layers r0, or the floor if that
+    is longer: some step holds a D_C run of length r0, and its cover holds
+    it whatever D_L is."""
     n_l = locator.n_l
     if math.gcd(n, n_l) != 1:
         raise NotCoprime(f"gcd({n}, {n_l}) != 1")
-    in_l, m = _locator_zeros(n_l, tuple(locator.defining_set))
+    in_l, m, p, stretch = _locator_zeros(n_l, tuple(locator.defining_set))
     rows, stab, layers, ones, rotations = code_rows
     if not m or b"0" not in rows[0][1]:
         raise DegenerateCover("the code and locator zero sets cover every index")
     m = min(m, MAX_N_L)  # the layers kept
     total = n * n_l
     best = None  # (-mu, e, t_l, w)
-    longest = b"1" * max(floor, 1)  # the longest run found so far, or the least that counts
-    rotate = rotations.get(n_l)
+    # the longest run found so far, or the least that counts (r0 as below)
+    longest = b"1" * max(floor, 1, MAX_N_L - layers.count(0))
+    rotate = rotations.get(p)
     if rotate is None:
-        rotate = rotations[n_l] = _field_rotation(n, n_l % n, ones)
+        rotate = rotations[p] = _field_rotation(n, p % n, ones)
     field = (1 << n) - 1
     runs = [layers[m - 1]]
     for i, (w, code_row) in enumerate(rows):
-        k = (len(longest) - m + 1) // n_l
-        if k > 0:  # does field i of T_m hold a k-run at step n_l?
+        k = (len(longest) - m + 1) // p
+        if k > 0:  # does field i of T_m hold a k-run at step p?
             while len(runs) < k and runs[-1]:
                 runs.append(runs[-1] & rotate(runs[-1]))
             x = runs[min(k, len(runs)) - 1]  # 0 when the runs die out before k
-            if not x:
-                break
-            if not x >> i * (n + 1) & field:
-                continue
+        else:  # does field i hold a D_C run of the stretch s[L]?
+            span = stretch[len(longest)]
+            x = layers[min(span, MAX_N_L) - 1] if span else ones  # s[L] = 0 rules out no step
+        if not x:
+            break
+        if not x >> i * (n + 1) & field:
+            continue
         cover, z = _cover(code_row, in_l, n_l)
         if longest not in cover:
             continue
@@ -320,34 +343,54 @@ def mu_search(
     exists for every unit w unless D_C = Z_n or D_L = Z_(n_l).  On that
     condition DegenerateCover is raised before any step is scanned.
 
-    Most steps are ruled out before their n*n_l-byte cover is built, by a
-    Hartmann-Tzeng layer of D_C (Hartmann & Tzeng, IEEE Trans. IT 18(2),
-    1972).  Let b, b + 1, ..., b + m - 1 be a cyclic block of m >= 1
-    residues mod n_l outside D_L; the scan takes the longest, which for the
-    trivial, SPC and RS locators (D_L = [0, n_l - k_l)) is every residue
-    outside D_L.  Let T_m(w) = {a : a, a + w, ..., a + (m - 1)w in D_C}.
+    Most steps are ruled out before their n*n_l-byte cover is built, by
+    Hartmann-Tzeng layers of D_C (Hartmann & Tzeng, IEEE Trans. IT 18(2),
+    1972).  Let T_r(w) = {a : a, a + w, ..., a + (r - 1)w in D_C}.  Let
+    b, b + 1, ..., b + m - 1 be a cyclic block of m >= 1 residues mod n_l
+    outside D_L; the scan takes the longest, which for the trivial, SPC and
+    RS locators (D_L = [0, n_l - k_l)) is every residue outside D_L.  Let p
+    be the period of D_L, the least p >= 1 with D_L + p = D_L: p divides
+    n_l, so it is a unit mod n, and the block repeats every p residues.
+    For the length-9 lowest-rate distance-three locator, D_L = {1, 2, 4, 5,
+    7, 8}, m = 1 and p = 3.
 
-    Lemma.  If cycle indices p .. p + L - 1 are all covered, T_m(w) holds
-    a run of length k = floor((L - m + 1)/n_l) at the step s = w*n_l mod n.
-    Proof: let j in [p, p + L - m] with j = b mod n_l.  Indices j .. j + m - 1
-    are covered and their residues b .. b + m - 1 lie outside D_L, so D_C
+    Lemma 1.  If cycle indices c .. c + L - 1 are all covered, T_m(w) holds
+    a run of length k = floor((L - m + 1)/p) at the step s = w*p mod n.
+    Proof: let j in [c, c + L - m] with j = b mod p.  Indices j .. j + m - 1
+    are covered and their residues lie in a block outside D_L, so D_C
     covers them: w*j, w*j + w, ..., w*j + (m - 1)w are in D_C, that is w*j
     is in T_m(w).  The interval holds L - m + 1 consecutive integers, so at
-    least k such j, j_0 + i*n_l for i < k, whose indices w*j_0 + i*s form
-    a run of T_m(w) at step s, a unit since gcd(n_l, n) = 1.
+    least k such j, j_0 + i*p for i < k, whose indices w*j_0 + i*s form
+    a run of T_m(w) at step s.
 
-    So a step w whose T_m(w) has no k-run at step s, k taken with L the
-    length of the run the scan still needs, holds no such run either, and
-    is skipped before its cover is built; the substring test would have
-    skipped it too, so no certificate and no tie-break changes.  In packed
-    form (see _code_rows), T_m(w) = w * T_m(M_w) with M_w the stepped row,
-    and a k-run at step w*n_l is w times a k-run of T_m(M_w) at step n_l:
-    the same step for every w, so the k - 1 AND-rotations of one int
-    holding every step's T_m(M_w) are made once per locator, and each step
-    reads its own field of the result.  For the trivial locator
-    (n_l = m = 1, k = L) the test is exact.  The proof holds for any block
-    outside D_L, so a block longer than the MAX_N_L layers that _code_rows
-    keeps is read as one of MAX_N_L residues.
+    Lemma 2.  Let s[L] be the least, over the phases t, of the longest
+    block of residues outside D_L among t, t + 1, ..., t + L - 1.  If cycle
+    indices c .. c + L - 1 are all covered, T_(s[L])(w) is not empty.
+    Proof: their residues, L consecutive ones, hold a block of s[L]
+    outside D_L, at some indices j .. j + s[L] - 1 of the run, so D_C
+    covers w*j, w*j + w, ..., w*j + (s[L] - 1)w.  Lemma 2 serves where
+    k = 0, that is L < m + p - 1; from there on every window holds a whole
+    block, s[L] = m, and Lemma 1 at k >= 1 is as strong.
+
+    So a step w that fails the test of Lemma 1 (k > 0) or Lemma 2 (k = 0),
+    with L the length of the run the scan still needs, holds no such run,
+    and is skipped before its cover is built; the substring test would
+    have skipped it too, so no certificate and no tie-break changes.  In
+    packed form (see _code_rows), T_r(w) = w * T_r(M_w) with M_w the
+    stepped row, and a k-run at step w*p is w times a k-run of T_m(M_w) at
+    step p: the same step for every w, so the k - 1 AND-rotations of one
+    int holding every step's T_m(M_w) are made once per locator, and each
+    step reads its own field of the result, or of layer s[L].  For the
+    trivial locator (n_l = m = p = 1, k = L) the test is exact.  The proofs
+    hold for any block outside D_L, so a block longer than the MAX_N_L
+    layers that _code_rows keeps is read as one of MAX_N_L residues.
+
+    Opening length.  Let r0 be the number of nonempty layers, the largest
+    r <= MAX_N_L with T_r(w) nonempty for some scanned step w.  The cover
+    of that w holds a covered run of length r0 whatever D_L is, so the
+    longest run is at least r0, and the scan looks only for runs of at
+    least max(r0, 1): a step with no run that long cannot hold a longest
+    run, and the certificate and tie-break are those of the longest runs.
 
     Steps are scanned one per orbit of the multiplier stabilizer
     S = {s unit mod n : s*D_C = D_C}: the step s*w sees the same cover as w,
@@ -580,15 +623,19 @@ def best_bound(code: cyclic.CyclicCodeSpec, *, search_w: bool = True):
     DegenerateCover is tested once per locator, before any step, as in
     mu_search.
 
-    The floor is what makes the Hartmann-Tzeng layer test of mu_search
-    pay.  A step w is scanned only when T_m(w), the starts of the step-w
-    runs of length m in D_C (m the longest block of locator residues
-    outside D_L), holds a run of length floor((L - m + 1)/n_l) at step
-    w*n_l mod n, L the run length still needed.  Every covered run of
-    length L holds that many starts of D_C-only blocks, n_l apart on the
-    cycle (the lemma and its proof are in mu_search), so a step that fails
-    the test has no run of length L, and skipping it changes no
-    certificate.
+    The floor is what makes the Hartmann-Tzeng layer tests of mu_search
+    pay.  With L the run length still needed, m the longest block of
+    locator residues outside D_L and p the period of D_L, a step w is
+    scanned only when T_m(w), the starts of the step-w runs of length m in
+    D_C, holds a run of length k = floor((L - m + 1)/p) at step w*p mod n,
+    or, where k = 0, when D_C holds a step-w run as long as the stretch
+    outside D_L that every L consecutive residues hold.  Every covered run
+    of length L holds that many starts of D_C-only blocks, p apart on the
+    cycle, or that stretch (the lemmas and their proofs are in mu_search),
+    so a step that fails the test has no run of length L, and skipping it
+    changes no certificate.  The scan also opens at the longest D_C run of
+    the layers kept, when that is above the floor: some step holds it
+    whatever the locator, so, as above, that changes no certificate.
     """
     bch = cyclic.bch_bound(code).value
     ht = cyclic.ht_bound(code).value

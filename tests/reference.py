@@ -5,7 +5,7 @@ Berlekamp-Massey is checked against, the Hartmann-Tzeng search over every
 inner step m2 and the unseeded template search it used to run on, the
 q-ary distance oracle that rebuilds every w-row sum, the locator scan that
 builds the cover of every step, and the one that tests each step's own
-Hartmann-Tzeng layer before building its cover.
+Hartmann-Tzeng layers before building its cover.
 """
 
 import math
@@ -381,15 +381,21 @@ def layer_code_rows(defining_set, n: int, search_w: bool):
 
 
 def layer_scan(n: int, code_rows, locator, floor: int, built: list):
-    """nzl._scan with the layer test run step by step, on each step's own
-    layer T_m(w) of D_C, with the k of the run still needed when the step
-    comes up: a step is skipped when T_m(w) has no k-run at step w*n_l.
+    """nzl._scan with its layer tests run step by step, on each step's own
+    layers T_r(w) of D_C, with L the run still needed when the step comes
+    up, m the longest block of residues outside D_L, p the period of D_L
+    and k = floor((L - m + 1)/p):
+    - k > 0: the step is skipped when T_m(w) has no k-run at step w*p;
+    - k = 0: it is skipped when T_s(w) is empty, s = s[L] the stretch
+      outside D_L that every window of L residues holds (s = 0 skips none).
+    The scan opens at the longest D_C run that some step's own layers show,
+    as nzl._scan opens at its number of nonempty packed layers.
     `code_rows` come from layer_code_rows.  Appends to `built` the step of
     each cover it builds."""
     n_l = locator.n_l
     if math.gcd(n, n_l) != 1:
         raise NotCoprime(f"gcd({n}, {n_l}) != 1")
-    in_l, m = nzl._locator_zeros(n_l, tuple(locator.defining_set))
+    in_l, m, p, stretch = nzl._locator_zeros(n_l, tuple(locator.defining_set))
     rows, stab = code_rows
     if not m or 0 not in rows[0][1]:
         raise nzl.DegenerateCover("the code and locator zero sets cover every index")
@@ -397,17 +403,20 @@ def layer_scan(n: int, code_rows, locator, floor: int, built: list):
     total = n * n_l
     ones = b"\1" * n
     best = None  # (-mu, e, t_l, w)
-    longest = b"\1" * max(floor, 1)
+    top = max(sum(1 for t in layers if t) for _, _, layers in rows)
+    longest = b"\1" * max(floor, 1, top)
     for w, code_row, layers in rows:
-        k = (len(longest) - m + 1) // n_l
+        k = (len(longest) - m + 1) // p
         if k > 0:
-            t, step = layers[m - 1], w * n_l % n
+            t, step = layers[m - 1], w * p % n
             back = n - step
             while t and k > 1:
                 t &= (t >> step) | (t << back)
                 k -= 1
             if not t:
                 continue
+        elif stretch[len(longest)] and not layers[min(stretch[len(longest)], nzl.MAX_N_L) - 1]:
+            continue
         built.append(w)
         cover = bytearray(code_row * n_l)
         for t in in_l:

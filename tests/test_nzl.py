@@ -630,10 +630,11 @@ def _best_bound_scans(code, search_w):
 
 
 def _assert_search_matches_reference(code, mu_search_too):
-    # the layer test only skips covers that the reference builds in vain,
-    # so every certificate, tie-break and exception is the reference's; the
-    # packed test builds the covers of exactly the steps that the per-step
-    # test passes (with one step the two tests are one)
+    # the layer tests and the opening length only skip covers that the
+    # reference builds in vain, so every certificate, tie-break and
+    # exception is the reference's; the packed tests build the covers of
+    # exactly the steps that the per-step tests pass (with one step the
+    # two are one)
     n, D = code.n, code.defining_set
     for search_w in (True, False):
         code_rows = nzl._code_rows(D, code.coset_reps, n, search_w)
@@ -724,14 +725,9 @@ def test_ht_layer_lemma(data):
         loc = LocatorSpec("custom", 1, n_l, tuple(sorted(DL)), 1, (0,), (1,))
     n_l, DL = loc.n_l, set(loc.defining_set)
     w = data.draw(st.sampled_from(cyclic._units(n)), label="w")
-    covered = [(w * j) % n in D or j % n_l in DL for j in range(n * n_l)]
-    longest = run = 0
-    for c in covered * 2:  # twice round, for the run that wraps
-        run = run + 1 if c else 0
-        longest = max(longest, run)
     m = _gap(DL, n_l)
-    assert nzl._locator_zeros(n_l, loc.defining_set) == (frozenset(DL), m)
-    for L in range(1, longest + 1):
+    assert nzl._locator_zeros(n_l, loc.defining_set)[:2] == (frozenset(DL), m)
+    for L in range(1, _longest_covered(D, n, DL, n_l, w) + 1):
         k = (L - m + 1) // n_l
         assert k < 1 or _has_run(_layer(D, n, w, m), n, w * n_l % n, k), (L, k, m)
     # field i of packed layer r is w_i^-1 * T_r(w_i) with its guard bit 0,
@@ -760,6 +756,81 @@ def test_ht_layer_lemma(data):
         x &= rotate(x)
     # the scan built on the lemma, also where m exceeds the MAX_N_L layers kept
     assert mu_search(sorted(D), n, loc) == reference.mu_search(sorted(D), n, loc)
+
+
+def _period(DL, n_l):
+    """The least p >= 1 with D_L + p = D_L."""
+    return next(p for p in range(1, n_l + 1) if {(t + p) % n_l for t in DL} == DL)
+
+
+def _stretch(DL, n_l, L):
+    """The least, over the phases t, of the longest block of residues
+    outside D_L among t, t + 1, ..., t + L - 1."""
+
+    def longest(t):
+        best = run = 0
+        for j in range(t, t + L):
+            run = 0 if j % n_l in DL else run + 1
+            best = max(best, run)
+        return best
+
+    return min(longest(t) for t in range(n_l))
+
+
+def _longest_covered(D, n, DL, n_l, w):
+    """The longest run of covered indices on the step-w cycle of length n*n_l."""
+    covered = [(w * j) % n in D or j % n_l in DL for j in range(n * n_l)]
+    longest = run = 0
+    for c in covered * 2:  # twice round, for the run that wraps
+        run = run + 1 if c else 0
+        longest = max(longest, run)
+    return longest
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_period_stretch_and_opening_lemmas(data):
+    # with m the longest block of residues outside D_L and p the period of
+    # D_L, a covered run of length L on the step-w cycle forces a run of
+    # length k = floor((L - m + 1)/p) at step w*p in the layer T_m(w), and
+    # for k = 0 a D_C run at step w of s[L], the stretch outside D_L that
+    # every L consecutive residues hold; no covered run is shorter than r0,
+    # the number of nonempty layers, on every step
+    n = data.draw(st.integers(2, 40), label="n")
+    D = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1), label="D")
+    n_ls = [m for m in range(1, 16) if math.gcd(m, n) == 1]
+    shapes = ["periodic", "any"] + ["d3"] * (math.gcd(n, 9) == 1)
+    shape = data.draw(st.sampled_from(shapes), label="shape")
+    if shape == "d3":  # D_L = {1, 2, 4, 5, 7, 8} mod 9, period 3
+        loc = d3_locator(3, 2)
+    else:
+        n_l = data.draw(st.sampled_from(n_ls), label="n_l")
+        if shape == "periodic":
+            p = data.draw(st.sampled_from([p for p in range(1, n_l + 1) if n_l % p == 0]), label="p")
+            base = data.draw(st.sets(st.integers(0, p - 1), max_size=p - 1), label="base")
+            DL = {b + i * p for b in base for i in range(n_l // p)}
+        else:
+            DL = data.draw(st.sets(st.integers(0, n_l - 1), max_size=n_l - 1), label="DL")
+        loc = LocatorSpec("custom", 1, n_l, tuple(sorted(DL)), 1, (0,), (1,))
+    n_l, DL = loc.n_l, set(loc.defining_set)
+    m, p = _gap(DL, n_l), _period(DL, n_l)
+    stretch = tuple(_stretch(DL, n_l, L) for L in range(m + p - 1))
+    assert nzl._locator_zeros(n_l, loc.defining_set) == (frozenset(DL), m, p, stretch)
+    w = data.draw(st.sampled_from(cyclic._units(n)), label="w")
+    for L in range(1, _longest_covered(D, n, DL, n_l, w) + 1):
+        for top in {m, min(m, nzl.MAX_N_L)}:  # the lemma holds for any block outside D_L
+            k = (L - top + 1) // p
+            if k > 0:
+                assert _has_run(_layer(D, n, w, top), n, w * p % n, k), (L, k, top, p)
+            else:
+                assert not stretch[L] or _layer(D, n, w, stretch[L]), (L, stretch[L])
+    rows, _, layers, _, _ = nzl._code_rows(sorted(D), sorted(D), n, True)
+    r0 = nzl.MAX_N_L - layers.count(0)
+    assert r0 <= max(_longest_covered(D, n, DL, n_l, step) for step, _ in rows)
+    # the scan built on the three tests
+    for search_w in (True, False):
+        assert mu_search(sorted(D), n, loc, search_w=search_w) == reference.mu_search(
+            sorted(D), n, loc, search_w=search_w)
 
 
 @st.composite
