@@ -207,16 +207,22 @@ def _parse_word(text: str, q: int, n: int) -> list[int]:
     return word
 
 
-def _decodable_certificate(code: cyclic.CyclicCodeSpec, search_w: bool):
-    """(certificate, decoding context) for the best-ranked candidate
-    certificate whose combined field fits the table cap; the locators
-    skipped for their field are named on stderr."""
+def _decodable_certificate(code: cyclic.CyclicCodeSpec, locators, search_w: bool):
+    """(certificate, decoding context) for the best certificate of
+    `locators`, by nzl.best_certificate, whose combined field fits the
+    table cap.  A locator over the cap is dropped and the rest are searched
+    again; a locator's certificate does not depend on the others, so this
+    walks the ranking of all their certificates in order.  The skipped
+    locators are named on stderr; when none fits, the first one's error is
+    raised."""
     skipped = []
-    for cert in nzl.ranked_certificates(code, search_w=search_w):
+    while locators:
+        cert = nzl.best_certificate(code, locators, search_w=search_w)
         try:
             ctx = decoder.build_context(code, cert.locator, cert)
         except FieldTooLarge as err:
             skipped.append((cert.locator, err))
+            locators = [loc for loc in locators if loc is not cert.locator]
             continue
         if skipped:
             names = ", ".join(f"{loc.kind} n_l={loc.n_l} u={loc.u}" for loc, _ in skipped)
@@ -229,12 +235,13 @@ def _decodable_certificate(code: cyclic.CyclicCodeSpec, search_w: bool):
 def cmd_decode(args) -> int:
     code = load_code_spec(args.spec)
     word = _parse_word(args.received, code.q, code.n)
-    if args.spc is not None or args.trivial:
-        locator = nzl.trivial_locator() if args.trivial else nzl.spc_locator(args.spc, code.q)
-        cert = nzl.mu_search(code.defining_set, code.n, locator, search_w=args.search_w)
-        ctx = decoder.build_context(code, locator, cert)
+    if args.trivial:
+        locators = [nzl.trivial_locator()]
+    elif args.spc is not None:
+        locators = [nzl.spc_locator(args.spc, code.q)]
     else:
-        cert, ctx = _decodable_certificate(code, args.search_w)
+        locators = nzl.candidate_locators(code.n, code.q)
+    cert, ctx = _decodable_certificate(code, locators, args.search_w)
     result = decoder.decode(ctx, word)
     doc = {
         "status": result.status,

@@ -243,23 +243,16 @@ def _scan(n: int, code_rows, locator: LocatorSpec, floor: int) -> NzlCertificate
     """The mu_search certificate of `locator` from the code's _code_rows, or
     None when no run of covered indices is at least `floor` long.  Floor 0
     always gives the certificate: mu = 1, the empty run, when no index is
-    covered.  See mu_search for the scan, the layer test and the
-    degeneracy test.
+    covered.  The scan, the degeneracy test, the layer tests (Lemmas 1 and
+    2) and the opening length r0 are those of mu_search.
 
-    Each step is tested on its own field of a packed layer (see
-    _code_rows) before its cover is built, with L the run still needed when
-    the step comes up, m the longest block outside D_L (at most MAX_N_L)
-    and p, s from _locator_zeros.  When k = floor((L - m + 1)/p) > 0,
-    runs[j - 1], T_m after j - 1 AND-rotations by p, holds in field i the
-    starts of the step-p j-runs of w_i^-1 * T_m(w_i), and the step is
-    tested on runs[k - 1].  When k = 0 it is tested on layer s[L], which
-    holds w_i^-1 * T_(s[L])(w_i) in field i; s[L] = 0 rules out no step.
-    k and s[L] are taken as a test of the step's own layers alone would
-    take them, so the same covers are built; neither falls as L grows, so
-    once the layer read is 0 no later step can pass.  The scan opens at a
-    run as long as the number of nonempty layers r0, or the floor if that
-    is longer: some step holds a D_C run of length r0, and its cover holds
-    it whatever D_L is."""
+    Step i reads field i of a packed layer (see _code_rows), with L the
+    run still needed when the step comes up and m, p, s from
+    _locator_zeros: runs[k - 1], T_m after k - 1 AND-rotations by p, when
+    k = floor((L - m + 1)/p) > 0, and layer s[L] when k = 0 (s[L] = 0
+    rules out no step).  These are the k and s[L] of a test of the step's
+    own layers alone, so the same covers are built; neither falls as L
+    grows, so once the layer read is 0 no later step can pass."""
     n_l = locator.n_l
     if math.gcd(n, n_l) != 1:
         raise NotCoprime(f"gcd({n}, {n_l}) != 1")
@@ -401,8 +394,8 @@ def mu_search(
     paper's form of the bound.
 
     The stepped code rows, their layers and the orbits depend only on the
-    code; they are built by _code_rows, which ranked_certificates and
-    best_bound call once per code for all their locators.
+    code; they are built by _code_rows, which best_certificate calls once
+    per code for all its locators.
     """
     defining_set = tuple(defining_set)
     return _scan(n, _code_rows(defining_set, defining_set, n, search_w), locator, 0)
@@ -547,18 +540,14 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int):
     return tuple(range(len(g))), g
 
 
-def candidate_locators(n: int, q: int) -> list[LocatorSpec]:
-    """Deterministic, deduplicated list of locator candidates for length n,
-    each of length n_l <= MAX_N_L = 12 coprime to n: the trivial locator,
-    single parity checks, cyclic Reed-Solomon codes over GF(q^u), u <= MAX_U
-    = 4, and for q = 2 only the Hamming (7,4,3) and the lowest-rate
-    distance-three code of length 9, the only kinds that build a field.
-    The candidates are built once per (n, q); each call gets its own list."""
-    return list(_candidate_locators(n, q))
-
-
 @lru_cache(maxsize=256)
-def _candidate_locators(n: int, q: int) -> tuple[LocatorSpec, ...]:
+def candidate_locators(n: int, q: int) -> tuple[LocatorSpec, ...]:
+    """Deterministic, deduplicated locator candidates for length n, each of
+    length n_l <= MAX_N_L = 12 coprime to n: the trivial locator, single
+    parity checks, cyclic Reed-Solomon codes over GF(q^u), u <= MAX_U = 4,
+    and for q = 2 only the Hamming (7,4,3) and the lowest-rate
+    distance-three code of length 9, the only kinds that build a field.
+    The candidates are built once per (n, q)."""
     out: list[LocatorSpec] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
 
@@ -592,57 +581,30 @@ def certificate_rank(cert: NzlCertificate) -> tuple:
     return (-cert.d_star, cert.locator.d_l, cert.locator.n_l, cert.e, cert.t_l, cert.w)
 
 
-def ranked_certificates(
-    code: cyclic.CyclicCodeSpec, *, search_w: bool = True
-) -> list[NzlCertificate]:
-    """One certificate per candidate locator of candidate_locators(n, q),
-    each the one mu_search gives, sorted by certificate_rank.  The code's
-    stepped rows are built once and shared by all candidates; `search_w` is
-    as in mu_search."""
-    rows = _code_rows(code.defining_set, code.coset_reps, code.n, search_w)
-    cands = candidate_locators(code.n, code.q)
-    return sorted((_scan(code.n, rows, loc, 0) for loc in cands), key=certificate_rank)
+def best_certificate(code: cyclic.CyclicCodeSpec, locators, *, search_w: bool = True):
+    """The first of the mu_search certificates of `locators` for the code
+    when they are sorted by certificate_rank, ties to the earlier locator;
+    None when there is no locator.  `search_w` is as in mu_search.
 
-
-def best_bound(code: cyclic.CyclicCodeSpec, *, search_w: bool = True):
-    """Best certificate over the fixed candidate family of
-    candidate_locators, with the BCH and HT values for comparison.  Returns
-    (certificate, {"bch", "ht", "d_star"}); no field is built unless q = 2.
-    The certificate is ranked_certificates(code, search_w=...)[0].
-
-    The candidates are scanned in order against the code's shared stepped
-    rows, keeping the best certificate so far, the incumbent, of value d*.
-    A later locator L of distance d_l is scanned only for runs of at least
-    (d* - 1)*d_l covered indices when (d_l, n_l) is at most the incumbent's,
-    and of at least d* * d_l otherwise.  This is exact.  A longest run
-    r < (d* - 1)*d_l gives mu = r + 1 <= (d* - 1)*d_l, so ceil(mu/d_l) < d*;
-    r < d* * d_l gives at most d*, which then loses the tie-break on
-    (d_l, n_l).  Either way L cannot outrank the incumbent.  A locator that
-    reaches its floor gets its full mu_search certificate, since a floor at
-    or below its longest run changes neither that run nor the tie-break.
-    DegenerateCover is tested once per locator, before any step, as in
-    mu_search.
-
-    The floor is what makes the Hartmann-Tzeng layer tests of mu_search
-    pay.  With L the run length still needed, m the longest block of
-    locator residues outside D_L and p the period of D_L, a step w is
-    scanned only when T_m(w), the starts of the step-w runs of length m in
-    D_C, holds a run of length k = floor((L - m + 1)/p) at step w*p mod n,
-    or, where k = 0, when D_C holds a step-w run as long as the stretch
-    outside D_L that every L consecutive residues hold.  Every covered run
-    of length L holds that many starts of D_C-only blocks, p apart on the
-    cycle, or that stretch (the lemmas and their proofs are in mu_search),
-    so a step that fails the test has no run of length L, and skipping it
-    changes no certificate.  The scan also opens at the longest D_C run of
-    the layers kept, when that is above the floor: some step holds it
-    whatever the locator, so, as above, that changes no certificate.
+    The locators are scanned in order against the code's shared
+    _code_rows, keeping the best certificate so far, the incumbent, of
+    value d*.  A later locator L of distance d_l is scanned only for runs
+    of at least (d* - 1)*d_l covered indices when (d_l, n_l) is at most
+    the incumbent's, and of at least d* * d_l otherwise.  This is exact.
+    A longest run r < (d* - 1)*d_l gives mu = r + 1 <= (d* - 1)*d_l, so
+    ceil(mu/d_l) < d*; r < d* * d_l gives at most d*, which then loses the
+    tie-break on (d_l, n_l).  Either way L cannot outrank the incumbent.
+    A locator that reaches its floor gets its full mu_search certificate,
+    since a floor at or below its longest run changes neither that run nor
+    the tie-break.  DegenerateCover is tested once per locator, before any
+    step, as in mu_search.  The floor is what makes the layer tests of
+    mu_search pay: the run still needed sets how many steps they rule out
+    before a cover is built.
     """
-    bch = cyclic.bch_bound(code).value
-    ht = cyclic.ht_bound(code).value
     n = code.n
     rows = _code_rows(code.defining_set, code.coset_reps, n, search_w)
     best = None
-    for loc in candidate_locators(n, code.q):
+    for loc in locators:
         if best is None:
             floor = 0
         elif (loc.d_l, loc.n_l) <= (best.locator.d_l, best.locator.n_l):
@@ -653,6 +615,18 @@ def best_bound(code: cyclic.CyclicCodeSpec, *, search_w: bool = True):
         cert = _scan(n, rows, loc, floor)
         if cert is not None and (best is None or certificate_rank(cert) < certificate_rank(best)):
             best = cert
+    return best
+
+
+def best_bound(code: cyclic.CyclicCodeSpec, *, search_w: bool = True):
+    """Best certificate over the fixed candidate family of
+    candidate_locators, with the BCH and HT values for comparison.  Returns
+    (certificate, {"bch", "ht", "d_star"}); no field is built unless q = 2.
+    The search is best_certificate's, whose floors let the layer tests of
+    mu_search (Lemmas 1 and 2) rule out most steps."""
+    bch = cyclic.bch_bound(code).value
+    ht = cyclic.ht_bound(code).value
+    best = best_certificate(code, candidate_locators(code.n, code.q), search_w=search_w)
     return best, {"bch": bch, "ht": ht, "d_star": best.d_star}
 
 

@@ -4,8 +4,9 @@ arithmetic, the extended Euclidean Key Equation solver that the decoder's
 Berlekamp-Massey is checked against, the Hartmann-Tzeng search over every
 inner step m2 and the unseeded template search it used to run on, the
 q-ary distance oracle that rebuilds every w-row sum, the locator scan that
-builds the cover of every step, and the one that tests each step's own
-Hartmann-Tzeng layers before building its cover.
+builds the cover of every step, the one that tests each step's own
+Hartmann-Tzeng layers before building its cover, and the full ranking of
+every candidate locator's certificate, which nzl.best_certificate must top.
 """
 
 import math
@@ -354,7 +355,10 @@ def mu_search(defining_set, n: int, locator, *, search_w: bool = True):
 
 
 def ranked_certificates(code, *, search_w: bool = True):
-    """nzl.ranked_certificates on the reference scan."""
+    """The certificate of every locator of nzl.candidate_locators on the
+    reference scan at floor 0, sorted by nzl.certificate_rank, ties in
+    candidate order: nzl.best_certificate gives the first, and decode's
+    walk past locators over the field cap gives them in this order."""
     rows = scan_code_rows(code.defining_set, code.n, search_w)
     certs = (scan(code.n, rows, loc, 0) for loc in nzl.candidate_locators(code.n, code.q))
     return sorted(certs, key=nzl.certificate_rank)

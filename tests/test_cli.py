@@ -1,5 +1,8 @@
+import contextlib
 import importlib.util
+import io
 import json
+import math
 import os
 import random
 import resource
@@ -8,9 +11,13 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cycbound import cyclic
+import reference
+from cycbound import cyclic, nzl
 from cycbound.cyclic import BchWitness, DistanceWitness, HtWitness
+from cycbound.gf import FieldTooLarge
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -128,36 +135,103 @@ def test_bound_negative_defining_set(tmp_path):
     assert 60 in doc["code"]["defining_set"] and 64 in doc["code"]["defining_set"]
 
 
-def test_bound_bad_spec_files(tmp_path):
-    assert run_cli("bound", str(tmp_path / "missing.json")).returncode == 1
+# entries that are not integers (JSON booleans included), a zero length, a
+# length not coprime to q and a name that is not a string
+MALFORMED = [
+    {"q": 2, "n": 7, "coset_reps": [1.5]},
+    {"q": 2, "n": 7, "defining_set": [1.5]},
+    {"q": 2, "n": 7, "coset_reps": "ab"},
+    {"q": 2, "n": 0, "defining_set": [1]},
+    {"q": 2, "n": 4, "defining_set": [1]},
+    {"q": 2, "n": 7, "coset_reps": [1], "name": [1, 2]},
+    {"q": 2, "n": 7, "coset_reps": [1], "name": {"a": 1}},
+    {"q": True, "n": 7, "coset_reps": [1]},
+    {"q": 2, "n": True, "coset_reps": []},
+    {"q": 2, "n": 7, "coset_reps": [True]},
+]
+
+
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
+    # the exit-code contract of cli.main, in process, where an exception
+    # that escapes main fails the test: 0 when the command ran, 1 for a
+    # usage, parse or library error, 2 when an emitted result fails its
+    # re-verification
+    from cycbound import cli
+
+    spec = tmp_path / "example21.json"
+    spec.write_text(json.dumps(EXAMPLE21))
+    assert cli.main(["bound", str(spec)]) == 0
+    assert cli.main(["decode", str(spec), "--received", "0" * 21]) == 0
+    capsys.readouterr()
+    # a missing file, both zero-set keys, text that is not JSON and the
+    # malformed specs: each a clean error, never a traceback or a hang
     both = tmp_path / "both.json"
     both.write_text(json.dumps({"q": 2, "n": 21, "coset_reps": [1], "defining_set": [1]}))
-    assert run_cli("bound", str(both)).returncode == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert run_cli("bound", str(bad)).returncode == 1
-    # entries that are not integers (JSON booleans included), a zero
-    # length, a length not coprime to q and a name that is not a string:
-    # each is a clean usage error, never a traceback or a hang
-    malformed = [
-        {"q": 2, "n": 7, "coset_reps": [1.5]},
-        {"q": 2, "n": 7, "defining_set": [1.5]},
-        {"q": 2, "n": 7, "coset_reps": "ab"},
-        {"q": 2, "n": 0, "defining_set": [1]},
-        {"q": 2, "n": 4, "defining_set": [1]},
-        {"q": 2, "n": 7, "coset_reps": [1], "name": [1, 2]},
-        {"q": 2, "n": 7, "coset_reps": [1], "name": {"a": 1}},
-        {"q": True, "n": 7, "coset_reps": [1]},
-        {"q": 2, "n": True, "coset_reps": []},
-        {"q": 2, "n": 7, "coset_reps": [True]},
-    ]
-    for i, doc in enumerate(malformed):
-        path = tmp_path / f"malformed{i}.json"
-        path.write_text(json.dumps(doc))
+    paths = [tmp_path / "missing.json", both, bad]
+    for i, doc in enumerate(MALFORMED):
+        paths.append(tmp_path / f"malformed{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    for path in paths:
         for argv in (["bound", "--bch"], ["decode", "--received", "0000000"]):
-            res = run_cli(argv[0], str(path), *argv[1:], timeout=60)
-            assert res.returncode == 1, (doc, argv, res.stderr)
-            assert "error:" in res.stderr and "Traceback" not in res.stderr, (doc, argv, res.stderr)
+            assert cli.main([argv[0], str(path), *argv[1:]]) == 1, (path.name, argv)
+            out = capsys.readouterr()
+            assert out.out == "" and "error:" in out.err, (path.name, argv, out)
+    monkeypatch.setattr(nzl, "verify_certificate", lambda *args: False)
+    assert cli.main(["bound", str(spec)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "certificate failed re-verification" in out.err
+    # the python -m cycbound entry passes main's code on as its exit status
+    res = run_cli("bound", str(tmp_path / "missing.json"), timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr, res.stderr
+
+
+_ATOMS = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(-2, 40), st.text(max_size=2))
+_ZEROS = st.one_of(st.lists(st.integers(-20, 20), max_size=5), st.lists(_ATOMS, max_size=3), _ATOMS)
+_SPEC_DOCS = st.one_of(
+    # well-formed documents, some of them codes that do not exist
+    st.builds(
+        lambda q, n, key, zeros, name: {"q": q, "n": n, key: zeros, **name},
+        st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
+        st.integers(1, 16),
+        st.sampled_from(["coset_reps", "defining_set"]),
+        st.lists(st.integers(-20, 20), max_size=5),
+        st.one_of(st.just({}), st.builds(lambda name: {"name": name}, st.text(max_size=3))),
+    ),
+    st.fixed_dictionaries({}, optional={
+        "q": st.one_of(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 0, 1, 6, -2, 1 << 21, 2**61 - 1]), _ATOMS),
+        "n": st.one_of(st.integers(-1, 16), st.just(4096), _ATOMS),
+        "coset_reps": _ZEROS,
+        "defining_set": _ZEROS,
+        "name": st.one_of(st.text(max_size=3), _ATOMS),
+    }),
+    st.lists(_ATOMS, max_size=3),
+    _ATOMS,
+)
+
+
+@given(doc=_SPEC_DOCS, flags=st.sampled_from([[], ["--trivial"], ["--spc", "3"], ["--no-search-w"]]),
+       digit=st.sampled_from("01"))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_spec_documents_exit_zero_or_one(tmp_path_factory, doc, flags, digit):
+    # valid lengths stay at most 16, so bound's oracle finishes at once
+    from cycbound import cli
+
+    path = tmp_path_factory.getbasetemp() / "fuzzed_spec.json"
+    path.write_text(json.dumps(doc))
+    n = doc.get("n") if isinstance(doc, dict) else None
+    word = digit * n if type(n) is int and 0 < n <= 16 else digit
+    for argv in (["bound", str(path)], ["decode", str(path), "--received", word, *flags]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1), (doc, argv, err.getvalue())
+        if code == 1:
+            assert out.getvalue() == "" and "error:" in err.getvalue(), (doc, argv, out.getvalue())
+        else:
+            assert isinstance(json.loads(out.getvalue()), dict), (doc, argv)
 
 
 ZERO_CODE = {"q": 5, "n": 17, "coset_reps": [0, 1]}
@@ -498,6 +572,70 @@ def test_decode_skips_locators_over_the_field_cap(tmp_path):
     assert doc["d_star"] == 8 and doc["correctable"] == 3
     assert doc["status"] == "success" and sorted(doc["positions"]) == [3, 100, 250]
     assert doc["corrected"] == list(codeword)
+
+
+_CLOSED_LENGTHS = {q: [n for n in range(2, 64) if math.gcd(n, q) == 1] for q in (2, 3, 4, 5)}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_decode_walks_the_ranking_past_locators_over_the_field_cap(data):
+    # decode drops a locator whose combined field is over the table cap and
+    # asks best_certificate again, so the certificates it tries come in the
+    # order of the full ranking of every candidate's certificate
+    from cycbound import cli, decoder
+
+    q = data.draw(st.sampled_from([2, 3, 4, 5]), label="q")
+    n = data.draw(st.sampled_from(_CLOSED_LENGTHS[q]), label="n")
+    cosets = cyclic.coset_partition(n, q)
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(cosets), max_size=len(cosets)))
+    if all(chosen):
+        chosen[0] = False  # the zero code has no distance to certify
+    code = cyclic.build_code(q, n, [min(c) for c, keep in zip(cosets, chosen) if keep])
+    search_w = data.draw(st.booleans(), label="search_w")
+    ranked = reference.ranked_certificates(code, search_w=search_w)
+    fits = data.draw(st.integers(0, len(ranked)), label="fits")  # len(ranked): none fits
+    tried = []
+
+    def build_context(code, locator, cert):
+        tried.append(cert)
+        if len(tried) > fits:
+            return "context"
+        raise FieldTooLarge(f"field {len(tried)}")
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(decoder, "build_context", build_context)
+        try:
+            got = cli._decodable_certificate(code, nzl.candidate_locators(n, q), search_w)
+        except FieldTooLarge as exc:
+            got = str(exc)
+    assert tried == ranked[:fits + 1], code
+    if fits == len(ranked):
+        assert got == "field 1" and err.getvalue() == ""
+        return
+    assert got == (ranked[fits], "context")
+    names = ", ".join(f"{c.locator.kind} n_l={c.locator.n_l} u={c.locator.u}" for c in ranked[:fits])
+    assert err.getvalue() == (f"warning: combined field over the table cap, skipped locators: {names}\n"
+                              if fits else "")
+
+
+def test_decode_with_every_locator_over_the_field_cap(tmp_path, capsys):
+    # (2; 47; 1) lives in GF(2^23), so no locator's combined field fits:
+    # decode names no skipped locator and exits 1 with the error of the
+    # best-ranked certificate
+    from cycbound import cli, decoder
+
+    code = cyclic.build_code(2, 47, [1])
+    best = reference.ranked_certificates(code)[0]
+    with pytest.raises(FieldTooLarge) as first:
+        decoder.build_context(code, best.locator, best)
+    assert str(first.value) == "2^92 exceeds the table bound 2^20"
+    path = tmp_path / "code47.json"
+    path.write_text(json.dumps({"q": 2, "n": 47, "coset_reps": [1]}))
+    assert cli.main(["decode", str(path), "--received", "0" * 47]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {first.value}\n"
 
 
 def test_bound_human(spec21):

@@ -115,7 +115,7 @@ def _candidate_contexts(q):
     code = cyclic.build_code(q, n, reps)
     p, a = prime_power(q)
     s = min_extension_degree(q, n)
-    locators = nzl.candidate_locators(n, q) + [nzl.custom_locator(q, *c) for c in customs]
+    locators = [*nzl.candidate_locators(n, q), *(nzl.custom_locator(q, *c) for c in customs)]
     out = []
     for loc in locators:
         s_l = min_extension_degree(q**loc.u, loc.n_l)

@@ -26,7 +26,6 @@ from cycbound.nzl import (
     min_weight_codeword,
     mu_search,
     nzl_bound,
-    ranked_certificates,
     ratio_grid,
     rs_closed_form,
     rs_locator,
@@ -346,7 +345,7 @@ def test_best_bound_is_first_ranked_certificate(data):
     code = cyclic.build_code(q, n, [min(c) for c, keep in zip(cosets, chosen) if keep])
     for search_w in (True, False):
         cert, comp = best_bound(code, search_w=search_w)
-        assert cert == ranked_certificates(code, search_w=search_w)[0]
+        assert cert == reference.ranked_certificates(code, search_w=search_w)[0]
         assert comp["d_star"] == cert.d_star
 
 
@@ -365,7 +364,7 @@ def test_best_bound_ties_on_locator_shape(monkeypatch, q, n, reps, search_w, win
     assert (rs.d_l, rs.n_l) == (hamming.d_l, hamming.n_l) == (3, 7)
     monkeypatch.setattr(nzl, "candidate_locators", lambda n, q: [trivial_locator(), rs, hamming])
     code = cyclic.build_code(q, n, reps)
-    ranked = ranked_certificates(code, search_w=search_w)
+    ranked = reference.ranked_certificates(code, search_w=search_w)
     assert [c.locator.kind for c in ranked] == ["hamming", "rs", "trivial"]
     assert ranked[0].d_star == ranked[1].d_star
     cert, _ = best_bound(code, search_w=search_w)
@@ -383,7 +382,7 @@ def test_best_bound_raises_degenerate_cover(monkeypatch, example21, spc5, d_l):
         with pytest.raises(DegenerateCover):
             best_bound(example21, search_w=search_w)
         with pytest.raises(DegenerateCover):
-            ranked_certificates(example21, search_w=search_w)
+            reference.ranked_certificates(example21, search_w=search_w)
 
 
 def test_soundness_every_binary_code_of_length_257():
@@ -429,7 +428,7 @@ def test_candidate_locators_build_no_field(monkeypatch):
 
     monkeypatch.setattr(gf, "build_field", refuse)
     monkeypatch.setattr(nzl, "build_field", refuse)
-    nzl._candidate_locators.cache_clear()  # build the candidates, not recall them
+    nzl.candidate_locators.cache_clear()  # build the candidates, not recall them
     cands = {(n, q): candidate_locators(n, q) for n, q in [(80, 3), (124, 5), (10, 7)]}
     # SPC(11) over GF(7^10), beyond the table cap
     assert any(7**loc.u > gf.MAX_FIELD_SIZE for loc in cands[10, 7])
@@ -642,21 +641,26 @@ def _assert_search_matches_reference(code, mu_search_too):
         assert code_rows[1] == ref_rows[1], code
         assert code_rows[0] == [(w, _digits(row)) for w, row in ref_rows[0]], code
         layer_rows = reference.layer_code_rows(D, n, search_w) if len(code_rows[0]) > 1 else None
-        ranked = _outcome(lambda: ranked_certificates(code, search_w=search_w))
-        assert ranked == _outcome(lambda: reference.ranked_certificates(code, search_w=search_w)), code
+        ranked = _outcome(lambda: reference.ranked_certificates(code, search_w=search_w))
         if not isinstance(ranked, list):
+            cands = candidate_locators(n, code.q)
+            assert _outcome(lambda: nzl.best_certificate(code, cands, search_w=search_w)) == ranked, code
             continue
         bound, scans = _best_bound_scans(code, search_w)
         assert bound[0] == ranked[0], code
-        # at a floor of mu - 1 the run is found, at mu it is not
-        edges = dict.fromkeys((cert.locator, floor) for cert in ranked for floor in (cert.mu - 1, cert.mu))
+        # at floor 0 each locator gets its certificate in the ranking; at a
+        # floor of mu - 1 the run is found, at mu it is not
+        first = {cert.locator: cert for cert in ranked}
+        edges = dict.fromkeys((cert.locator, floor) for cert in ranked for floor in (0, cert.mu - 1, cert.mu))
         for loc, floor in dict.fromkeys(scans + list(edges)):
             got, built = _scan_building(n, code_rows, loc, floor)
             if layer_rows:
                 ref_built = []
                 want = _outcome(lambda: reference.layer_scan(n, layer_rows, loc, floor, ref_built))
                 assert (got, built) == (want, ref_built), (code, loc, floor)
-            if (loc, floor) in edges:
+            if floor == 0:
+                assert got == first[loc], (code, loc)
+            elif (loc, floor) in edges:
                 assert got == reference.scan(n, ref_rows, loc, floor), (code, loc, floor)
         if not mu_search_too:
             continue
