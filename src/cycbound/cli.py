@@ -209,20 +209,17 @@ def _parse_word(text: str, q: int, n: int) -> list[int]:
 
 def _decodable_certificate(code: cyclic.CyclicCodeSpec, locators, search_w: bool):
     """(certificate, decoding context) for the best certificate of
-    `locators`, by nzl.best_certificate, whose combined field fits the
-    table cap.  A locator over the cap is dropped and the rest are searched
-    again; a locator's certificate does not depend on the others, so this
-    walks the ranking of all their certificates in order.  The skipped
-    locators are named on stderr; when none fits, the first one's error is
-    raised."""
+    `locators` whose combined field fits the table cap.  The certificates
+    come from nzl.certificates_by_rank, best first, so a locator over the
+    cap is passed over and the rest are searched again on the same code
+    rows.  The skipped locators are named on stderr; when none fits, the
+    first one's error is raised."""
     skipped = []
-    while locators:
-        cert = nzl.best_certificate(code, locators, search_w=search_w)
+    for cert in nzl.certificates_by_rank(code, locators, search_w=search_w):
         try:
             ctx = decoder.build_context(code, cert.locator, cert)
         except FieldTooLarge as err:
             skipped.append((cert.locator, err))
-            locators = [loc for loc in locators if loc is not cert.locator]
             continue
         if skipped:
             names = ", ".join(f"{loc.kind} n_l={loc.n_l} u={loc.u}" for loc, _ in skipped)

@@ -12,8 +12,10 @@ stand for all n cyclic windows of k positions, and the lightest word seen
 is both the proof of d and its witness.  Its rows are gf.PackedWords words,
 one bit per coordinate over GF(2), built on the rows c * (x^i mod g) of
 gf.remainder_rows, which the decoder also sums to reduce a received word
-mod g.  One walk serves every q: a sum of w rows is a carried (w - 2)-row
-prefix plus one entry of a per-code table of two-row sums.
+mod g; the PackedWords of a length is built once and shared by its codes.
+One walk serves every q: a sum of w rows is a carried (w - 2)-row prefix
+plus one entry of a per-code table of two-row sums, which over GF(2) are
+the sums already weighed at w = 2.
 
 A code here is pinned down by (q, n, defining set) plus the canonical
 primitive n-th root of unity alpha of its construction field GF(q^s),
@@ -477,6 +479,14 @@ def verify_ht_witness(spec: CyclicCodeSpec, wit: HtWitness) -> bool:
     )
 
 
+@lru_cache(maxsize=32)
+def _packed_words(q: int, n: int) -> PackedWords:
+    """PackedWords(q, n), shared by every oracle call at length n over GF(q):
+    it is read-only once built.  Bounded, since one over a large q holds
+    O(q) tables (about 20 MB at q = 65536)."""
+    return PackedWords(q, n)
+
+
 def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWitness:
     """Exact minimum distance d with a codeword of weight d, over codes with
     at most `cap` codewords (q^k), from the low-weight messages of one
@@ -500,26 +510,31 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
     / k) ends the loop.
 
     A row is a gf.PackedWords word, one bit per GF(2) digit, so a sum is
-    one words.add and a weight one words.weight; rows[i][c - 1] is
-    c * x^(r+i) above the gf.remainder_rows entry for -c.  At w = 2 each
-    row, with digit 1, is added to every later row and digit.  tail[s],
-    built when w first reaches 3 (it holds (q - 1)^2 sums per pair of rows,
-    w = 2 only q - 1), lists rows[i][a] + rows[j][b] for s <= i < j in the
-    order (i, j, a, b).  From w = 3 on the w-row sums are walked depth first
-    over their first w - 2 rows, the first with digit 1, carrying that
-    prefix sum, and each leaf adds it to every entry of tail[j], j one past
-    the prefix's last row: one add and one weight per word.  Only a strictly
-    lighter word replaces the best, so the first lightest word in walk order
-    wins: by rows, then digits, up to w = 3, and beyond it each prefix row's
-    digit before the next row.
+    one words.add and a weight one words.weight; the words of length n
+    over GF(q) come from _packed_words, built once per (q, n), and
+    rows[i][c - 1] is c * x^(r+i) above the gf.remainder_rows entry for
+    -c.  At w = 2 each row, with digit 1, is added to every later row and
+    digit, and the sums are kept: pairs[i] holds rows[i][0] + rows[j][b]
+    for i < j in the order (j, b).  tail[s], built when w first reaches 3,
+    lists rows[i][a] + rows[j][b] for s <= i < j in the order (i, j, a, b),
+    (q - 1)^2 sums per pair of rows.  Over GF(2) that is the one sum per
+    pair made at w = 2, so tail[s] is pairs[s] followed by tail[s + 1] and
+    the table costs no add; for q > 2 every digit pair is added.  From w = 3
+    on the w-row sums are walked depth first over their first w - 2 rows,
+    the first with digit 1, carrying that prefix sum, and each leaf adds it
+    to every entry of tail[j], j one past the prefix's last row: one add
+    and one weight per word.  Only a strictly lighter word replaces the
+    best, so the first lightest word in walk order wins: by rows, then
+    digits, up to w = 3, and beyond it each prefix row's digit before the
+    next row.
     """
     if spec.k == 0:
         raise ValueError("the zero code has no minimum distance")
     if spec.q**spec.k > cap:
         raise TooManyCodewords(f"{spec.q}^{spec.k} codewords exceed the cap {cap}")
     q, n, k = spec.q, spec.n, spec.k
-    r = n - k
-    words = PackedWords(q, n)
+    r, m = n - k, q - 1
+    words = _packed_words(q, n)
     add, weight, width = words.add, words.weight, words.width
     rems = remainder_rows(words, generator_polynomial(spec), range(r, n))
     shifts = range(r * width, n * width, width)
@@ -527,22 +542,26 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
     columns = [[u << shift | rem[neg_c] for shift, rem in zip(shifts, rems)]
                for u, neg_c in zip(words.units[1:], map(words.df.neg, range(1, q)))]
     rows = list(zip(*columns))
-    tail = [[] for _ in range(k)]
+    pairs, tail = [], [[] for _ in range(k)]
 
     def lightest(w):
         if w == 1:
             return min(columns[0], key=weight)
         if w == 2:
             flat = [y for row in rows for y in row]
-            return min(chain.from_iterable(map(add, repeat(row[0]), flat[(i + 1) * (q - 1):])
-                                           for i, row in enumerate(rows)), key=weight)
-        if w == 3:  # w runs 1, 2, ...: build the table once, when first needed
+            pairs.extend(list(map(add, repeat(row[0]), flat[(i + 1) * m:])) for i, row in enumerate(rows))
+            return min(chain.from_iterable(pairs), key=weight)
+        # w runs 1, 2, ...: the table is built once, when first needed
+        if w == 3 and q == 2:  # one digit: the table's entries are the w = 2 sums
+            for s in range(k - 2, -1, -1):
+                tail[s] = pairs[s] + tail[s + 1]
+        elif w == 3:
             # spread[s] repeats each rows[s][a] and tiled each row q - 1 times,
             # so cycling spread[s] along tiled pairs them in the order (j, a, b)
-            spread = list(zip(*[column for column in columns for _ in range(q - 1)]))
-            m, tiled = (q - 1) ** 2, [y for row in rows for y in row * (q - 1)]
+            spread = list(zip(*[column for column in columns for _ in range(m)]))
+            tiled = [y for row in rows for y in row * m]
             for s in range(k - 2, -1, -1):
-                tail[s] = [*map(add, cycle(spread[s]), tiled[(s + 1) * m:]), *tail[s + 1]]
+                tail[s] = [*map(add, cycle(spread[s]), tiled[(s + 1) * m * m:]), *tail[s + 1]]
         best, least = None, n + 1
 
         def walk(start, depth, prefix):

@@ -17,9 +17,10 @@ root_product.  PackedLanes
 packs a word of GF(p^a) elements into one int, one bit per GF(2) digit and
 a few bits (or, on request, a byte) per base-p digit otherwise, with
 lane-wise addition, a weight and a zero-coordinate test; PackedWords does
-so for a word over GF(q), read back by digits; remainder_rows builds the
-packed rows c * (x^i mod g) that the oracle (i from deg g) and the decoder
-(i from 0) sum.
+so for a word over GF(q), read back by digits, and scales one by every
+digit (for prime q the lane multiples of one pack); remainder_rows builds
+the packed rows c * (x^i mod g) that the oracle (i from deg g) and the
+decoder (i from 0) sum.
 
 Primitive polynomials are found by exhaustive search in lexicographic
 order (coefficients compared constant term first), over the constant terms
@@ -543,8 +544,12 @@ class PackedWords(PackedLanes):
         return [digit_of[x >> i * width & mask] for i in range(self.n)]
 
     def scaled(self, digits) -> list[int]:
-        """pack(c * digits) for c = 1, ..., q - 1, multiplying only the
-        digits that occur, so the cost is (q - 1) times their number."""
+        """pack(c * digits) for c = 1, ..., q - 1.  For prime q a digit is its
+        element, so these are the lane multiples of one pack; otherwise
+        only the digits that occur are multiplied, so the cost is (q - 1)
+        times their number."""
+        if self.a == 1:
+            return self.multiples(self.pack(digits))[1:]
         mul, occurring = self.df.mul, set(digits)
         out = []
         for c in range(1, self.df.q):

@@ -584,38 +584,50 @@ def certificate_rank(cert: NzlCertificate) -> tuple:
 def best_certificate(code: cyclic.CyclicCodeSpec, locators, *, search_w: bool = True):
     """The first of the mu_search certificates of `locators` for the code
     when they are sorted by certificate_rank, ties to the earlier locator;
-    None when there is no locator.  `search_w` is as in mu_search.
+    None when there is no locator.  `search_w` is as in mu_search.  It is
+    the first certificate of certificates_by_rank."""
+    return next(certificates_by_rank(code, locators, search_w=search_w), None)
 
-    The locators are scanned in order against the code's shared
-    _code_rows, keeping the best certificate so far, the incumbent, of
-    value d*.  A later locator L of distance d_l is scanned only for runs
-    of at least (d* - 1)*d_l covered indices when (d_l, n_l) is at most
-    the incumbent's, and of at least d* * d_l otherwise.  This is exact.
-    A longest run r < (d* - 1)*d_l gives mu = r + 1 <= (d* - 1)*d_l, so
-    ceil(mu/d_l) < d*; r < d* * d_l gives at most d*, which then loses the
-    tie-break on (d_l, n_l).  Either way L cannot outrank the incumbent.
-    A locator that reaches its floor gets its full mu_search certificate,
-    since a floor at or below its longest run changes neither that run nor
-    the tie-break.  DegenerateCover is tested once per locator, before any
-    step, as in mu_search.  The floor is what makes the layer tests of
-    mu_search pay: the run still needed sets how many steps they rule out
-    before a cover is built.
+
+def certificates_by_rank(code: cyclic.CyclicCodeSpec, locators, *, search_w: bool = True):
+    """The mu_search certificates of `locators` for the code, lazily, in
+    certificate_rank order with ties to the earlier locator: each is the
+    best certificate of the locators not yet yielded, found by a search
+    against the code's _code_rows, which are built once, on the first
+    request.  A locator's certificate does not depend on the others, so
+    this is the order of the full ranking.
+
+    Each search scans the locators in order, keeping the best certificate
+    so far, the incumbent, of value d*.  A later locator L of distance d_l
+    is scanned only for runs of at least (d* - 1)*d_l covered indices when
+    (d_l, n_l) is at most the incumbent's, and of at least d* * d_l
+    otherwise.  This is exact.  A longest run r < (d* - 1)*d_l gives
+    mu = r + 1 <= (d* - 1)*d_l, so ceil(mu/d_l) < d*; r < d* * d_l gives at
+    most d*, which then loses the tie-break on (d_l, n_l).  Either way L
+    cannot outrank the incumbent.  A locator that reaches its floor gets
+    its full mu_search certificate, since a floor at or below its longest
+    run changes neither that run nor the tie-break.  DegenerateCover is
+    tested once per locator, before any step, as in mu_search.  The floor
+    is what makes the layer tests of mu_search pay: the run still needed
+    sets how many steps they rule out before a cover is built.
     """
     n = code.n
     rows = _code_rows(code.defining_set, code.coset_reps, n, search_w)
-    best = None
-    for loc in locators:
-        if best is None:
-            floor = 0
-        elif (loc.d_l, loc.n_l) <= (best.locator.d_l, best.locator.n_l):
-            floor = (best.d_star - 1) * loc.d_l
-        else:
-            floor = best.d_star * loc.d_l
-        # at floor 0 (the first locator, or d* = 1) even mu = 1 can rank first
-        cert = _scan(n, rows, loc, floor)
-        if cert is not None and (best is None or certificate_rank(cert) < certificate_rank(best)):
-            best = cert
-    return best
+    while locators:
+        best = None
+        for loc in locators:
+            if best is None:
+                floor = 0
+            elif (loc.d_l, loc.n_l) <= (best.locator.d_l, best.locator.n_l):
+                floor = (best.d_star - 1) * loc.d_l
+            else:
+                floor = best.d_star * loc.d_l
+            # at floor 0 (the first locator, or d* = 1) even mu = 1 can rank first
+            cert = _scan(n, rows, loc, floor)
+            if cert is not None and (best is None or certificate_rank(cert) < certificate_rank(best)):
+                best = cert
+        yield best
+        locators = [loc for loc in locators if loc is not best.locator]
 
 
 def best_bound(code: cyclic.CyclicCodeSpec, *, search_w: bool = True):

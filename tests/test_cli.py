@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -547,6 +548,9 @@ def test_decode_above_ht_cap(spec1023):
     assert doc["corrected"] == [0] * 1023
 
 
+_CODE255_SKIPPING_HAMMING = [1, 5, 15, 17, 21, 23, 25, 29, 45, 51, 85, 87, 91, 95, 119]
+
+
 def test_decode_skips_locators_over_the_field_cap(tmp_path):
     # best_bound certifies d* = 9 with the Hamming (7,4,3) locator, whose
     # combined field GF(2^lcm(8, 3)) is over the table cap; decode falls back
@@ -554,7 +558,7 @@ def test_decode_skips_locators_over_the_field_cap(tmp_path):
     from cycbound import cyclic
 
     spec = tmp_path / "code255.json"
-    reps = [1, 5, 15, 17, 21, 23, 25, 29, 45, 51, 85, 87, 91, 95, 119]
+    reps = _CODE255_SKIPPING_HAMMING
     spec.write_text(json.dumps({"q": 2, "n": 255, "coset_reps": reps}))
     bound = json.loads(run_cli("bound", str(spec), "--nzl").stdout)
     assert bound["nzl"]["d_star"] == 9
@@ -638,6 +642,33 @@ def test_decode_with_every_locator_over_the_field_cap(tmp_path, capsys):
     assert out.out == "" and out.err == f"error: {first.value}\n"
 
 
+@pytest.mark.parametrize("n, reps, code, err", [
+    (47, [1], 1, "error: 2^92 exceeds the table bound 2^20\n"),
+    (255, _CODE255_SKIPPING_HAMMING, 0,
+     "warning: combined field over the table cap, skipped locators: hamming n_l=7 u=1\n"),
+], ids=["every-locator-over-the-cap", "one-locator-skipped"])
+def test_decode_builds_the_code_rows_once(tmp_path, capsys, monkeypatch, n, reps, code, err):
+    # a locator dropped for its field is searched past on the same code
+    # rows: one _code_rows per decode, whatever the number of re-searches
+    from cycbound import cli
+
+    calls = []
+    code_rows = nzl._code_rows
+
+    def counted(*args):
+        calls.append(args)
+        return code_rows(*args)
+
+    monkeypatch.setattr(nzl, "_code_rows", counted)
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"q": 2, "n": n, "coset_reps": reps}))
+    assert cli.main(["decode", str(path), "--received", "0" * n]) == code
+    out = capsys.readouterr()
+    assert len(calls) == 1
+    assert out.err == err
+    assert (out.out == "") == (code == 1)
+
+
 def test_bound_human(spec21):
     res = run_cli("bound", spec21, "--human")
     assert res.returncode == 0
@@ -671,6 +702,8 @@ def test_soundness_sweep_script():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "33 codes checked" in res.stdout and ", 0 violations" in res.stdout
+    # the summary gives the oracle's own time inside the total
+    assert re.search(r"^33 codes checked in \d+\.\ds \(oracle \d+\.\ds\), 0 violations$", res.stdout, re.M)
 
 
 def _lighter(word):

@@ -1,6 +1,6 @@
 import math
 import random
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import xor
 
@@ -97,11 +97,21 @@ def test_generator_polynomial_matches_linear_factors(q, n, reps):
 @pytest.mark.parametrize("q, n, reps", [(2, 21, (1, 3, 7, 9)), (2, 7, ()), (3, 80, (1, 2, 4, 5)),
                                         (4, 21, (1, 3)), (5, 24, (1, 2)), (9, 10, (1,))])
 def test_remainder_rows_match_poly_divmod(q, n, reps):
+    _check_remainder_rows(q, n, reps, None)
+
+
+@pytest.mark.parametrize("q, n, reps", [(3, 80, (1, 2, 4, 5)), (61, 12, (1, 2, 3, 4))])
+def test_remainder_rows_match_poly_divmod_on_byte_lanes(q, n, reps):
+    # the decoder's lanes for odd p < 65, one byte per digit
+    _check_remainder_rows(q, n, reps, 8)
+
+
+def _check_remainder_rows(q, n, reps, lane_bits):
     # rows[i][c] packs c * (x^i mod g), the remainder taken by Poly divmod
     code = build_code(q, n, reps)
     g_digits = cyclic.generator_polynomial(code)
     r = len(g_digits) - 1
-    words = PackedWords(q, r)
+    words = PackedWords(q, r, lane_bits)
     rows = remainder_rows(words, g_digits, range(n))
     # a range from r = deg g starts at x^r mod g, the oracle's rows
     assert remainder_rows(words, g_digits, range(r, n)) == rows[r:]
@@ -428,12 +438,14 @@ def test_binary_oracle_word_matches_lex_first_reference():
     assert max(stops.values()) >= 4
 
 
-@pytest.mark.parametrize("q, n, k, rows", [(3, 40, 9, 3), (3, 40, 10, 4), (5, 24, 6, 3), (9, 40, 4, 3)])
+@pytest.mark.parametrize("q, n, k, rows", [(3, 40, 9, 3), (3, 40, 10, 4), (5, 24, 6, 3), (9, 40, 4, 3),
+                                           (5, 24, 7, 3)])
 def test_qary_oracle_word_matches_reference_past_two_rows(q, n, k, rows):
     # the full-enumeration codes find every q-ary witness within two rows;
     # these codes find some with three (the table of two-row sums) and,
     # for (3; 40) at k = 10, four (the walk's prefix, whose digit runs
-    # before the next row)
+    # before the next row); at (5; 24) with k = 7 one code's witness is a
+    # tie that only the digit order of the table's second row breaks
     cosets = cyclic.coset_partition(n, q)
     found = set()
     for t in range(1, k + 1):
@@ -469,6 +481,50 @@ def test_binary_oracle_word_matches_reference_long_codes(code):
     d, word, _ = _reference_binary_oracle(code)
     got = min_distance_oracle(code)
     assert (got.d, got.codeword) == (d, word)
+
+
+@cache
+def _codes_of_length(q, n):
+    cosets = cyclic.coset_partition(n, q)
+    codes = []
+    for mask in range(1 << len(cosets)):
+        chosen = [min(c) for i, c in enumerate(cosets) if mask >> i & 1]
+        code = build_code(q, n, chosen)
+        if code.k >= 1 and q**code.k <= 1 << 12:
+            codes.append(code)
+    return codes
+
+
+@cache
+def _reference_oracle(code):
+    return (_reference_binary_oracle if code.q == 2 else qary_oracle)(code)[:2]
+
+
+@pytest.mark.parametrize("q, n", [(2, 21), (3, 13)])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_oracle_words_shared_across_codes_leak_nothing(q, n, data):
+    # the oracle's per-length words serve every code of one (q, n): codes
+    # of that length in any order, repeats included, each give the
+    # reference's (d, codeword), and one PackedWords serves them all
+    codes = _codes_of_length(q, n)
+    order = data.draw(st.lists(st.sampled_from(codes), min_size=2, max_size=10))
+    cyclic._packed_words.cache_clear()
+    for code in order:
+        got = min_distance_oracle(code)
+        assert (got.d, got.codeword) == _reference_oracle(code), code
+    assert cyclic._packed_words.cache_info().currsize == 1
+
+
+def test_oracle_words_cache_is_bounded():
+    # PackedWords(65536, n) holds O(q) tables, so the per-length cache
+    # keeps at most maxsize lengths
+    maxsize = cyclic._packed_words.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 64
+    cyclic._packed_words.cache_clear()
+    for n in range(1, 2 * maxsize + 2, 2):
+        cyclic._packed_words(2, n)
+    assert cyclic._packed_words.cache_info().currsize == maxsize
 
 
 def test_has_distance_two():

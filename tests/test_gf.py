@@ -287,6 +287,24 @@ def test_packed_words_match_digit_field(q, data):
         assert words.weight(packed) == n - total.count(0)
 
 
+@pytest.mark.parametrize("q, lane_bits", [(2, None), (3, None), (5, None), (61, None), (4, None), (9, None),
+                                           (25, None), (3, 8), (5, 8), (61, 8), (9, 8), (25, 8)])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_scaled_matches_digit_field_mul(q, lane_bits, data):
+    # scaled(u)[c - 1] packs c * u: lane multiples of one pack for prime q,
+    # the digits multiplied one by one otherwise; on the default lanes (the
+    # oracle's) and on the decoder's byte lanes for odd p < 65
+    n = data.draw(st.integers(min_value=0, max_value=30))
+    u = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    df, words = gf.DigitField(q), gf.PackedWords(q, n, lane_bits)
+    if lane_bits:
+        assert words.lane_bits == lane_bits
+    scaled = words.scaled(u)
+    assert scaled == [words.pack([df.mul(c, d) for d in u]) for c in range(1, q)]
+    assert [words.digits(x) for x in scaled] == [[df.mul(c, d) for d in u] for c in range(1, q)]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
