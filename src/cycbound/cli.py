@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import cyclic, decoder, fixtures, nzl
 from .cyclic import TooManyCodewords
@@ -58,6 +59,36 @@ def _check_q_n(q: int, n: int) -> None:
 def _is_int(x) -> bool:
     """A JSON integer: Python reads true and false as ints, JSON does not."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for the types the CLI prints, matched
+    exactly: dict with str keys, list, str, int, bool and None; TypeError
+    on anything else.  `pad` is the newline and indent of obj's own level.
+    json.dumps with indent runs the pure-Python encoder item by item; here
+    a list of ints is one C-level join."""
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return _json_str(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = pad + "  "
+    sep = "," + inner
+    if kind is list:
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            return "[" + inner + sep.join(map(int.__repr__, obj)) + pad + "]"
+        return "[" + inner + sep.join([_dumps(x, inner) for x in obj]) + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        # _json_str raises TypeError on a key that is not a str
+        return "{" + inner + sep.join([_json_str(k) + ": " + _dumps(v, inner)
+                                       for k, v in obj.items()]) + pad + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def load_code_spec(path: str) -> cyclic.CyclicCodeSpec:
@@ -128,7 +159,7 @@ def cmd_cosets(args) -> int:
     _check_q_n(args.q, args.n)
     cosets = cyclic.coset_partition(args.n, args.q)
     if args.json:
-        print(json.dumps({"n": args.n, "q": args.q, "cosets": [sorted(c) for c in cosets]}, indent=2))
+        print(_dumps({"n": args.n, "q": args.q, "cosets": [sorted(c) for c in cosets]}))
     else:
         for c in cosets:
             members = sorted(c)
@@ -187,7 +218,7 @@ def cmd_bound(args) -> int:
                     value = f"skipped: {entry['skipped']}" if "skipped" in entry else "capped"
                 print(f"{key:<10} {value}")
     else:
-        print(json.dumps(record, indent=2))
+        print(_dumps(record))
     return 0
 
 
@@ -249,7 +280,7 @@ def cmd_decode(args) -> int:
         "values": {str(p): v for p, v in result.values.items()},
         "corrected": None if result.corrected is None else list(result.corrected),
     }
-    print(json.dumps(doc, indent=2))
+    print(_dumps(doc))
     return 0
 
 
@@ -259,15 +290,10 @@ def cmd_check(args) -> int:
         raise UsageError(f"no fixture matches {args.only!r}")
     failed = [r for r in results if not r.ok]
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {"name": r.name, "ok": r.ok, "expected": repr(r.expected), "computed": repr(r.computed)}
-                    for r in results
-                ],
-                indent=2,
-            )
-        )
+        print(_dumps([
+            {"name": r.name, "ok": r.ok, "expected": repr(r.expected), "computed": repr(r.computed)}
+            for r in results
+        ]))
     else:
         width = max(len(r.name) for r in results)
         for r in results:

@@ -4,7 +4,9 @@ Covers cyclotomic cosets and defining sets, generator polynomials, the BCH
 and Hartmann-Tzeng bounds with explicit witnesses, an exact
 minimum-distance oracle, and the distance-two / distance-three
 characterizations of binary cyclic codes together with the lowest-rate
-constructions built from them.
+constructions built from them.  The cosets of one (n, q) are tabulated
+once (_coset_table) and read by build_code, _coset_reps, coset_partition
+and the bounds' defining-set masks.
 
 The oracle is one information-set pass: it weighs the systematic
 codewords of low message weight on one window, which the cyclic shifts make
@@ -129,41 +131,57 @@ def cyclotomic_coset(n: int, q: int, r: int) -> frozenset[int]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=64)
+def _coset_table(n: int, q: int) -> tuple[frozenset[int], ...]:
+    """table[r] = cyclotomic_coset(n, q, r) for every residue r mod n, each
+    coset one shared object.  Memoized, since the codes of one length
+    share their cosets; the errors are cyclotomic_coset's."""
+    if n < 1:
+        raise ValueError("length must be positive")
+    table: list = [None] * n
+    for r in range(n):
+        if table[r] is None:
+            c = cyclotomic_coset(n, q, r)
+            for i in c:
+                table[i] = c
+    return tuple(table)
+
+
+@lru_cache(maxsize=64)
+def _coset_masks(n: int, q: int) -> tuple[int, ...]:
+    """masks[r] has bit i for each member i of the coset of r, so a
+    defining set's mask is the sum of its representatives' masks."""
+    table = _coset_table(n, q)
+    masks = {c: sum(1 << i for i in c) for c in dict.fromkeys(table)}
+    return tuple([masks[c] for c in table])
+
+
 def _coset_reps(n: int, q: int, exponents) -> tuple[int, ...]:
     """Smallest members of the cosets meeting `exponents`: the coset
     representatives of their closure under multiplication by q."""
-    return tuple(sorted({min(cyclotomic_coset(n, q, i)) for i in exponents}))
+    exponents = list(exponents)
+    table = _coset_table(n, q) if exponents else ()  # no exponents: () for any n, q
+    return tuple(sorted(map(min, {table[i % n] for i in exponents})))
 
 
 def coset_partition(n: int, q: int) -> list[frozenset[int]]:
-    """All cyclotomic cosets mod n, sorted by smallest member."""
-    seen = set()
-    cosets = []
-    for r in range(n):
-        if r not in seen:
-            c = cyclotomic_coset(n, q, r)
-            seen |= c
-            cosets.append(c)
-    return cosets
+    """All cyclotomic cosets mod n, sorted by smallest member; none for
+    n < 1, which has no residues."""
+    return list(dict.fromkeys(_coset_table(n, q))) if n >= 1 else []
 
 
 def build_code(q: int, n: int, coset_reps, name: str | None = None) -> CyclicCodeSpec:
     """Cyclic code from coset representatives; k = n - |defining set|."""
     prime_power(q)  # raises ValueError for non prime powers
-    if n < 1:
-        raise ValueError("length must be positive")
-    if math.gcd(n, q) != 1:
-        raise NotCoprime(f"gcd({n}, {q}) != 1")
-    seen: set[int] = set()
-    reps = []
+    table = _coset_table(n, q)  # raises for n < 1 and gcd(n, q) != 1
+    cosets: set[frozenset[int]] = set()
     for r in coset_reps:
-        if r % n in seen:  # cosets are disjoint or equal
+        c = table[r % n]
+        if c in cosets:  # cosets are disjoint or equal
             raise DuplicateCoset(f"representative {r} repeats a coset")
-        c = cyclotomic_coset(n, q, r)
-        seen |= c
-        reps.append(min(c))
-    defining = tuple(sorted(seen))
-    return CyclicCodeSpec(q, n, tuple(sorted(reps)), defining, n - len(defining), name)
+        cosets.add(c)
+    defining = tuple(sorted(chain.from_iterable(cosets)))
+    return CyclicCodeSpec(q, n, tuple(sorted(map(min, cosets))), defining, n - len(defining), name)
 
 
 def code_field(spec: CyclicCodeSpec) -> tuple[FieldCtx, int]:
@@ -302,7 +320,8 @@ def _strides(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
 @lru_cache(maxsize=64)
 def _stride_runs(spec: CyclicCodeSpec) -> tuple[int, tuple[int, int, int], tuple[int, ...]]:
     """(mask, BCH key, lengths) for a defining set D neither empty nor all
-    of Z_n: mask holds bit i for each exponent i of D, lengths[j] is
+    of Z_n: mask holds bit i for each exponent i of D (the sum of its
+    cosets' masks from _coset_masks), lengths[j] is
     L_1(c), the length of the longest step-c run in D, for the j-th stride
     c of _strides(n, q)[0], and the key (-(L + 1), b, c) is the least over
     those strides of the longest run L, its lowest start b and c.
@@ -313,8 +332,8 @@ def _stride_runs(spec: CyclicCodeSpec) -> tuple[int, tuple[int, int, int], tuple
     the key and ht_bound the lengths, the bottom layer of its search.
     Memoized per spec, so one `cycbound bound` makes one pass for both.
     """
-    n = spec.n
-    mask = sum(1 << i for i in spec.defining_set)
+    n, masks = spec.n, _coset_masks(spec.n, spec.q)
+    mask = sum([masks[r] for r in spec.coset_reps])
     lengths = []
     best = None
     for c in _strides(n, spec.q)[0]:

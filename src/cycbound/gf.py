@@ -516,6 +516,9 @@ class PackedLanes:
         return out
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 class PackedWords(PackedLanes):
     """Words of length n over GF(q) packed as PackedLanes words, coordinate i
     holding the element of GF(p^a) that its DigitField digit stands for."""
@@ -538,8 +541,12 @@ class PackedWords(PackedLanes):
         return int("".join([bits[d] for d in reversed(digits)]) or "0", 2)
 
     def digits(self, x: int) -> list[int]:
-        """The n digits of a packed word, the inverse of pack."""
+        """The n digits of a packed word, the inverse of pack.  With one bit
+        per coordinate (GF(2)) they are the binary string of x, read from
+        its low end below a marker bit at n, as 0/1 bytes."""
         digit_of, width = self._digit_of, self.width
+        if width == 1:
+            return list(format(x | 1 << self.n, "b")[:0:-1].encode().translate(_BIT_BYTES))
         mask = (1 << width) - 1
         return [digit_of[x >> i * width & mask] for i in range(self.n)]
 

@@ -1,5 +1,7 @@
 """Plain references that the tests check src against and that nothing at
-runtime calls: the dense polynomial Poly over a FieldCtx with its ring
+runtime calls: the coset layer built on cyclotomic_coset alone
+(coset_reps, coset_partition and build_code, one coset walk per
+representative), the dense polynomial Poly over a FieldCtx with its ring
 arithmetic, the extended Euclidean Key Equation solver that the decoder's
 Berlekamp-Massey is checked against, the Hartmann-Tzeng search over every
 inner step m2 and the unseeded template search it used to run on, the
@@ -16,7 +18,44 @@ from functools import reduce
 from itertools import combinations, product
 
 from cycbound import cyclic, nzl
-from cycbound.gf import FieldCtx, FieldMismatch, NotCoprime, PackedWords, remainder_rows
+from cycbound.gf import FieldCtx, FieldMismatch, NotCoprime, PackedWords, prime_power, remainder_rows
+
+
+def coset_reps(n: int, q: int, exponents) -> tuple[int, ...]:
+    """cyclic._coset_reps with one cyclotomic_coset per exponent."""
+    return tuple(sorted({min(cyclic.cyclotomic_coset(n, q, i)) for i in exponents}))
+
+
+def coset_partition(n: int, q: int) -> list[frozenset[int]]:
+    """cyclic.coset_partition walking the residues in order."""
+    seen = set()
+    cosets = []
+    for r in range(n):
+        if r not in seen:
+            c = cyclic.cyclotomic_coset(n, q, r)
+            seen |= c
+            cosets.append(c)
+    return cosets
+
+
+def build_code(q: int, n: int, reps, name=None) -> cyclic.CyclicCodeSpec:
+    """cyclic.build_code with one cyclotomic_coset per representative, and
+    the same errors in the same order."""
+    prime_power(q)
+    if n < 1:
+        raise ValueError("length must be positive")
+    if math.gcd(n, q) != 1:
+        raise NotCoprime(f"gcd({n}, {q}) != 1")
+    seen: set[int] = set()
+    mins = []
+    for r in reps:
+        if r % n in seen:
+            raise cyclic.DuplicateCoset(f"representative {r} repeats a coset")
+        c = cyclic.cyclotomic_coset(n, q, r)
+        seen |= c
+        mins.append(min(c))
+    defining = tuple(sorted(seen))
+    return cyclic.CyclicCodeSpec(q, n, tuple(sorted(mins)), defining, n - len(defining), name)
 
 
 @dataclass(frozen=True)

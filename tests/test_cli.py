@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from cycbound import cyclic, nzl
+from cycbound import cli, cyclic, nzl
 from cycbound.cyclic import BchWitness, DistanceWitness, HtWitness
 from cycbound.gf import FieldTooLarge
 
@@ -324,9 +324,7 @@ W121_4 = ("012211122221212002222101122010200000012221000002011011111000012010120
           "100212212000200220002020022002020021")
 
 
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
+GOLDENS = [
         (["check", "--json"], "check.json"),
         (["bound", "spec_example21.json"], "bound_example21.json"),
         (["bound", "spec_code65.json"], "bound_code65.json"),
@@ -343,8 +341,10 @@ W121_4 = ("012211122221212002222101122010200000012221000002011011111000012010120
         (["decode", "spec_code127.json", "--received", W127_4], "decode_code127_4err.json"),
         (["decode", "spec_bch121.json", "--received", W121_3], "decode_bch121_3err.json"),
         (["decode", "spec_bch121.json", "--received", W121_4], "decode_bch121_4err.json"),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDENS)
 def test_output_matches_golden(argv, golden):
     # the golden files hold the output of an earlier version; refactors must
     # keep it byte for byte
@@ -352,6 +352,61 @@ def test_output_matches_golden(argv, golden):
     assert res.returncode == 0, res.stderr
     with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
         assert res.stdout == fh.read()
+
+
+def _no_json_dumps(*args, **kwargs):
+    raise AssertionError("json.dumps called")
+
+
+@pytest.mark.parametrize("argv, golden", GOLDENS)
+def test_output_matches_golden_without_json_dumps(argv, golden, monkeypatch, capsys):
+    # every record goes through cli._dumps: the goldens hold byte for byte
+    # with json.dumps made to raise
+    with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
+        want = fh.read()
+    monkeypatch.chdir(DATA)
+    monkeypatch.setattr(json, "dumps", _no_json_dumps)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("n, q", [(21, 2), (80, 3), (1, 5), (63, 4)])
+def test_cosets_json_without_json_dumps(n, q, monkeypatch, capsys):
+    want = json.dumps({"n": n, "q": q, "cosets": [sorted(c) for c in reference.coset_partition(n, q)]},
+                      indent=2) + "\n"
+    monkeypatch.setattr(json, "dumps", _no_json_dumps)
+    assert cli.main(["cosets", str(n), str(q), "--json"]) == 0
+    assert capsys.readouterr().out == want
+
+
+_JSON_INTS = st.integers() | st.integers(min_value=2**64, max_value=2**200) | st.integers(-2**200, -2**64)
+_JSON_STRINGS = st.text() | st.sampled_from(['"', "\\", '\\"x"', "\x00\x1f\x7f\n\t", "é ü", "\U0001d11e", "\u2028"])
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | _JSON_INTS | _JSON_STRINGS | st.lists(_JSON_INTS | st.booleans()),
+    lambda kids: st.lists(kids, max_size=6) | st.dictionaries(_JSON_STRINGS, kids, max_size=6),
+    max_leaves=40,
+)
+
+
+@given(doc=_JSON_DOCS)
+@settings(max_examples=150, deadline=None)
+def test_dumps_matches_json_dumps(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], [[]], [{}], {"a": {}, "b": []}, [0, -1, 2**64, -2**64 - 1, 10**30],
+    [1, True, 0, False], [True], [None, 1], {"": None}, '"\\\x00\x1f\x7fé\U0001d11e',
+    {'k"\\\n\U0001f600': [{"x": [1, [2, [3]]]}]},
+])
+def test_dumps_matches_json_dumps_on_edge_cases(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, (1, 2), {1: 2}, {"a": {None: 0}}, [1, 2.0], {"a": {1, 2}}, b"x"])
+def test_dumps_refuses_types_the_cli_does_not_print(doc):
+    with pytest.raises(TypeError):
+        cli._dumps(doc)
 
 
 def test_bound_computes_ht_once(tmp_path):
@@ -704,6 +759,69 @@ def test_soundness_sweep_script():
     assert "33 codes checked" in res.stdout and ", 0 violations" in res.stdout
     # the summary gives the oracle's own time inside the total
     assert re.search(r"^33 codes checked in \d+\.\ds \(oracle \d+\.\ds\), 0 violations$", res.stdout, re.M)
+
+
+def _load_bench_pairs():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location("bench_pairs", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_result(ops_per_s, setup_s, failed=0):
+    # a result line as perfbench/run.py prints it; metrics not set read 1.0
+    with open(os.path.join(os.path.dirname(__file__), "..", "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["end_to_end"]]
+    values = {**dict.fromkeys(names, 1.0), "ops_per_s": ops_per_s, "setup_s": setup_s}
+    return {"correct": failed == 0, "attempted": 90, "failed": failed,
+            "metrics": {k: {"value": v, "unit": "u"} for k, v in values.items()}}
+
+
+def test_bench_pairs_aggregates_canned_runs(tmp_path, monkeypatch):
+    bench = _load_bench_pairs()
+    runs = [  # (workload, seed, side, ops_per_s, setup_s, failed)
+        ("certify", 11, "parent", 100, 0.2, 0), ("certify", 11, "change", 110, 0.1, 0),
+        ("certify", 12, "change", 90, 0.1, 0), ("certify", 12, "parent", 100, 0.1, 2),
+        ("certify", 13, "parent", 100, 0.1, 0), ("certify", 13, "change", 100, 0.1, 0),
+        ("certify", 14, "change", 130, 0.1, 1), ("certify", 14, "parent", 120, 0.1, 0),
+        ("certify", 15, "parent", 500, 0.1, 5),  # no change run: left out
+        ("decode", 21, "parent", 7, 0.3, 0), ("decode", 21, "change", 7, 0.3, 0),
+    ]
+    raw = tmp_path / "runs.jsonl"
+    raw.write_text("".join(json.dumps({"workload": w, "seed": s, "side": side, "result": _bench_result(o, t, f)})
+                           + "\n" for w, s, side, o, t, f in runs))
+    monkeypatch.chdir(tmp_path)
+    assert bench.main(["--pr", "99", "--from-raw", str(raw)]) == 0
+    doc = json.loads((tmp_path / "BENCH_99.json").read_text())
+    assert [row["workload"] for row in doc["rows"]] == ["certify", "decode"]
+    certify, decode = doc["rows"]
+    assert (certify["pairs"], certify["failed_ops"], certify["seed_range"]) == (4, 3, [11, 14])
+    ops = certify["metrics"]["ops_per_s"]
+    # inclusive quartiles of 100, 100, 100, 120 and of 90, 100, 110, 130
+    assert ops["parent"] == {"q1": 100, "median": 100, "q3": 105}
+    assert ops["change"] == {"q1": 97.5, "median": 105, "q3": 115}
+    assert (ops["better"], ops["change_better_in"], ops["change_worse_in"]) == ("higher", 2, 1)
+    setup = certify["metrics"]["setup_s"]  # lower is better
+    assert (setup["change_better_in"], setup["change_worse_in"]) == (1, 0)
+    assert (decode["pairs"], decode["seed_range"], decode["metrics"]["ops_per_s"]["parent"]) == \
+        (1, [21, 21], {"q1": 7, "median": 7, "q3": 7})
+
+
+def test_bench_pairs_alternates_the_first_side(tmp_path, monkeypatch):
+    bench = _load_bench_pairs()
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append((tree, workload, seed))
+        return _bench_result(100, 0.1)
+
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench.main(["P", "C", "--runs", "certify:5:3", "--pr", "t"]) == 0
+    assert calls == [("P", "certify", 5), ("C", "certify", 5), ("C", "certify", 6), ("P", "certify", 6),
+                     ("P", "certify", 7), ("C", "certify", 7)]
+    assert json.loads((tmp_path / "BENCH_t.json").read_text())["rows"][0]["pairs"] == 3
 
 
 def _lighter(word):

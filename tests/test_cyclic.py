@@ -48,6 +48,100 @@ def test_cyclotomic_cosets():
         cyclotomic_coset(6, 2, 1)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_coset_table_matches_cyclotomic_coset(q):
+    # one table per (n, q): each residue's coset, and its mask, as
+    # cyclotomic_coset gives it; coset_partition reads the same table
+    for n in range(1, 201):
+        if math.gcd(n, q) != 1:
+            continue
+        table, masks = cyclic._coset_table(n, q), cyclic._coset_masks(n, q)
+        assert len(table) == len(masks) == n
+        for r in range(n):
+            c = cyclotomic_coset(n, q, r)
+            assert table[r] == c, (n, r)
+            assert masks[r] == sum(1 << i for i in c), (n, r)
+        assert cyclic.coset_partition(n, q) == reference.coset_partition(n, q)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@given(q=st.sampled_from([2, 3, 4, 5, 6, 7, 9]), n=st.integers(-2, 200), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_coset_layer_matches_reference(q, n, data):
+    # build_code, _coset_reps and coset_partition on the table against the
+    # cyclotomic_coset-only references, errors included: random exponents
+    # (repeats raise DuplicateCoset), then a random member of each of a set
+    # of distinct cosets, shifted by a multiple of n
+    span = 3 * max(n, 1)
+    exponents = data.draw(st.lists(st.integers(-span, span), max_size=12))
+    cosets = _outcome(reference.coset_partition, n, q)
+    assert _outcome(cyclic.coset_partition, n, q) == cosets
+    if isinstance(cosets, list) and cosets:
+        chosen = data.draw(st.lists(st.sampled_from(cosets), unique=True))
+        members = [data.draw(st.sampled_from(sorted(c))) + n * data.draw(st.integers(-2, 2)) for c in chosen]
+    else:
+        members = exponents
+    for exps in (exponents, members):
+        assert _outcome(cyclic._coset_reps, n, q, exps) == _outcome(reference.coset_reps, n, q, exps)
+        assert _outcome(build_code, q, n, exps) == _outcome(reference.build_code, q, n, exps)
+
+
+@pytest.mark.parametrize("f, args, err", [
+    (build_code, (2, 21, (1, 2)), DuplicateCoset),
+    (build_code, (2, 21, (3, 24)), DuplicateCoset),
+    (build_code, (3, 26, (-1, 25)), DuplicateCoset),
+    (build_code, (2, 8, (1,)), NotCoprime),
+    (build_code, (2, 8, ()), NotCoprime),
+    (cyclic._coset_reps, (8, 2, [1]), NotCoprime),
+    (cyclic.coset_partition, (9, 3), NotCoprime),
+    (build_code, (2, 0, ()), ValueError),
+    (build_code, (2, -3, (1,)), ValueError),
+    (cyclic._coset_reps, (0, 2, [1]), ValueError),
+    (cyclic._coset_reps, (-4, 3, [0]), ValueError),
+])
+def test_coset_layer_errors_match_reference(f, args, err):
+    ref = {build_code: reference.build_code, cyclic._coset_reps: reference.coset_reps,
+           cyclic.coset_partition: reference.coset_partition}[f]
+    got = _outcome(f, *args)
+    assert got == _outcome(ref, *args)
+    assert got[0] is err
+
+
+def test_coset_layer_without_residues_matches_reference():
+    # n < 1 has no residues: no cosets, and no representatives of nothing
+    for n in (0, -1):
+        assert cyclic.coset_partition(n, 2) == reference.coset_partition(n, 2) == []
+        assert cyclic._coset_reps(n, 2, []) == reference.coset_reps(n, 2, []) == ()
+
+
+def test_coset_tables_are_bounded():
+    for table in (cyclic._coset_table, cyclic._coset_masks):
+        maxsize = table.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 256
+        table.cache_clear()
+        for n in range(1, 2 * maxsize + 2, 2):
+            table(n, 2)
+        assert table.cache_info().currsize == maxsize
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_stride_runs_mask_is_the_defining_set(data):
+    # _stride_runs sums the per-coset masks of the representatives
+    q = data.draw(st.sampled_from([2, 3, 4, 5]))
+    n = data.draw(st.integers(2, 200).filter(lambda n: math.gcd(n, q) == 1))
+    cosets = cyclic.coset_partition(n, q)
+    chosen = data.draw(st.lists(st.sampled_from(cosets), min_size=1, max_size=len(cosets) - 1, unique=True))
+    code = build_code(q, n, [data.draw(st.sampled_from(sorted(c))) for c in chosen])
+    assert cyclic._stride_runs(code)[0] == sum(1 << i for i in code.defining_set)
+
+
 def test_build_code_example21(example21):
     assert example21.defining_set == (1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 14, 15, 16, 18)
     assert example21.k == 7

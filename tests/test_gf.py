@@ -305,6 +305,29 @@ def test_scaled_matches_digit_field_mul(q, lane_bits, data):
     assert [words.digits(x) for x in scaled] == [[df.mul(c, d) for d in u] for c in range(1, q)]
 
 
+def _lane_digits(words, x):
+    # the per-coordinate lane lookup that digits makes for q > 2
+    mask = (1 << words.width) - 1
+    return [words._digit_of[x >> i * words.width & mask] for i in range(words.n)]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_binary_digits_match_the_lane_lookup(data):
+    # over GF(2) digits is one string conversion, not n dict lookups
+    n = data.draw(st.integers(min_value=0, max_value=300))
+    x = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    words = gf.PackedWords(2, n)
+    assert words.digits(x) == _lane_digits(words, x)
+
+
+def test_binary_digits_on_every_short_word():
+    for n in range(11):
+        words = gf.PackedWords(2, n)
+        for x in range(1 << n):
+            assert words.digits(x) == _lane_digits(words, x) == [x >> i & 1 for i in range(n)]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
