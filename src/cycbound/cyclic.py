@@ -4,9 +4,9 @@ Covers cyclotomic cosets and defining sets, generator polynomials, the BCH
 and Hartmann-Tzeng bounds with explicit witnesses, an exact
 minimum-distance oracle, and the distance-two / distance-three
 characterizations of binary cyclic codes together with the lowest-rate
-constructions built from them.  The cosets of one (n, q) are tabulated
-once (_coset_table) and read by build_code, _coset_reps, coset_partition
-and the bounds' defining-set masks.
+constructions built from them.  What the codes of one (q, n) share is
+kept on its Length, from the bounded cache length(q, n), and what one code
+derives on its CyclicCodeSpec; each part is built on first use.
 
 The oracle is one information-set pass: it weighs the systematic
 codewords of low message weight on one window, which the cyclic shifts make
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, cycle, repeat
 
 from .gf import (
@@ -73,7 +73,10 @@ class PreconditionViolated(ValueError):
 
 @dataclass(frozen=True)
 class CyclicCodeSpec:
-    """A q-ary cyclic code of length n given by its defining set."""
+    """A q-ary cyclic code of length n given by its defining set.  What is
+    derived from it is kept on the spec: cached_property writes the instance
+    dict, which a frozen dataclass allows, and the fields alone decide
+    equality and hash."""
 
     q: int
     n: int
@@ -81,6 +84,34 @@ class CyclicCodeSpec:
     defining_set: tuple[int, ...]
     k: int
     name: str | None = None
+
+    _runs = cached_property(lambda self: _stride_runs(self))
+    _scan_rows = cached_property(lambda self: {})  # nzl._code_rows by search_w
+
+    @cached_property
+    def _bch(self) -> BchWitness:
+        if not self.defining_set:
+            return BchWitness(1, None, None)
+        neg_value, b, m1 = self._runs[1]
+        return BchWitness(-neg_value, b, m1)
+
+    @cached_property
+    def _ht(self) -> HtWitness:
+        if not self.defining_set:
+            return HtWitness(1, None, None, None, None, None)
+        mask, _, lengths = self._runs
+        _, half, orbit = length(self.q, self.n).strides
+        neg_value, nu, b1, m1, m2 = _ht_template(mask, self.n, half, [lengths[j] for j in orbit], 1)
+        return HtWitness(-neg_value, b1, m1, m2, -neg_value - nu, nu)
+
+    @cached_property
+    def _generator(self) -> tuple[int, ...]:
+        df, at = DigitField(self.q), length(self.q, self.n)
+        digits = (1,)
+        for rep in self.coset_reps:
+            m = at.minimal_polynomial(rep)
+            digits = tuple(_mul_digits(df, digits, m, len(digits) + len(m) - 1))
+        return digits
 
 
 @dataclass(frozen=True)
@@ -131,11 +162,68 @@ def cyclotomic_coset(n: int, q: int, r: int) -> frozenset[int]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=64)
+# Lengths length() keeps: the sweep workload cycles through about 20, and one
+# Length can hold O(q) packed-word tables (about 20 MB at q = 65536).
+MAX_LENGTHS = 32
+
+
+class Length:
+    """What the codes of length n over GF(q) share, each part built on its
+    first use.  Obtain instances via length(q, n).  The constructor checks
+    nothing: a part raises what its builder raises when it is first read."""
+
+    def __init__(self, q: int, n: int):
+        self.q, self.n = q, n
+        self._orbits: dict = {}
+        self._minimal: dict = {}
+        self.locators = None  # filled by nzl.candidate_locators
+
+    cosets = cached_property(lambda self: _coset_table(self.n, self.q))
+    masks = cached_property(lambda self: _coset_masks(self.n, self.q))
+    units = cached_property(lambda self: _units(self.n))
+    strides = cached_property(lambda self: _strides(self.n, self.q))
+    # shared by every oracle call at this length: it is read-only once built
+    words = cached_property(lambda self: PackedWords(self.q, self.n))
+
+    def orbit_reps(self, group) -> tuple[int, ...]:
+        """_orbit_reps(n, group), kept per group: most codes of one length
+        share their stabilizer."""
+        if group not in self._orbits:
+            self._orbits[group] = _orbit_reps(self.n, group)
+        return self._orbits[group]
+
+    @property
+    def field(self) -> tuple[FieldCtx, int]:
+        """(construction field GF(q^s), canonical element alpha of order n),
+        read from build_field, whose bounded cache alone keeps fields alive."""
+        p, a = prime_power(self.q)
+        ctx = build_field(p, a * min_extension_degree(self.q, self.n))
+        return ctx, nth_root_of_unity(ctx, self.n)
+
+    def minimal_polynomial(self, rep: int) -> tuple[int, ...]:
+        """Base-q digits of prod_{i in C_rep} (x - alpha^i), alpha the root
+        of field, kept per representative."""
+        if rep not in self._minimal:
+            ctx, alpha = self.field
+            _, to_digit = subfield_digit_maps(ctx, self.q)
+            coset = cyclotomic_coset(self.n, self.q, rep)
+            try:
+                self._minimal[rep] = tuple(to_digit[c] for c in root_product(ctx, alpha, coset))
+            except KeyError:  # pragma: no cover - a coset is closed under x -> x^q
+                raise AssertionError("minimal polynomial coefficients left the base field")
+        return self._minimal[rep]
+
+
+@lru_cache(maxsize=MAX_LENGTHS)
+def length(q: int, n: int) -> Length:
+    """The one Length of (q, n) while it stays among the MAX_LENGTHS most
+    recently used; an evicted one is rebuilt equal, part by part."""
+    return Length(q, n)
+
+
 def _coset_table(n: int, q: int) -> tuple[frozenset[int], ...]:
     """table[r] = cyclotomic_coset(n, q, r) for every residue r mod n, each
-    coset one shared object.  Memoized, since the codes of one length
-    share their cosets; the errors are cyclotomic_coset's."""
+    coset one shared object; the errors are cyclotomic_coset's."""
     if n < 1:
         raise ValueError("length must be positive")
     table: list = [None] * n
@@ -147,11 +235,10 @@ def _coset_table(n: int, q: int) -> tuple[frozenset[int], ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=64)
 def _coset_masks(n: int, q: int) -> tuple[int, ...]:
     """masks[r] has bit i for each member i of the coset of r, so a
     defining set's mask is the sum of its representatives' masks."""
-    table = _coset_table(n, q)
+    table = length(q, n).cosets
     masks = {c: sum(1 << i for i in c) for c in dict.fromkeys(table)}
     return tuple([masks[c] for c in table])
 
@@ -160,20 +247,20 @@ def _coset_reps(n: int, q: int, exponents) -> tuple[int, ...]:
     """Smallest members of the cosets meeting `exponents`: the coset
     representatives of their closure under multiplication by q."""
     exponents = list(exponents)
-    table = _coset_table(n, q) if exponents else ()  # no exponents: () for any n, q
+    table = length(q, n).cosets if exponents else ()  # no exponents: () for any n, q
     return tuple(sorted(map(min, {table[i % n] for i in exponents})))
 
 
 def coset_partition(n: int, q: int) -> list[frozenset[int]]:
     """All cyclotomic cosets mod n, sorted by smallest member; none for
     n < 1, which has no residues."""
-    return list(dict.fromkeys(_coset_table(n, q))) if n >= 1 else []
+    return list(dict.fromkeys(length(q, n).cosets)) if n >= 1 else []
 
 
 def build_code(q: int, n: int, coset_reps, name: str | None = None) -> CyclicCodeSpec:
     """Cyclic code from coset representatives; k = n - |defining set|."""
     prime_power(q)  # raises ValueError for non prime powers
-    table = _coset_table(n, q)  # raises for n < 1 and gcd(n, q) != 1
+    table = length(q, n).cosets  # raises for n < 1 and gcd(n, q) != 1
     cosets: set[frozenset[int]] = set()
     for r in coset_reps:
         c = table[r % n]
@@ -186,41 +273,17 @@ def build_code(q: int, n: int, coset_reps, name: str | None = None) -> CyclicCod
 
 def code_field(spec: CyclicCodeSpec) -> tuple[FieldCtx, int]:
     """(construction field GF(q^s), canonical element alpha of order n)."""
-    return _code_field(spec.q, spec.n)
+    return length(spec.q, spec.n).field
 
 
-@cache
-def _code_field(q: int, n: int) -> tuple[FieldCtx, int]:
-    p, a = prime_power(q)
-    ctx = build_field(p, a * min_extension_degree(q, n))
-    return ctx, nth_root_of_unity(ctx, n)
-
-
-@cache
 def generator_polynomial(spec: CyclicCodeSpec) -> tuple[int, ...]:
     """Base-q digit coefficients of prod_{i in D_C} (x - alpha^i); monic.
 
     D_C is the union of the cosets of the representatives, so the product is
-    that of their minimal polynomials, which have GF(q) coefficients and are
-    multiplied as digits."""
-    df = DigitField(spec.q)
-    digits = (1,)
-    for rep in spec.coset_reps:
-        m = _minimal_polynomial(spec.q, spec.n, rep)
-        digits = tuple(_mul_digits(df, digits, m, len(digits) + len(m) - 1))
-    return digits
-
-
-@cache
-def _minimal_polynomial(q: int, n: int, rep: int) -> tuple[int, ...]:
-    """Base-q digits of prod_{i in C_rep} (x - alpha^i), alpha the root of
-    code_field."""
-    ctx, alpha = _code_field(q, n)
-    _, to_digit = subfield_digit_maps(ctx, q)
-    try:
-        return tuple(to_digit[c] for c in root_product(ctx, alpha, cyclotomic_coset(n, q, rep)))
-    except KeyError:  # pragma: no cover - a coset is closed under x -> x^q
-        raise AssertionError("minimal polynomial coefficients left the base field")
+    that of their minimal polynomials (Length.minimal_polynomial), which
+    have GF(q) coefficients and are multiplied as digits.  Computed once per
+    spec."""
+    return spec._generator
 
 
 def encode(spec: CyclicCodeSpec, message) -> tuple[int, ...]:
@@ -261,17 +324,14 @@ def is_codeword(spec: CyclicCodeSpec, word) -> bool:
     return not any(ctx.evaluate(terms, [r * log[alpha] for r in spec.coset_reps]))
 
 
-@lru_cache(maxsize=256)
 def _units(n: int) -> tuple[int, ...]:
     """The units of Z_n in [1, n), increasing."""
     return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
 
 
-@lru_cache(maxsize=256)
 def _orbit_reps(n: int, group) -> tuple[int, ...]:
     """Smallest member of each orbit of the units mod n under multiplication
-    by `group`, a subgroup of the units given as a tuple or frozenset.
-    Memoized, since most codes of one length share the group."""
+    by `group`, a subgroup of the units given as a tuple or frozenset."""
     seen: set[int] = set()
     reps = []
     for u in _units(n):
@@ -304,12 +364,11 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-@lru_cache(maxsize=256)
 def _strides(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """(reps, half, orbit) for the unit strides mod n: reps holds the
     smallest member of each orbit of the units under x -> q*x, half the
     units m1 <= n/2, and orbit[i] the position in reps of the orbit of
-    half[i].  Memoized, since most codes of one length share q."""
+    half[i]."""
     powers = cyclotomic_coset(n, q, 1)
     reps = _orbit_reps(n, powers)
     where = {s * c % n: j for j, c in enumerate(reps) for s in powers}
@@ -317,53 +376,48 @@ def _strides(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
     return reps, half, tuple(where[u] for u in half)
 
 
-@lru_cache(maxsize=64)
 def _stride_runs(spec: CyclicCodeSpec) -> tuple[int, tuple[int, int, int], tuple[int, ...]]:
-    """(mask, BCH key, lengths) for a defining set D neither empty nor all
-    of Z_n: mask holds bit i for each exponent i of D (the sum of its
-    cosets' masks from _coset_masks), lengths[j] is
-    L_1(c), the length of the longest step-c run in D, for the j-th stride
-    c of _strides(n, q)[0], and the key (-(L + 1), b, c) is the least over
-    those strides of the longest run L, its lowest start b and c.
+    """(mask, BCH key, lengths) for a nonempty defining set D; ValueError
+    when D is all of Z_n.  mask holds bit i for each exponent i of D (the
+    sum of its cosets' masks), lengths[j] is L_1(c), the length of the
+    longest step-c run in D, for the j-th stride c of Length.strides[0], and
+    the key (-(L + 1), b, c) is the least over those strides of the longest
+    run L, its lowest start b and c.
 
     Scaling by q permutes D, so the step-q*c runs are the step-c runs
     scaled by q and L_1(q*c) = L_1(c): one `_longest_run` per orbit of the
     units under x -> q*x gives L_1 of every unit stride.  bch_bound reads
-    the key and ht_bound the lengths, the bottom layer of its search.
-    Memoized per spec, so one `cycbound bound` makes one pass for both.
+    the key and ht_bound the lengths, the bottom layer of its search.  The
+    spec keeps the result, so one `cycbound bound` makes one pass for both.
     """
-    n, masks = spec.n, _coset_masks(spec.n, spec.q)
+    n, at = spec.n, length(spec.q, spec.n)
+    if len(spec.defining_set) == n:
+        raise ValueError("the zero code has no minimum distance")
+    masks = at.masks
     mask = sum([masks[r] for r in spec.coset_reps])
     lengths = []
     best = None
-    for c in _strides(n, spec.q)[0]:
-        length, starts = _longest_run(mask, n, c)
-        key = (-(length + 1), _lowest_bit(starts), c)
+    for c in at.strides[0]:
+        run, starts = _longest_run(mask, n, c)
+        key = (-(run + 1), _lowest_bit(starts), c)
         if best is None or key < best:
             best = key
-        lengths.append(length)
+        lengths.append(run)
     return mask, best, tuple(lengths)
 
 
-@lru_cache(maxsize=64)
 def bch_bound(spec: CyclicCodeSpec) -> BchWitness:
     """Longest arithmetic run in the defining set, as d >= run + 1.
 
     The witness is the longest run with the smallest start b, then the
     smallest step; `_stride_runs` scans one step per class of units modulo
-    the powers of q, since scaling D by q permutes it.  Results are
-    memoized per spec, since `cycbound bound` asks for the BCH value and
-    then best_bound compares against it.
+    the powers of q, since scaling D by q permutes it.  The spec keeps the
+    witness, since `cycbound bound` asks for the BCH value and then
+    best_bound compares against it.
     """
-    if not spec.defining_set:
-        return BchWitness(1, None, None)
-    if len(spec.defining_set) == spec.n:
-        raise ValueError("the zero code has no minimum distance")
-    neg_value, b, m1 = _stride_runs(spec)[1]
-    return BchWitness(-neg_value, b, m1)
+    return spec._bch
 
 
-@lru_cache(maxsize=64)
 def ht_bound(spec: CyclicCodeSpec) -> HtWitness:
     """Hartmann-Tzeng bound: best d0 + nu over witness templates (see HtWitness).
 
@@ -372,9 +426,9 @@ def ht_bound(spec: CyclicCodeSpec) -> HtWitness:
     m1), which costs a factor phi(n) less than the raw two-multiplier
     family and still dominates the BCH bound, since a plain arithmetic run
     is the d0 = 2 case.  The full (m1, m2) family can be strictly stronger
-    (a handful of length-31 codes reach 8 versus the normalized 7).
-    Results are memoized per spec, since `cycbound bound` asks for the HT
-    value and then best_bound compares against it.
+    (a handful of length-31 codes reach 8 versus the normalized 7).  The
+    spec keeps the witness, since `cycbound bound` asks for the HT value
+    and then best_bound compares against it.
 
     Among the templates of the best value the witness has the smallest
     nu, then the smallest b1 and m1; `_ht_template` finds it.  Its bottom
@@ -384,15 +438,7 @@ def ht_bound(spec: CyclicCodeSpec) -> HtWitness:
     reach the best value on a higher layer.  The search is index
     arithmetic on the defining set alone, with no field and no length cap.
     """
-    n = spec.n
-    if not spec.defining_set:
-        return HtWitness(1, None, None, None, None, None)
-    if len(spec.defining_set) == n:
-        raise ValueError("the zero code has no minimum distance")
-    mask, _, lengths = _stride_runs(spec)
-    _, half, orbit = _strides(n, spec.q)
-    neg_value, nu, b1, m1, m2 = _ht_template(mask, n, half, [lengths[j] for j in orbit], 1)
-    return HtWitness(-neg_value, b1, m1, m2, -neg_value - nu, nu)
+    return spec._ht
 
 
 def _ht_template(mask: int, n: int, half, first, m2: int) -> tuple[int, ...]:
@@ -498,14 +544,6 @@ def verify_ht_witness(spec: CyclicCodeSpec, wit: HtWitness) -> bool:
     )
 
 
-@lru_cache(maxsize=32)
-def _packed_words(q: int, n: int) -> PackedWords:
-    """PackedWords(q, n), shared by every oracle call at length n over GF(q):
-    it is read-only once built.  Bounded, since one over a large q holds
-    O(q) tables (about 20 MB at q = 65536)."""
-    return PackedWords(q, n)
-
-
 def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWitness:
     """Exact minimum distance d with a codeword of weight d, over codes with
     at most `cap` codewords (q^k), from the low-weight messages of one
@@ -530,7 +568,7 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
 
     A row is a gf.PackedWords word, one bit per GF(2) digit, so a sum is
     one words.add and a weight one words.weight; the words of length n
-    over GF(q) come from _packed_words, built once per (q, n), and
+    over GF(q) are Length.words, built once per (q, n), and
     rows[i][c - 1] is c * x^(r+i) above the gf.remainder_rows entry for
     -c.  At w = 2 each row, with digit 1, is added to every later row and
     digit, and the sums are kept: pairs[i] holds rows[i][0] + rows[j][b]
@@ -553,7 +591,7 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
         raise TooManyCodewords(f"{spec.q}^{spec.k} codewords exceed the cap {cap}")
     q, n, k = spec.q, spec.n, spec.k
     r, m = n - k, q - 1
-    words = _packed_words(q, n)
+    words = length(q, n).words
     add, weight, width = words.add, words.weight, words.width
     rems = remainder_rows(words, generator_polynomial(spec), range(r, n))
     shifts = range(r * width, n * width, width)
@@ -650,14 +688,11 @@ def distance_three_witness(n: int, coset_reps, g: int, r: int) -> DistanceWitnes
             raise PreconditionViolated(f"representative {rep} not in the coset of {r} mod {G}")
         defining |= cyclotomic_coset(n, 2, rep)
     u = n // G
-    s = min_extension_degree(2, n)
-    if (1 << s) <= MAX_FIELD_SIZE:
-        ctx = build_field(2, s)
-        root, scale = nth_root_of_unity(ctx, n), 1
+    if (1 << min_extension_degree(2, n)) <= MAX_FIELD_SIZE:
+        (ctx, root), scale = length(2, n).field, 1
         beta = ctx.pow(root, u)
     else:
-        ctx = build_field(2, g)
-        beta = nth_root_of_unity(ctx, G)
+        ctx, beta = length(2, G).field
         root, scale = beta, u
     # b solves 1 + beta + beta^b = 0; exponent quotients are taken mod G
     target = ctx.add(1, beta)

@@ -29,9 +29,9 @@ accepted when the residue class of x has multiplicative order p^m - 1 in
 the quotient ring; that order forces the quotient to be a field, so no
 separate irreducibility test is needed; for m >= 3 a root test in GF(p)
 and the test x^(p^m - 1) = 1 reject most candidates before it.
-Construction is deterministic, cached per (p, m), and the resulting context
-is immutable apart from the lazily built Zech table, hence safe to share
-between threads.
+Construction is deterministic and kept in one bounded cache per (p, m),
+and the resulting context is immutable apart from the lazily built Zech
+table and subfield digit maps, hence safe to share between threads.
 """
 
 from __future__ import annotations
@@ -39,10 +39,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import product, repeat
 
 MAX_FIELD_SIZE = 1 << 20
+# Fields build_field keeps: a sweep over small codes reads about a dozen, and
+# GF(2^20) alone takes 80 MB, so the bound decides how many tables stay alive.
+MAX_FIELDS = 16
 
 
 class CompositeCharacteristic(ValueError):
@@ -176,11 +179,12 @@ class FieldCtx:
 
     For odd p, add and neg work on logarithms.  The Zech table z[i] =
     log(1 + x^i), with -1 where 1 + x^i = 0, is built by zech() on first use
-    (binary fields never build it).  The build is deterministic, so two
-    threads racing on it only duplicate work.
+    (binary fields never build it), and so are the subfield_digit_maps of
+    each subfield.  The builds are deterministic, so two threads racing on
+    one only duplicate work.
     """
 
-    __slots__ = ("spec", "p", "m", "order", "n_units", "log", "antilog", "_zech")
+    __slots__ = ("spec", "p", "m", "order", "n_units", "log", "antilog", "_zech", "_digit_maps")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -227,6 +231,7 @@ class FieldCtx:
         self.log = log
         self.antilog = antilog
         self._zech = None
+        self._digit_maps = {}
 
     def __repr__(self) -> str:
         return f"FieldCtx(GF({self.p}^{self.m}))"
@@ -318,9 +323,7 @@ class FieldCtx:
         return self.n_units // math.gcd(self.n_units, self.log[a])
 
 
-_FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}
-
-
+@lru_cache(maxsize=MAX_FIELDS)
 def build_field(p: int, m: int = 1) -> FieldCtx:
     """GF(p^m) with the lexicographically smallest primitive polynomial.
 
@@ -333,10 +336,6 @@ def build_field(p: int, m: int = 1) -> FieldCtx:
         raise ValueError("extension degree must be at least 1")
     if p**m > MAX_FIELD_SIZE:
         raise FieldTooLarge(f"{p}^{m} exceeds the table bound 2^20")
-    key = (p, m)
-    ctx = _FIELD_CACHE.get(key)
-    if ctx is not None:
-        return ctx
     # The product of the roots, (-1)^m f(0), is the norm of a root, and the
     # norm of a primitive element of GF(p^m) is a primitive element of GF(p)
     # (Lidl & Niederreiter, Finite Fields, Thm 3.18).  So only the phi(p - 1)
@@ -350,9 +349,7 @@ def build_field(p: int, m: int = 1) -> FieldCtx:
         for high in product(range(p), repeat=m - 1):
             cand = (low, *high, 1)
             if _is_primitive_poly(cand, p, m):
-                ctx = FieldCtx(FieldSpec(p, m, cand))
-                _FIELD_CACHE[key] = ctx
-                return ctx
+                return FieldCtx(FieldSpec(p, m, cand))
     raise AssertionError("no primitive polynomial found")  # unreachable
 
 
@@ -601,15 +598,18 @@ def neg_one_digit(p: int, m: int) -> int:
     return (p**m + 1) // 2
 
 
-@cache
 def subfield_digit_maps(ctx: FieldCtx, q: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """(digit -> element, element -> digit) tables for the order-q subfield.
+    """(digit -> element, element -> digit) tables for the order-q subfield,
+    built once per field and q.
 
     The embedding is aligned with DigitField(q): for prime powers the digit
     generator w is located inside ctx as a root of DigitField(q)'s primitive
     polynomial, so the digit arithmetic transfers as a field isomorphism and
     not merely a multiplicative one.
     """
+    maps = ctx._digit_maps.get(q)
+    if maps is not None:
+        return maps
     p, a = prime_power(q)
     if p != ctx.p or ctx.m % a:
         raise FieldMismatch(f"GF({q}) is not a subfield of GF({ctx.p}^{ctx.m})")
@@ -624,7 +624,8 @@ def subfield_digit_maps(ctx: FieldCtx, q: int) -> tuple[tuple[int, ...], dict[in
             raise AssertionError("subfield generator not found")  # unreachable
         w = ctx.exp(points[values.index(0)])
         to_elt = (0, *(ctx.pow(w, d - 1) for d in range(1, q)))
-    return to_elt, {e: d for d, e in enumerate(to_elt)}
+    maps = ctx._digit_maps[q] = to_elt, {e: d for d, e in enumerate(to_elt)}
+    return maps
 
 
 def digit_elements(to_elt, word) -> list[int]:

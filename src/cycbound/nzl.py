@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 
 from . import cyclic
 from .gf import (
     NotCoprime,
-    build_field,
     digit_elements,
     min_extension_degree,
     neg_one_digit,
-    nth_root_of_unity,
     prime_power,
     root_product,
     subfield_digit_maps,
@@ -88,6 +86,8 @@ class LocatorSpec:
         if self.coeffs is not None and (len(self.coeffs) != len(self.support) or 0 in self.coeffs):
             raise ValueError("coeffs must give one nonzero digit per support index")
 
+    _zeros = cached_property(lambda self: _locator_zeros(self.n_l, self.defining_set))
+
 
 @dataclass(frozen=True)
 class NzlCertificate:
@@ -117,7 +117,7 @@ def _stepped(row: bytes, w: int) -> bytes:
     return (row * w)[::w]
 
 
-def _step_orbits(in_c: bytes, reps, n: int):
+def _step_orbits(in_c: bytes, reps, n: int, length):
     """(orbit representatives, stabilizer) for the unit steps w mod n, n > 1.
 
     The stabilizer S = {s unit : s*D_C = D_C} acts on the steps by
@@ -126,22 +126,23 @@ def _step_orbits(in_c: bytes, reps, n: int):
     a bijection.  `reps` holds one member of each coset of D_C under x -> q*x
     (D_C itself always qualifies): s*(r*q^j) = (s*r)*q^j and D_C is closed
     under x -> q*x, so s*D_C lies in D_C once s*r is in D_C for every r of
-    reps, and the units are filtered by one r after another.  _code_rows
-    computes this once per code, for every locator scanned against it.
+    reps, and the units are filtered by one r after another.  `length` is
+    the code's cyclic.length, which keeps the units and orbits; None, for a
+    bare defining set, computes them afresh.
     """
-    stab = cyclic._units(n)
+    stab = cyclic._units(n) if length is None else length.units
     for r in reps:
         stab = [s for s in stab if in_c[s * r % n]]
     stab = tuple(stab)
-    return cyclic._orbit_reps(n, stab), stab
+    return (cyclic._orbit_reps(n, stab) if length is None else length.orbit_reps(stab)), stab
 
 
-def _code_rows(defining_set, reps, n: int, search_w: bool):
+def _code_rows(defining_set, reps, n: int, search_w: bool, length=None):
     """The per-code half of the locator scan: (rows, stabilizer, layers,
     ones, rotations).  rows holds (w, D_C row stepped by w), one step w per
     stabilizer orbit (w = 1 alone when `search_w` is off); the stepped row
     is M_w = {a : w*a in D_C} as a string of n digits "0" and "1".  `reps`
-    are as in _step_orbits.
+    and `length` are as in _step_orbits.
 
     layers[r - 1], r = 1 .. MAX_N_L, packs one field per step: field i,
     bits i*(n + 1) .. i*(n + 1) + n - 1, holds the step-1 Hartmann-Tzeng
@@ -164,7 +165,7 @@ def _code_rows(defining_set, reps, n: int, search_w: bool):
         in_c[i % n] = 1
     in_c = bytes(in_c)
     if search_w and n > 1:
-        ws, stab = _step_orbits(in_c, reps, n)
+        ws, stab = _step_orbits(in_c, reps, n, length)
     else:
         ws, stab = [1 % n], (1,)
     digits = in_c.translate(_DIGITS)
@@ -202,7 +203,6 @@ def _field_rotation(n: int, s: int, ones: int):
     return lambda x: x >> s & lo | x << back & hi
 
 
-@lru_cache(maxsize=1024)
 def _locator_zeros(n_l: int, defining_set) -> tuple[frozenset[int], int, int, tuple[int, ...]]:
     """(D_L as residues mod n_l, m, p, s) for the layer tests of _scan.
 
@@ -256,7 +256,7 @@ def _scan(n: int, code_rows, locator: LocatorSpec, floor: int) -> NzlCertificate
     n_l = locator.n_l
     if math.gcd(n, n_l) != 1:
         raise NotCoprime(f"gcd({n}, {n_l}) != 1")
-    in_l, m, p, stretch = _locator_zeros(n_l, tuple(locator.defining_set))
+    in_l, m, p, stretch = locator._zeros
     rows, stab, layers, ones, rotations = code_rows
     if not m or b"0" not in rows[0][1]:
         raise DegenerateCover("the code and locator zero sets cover every index")
@@ -395,7 +395,7 @@ def mu_search(
 
     The stepped code rows, their layers and the orbits depend only on the
     code; they are built by _code_rows, which best_certificate calls once
-    per code for all its locators.
+    per code and search_w for all its locators.
     """
     defining_set = tuple(defining_set)
     return _scan(n, _code_rows(defining_set, defining_set, n, search_w), locator, 0)
@@ -518,10 +518,7 @@ def min_weight_codeword(q: int, locator: LocatorSpec):
     if locator.coeffs is not None:
         return locator.support, locator.coeffs
     q_l = q**locator.u
-    p, a = prime_power(q_l)
-    s_l = min_extension_degree(q_l, locator.n_l)
-    ctx = build_field(p, a * s_l)
-    beta = nth_root_of_unity(ctx, locator.n_l)
+    ctx, beta = cyclic.length(q_l, locator.n_l).field
     _, to_digit = subfield_digit_maps(ctx, q_l)
     support, elts = _locator_codeword_elements(ctx, beta, locator, q)
     return support, tuple(to_digit[e] for e in elts)
@@ -540,14 +537,16 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int):
     return tuple(range(len(g))), g
 
 
-@lru_cache(maxsize=256)
 def candidate_locators(n: int, q: int) -> tuple[LocatorSpec, ...]:
     """Deterministic, deduplicated locator candidates for length n, each of
     length n_l <= MAX_N_L = 12 coprime to n: the trivial locator, single
     parity checks, cyclic Reed-Solomon codes over GF(q^u), u <= MAX_U = 4,
     and for q = 2 only the Hamming (7,4,3) and the lowest-rate
     distance-three code of length 9, the only kinds that build a field.
-    The candidates are built once per (n, q)."""
+    The candidates are built once and kept on cyclic.length(q, n)."""
+    length = cyclic.length(q, n)
+    if length.locators is not None:
+        return length.locators
     out: list[LocatorSpec] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
 
@@ -572,7 +571,8 @@ def candidate_locators(n: int, q: int) -> tuple[LocatorSpec, ...]:
         emit(hamming_locator())
     if q == 2 and math.gcd(n, 9) == 1:  # the one odd a*(2^g - 1) <= MAX_N_L, a >= 2
         emit(d3_locator(3, 2))
-    return tuple(out)
+    length.locators = tuple(out)
+    return length.locators
 
 
 def certificate_rank(cert: NzlCertificate) -> tuple:
@@ -584,20 +584,11 @@ def certificate_rank(cert: NzlCertificate) -> tuple:
 def best_certificate(code: cyclic.CyclicCodeSpec, locators, *, search_w: bool = True):
     """The first of the mu_search certificates of `locators` for the code
     when they are sorted by certificate_rank, ties to the earlier locator;
-    None when there is no locator.  `search_w` is as in mu_search.  It is
-    the first certificate of certificates_by_rank."""
-    return next(certificates_by_rank(code, locators, search_w=search_w), None)
+    None when there is no locator.  `search_w` is as in mu_search.  The
+    search runs against the code's _code_rows, which the spec keeps for
+    each search_w, so asking again on fewer locators builds no rows.
 
-
-def certificates_by_rank(code: cyclic.CyclicCodeSpec, locators, *, search_w: bool = True):
-    """The mu_search certificates of `locators` for the code, lazily, in
-    certificate_rank order with ties to the earlier locator: each is the
-    best certificate of the locators not yet yielded, found by a search
-    against the code's _code_rows, which are built once, on the first
-    request.  A locator's certificate does not depend on the others, so
-    this is the order of the full ranking.
-
-    Each search scans the locators in order, keeping the best certificate
+    The search scans the locators in order, keeping the best certificate
     so far, the incumbent, of value d*.  A later locator L of distance d_l
     is scanned only for runs of at least (d* - 1)*d_l covered indices when
     (d_l, n_l) is at most the incumbent's, and of at least d* * d_l
@@ -612,22 +603,23 @@ def certificates_by_rank(code: cyclic.CyclicCodeSpec, locators, *, search_w: boo
     sets how many steps they rule out before a cover is built.
     """
     n = code.n
-    rows = _code_rows(code.defining_set, code.coset_reps, n, search_w)
-    while locators:
-        best = None
-        for loc in locators:
-            if best is None:
-                floor = 0
-            elif (loc.d_l, loc.n_l) <= (best.locator.d_l, best.locator.n_l):
-                floor = (best.d_star - 1) * loc.d_l
-            else:
-                floor = best.d_star * loc.d_l
-            # at floor 0 (the first locator, or d* = 1) even mu = 1 can rank first
-            cert = _scan(n, rows, loc, floor)
-            if cert is not None and (best is None or certificate_rank(cert) < certificate_rank(best)):
-                best = cert
-        yield best
-        locators = [loc for loc in locators if loc is not best.locator]
+    rows = code._scan_rows.get(search_w)
+    if rows is None:
+        rows = code._scan_rows[search_w] = _code_rows(
+            code.defining_set, code.coset_reps, n, search_w, cyclic.length(code.q, n))
+    best = None
+    for loc in locators:
+        if best is None:
+            floor = 0
+        elif (loc.d_l, loc.n_l) <= (best.locator.d_l, best.locator.n_l):
+            floor = (best.d_star - 1) * loc.d_l
+        else:
+            floor = best.d_star * loc.d_l
+        # at floor 0 (the first locator, or d* = 1) even mu = 1 can rank first
+        cert = _scan(n, rows, loc, floor)
+        if cert is not None and (best is None or certificate_rank(cert) < certificate_rank(best)):
+            best = cert
+    return best
 
 
 def best_bound(code: cyclic.CyclicCodeSpec, *, search_w: bool = True):

@@ -409,41 +409,54 @@ def test_dumps_refuses_types_the_cli_does_not_print(doc):
         cli._dumps(doc)
 
 
-def test_bound_computes_ht_once(tmp_path):
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name to append each call's result to a list, returned."""
+    results = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, counted)
+    return results
+
+
+def test_bound_computes_ht_once(tmp_path, monkeypatch):
+    # cmd_bound and best_bound both ask for the HT witness: one template
+    # search, and the second call returns the witness the spec keeps
     from cycbound import cli, cyclic
 
     path = tmp_path / "fresh.json"
     path.write_text(json.dumps({"q": 2, "n": 31, "coset_reps": [1, 5], "name": "ht-once"}))
-    before = cyclic.ht_bound.cache_info()
+    witnesses = _count_calls(monkeypatch, cyclic, "ht_bound")
+    searches = _count_calls(monkeypatch, cyclic, "_ht_template")
     assert cli.main(["bound", str(path)]) == 0
-    after = cyclic.ht_bound.cache_info()
-    assert after.misses == before.misses + 1
-    assert after.hits == before.hits + 1
+    assert len(searches) == 1
+    assert len(witnesses) == 2 and witnesses[0] is witnesses[1]
 
 
-def test_bound_makes_one_stride_pass(tmp_path):
+def test_bound_makes_one_stride_pass(tmp_path, monkeypatch):
     # bch_bound and ht_bound share the pass over the unit strides of D_C
     from cycbound import cli, cyclic
 
     path = tmp_path / "fresh.json"
     path.write_text(json.dumps({"q": 2, "n": 31, "coset_reps": [1, 5], "name": "stride-once"}))
-    before = cyclic._stride_runs.cache_info()
+    passes = _count_calls(monkeypatch, cyclic, "_stride_runs")
     assert cli.main(["bound", str(path)]) == 0
-    after = cyclic._stride_runs.cache_info()
-    assert after.misses == before.misses + 1
-    assert after.hits == before.hits + 1
+    assert len(passes) == 1
 
 
-def test_bound_computes_bch_once(tmp_path):
+def test_bound_computes_bch_once(tmp_path, monkeypatch):
+    # cmd_bound and best_bound both ask for the BCH witness: the second
+    # call returns the witness the spec keeps
     from cycbound import cli, cyclic
 
     path = tmp_path / "fresh.json"
     path.write_text(json.dumps({"q": 2, "n": 31, "coset_reps": [1, 5], "name": "bch-once"}))
-    before = cyclic.bch_bound.cache_info()
+    witnesses = _count_calls(monkeypatch, cyclic, "bch_bound")
     assert cli.main(["bound", str(path)]) == 0
-    after = cyclic.bch_bound.cache_info()
-    assert after.misses == before.misses + 1
-    assert after.hits == before.hits + 1
+    assert len(witnesses) == 2 and witnesses[0] is witnesses[1]
 
 
 def test_decode_spc_searches_steps_like_bound(tmp_path, capsys):

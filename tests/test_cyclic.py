@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from functools import cache, reduce
 from itertools import combinations
 from operator import xor
@@ -121,13 +123,17 @@ def test_coset_layer_without_residues_matches_reference():
 
 
 def test_coset_tables_are_bounded():
-    for table in (cyclic._coset_table, cyclic._coset_masks):
-        maxsize = table.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 256
-        table.cache_clear()
-        for n in range(1, 2 * maxsize + 2, 2):
-            table(n, 2)
-        assert table.cache_info().currsize == maxsize
+    # the coset tables and masks live on the lengths of the bounded length
+    # cache, so one more length than the bound frees the first one's
+    first = cyclic.length(2, 1)
+    tables = weakref.ref(first), first.cosets, first.masks
+    del first
+    for n in range(3, 2 * cyclic.MAX_LENGTHS + 2, 2):
+        cyclic.length(2, n).masks
+    gc.collect()
+    assert cyclic.length.cache_info().currsize == cyclic.MAX_LENGTHS
+    assert tables[0]() is None
+    assert (cyclic.length(2, 1).cosets, cyclic.length(2, 1).masks) == tables[1:]
 
 
 @given(data=st.data())
@@ -603,22 +609,37 @@ def test_oracle_words_shared_across_codes_leak_nothing(q, n, data):
     # reference's (d, codeword), and one PackedWords serves them all
     codes = _codes_of_length(q, n)
     order = data.draw(st.lists(st.sampled_from(codes), min_size=2, max_size=10))
-    cyclic._packed_words.cache_clear()
-    for code in order:
-        got = min_distance_oracle(code)
-        assert (got.d, got.codeword) == _reference_oracle(code), code
-    assert cyclic._packed_words.cache_info().currsize == 1
+    built = []
+
+    class Counted(PackedWords):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    cyclic.length.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclic, "PackedWords", Counted)
+        for code in order:
+            got = min_distance_oracle(code)
+            assert (got.d, got.codeword) == _reference_oracle(code), code
+    assert built == [(q, n)]
 
 
 def test_oracle_words_cache_is_bounded():
-    # PackedWords(65536, n) holds O(q) tables, so the per-length cache
-    # keeps at most maxsize lengths
-    maxsize = cyclic._packed_words.cache_info().maxsize
-    assert maxsize is not None and maxsize <= 64
-    cyclic._packed_words.cache_clear()
-    for n in range(1, 2 * maxsize + 2, 2):
-        cyclic._packed_words(2, n)
-    assert cyclic._packed_words.cache_info().currsize == maxsize
+    # PackedWords(65536, n) holds O(q) tables, so the words live on the
+    # lengths of the bounded length cache and go with an evicted length
+    first = cyclic.length(2, 1)
+    ref, words = weakref.ref(first), first.words
+    del first
+    for n in range(3, 2 * cyclic.MAX_LENGTHS + 2, 2):
+        cyclic.length(2, n).words
+    gc.collect()
+    assert cyclic.length.cache_info().currsize == cyclic.MAX_LENGTHS
+    assert ref() is None
+    again = cyclic.length(2, 1).words
+    assert again is not words and (again.n, again.df.q, again.units) == (words.n, words.df.q, words.units)
 
 
 def test_has_distance_two():

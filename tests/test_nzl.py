@@ -427,8 +427,8 @@ def test_candidate_locators_build_no_field(monkeypatch):
         raise AssertionError("candidate_locators built a field")
 
     monkeypatch.setattr(gf, "build_field", refuse)
-    monkeypatch.setattr(nzl, "build_field", refuse)
-    nzl.candidate_locators.cache_clear()  # build the candidates, not recall them
+    monkeypatch.setattr(cyclic, "build_field", refuse)
+    cyclic.length.cache_clear()  # build the candidates, not recall them
     cands = {(n, q): candidate_locators(n, q) for n, q in [(80, 3), (124, 5), (10, 7)]}
     # SPC(11) over GF(7^10), beyond the table cap
     assert any(7**loc.u > gf.MAX_FIELD_SIZE for loc in cands[10, 7])
