@@ -4,9 +4,9 @@ Covers cyclotomic cosets and defining sets, generator polynomials, the BCH
 and Hartmann-Tzeng bounds with explicit witnesses, an exact
 minimum-distance oracle, and the distance-two / distance-three
 characterizations of binary cyclic codes together with the lowest-rate
-constructions built from them.  What the codes of one (q, n) share is
-kept on its Length, from the bounded cache length(q, n), and what one code
-derives on its CyclicCodeSpec; each part is built on first use.
+constructions built from them.  What the codes of one (q, n) share, their
+cosets first, is kept on their Length, held by the bounded cache
+length(q, n), and what one code derives on its CyclicCodeSpec (see kept).
 
 The oracle is one information-set pass: it weighs the systematic
 codewords of low message weight on one window, which the cyclic shifts make
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache, wraps
 from itertools import chain, cycle, repeat
 
 from .gf import (
@@ -71,12 +71,33 @@ class PreconditionViolated(ValueError):
     """A construction hypothesis does not hold for the given parameters."""
 
 
+def kept(owner, used: int):
+    """Decorator: build(*args) runs once per args, and its result is kept in
+    the instance dict of owner(*args[:used]), a Length or a code spec, under
+    the other args, so a part lives exactly as long as its owner."""
+    def decorate(build):
+        slot = build.__name__ + "()"  # a key no attribute can take
+        @wraps(build)
+        def part(*args):
+            parts, key = vars(owner(*args[:used])).setdefault(slot, {}), args[used:]
+            if key not in parts:
+                parts[key] = build(*args)
+            return parts[key]
+        return part
+    return decorate
+
+
+# The owners: a code spec keeps what one code derives, length(q, n) what the
+# codes of (q, n) share, and length(None, n) what depends on n alone.
+on_spec = kept(lambda spec: spec, 1)
+on_length = kept(lambda n, q: length(q, n), 2)
+on_n = kept(lambda n: length(None, n), 1)
+
+
 @dataclass(frozen=True)
 class CyclicCodeSpec:
-    """A q-ary cyclic code of length n given by its defining set.  What is
-    derived from it is kept on the spec: cached_property writes the instance
-    dict, which a frozen dataclass allows, and the fields alone decide
-    equality and hash."""
+    """A q-ary cyclic code of length n given by its defining set.  Its
+    @on_spec parts live in its instance dict, outside equality and hash."""
 
     q: int
     n: int
@@ -84,34 +105,6 @@ class CyclicCodeSpec:
     defining_set: tuple[int, ...]
     k: int
     name: str | None = None
-
-    _runs = cached_property(lambda self: _stride_runs(self))
-    _scan_rows = cached_property(lambda self: {})  # nzl._code_rows by search_w
-
-    @cached_property
-    def _bch(self) -> BchWitness:
-        if not self.defining_set:
-            return BchWitness(1, None, None)
-        neg_value, b, m1 = self._runs[1]
-        return BchWitness(-neg_value, b, m1)
-
-    @cached_property
-    def _ht(self) -> HtWitness:
-        if not self.defining_set:
-            return HtWitness(1, None, None, None, None, None)
-        mask, _, lengths = self._runs
-        _, half, orbit = length(self.q, self.n).strides
-        neg_value, nu, b1, m1, m2 = _ht_template(mask, self.n, half, [lengths[j] for j in orbit], 1)
-        return HtWitness(-neg_value, b1, m1, m2, -neg_value - nu, nu)
-
-    @cached_property
-    def _generator(self) -> tuple[int, ...]:
-        df, at = DigitField(self.q), length(self.q, self.n)
-        digits = (1,)
-        for rep in self.coset_reps:
-            m = at.minimal_polynomial(rep)
-            digits = tuple(_mul_digits(df, digits, m, len(digits) + len(m) - 1))
-        return digits
 
 
 @dataclass(frozen=True)
@@ -162,65 +155,24 @@ def cyclotomic_coset(n: int, q: int, r: int) -> frozenset[int]:
     return frozenset(out)
 
 
-# Lengths length() keeps: the sweep workload cycles through about 20, and one
-# Length can hold O(q) packed-word tables (about 20 MB at q = 65536).
-MAX_LENGTHS = 32
+# Lengths length() keeps: the sweep workload reads 48 (q, n) and (None, n),
+# and one can hold O(q) packed-word tables, 20 MB at q = 65536.
+MAX_LENGTHS = 64
 
 
 class Length:
-    """What the codes of length n over GF(q) share, each part built on its
-    first use.  Obtain instances via length(q, n).  The constructor checks
-    nothing: a part raises what its builder raises when it is first read."""
+    """The codes of length n over GF(q), owner of their @on_length parts, or
+    with q = None of the @on_n parts.  length(q, n) gives the one of (q, n)
+    among the MAX_LENGTHS last used; an evicted one is rebuilt equal."""
 
-    def __init__(self, q: int, n: int):
+    def __init__(self, q: int | None, n: int):
         self.q, self.n = q, n
-        self._orbits: dict = {}
-        self._minimal: dict = {}
-        self.locators = None  # filled by nzl.candidate_locators
-
-    cosets = cached_property(lambda self: _coset_table(self.n, self.q))
-    masks = cached_property(lambda self: _coset_masks(self.n, self.q))
-    units = cached_property(lambda self: _units(self.n))
-    strides = cached_property(lambda self: _strides(self.n, self.q))
-    # shared by every oracle call at this length: it is read-only once built
-    words = cached_property(lambda self: PackedWords(self.q, self.n))
-
-    def orbit_reps(self, group) -> tuple[int, ...]:
-        """_orbit_reps(n, group), kept per group: most codes of one length
-        share their stabilizer."""
-        if group not in self._orbits:
-            self._orbits[group] = _orbit_reps(self.n, group)
-        return self._orbits[group]
-
-    @property
-    def field(self) -> tuple[FieldCtx, int]:
-        """(construction field GF(q^s), canonical element alpha of order n),
-        read from build_field, whose bounded cache alone keeps fields alive."""
-        p, a = prime_power(self.q)
-        ctx = build_field(p, a * min_extension_degree(self.q, self.n))
-        return ctx, nth_root_of_unity(ctx, self.n)
-
-    def minimal_polynomial(self, rep: int) -> tuple[int, ...]:
-        """Base-q digits of prod_{i in C_rep} (x - alpha^i), alpha the root
-        of field, kept per representative."""
-        if rep not in self._minimal:
-            ctx, alpha = self.field
-            _, to_digit = subfield_digit_maps(ctx, self.q)
-            coset = cyclotomic_coset(self.n, self.q, rep)
-            try:
-                self._minimal[rep] = tuple(to_digit[c] for c in root_product(ctx, alpha, coset))
-            except KeyError:  # pragma: no cover - a coset is closed under x -> x^q
-                raise AssertionError("minimal polynomial coefficients left the base field")
-        return self._minimal[rep]
 
 
-@lru_cache(maxsize=MAX_LENGTHS)
-def length(q: int, n: int) -> Length:
-    """The one Length of (q, n) while it stays among the MAX_LENGTHS most
-    recently used; an evicted one is rebuilt equal, part by part."""
-    return Length(q, n)
+length = lru_cache(maxsize=MAX_LENGTHS)(Length)
 
 
+@on_length
 def _coset_table(n: int, q: int) -> tuple[frozenset[int], ...]:
     """table[r] = cyclotomic_coset(n, q, r) for every residue r mod n, each
     coset one shared object; the errors are cyclotomic_coset's."""
@@ -235,10 +187,11 @@ def _coset_table(n: int, q: int) -> tuple[frozenset[int], ...]:
     return tuple(table)
 
 
+@on_length
 def _coset_masks(n: int, q: int) -> tuple[int, ...]:
     """masks[r] has bit i for each member i of the coset of r, so a
     defining set's mask is the sum of its representatives' masks."""
-    table = length(q, n).cosets
+    table = _coset_table(n, q)
     masks = {c: sum(1 << i for i in c) for c in dict.fromkeys(table)}
     return tuple([masks[c] for c in table])
 
@@ -247,20 +200,20 @@ def _coset_reps(n: int, q: int, exponents) -> tuple[int, ...]:
     """Smallest members of the cosets meeting `exponents`: the coset
     representatives of their closure under multiplication by q."""
     exponents = list(exponents)
-    table = length(q, n).cosets if exponents else ()  # no exponents: () for any n, q
+    table = _coset_table(n, q) if exponents else ()  # no exponents: () for any n, q
     return tuple(sorted(map(min, {table[i % n] for i in exponents})))
 
 
 def coset_partition(n: int, q: int) -> list[frozenset[int]]:
     """All cyclotomic cosets mod n, sorted by smallest member; none for
     n < 1, which has no residues."""
-    return list(dict.fromkeys(length(q, n).cosets)) if n >= 1 else []
+    return list(dict.fromkeys(_coset_table(n, q))) if n >= 1 else []
 
 
 def build_code(q: int, n: int, coset_reps, name: str | None = None) -> CyclicCodeSpec:
     """Cyclic code from coset representatives; k = n - |defining set|."""
     prime_power(q)  # raises ValueError for non prime powers
-    table = length(q, n).cosets  # raises for n < 1 and gcd(n, q) != 1
+    table = _coset_table(n, q)  # raises for n < 1 and gcd(n, q) != 1
     cosets: set[frozenset[int]] = set()
     for r in coset_reps:
         c = table[r % n]
@@ -273,17 +226,41 @@ def build_code(q: int, n: int, coset_reps, name: str | None = None) -> CyclicCod
 
 def code_field(spec: CyclicCodeSpec) -> tuple[FieldCtx, int]:
     """(construction field GF(q^s), canonical element alpha of order n)."""
-    return length(spec.q, spec.n).field
+    return _code_field(spec.q, spec.n)
 
 
+def _code_field(q: int, n: int) -> tuple[FieldCtx, int]:
+    """code_field of (q, n), from build_field's cache, which alone keeps fields."""
+    p, a = prime_power(q)
+    ctx = build_field(p, a * min_extension_degree(q, n))
+    return ctx, nth_root_of_unity(ctx, n)
+
+
+@on_spec
 def generator_polynomial(spec: CyclicCodeSpec) -> tuple[int, ...]:
     """Base-q digit coefficients of prod_{i in D_C} (x - alpha^i); monic.
 
     D_C is the union of the cosets of the representatives, so the product is
-    that of their minimal polynomials (Length.minimal_polynomial), which
-    have GF(q) coefficients and are multiplied as digits.  Computed once per
-    spec."""
-    return spec._generator
+    that of their minimal polynomials, which have GF(q) coefficients and are
+    multiplied as digits."""
+    df = DigitField(spec.q)
+    digits = (1,)
+    for rep in spec.coset_reps:
+        m = _minimal_polynomial(spec.n, spec.q, rep)
+        digits = tuple(_mul_digits(df, digits, m, len(digits) + len(m) - 1))
+    return digits
+
+
+@on_length
+def _minimal_polynomial(n: int, q: int, rep: int) -> tuple[int, ...]:
+    """Base-q digits of prod_{i in C_rep} (x - alpha^i), alpha the root of
+    code_field."""
+    ctx, alpha = _code_field(q, n)
+    _, to_digit = subfield_digit_maps(ctx, q)
+    try:
+        return tuple(to_digit[c] for c in root_product(ctx, alpha, cyclotomic_coset(n, q, rep)))
+    except KeyError:  # pragma: no cover - a coset is closed under x -> x^q
+        raise AssertionError("minimal polynomial coefficients left the base field")
 
 
 def encode(spec: CyclicCodeSpec, message) -> tuple[int, ...]:
@@ -324,11 +301,13 @@ def is_codeword(spec: CyclicCodeSpec, word) -> bool:
     return not any(ctx.evaluate(terms, [r * log[alpha] for r in spec.coset_reps]))
 
 
+@on_n
 def _units(n: int) -> tuple[int, ...]:
     """The units of Z_n in [1, n), increasing."""
     return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
 
 
+@on_n
 def _orbit_reps(n: int, group) -> tuple[int, ...]:
     """Smallest member of each orbit of the units mod n under multiplication
     by `group`, a subgroup of the units given as a tuple or frozenset."""
@@ -364,6 +343,7 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+@on_length
 def _strides(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """(reps, half, orbit) for the unit strides mod n: reps holds the
     smallest member of each orbit of the units under x -> q*x, half the
@@ -376,48 +356,51 @@ def _strides(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
     return reps, half, tuple(where[u] for u in half)
 
 
+@on_spec
 def _stride_runs(spec: CyclicCodeSpec) -> tuple[int, tuple[int, int, int], tuple[int, ...]]:
-    """(mask, BCH key, lengths) for a nonempty defining set D; ValueError
-    when D is all of Z_n.  mask holds bit i for each exponent i of D (the
-    sum of its cosets' masks), lengths[j] is L_1(c), the length of the
-    longest step-c run in D, for the j-th stride c of Length.strides[0], and
-    the key (-(L + 1), b, c) is the least over those strides of the longest
-    run L, its lowest start b and c.
+    """(mask, BCH key, lengths) for a defining set D neither empty nor all
+    of Z_n: mask holds bit i for each exponent i of D (the sum of its
+    cosets' masks from _coset_masks), lengths[j] is
+    L_1(c), the length of the longest step-c run in D, for the j-th stride
+    c of _strides(n, q)[0], and the key (-(L + 1), b, c) is the least over
+    those strides of the longest run L, its lowest start b and c.
 
     Scaling by q permutes D, so the step-q*c runs are the step-c runs
     scaled by q and L_1(q*c) = L_1(c): one `_longest_run` per orbit of the
     units under x -> q*x gives L_1 of every unit stride.  bch_bound reads
-    the key and ht_bound the lengths, the bottom layer of its search.  The
-    spec keeps the result, so one `cycbound bound` makes one pass for both.
+    the key and ht_bound the lengths, the bottom layer of its search, so
+    one `cycbound bound` makes one pass for both.
     """
-    n, at = spec.n, length(spec.q, spec.n)
-    if len(spec.defining_set) == n:
-        raise ValueError("the zero code has no minimum distance")
-    masks = at.masks
+    n, masks = spec.n, _coset_masks(spec.n, spec.q)
     mask = sum([masks[r] for r in spec.coset_reps])
     lengths = []
     best = None
-    for c in at.strides[0]:
-        run, starts = _longest_run(mask, n, c)
-        key = (-(run + 1), _lowest_bit(starts), c)
+    for c in _strides(n, spec.q)[0]:
+        length, starts = _longest_run(mask, n, c)
+        key = (-(length + 1), _lowest_bit(starts), c)
         if best is None or key < best:
             best = key
-        lengths.append(run)
+        lengths.append(length)
     return mask, best, tuple(lengths)
 
 
+@on_spec
 def bch_bound(spec: CyclicCodeSpec) -> BchWitness:
     """Longest arithmetic run in the defining set, as d >= run + 1.
 
     The witness is the longest run with the smallest start b, then the
     smallest step; `_stride_runs` scans one step per class of units modulo
-    the powers of q, since scaling D by q permutes it.  The spec keeps the
-    witness, since `cycbound bound` asks for the BCH value and then
-    best_bound compares against it.
+    the powers of q, since scaling D by q permutes it.
     """
-    return spec._bch
+    if not spec.defining_set:
+        return BchWitness(1, None, None)
+    if len(spec.defining_set) == spec.n:
+        raise ValueError("the zero code has no minimum distance")
+    neg_value, b, m1 = _stride_runs(spec)[1]
+    return BchWitness(-neg_value, b, m1)
 
 
+@on_spec
 def ht_bound(spec: CyclicCodeSpec) -> HtWitness:
     """Hartmann-Tzeng bound: best d0 + nu over witness templates (see HtWitness).
 
@@ -426,9 +409,7 @@ def ht_bound(spec: CyclicCodeSpec) -> HtWitness:
     m1), which costs a factor phi(n) less than the raw two-multiplier
     family and still dominates the BCH bound, since a plain arithmetic run
     is the d0 = 2 case.  The full (m1, m2) family can be strictly stronger
-    (a handful of length-31 codes reach 8 versus the normalized 7).  The
-    spec keeps the witness, since `cycbound bound` asks for the HT value
-    and then best_bound compares against it.
+    (a handful of length-31 codes reach 8 versus the normalized 7).
 
     Among the templates of the best value the witness has the smallest
     nu, then the smallest b1 and m1; `_ht_template` finds it.  Its bottom
@@ -438,7 +419,15 @@ def ht_bound(spec: CyclicCodeSpec) -> HtWitness:
     reach the best value on a higher layer.  The search is index
     arithmetic on the defining set alone, with no field and no length cap.
     """
-    return spec._ht
+    n = spec.n
+    if not spec.defining_set:
+        return HtWitness(1, None, None, None, None, None)
+    if len(spec.defining_set) == n:
+        raise ValueError("the zero code has no minimum distance")
+    mask, _, lengths = _stride_runs(spec)
+    _, half, orbit = _strides(n, spec.q)
+    neg_value, nu, b1, m1, m2 = _ht_template(mask, n, half, [lengths[j] for j in orbit], 1)
+    return HtWitness(-neg_value, b1, m1, m2, -neg_value - nu, nu)
 
 
 def _ht_template(mask: int, n: int, half, first, m2: int) -> tuple[int, ...]:
@@ -544,6 +533,13 @@ def verify_ht_witness(spec: CyclicCodeSpec, wit: HtWitness) -> bool:
     )
 
 
+@on_length
+def _packed_words(n: int, q: int) -> PackedWords:
+    """PackedWords(q, n), shared by every oracle call at length n over GF(q):
+    it is read-only once built."""
+    return PackedWords(q, n)
+
+
 def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWitness:
     """Exact minimum distance d with a codeword of weight d, over codes with
     at most `cap` codewords (q^k), from the low-weight messages of one
@@ -568,7 +564,7 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
 
     A row is a gf.PackedWords word, one bit per GF(2) digit, so a sum is
     one words.add and a weight one words.weight; the words of length n
-    over GF(q) are Length.words, built once per (q, n), and
+    over GF(q) come from _packed_words, kept on the Length of (q, n), and
     rows[i][c - 1] is c * x^(r+i) above the gf.remainder_rows entry for
     -c.  At w = 2 each row, with digit 1, is added to every later row and
     digit, and the sums are kept: pairs[i] holds rows[i][0] + rows[j][b]
@@ -591,7 +587,7 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
         raise TooManyCodewords(f"{spec.q}^{spec.k} codewords exceed the cap {cap}")
     q, n, k = spec.q, spec.n, spec.k
     r, m = n - k, q - 1
-    words = length(q, n).words
+    words = _packed_words(n, q)
     add, weight, width = words.add, words.weight, words.width
     rems = remainder_rows(words, generator_polynomial(spec), range(r, n))
     shifts = range(r * width, n * width, width)
@@ -689,10 +685,10 @@ def distance_three_witness(n: int, coset_reps, g: int, r: int) -> DistanceWitnes
         defining |= cyclotomic_coset(n, 2, rep)
     u = n // G
     if (1 << min_extension_degree(2, n)) <= MAX_FIELD_SIZE:
-        (ctx, root), scale = length(2, n).field, 1
+        (ctx, root), scale = _code_field(2, n), 1
         beta = ctx.pow(root, u)
     else:
-        ctx, beta = length(2, G).field
+        ctx, beta = _code_field(2, G)
         root, scale = beta, u
     # b solves 1 + beta + beta^b = 0; exponent quotients are taken mod G
     target = ctx.add(1, beta)

@@ -49,7 +49,7 @@ def _fixture_table() -> list[tuple[str, callable]]:
     def coset_21_9():
         return {9, 15, 18}, set(cyclic.cyclotomic_coset(21, 2, 9))
 
-    def min_ext():
+    def min_extension_degrees():
         return (6, 4), (gf.min_extension_degree(2, 21), gf.min_extension_degree(2, 5))
 
     def order_21_element():
@@ -100,13 +100,13 @@ def _fixture_table() -> list[tuple[str, callable]]:
         _, comp = nzl.best_bound(_code65())
         return 7, comp["d_star"]
 
-    def spc_closed_form_65():
+    def spc_closed_form():
         return 7, nzl.spc_closed_form(5, 1)
 
     def rs_closed_form_match():
         return nzl.spc_closed_form(5, 1), nzl.rs_closed_form(5, 1, 3)
 
-    def bound_values():
+    def nzl_bound_values():
         return (7, 7), (nzl.nzl_bound(14, 2), nzl.nzl_bound(19, 3))
 
     def improvement_predicate():
@@ -207,42 +207,18 @@ def _fixture_table() -> list[tuple[str, callable]]:
             ok = ok and all(a >= b for a, b in zip(ratios, ratios[1:]))
         return True, ok
 
-    return [
-        ("coset-21-7", coset_21_7),
-        ("coset-21-9", coset_21_9),
-        ("min-extension-degrees", min_ext),
-        ("order-21-element", order_21_element),
-        ("example21-defining-set", example21_defining_set),
-        ("example21-dimension", example21_dimension),
-        ("example21-bch", example21_bch),
-        ("example21-ht", example21_ht),
-        ("example21-oracle", example21_oracle),
-        ("example21-spc5", example21_spc5),
-        ("example21-best", example21_best),
-        ("code65-dimension", code65_dimension),
-        ("code65-ht-template", code65_ht_template),
-        ("code65-spc3", code65_spc3),
-        ("code65-best", code65_best),
-        ("spc-closed-form", spc_closed_form_65),
-        ("rs-closed-form-match", rs_closed_form_match),
-        ("nzl-bound-values", bound_values),
-        ("improvement-predicate", improvement_predicate),
-        ("family-spc3", family_spc3),
-        ("family-hamming", family_hamming),
-        ("family-rs", family_rs),
-        ("candidates-65", candidates_65),
-        ("candidates-21", candidates_21),
-        ("d3-code-119", d3_code_119),
-        ("d3-witness-119", d3_witness_119),
-        ("d2-check-119", d2_check_119),
-        ("d3-hamming-pattern", d3_hamming_pattern),
-        ("d2-lowest-rate", d2_lowest_rate),
-        ("hamming-min-weight", hamming_min_weight),
-        ("decode-roundtrip", decode_roundtrip),
-        ("classical-syndromes", classical_syndromes),
-        ("fig1-threshold", fig1_threshold),
-        ("fig2-monotone", fig2_monotone),
-    ]
+    # a fixture's name is its function's, with dashes
+    return [(fn.__name__.replace("_", "-"), fn) for fn in (
+        coset_21_7, coset_21_9, min_extension_degrees, order_21_element,
+        example21_defining_set, example21_dimension, example21_bch, example21_ht,
+        example21_oracle, example21_spc5, example21_best, code65_dimension,
+        code65_ht_template, code65_spc3, code65_best, spc_closed_form,
+        rs_closed_form_match, nzl_bound_values, improvement_predicate, family_spc3,
+        family_hamming, family_rs, candidates_65, candidates_21, d3_code_119,
+        d3_witness_119, d2_check_119, d3_hamming_pattern, d2_lowest_rate,
+        hamming_min_weight, decode_roundtrip, classical_syndromes, fig1_threshold,
+        fig2_monotone,
+    )]
 
 
 def run_fixtures(only: str | None = None) -> list[FixtureResult]:

@@ -607,9 +607,8 @@ def subfield_digit_maps(ctx: FieldCtx, q: int) -> tuple[tuple[int, ...], dict[in
     polynomial, so the digit arithmetic transfers as a field isomorphism and
     not merely a multiplicative one.
     """
-    maps = ctx._digit_maps.get(q)
-    if maps is not None:
-        return maps
+    if q in ctx._digit_maps:
+        return ctx._digit_maps[q]
     p, a = prime_power(q)
     if p != ctx.p or ctx.m % a:
         raise FieldMismatch(f"GF({q}) is not a subfield of GF({ctx.p}^{ctx.m})")
@@ -624,8 +623,7 @@ def subfield_digit_maps(ctx: FieldCtx, q: int) -> tuple[tuple[int, ...], dict[in
             raise AssertionError("subfield generator not found")  # unreachable
         w = ctx.exp(points[values.index(0)])
         to_elt = (0, *(ctx.pow(w, d - 1) for d in range(1, q)))
-    maps = ctx._digit_maps[q] = to_elt, {e: d for d, e in enumerate(to_elt)}
-    return maps
+    return ctx._digit_maps.setdefault(q, (to_elt, {e: d for d, e in enumerate(to_elt)}))
 
 
 def digit_elements(to_elt, word) -> list[int]:

@@ -86,7 +86,7 @@ class LocatorSpec:
         if self.coeffs is not None and (len(self.coeffs) != len(self.support) or 0 in self.coeffs):
             raise ValueError("coeffs must give one nonzero digit per support index")
 
-    _zeros = cached_property(lambda self: _locator_zeros(self.n_l, self.defining_set))
+    _zeros = cached_property(lambda self: _locator_zeros(self.n_l, tuple(self.defining_set)))
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def _stepped(row: bytes, w: int) -> bytes:
     return (row * w)[::w]
 
 
-def _step_orbits(in_c: bytes, reps, n: int, length):
+def _step_orbits(in_c: bytes, reps, n: int):
     """(orbit representatives, stabilizer) for the unit steps w mod n, n > 1.
 
     The stabilizer S = {s unit : s*D_C = D_C} acts on the steps by
@@ -126,23 +126,22 @@ def _step_orbits(in_c: bytes, reps, n: int, length):
     a bijection.  `reps` holds one member of each coset of D_C under x -> q*x
     (D_C itself always qualifies): s*(r*q^j) = (s*r)*q^j and D_C is closed
     under x -> q*x, so s*D_C lies in D_C once s*r is in D_C for every r of
-    reps, and the units are filtered by one r after another.  `length` is
-    the code's cyclic.length, which keeps the units and orbits; None, for a
-    bare defining set, computes them afresh.
+    reps, and the units are filtered by one r after another.  _code_rows
+    computes this once per code, for every locator scanned against it.
     """
-    stab = cyclic._units(n) if length is None else length.units
+    stab = cyclic._units(n)
     for r in reps:
         stab = [s for s in stab if in_c[s * r % n]]
     stab = tuple(stab)
-    return (cyclic._orbit_reps(n, stab) if length is None else length.orbit_reps(stab)), stab
+    return cyclic._orbit_reps(n, stab), stab
 
 
-def _code_rows(defining_set, reps, n: int, search_w: bool, length=None):
+def _code_rows(defining_set, reps, n: int, search_w: bool):
     """The per-code half of the locator scan: (rows, stabilizer, layers,
     ones, rotations).  rows holds (w, D_C row stepped by w), one step w per
     stabilizer orbit (w = 1 alone when `search_w` is off); the stepped row
     is M_w = {a : w*a in D_C} as a string of n digits "0" and "1".  `reps`
-    and `length` are as in _step_orbits.
+    are as in _step_orbits.
 
     layers[r - 1], r = 1 .. MAX_N_L, packs one field per step: field i,
     bits i*(n + 1) .. i*(n + 1) + n - 1, holds the step-1 Hartmann-Tzeng
@@ -165,7 +164,7 @@ def _code_rows(defining_set, reps, n: int, search_w: bool, length=None):
         in_c[i % n] = 1
     in_c = bytes(in_c)
     if search_w and n > 1:
-        ws, stab = _step_orbits(in_c, reps, n, length)
+        ws, stab = _step_orbits(in_c, reps, n)
     else:
         ws, stab = [1 % n], (1,)
     digits = in_c.translate(_DIGITS)
@@ -203,6 +202,7 @@ def _field_rotation(n: int, s: int, ones: int):
     return lambda x: x >> s & lo | x << back & hi
 
 
+@cyclic.on_n
 def _locator_zeros(n_l: int, defining_set) -> tuple[frozenset[int], int, int, tuple[int, ...]]:
     """(D_L as residues mod n_l, m, p, s) for the layer tests of _scan.
 
@@ -518,7 +518,7 @@ def min_weight_codeword(q: int, locator: LocatorSpec):
     if locator.coeffs is not None:
         return locator.support, locator.coeffs
     q_l = q**locator.u
-    ctx, beta = cyclic.length(q_l, locator.n_l).field
+    ctx, beta = cyclic._code_field(q_l, locator.n_l)
     _, to_digit = subfield_digit_maps(ctx, q_l)
     support, elts = _locator_codeword_elements(ctx, beta, locator, q)
     return support, tuple(to_digit[e] for e in elts)
@@ -537,16 +537,14 @@ def _locator_codeword_elements(ctx, beta, locator: LocatorSpec, q: int):
     return tuple(range(len(g))), g
 
 
+@cyclic.on_length
 def candidate_locators(n: int, q: int) -> tuple[LocatorSpec, ...]:
     """Deterministic, deduplicated locator candidates for length n, each of
     length n_l <= MAX_N_L = 12 coprime to n: the trivial locator, single
     parity checks, cyclic Reed-Solomon codes over GF(q^u), u <= MAX_U = 4,
     and for q = 2 only the Hamming (7,4,3) and the lowest-rate
     distance-three code of length 9, the only kinds that build a field.
-    The candidates are built once and kept on cyclic.length(q, n)."""
-    length = cyclic.length(q, n)
-    if length.locators is not None:
-        return length.locators
+    The candidates are kept on cyclic.length(q, n)."""
     out: list[LocatorSpec] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
 
@@ -571,8 +569,7 @@ def candidate_locators(n: int, q: int) -> tuple[LocatorSpec, ...]:
         emit(hamming_locator())
     if q == 2 and math.gcd(n, 9) == 1:  # the one odd a*(2^g - 1) <= MAX_N_L, a >= 2
         emit(d3_locator(3, 2))
-    length.locators = tuple(out)
-    return length.locators
+    return tuple(out)
 
 
 def certificate_rank(cert: NzlCertificate) -> tuple:
@@ -586,7 +583,7 @@ def best_certificate(code: cyclic.CyclicCodeSpec, locators, *, search_w: bool = 
     when they are sorted by certificate_rank, ties to the earlier locator;
     None when there is no locator.  `search_w` is as in mu_search.  The
     search runs against the code's _code_rows, which the spec keeps for
-    each search_w, so asking again on fewer locators builds no rows.
+    each search_w (_rows_of), so asking again on fewer locators builds none.
 
     The search scans the locators in order, keeping the best certificate
     so far, the incumbent, of value d*.  A later locator L of distance d_l
@@ -602,11 +599,7 @@ def best_certificate(code: cyclic.CyclicCodeSpec, locators, *, search_w: bool = 
     is what makes the layer tests of mu_search pay: the run still needed
     sets how many steps they rule out before a cover is built.
     """
-    n = code.n
-    rows = code._scan_rows.get(search_w)
-    if rows is None:
-        rows = code._scan_rows[search_w] = _code_rows(
-            code.defining_set, code.coset_reps, n, search_w, cyclic.length(code.q, n))
+    n, rows = code.n, _rows_of(code, search_w)
     best = None
     for loc in locators:
         if best is None:
@@ -620,6 +613,12 @@ def best_certificate(code: cyclic.CyclicCodeSpec, locators, *, search_w: bool = 
         if cert is not None and (best is None or certificate_rank(cert) < certificate_rank(best)):
             best = cert
     return best
+
+
+@cyclic.on_spec
+def _rows_of(code: cyclic.CyclicCodeSpec, search_w: bool):
+    """The code's _code_rows for `search_w`, kept on its spec."""
+    return _code_rows(code.defining_set, code.coset_reps, code.n, search_w)
 
 
 def best_bound(code: cyclic.CyclicCodeSpec, *, search_w: bool = True):

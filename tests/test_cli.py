@@ -437,14 +437,18 @@ def test_bound_computes_ht_once(tmp_path, monkeypatch):
 
 
 def test_bound_makes_one_stride_pass(tmp_path, monkeypatch):
-    # bch_bound and ht_bound share the pass over the unit strides of D_C
+    # bch_bound and ht_bound share the pass over the unit strides of D_C:
+    # one pass, which alone reads the coset masks, and the second request
+    # returns the result the spec keeps
     from cycbound import cli, cyclic
 
     path = tmp_path / "fresh.json"
     path.write_text(json.dumps({"q": 2, "n": 31, "coset_reps": [1, 5], "name": "stride-once"}))
-    passes = _count_calls(monkeypatch, cyclic, "_stride_runs")
+    runs = _count_calls(monkeypatch, cyclic, "_stride_runs")
+    passes = _count_calls(monkeypatch, cyclic, "_coset_masks")
     assert cli.main(["bound", str(path)]) == 0
     assert len(passes) == 1
+    assert len(runs) == 2 and runs[0] is runs[1]
 
 
 def test_bound_computes_bch_once(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from cycbound import cyclic
+from cycbound import cyclic, nzl
 from cycbound.cyclic import (
     DuplicateCoset,
     PreconditionViolated,
@@ -122,18 +122,32 @@ def test_coset_layer_without_residues_matches_reference():
         assert cyclic._coset_reps(n, 2, []) == reference.coset_reps(n, 2, []) == ()
 
 
+def _length_parts(q, n):
+    """Every part the Lengths of (q, n) and (None, n) keep, with the field
+    they read."""
+    ctx, alpha = cyclic._code_field(q, n)
+    return (cyclic._coset_table(n, q), cyclic._coset_masks(n, q), cyclic._strides(n, q),
+            cyclic._units(n), cyclic._orbit_reps(n, frozenset({1, 4, 16})),
+            [cyclic._minimal_polynomial(n, q, r) for r in (0, 1, 3, 5, 7, 9)], ctx.spec, alpha,
+            nzl.candidate_locators(n, q))
+
+
 def test_coset_tables_are_bounded():
-    # the coset tables and masks live on the lengths of the bounded length
-    # cache, so one more length than the bound frees the first one's
-    first = cyclic.length(2, 1)
-    tables = weakref.ref(first), first.cosets, first.masks
-    del first
-    for n in range(3, 2 * cyclic.MAX_LENGTHS + 2, 2):
-        cyclic.length(2, n).masks
+    # the coset tables and masks, like every part of a length, live on a
+    # Length of the bounded length cache: past MAX_LENGTHS lengths the first
+    # ones are freed, and their parts are rebuilt equal.  One Length can
+    # hold a coset table of n entries and O(q) packed-word tables, so the
+    # bound stays small
+    assert cyclic.MAX_LENGTHS <= 64
+    parts = _length_parts(2, 21)
+    refs = [weakref.ref(cyclic.length(q, 21)) for q in (2, None)]
+    for n in range(23, 23 + 2 * cyclic.MAX_LENGTHS + 2, 2):
+        cyclic._coset_masks(n, 2)
+        assert cyclic.length.cache_info().currsize <= cyclic.MAX_LENGTHS
     gc.collect()
     assert cyclic.length.cache_info().currsize == cyclic.MAX_LENGTHS
-    assert tables[0]() is None
-    assert (cyclic.length(2, 1).cosets, cyclic.length(2, 1).masks) == tables[1:]
+    assert [ref() for ref in refs] == [None, None]
+    assert _length_parts(2, 21) == parts
 
 
 @given(data=st.data())
@@ -628,17 +642,17 @@ def test_oracle_words_shared_across_codes_leak_nothing(q, n, data):
 
 
 def test_oracle_words_cache_is_bounded():
-    # PackedWords(65536, n) holds O(q) tables, so the words live on the
-    # lengths of the bounded length cache and go with an evicted length
-    first = cyclic.length(2, 1)
-    ref, words = weakref.ref(first), first.words
-    del first
+    # PackedWords(65536, n) holds O(q) tables, so at most 64 lengths keep
+    # their words: the words live on the Length of the bounded length cache
+    # and go with an evicted length
+    assert cyclic.MAX_LENGTHS <= 64
+    ref, words = weakref.ref(cyclic.length(2, 1)), cyclic._packed_words(1, 2)
     for n in range(3, 2 * cyclic.MAX_LENGTHS + 2, 2):
-        cyclic.length(2, n).words
+        cyclic._packed_words(n, 2)
     gc.collect()
     assert cyclic.length.cache_info().currsize == cyclic.MAX_LENGTHS
     assert ref() is None
-    again = cyclic.length(2, 1).words
+    again = cyclic._packed_words(1, 2)
     assert again is not words and (again.n, again.df.q, again.units) == (words.n, words.df.q, words.units)
 
 
