@@ -15,9 +15,9 @@ is both the proof of d and its witness.  Its rows are gf.PackedWords words,
 one bit per coordinate over GF(2), built on the rows c * (x^i mod g) of
 gf.remainder_rows, which the decoder also sums to reduce a received word
 mod g; the PackedWords of a length is built once and shared by its codes.
-One walk serves every q: a sum of w rows is a carried (w - 2)-row prefix
-plus one entry of a per-code table of two-row sums, which over GF(2) are
-the sums already weighed at w = 2.
+One loop serves every q: the sums of w rows are weighed from a flat table
+of the (w - 1)-row sums, one pass per first row, and kept, grouped by first
+row, as the next level's table, which over GF(2) costs no further add.
 
 A code here is pinned down by (q, n, defining set) plus the canonical
 primitive n-th root of unity alpha of its construction field GF(q^s),
@@ -34,7 +34,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import chain, cycle, repeat
+from itertools import accumulate, chain, cycle, repeat
 
 from .gf import (
     DigitField,
@@ -73,13 +73,17 @@ class PreconditionViolated(ValueError):
 
 def kept(owner, used: int):
     """Decorator: build(*args) runs once per args, and its result is kept in
-    the instance dict of owner(*args[:used]), a Length or a code spec, under
-    the other args, so a part lives exactly as long as its owner."""
+    the instance dict of owner(*args), a Length or a code spec named by the
+    first `used` args, under the other args, so a part lives exactly as
+    long as its owner."""
     def decorate(build):
         slot = build.__name__ + "()"  # a key no attribute can take
         @wraps(build)
         def part(*args):
-            parts, key = vars(owner(*args[:used])).setdefault(slot, {}), args[used:]
+            state, key = vars(owner(*args)), args[used:]
+            parts = state.get(slot)
+            if parts is None:
+                parts = state[slot] = {}
             if key not in parts:
                 parts[key] = build(*args)
             return parts[key]
@@ -89,9 +93,9 @@ def kept(owner, used: int):
 
 # The owners: a code spec keeps what one code derives, length(q, n) what the
 # codes of (q, n) share, and length(None, n) what depends on n alone.
-on_spec = kept(lambda spec: spec, 1)
-on_length = kept(lambda n, q: length(q, n), 2)
-on_n = kept(lambda n: length(None, n), 1)
+on_spec = kept(lambda spec, *_: spec, 1)
+on_length = kept(lambda n, q, *_: length(q, n), 2)
+on_n = kept(lambda n, *_: length(None, n), 1)
 
 
 @dataclass(frozen=True)
@@ -540,6 +544,13 @@ def _packed_words(n: int, q: int) -> PackedWords:
     return PackedWords(q, n)
 
 
+# Words one table of min_distance_oracle may hold past depth 3: the sweep
+# workload's deepest table holds 2,380, and a word of n = 255 bits takes
+# about 72 bytes with its slot, so the table read and the one built stay
+# within 5 MB.
+MAX_TABLE_WORDS = 1 << 15
+
+
 def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWitness:
     """Exact minimum distance d with a codeword of weight d, over codes with
     at most `cap` codewords (q^k), from the low-weight messages of one
@@ -566,20 +577,23 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
     one words.add and a weight one words.weight; the words of length n
     over GF(q) come from _packed_words, kept on the Length of (q, n), and
     rows[i][c - 1] is c * x^(r+i) above the gf.remainder_rows entry for
-    -c.  At w = 2 each row, with digit 1, is added to every later row and
-    digit, and the sums are kept: pairs[i] holds rows[i][0] + rows[j][b]
-    for i < j in the order (j, b).  tail[s], built when w first reaches 3,
-    lists rows[i][a] + rows[j][b] for s <= i < j in the order (i, j, a, b),
-    (q - 1)^2 sums per pair of rows.  Over GF(2) that is the one sum per
-    pair made at w = 2, so tail[s] is pairs[s] followed by tail[s + 1] and
-    the table costs no add; for q > 2 every digit pair is added.  From w = 3
-    on the w-row sums are walked depth first over their first w - 2 rows,
-    the first with digit 1, carrying that prefix sum, and each leaf adds it
-    to every entry of tail[j], j one past the prefix's last row: one add
-    and one weight per word.  Only a strictly lighter word replaces the
-    best, so the first lightest word in walk order wins: by rows, then
-    digits, up to w = 3, and beyond it each prefix row's digit before the
-    next row.
+    -c.  The table of depth t holds the sums of t - 1 rows over every digit,
+    in one flat list grouped by first row: table[at[s]:] holds those whose
+    first row is s or later, and the table of depth 2 is the rows.  Level w
+    adds rows[i][0] to each entry of table[at[i + 1]:] of the table of depth
+    w, one C-level pass per first row i, so one add and one weight per word;
+    these sums, grouped by i, are the digit-1 part of the table of depth
+    w + 1.  Over GF(2) they are that table and cost no add.  For q > 2 the
+    first rows' other digits are added when the next level is needed, and
+    the table of depth 3 is always built afresh, in the order (i, j, a, b),
+    rows before digits.  Any other table is built only if it holds at most
+    MAX_TABLE_WORDS words; once one is not, the outer rows of each level
+    are carried as a prefix sum over the deepest table built, the first
+    with digit 1 and each later one over its digits before the next row.
+    So every level weighs its words in one order: by the first w - 2 rows,
+    each row's digit before the next row, then by the last two rows, then
+    their digits.  Only a strictly lighter word replaces the best, so the
+    first lightest word in that order wins.
     """
     if spec.k == 0:
         raise ValueError("the zero code has no minimum distance")
@@ -595,48 +609,49 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
     columns = [[u << shift | rem[neg_c] for shift, rem in zip(shifts, rems)]
                for u, neg_c in zip(words.units[1:], map(words.df.neg, range(1, q)))]
     rows = list(zip(*columns))
-    pairs, tail = [], [[] for _ in range(k)]
-
-    def lightest(w):
-        if w == 1:
-            return min(columns[0], key=weight)
-        if w == 2:
-            flat = [y for row in rows for y in row]
-            pairs.extend(list(map(add, repeat(row[0]), flat[(i + 1) * m:])) for i, row in enumerate(rows))
-            return min(chain.from_iterable(pairs), key=weight)
-        # w runs 1, 2, ...: the table is built once, when first needed
-        if w == 3 and q == 2:  # one digit: the table's entries are the w = 2 sums
-            for s in range(k - 2, -1, -1):
-                tail[s] = pairs[s] + tail[s + 1]
-        elif w == 3:
-            # spread[s] repeats each rows[s][a] and tiled each row q - 1 times,
-            # so cycling spread[s] along tiled pairs them in the order (j, a, b)
+    table, at, t = [y for row in rows for y in row], range(0, k * m + 1, m), 2
+    level = None
+    best = min(columns[0], key=weight)
+    w, least = 1, weight(best)
+    while least * k > n * (w + 1) + k - 1:
+        if w == 2 < q:  # depth 3 afresh: spread[s] repeats each rows[s][a] and
+            # tiled each row q - 1 times, so cycling spread[s] along tiled
+            # pairs them in the order (j, a, b)
             spread = list(zip(*[column for column in columns for _ in range(m)]))
             tiled = [y for row in rows for y in row * m]
-            for s in range(k - 2, -1, -1):
-                tail[s] = [*map(add, cycle(spread[s]), tiled[(s + 1) * m * m:]), *tail[s + 1]]
-        best, least = None, n + 1
-
-        def walk(start, depth, prefix):
-            nonlocal best, least
-            if depth:
-                for i in range(start, k - depth - 1):
-                    for x in rows[i]:
-                        walk(i + 1, depth - 1, add(prefix, x))
-                return
-            word = min(map(add, repeat(prefix), tail[start]), key=weight)
-            if weight(word) < least:
-                best, least = word, weight(word)
-
-        for i in range(k - w + 1):  # the first row, with digit 1
-            walk(i + 1, w - 3, rows[i][0])
-        return best
-
-    w, best = 1, lightest(1)
-    while weight(best) * k > n * (w + 1) + k - 1:
+            level, marks = [], [0, 0]
+            for s in range(1, k - 1):
+                level += map(add, cycle(spread[s]), tiled[(s + 1) * m * m:])
+                marks.append(len(level))
+        elif level is not None and m > 1:  # the first rows' other digits
+            ones, ends, level, marks = level, marks, [], [0, 0]
+            for s in range(1, len(ends) - 1):
+                level += ones[ends[s]:ends[s + 1]]
+                for x in rows[s][1:]:
+                    level += map(add, repeat(x), table[at[s + 1]:])
+                marks.append(len(level))
+        if level is not None:
+            table, at, t = level, marks, w + 1
         w += 1
-        best = min(best, lightest(w), key=weight)
-    return DistanceWitness(weight(best), tuple(words.digits(best)), "oracle")
+        prefixes = zip(columns[0], range(1, k - w + 2))  # (rows[i][0], i + 1)
+        for stop in range(k - w + 2, k - t + 2):  # the rows past the table's depth
+            prefixes = _grown(prefixes, rows, add, stop)
+        sums = chain.from_iterable(map(add, repeat(prefix), table[at[s]:]) for prefix, s in prefixes)
+        # with t == w the sums of first row i are the next table's group i
+        sizes = [len(table) - a for a in at[1:k - w + 2]]
+        level = list(sums) if t == w and m * sum(sizes) <= MAX_TABLE_WORDS else None
+        marks = [*accumulate(sizes, initial=0)]
+        word = min(sums if level is None else level, key=weight)
+        if weight(word) < least:
+            best, least = word, weight(word)
+    return DistanceWitness(least, tuple(words.digits(best)), "oracle")
+
+
+def _grown(prefixes, rows, add, stop: int):
+    """The (prefix sum, next row) pairs of `prefixes`, each grown by one row
+    j, from its next row up to stop - 1, over j's digits: lazily, in that
+    order."""
+    return ((add(prefix, x), j + 1) for prefix, s in prefixes for j in range(s, stop) for x in rows[j])
 
 
 def has_distance_two(n: int, coset_reps) -> bool:

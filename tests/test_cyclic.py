@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from functools import cache, reduce
 from itertools import combinations
@@ -595,6 +596,54 @@ def test_binary_oracle_word_matches_reference_long_codes(code):
     d, word, _ = _reference_binary_oracle(code)
     got = min_distance_oracle(code)
     assert (got.d, got.codeword) == (d, word)
+
+
+# codes whose last level w is past the oracle's table budget: the table of
+# depth w, C(k, w - 1) (q - 1)^(w - 1) words, is never built, so that level
+# carries its outer rows as a prefix over a shallower table
+DEEP_BINARY = (2, 127, (1, 3, 5, 7, 11, 13, 19, 21, 23, 27, 29, 31, 47, 55, 63))  # k = 22, w = 7
+DEEP_TERNARY = (3, 80, (4, 5, 7, 11, 13, 14, 16, 17, 20, 22, 23, 25, 26, 40, 41, 44, 50, 53))  # k = 15, w = 6
+
+
+@pytest.mark.parametrize("q, n, reps", [DEEP_BINARY, DEEP_TERNARY])
+def test_oracle_word_matches_reference_past_the_table_budget(q, n, reps):
+    code = build_code(q, n, reps)
+    d, word, _ = (_reference_binary_oracle if q == 2 else qary_oracle)(code)
+    got = min_distance_oracle(code)
+    assert (got.d, got.codeword) == (d, word)
+    k = code.k
+    found = sum(1 for c in word[n - k:] if c)  # the rows in the witness's sum
+    last = next(v for v in range(found, k + 1) if d * k <= n * (v + 1) + k - 1)
+    assert math.comb(k, last - 1) * (q - 1) ** (last - 1) > cyclic.MAX_TABLE_WORDS
+    if q == 3:  # the witness is found on that last level, in the prefix pass
+        assert (d, found, last) == (32, 6, 6)
+
+
+def test_oracle_tables_stay_within_their_budget():
+    # unbounded, the tables of DEEP_BINARY's levels 6 and 7 reach 12.8 MB
+    code = build_code(*DEEP_BINARY)
+    expected = min_distance_oracle(code)  # the code's rows and words, built untraced
+    tracemalloc.start()
+    try:
+        got = min_distance_oracle(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected and peak < 4_000_000
+
+
+def test_oracle_word_does_not_depend_on_the_table_budget(monkeypatch):
+    # with no table past depth 3, every level from w = 4 on is a prefix
+    # pass over the pair table; each word found stays the one the tables
+    # find.  These (3; 56) codes of dimension 15 have d = 20 on a tie at
+    # w = 5 that only the order of a prefix row's digits before the next
+    # row breaks, and DEEP_TERNARY's last level carries four rows.
+    codes = [build_code(3, 56, reps) for reps in [(4, 5, 7, 8, 10, 11, 28, 29, 35),
+                                                  (1, 4, 5, 7, 8, 10, 28, 29, 35)]]
+    codes.append(build_code(*DEEP_TERNARY))
+    expected = [min_distance_oracle(code) for code in codes]
+    monkeypatch.setattr(cyclic, "MAX_TABLE_WORDS", 0)
+    assert [min_distance_oracle(code) for code in codes] == expected
 
 
 @cache
