@@ -138,25 +138,29 @@ def _step_orbits(in_c: bytes, reps, n: int):
 
 def _code_rows(defining_set, reps, n: int, search_w: bool):
     """The per-code half of the locator scan: (rows, stabilizer, layers,
-    ones, rotations).  rows holds (w, D_C row stepped by w), one step w per
-    stabilizer orbit (w = 1 alone when `search_w` is off); the stepped row
-    is M_w = {a : w*a in D_C} as a string of n digits "0" and "1".  `reps`
-    are as in _step_orbits.
+    ones, rotations, r0, full, field).  rows holds (w, D_C row stepped by
+    w), one step w per stabilizer orbit (w = 1 alone when `search_w` is
+    off); the stepped row is M_w = {a : w*a in D_C} as a string of n digits
+    "0" and "1".  `reps` are as in _step_orbits.
 
     layers[r - 1], r = 1 .. MAX_N_L, packs one field per step: field i,
     bits i*(n + 1) .. i*(n + 1) + n - 1, holds the step-1 Hartmann-Tzeng
     layer T_r(M_w) = {a : a, a + 1, ..., a + r - 1 in M_w} of the i-th
     step's row, and bit i*(n + 1) + n is a guard bit, always 0; `ones`
-    has bit 0 of every field.  Since w*(a + i) = w*a + i*w, this field is
-    w^-1 * T_r(w), with T_r(w) = {a : a, a + w, ..., a + (r - 1)w in D_C}
-    the step-w layer of D_C.  A run {a, a + w*p, ...} of T_r(w) is w times
-    a run {b, b + p, ...} of field i, so the layer test of mu_search, a
-    k-run of T_m(w) at step w*p, p the period of the locator's zeros, is a
-    k-run at step p in field i: the same step in every field.  Layer 1 is
-    the rows read as one binary numeral, and T_(r+1) = T_r & rot(T_r, 1)
-    in every field at once by _field_rotation.  `rotations` caches the
-    rotation by p for _scan, keyed by p and shared by every locator of
-    that period.
+    has bit 0 of every field and `field` is the mask of field 0.  Since
+    w*(a + i) = w*a + i*w, this field is w^-1 * T_r(w), with
+    T_r(w) = {a : a, a + w, ..., a + (r - 1)w in D_C} the step-w layer of
+    D_C.  A run {a, a + w*p, ...} of T_r(w) is w times a run
+    {b, b + p, ...} of field i, so the layer test of mu_search, a k-run of
+    T_m(w) at step w*p, p the period of the locator's zeros, is a k-run at
+    step p in field i: the same step in every field.  Layer 1 is the rows
+    read as one binary numeral, and T_(r+1) = T_r & rot(T_r, 1) in every
+    field at once by _field_rotation.  `rotations` caches the rotation by p
+    for _scan, keyed by p and shared by every locator of that period; it
+    starts with the rotation by 1 that built the layers.  r0 is the number
+    of nonempty layers, the opening length of _scan, and `full` says that
+    D_C is all of Z_n.  At p = 1 the layer test is exact, and _scan reads
+    the certificate off the deepest nonempty layer (see mu_search).
     The rows depend only on the code, so one code's rows serve every
     locator."""
     in_c = bytearray(n)
@@ -183,7 +187,8 @@ def _code_rows(defining_set, reps, n: int, search_w: bool):
             break
         layers[r] = t
         t &= rotate(t)
-    return rows, stab, layers, ones, {}
+    r0, full = MAX_N_L - layers.count(0), b"0" not in digits
+    return rows, stab, layers, ones, {1: rotate}, r0, full, (1 << n) - 1
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -230,7 +235,7 @@ def _cover(code_row: bytes, in_l, n_l: int) -> tuple[bytearray, int]:
     w*j mod n is in D_C (code_row, the stepped row, tiled n_l times) or
     j mod n_l is in D_L (the indices t, t + n_l, ... of each locator zero
     t), rotated to open at z, the first uncovered index.  mu_search builds
-    it only for the steps that pass the layer test."""
+    it only for the steps that pass the layer test, and never at p = 1."""
     cover = bytearray(code_row * n_l)
     covered = b"1" * len(code_row)  # the n cycle indices of one locator residue
     for t in in_l:
@@ -244,10 +249,15 @@ def _scan(n: int, code_rows, locator: LocatorSpec, floor: int) -> NzlCertificate
     None when no run of covered indices is at least `floor` long.  Floor 0
     always gives the certificate: mu = 1, the empty run, when no index is
     covered.  The scan, the degeneracy test, the layer tests (Lemmas 1 and
-    2) and the opening length r0 are those of mu_search.
+    2), the opening length r0 and the read-off at p = 1 are those of
+    mu_search.
 
-    Step i reads field i of a packed layer (see _code_rows), with L the
-    run still needed when the step comes up and m, p, s from
+    At p = 1 no cover is built: each member a of field i of the deepest
+    nonempty layer opens a longest run of step w_i, at e = w_i*a mod n and
+    t_l = 0.
+
+    Otherwise step i reads field i of a packed layer (see _code_rows), with
+    L the run still needed when the step comes up and m, p, s from
     _locator_zeros: runs[k - 1], T_m after k - 1 AND-rotations by p, when
     k = floor((L - m + 1)/p) > 0, and layer s[L] when k = 0 (s[L] = 0
     rules out no step).  These are the k and s[L] of a test of the step's
@@ -257,50 +267,66 @@ def _scan(n: int, code_rows, locator: LocatorSpec, floor: int) -> NzlCertificate
     if math.gcd(n, n_l) != 1:
         raise NotCoprime(f"gcd({n}, {n_l}) != 1")
     in_l, m, p, stretch = locator._zeros
-    rows, stab, layers, ones, rotations = code_rows
-    if not m or b"0" not in rows[0][1]:
+    rows, stab, layers, ones, rotations, r0, full, field = code_rows
+    if not m or full:
         raise DegenerateCover("the code and locator zero sets cover every index")
-    m = min(m, MAX_N_L)  # the layers kept
-    total = n * n_l
     best = None  # (-mu, e, t_l, w)
-    # the longest run found so far, or the least that counts (r0 as below)
-    longest = b"1" * max(floor, 1, MAX_N_L - layers.count(0))
     rotate = rotations.get(p)
     if rotate is None:
         rotate = rotations[p] = _field_rotation(n, p % n, ones)
-    field = (1 << n) - 1
-    runs = [layers[m - 1]]
-    for i, (w, code_row) in enumerate(rows):
-        k = (len(longest) - m + 1) // p
-        if k > 0:  # does field i of T_m hold a k-run at step p?
-            while len(runs) < k and runs[-1]:
-                runs.append(runs[-1] & rotate(runs[-1]))
-            x = runs[min(k, len(runs)) - 1]  # 0 when the runs die out before k
-        else:  # does field i hold a D_C run of the stretch s[L]?
-            span = stretch[len(longest)]
-            x = layers[min(span, MAX_N_L) - 1] if span else ones  # s[L] = 0 rules out no step
-        if not x:
-            break
-        if not x >> i * (n + 1) & field:
-            continue
-        cover, z = _cover(code_row, in_l, n_l)
-        if longest not in cover:
-            continue
-        while longest + b"1" in cover:
-            longest += b"1"
-        mu = len(longest) + 1
-        # cover opens with an uncovered index and holds no longer run, so
-        # each match of this pattern is one longest run, opening at at + 1
-        run = b"0" + longest
-        at = cover.find(run)
-        while at >= 0:
-            first = (z + at + 1) % total
-            e, t_l = w * first % n, first % n_l
+    if p == 1:  # every cover is the code's row tiled: read its runs off the layers
+        depth, x = r0, layers[r0 - 1]  # layers[-1] is 0 when r0 = 0
+        while depth >= MAX_N_L and (deeper := x & rotate(x)):
+            depth, x = depth + 1, deeper
+        mu = depth + 1
+        if depth < floor:  # no run counts
+            x = 0
+        while x:  # one longest run per bit
+            low = x & -x
+            x ^= low
+            i, a = divmod(low.bit_length() - 1, n + 1)
+            w = rows[i][0]
             for s in stab:
-                cand = (-mu, s * e % n, t_l, s * w % n)
+                cand = (-mu, s * w * a % n, 0, s * w % n)
                 if best is None or cand < best:
                     best = cand
-            at = cover.find(run, at + mu)
+    else:
+        m = min(m, MAX_N_L)  # the layers kept
+        total = n * n_l
+        # the longest run found so far, or the least that counts (r0 as below)
+        longest = b"1" * max(floor, 1, r0)
+        runs = [layers[m - 1]]
+        for i, (w, code_row) in enumerate(rows):
+            k = (len(longest) - m + 1) // p
+            if k > 0:  # does field i of T_m hold a k-run at step p?
+                while len(runs) < k and runs[-1]:
+                    runs.append(runs[-1] & rotate(runs[-1]))
+                x = runs[min(k, len(runs)) - 1]  # 0 when the runs die out before k
+            else:  # does field i hold a D_C run of the stretch s[L]?
+                span = stretch[len(longest)]
+                x = layers[min(span, MAX_N_L) - 1] if span else ones  # s[L] = 0 rules out no step
+            if not x:
+                break
+            if not x >> i * (n + 1) & field:
+                continue
+            cover, z = _cover(code_row, in_l, n_l)
+            if longest not in cover:
+                continue
+            while longest + b"1" in cover:
+                longest += b"1"
+            mu = len(longest) + 1
+            # cover opens with an uncovered index and holds no longer run, so
+            # each match of this pattern is one longest run, opening at at + 1
+            run = b"0" + longest
+            at = cover.find(run)
+            while at >= 0:
+                first = (z + at + 1) % total
+                e, t_l = w * first % n, first % n_l
+                for s in stab:
+                    cand = (-mu, s * e % n, t_l, s * w % n)
+                    if best is None or cand < best:
+                        best = cand
+                at = cover.find(run, at + mu)
     if best is None:
         if floor:
             return None
@@ -373,10 +399,23 @@ def mu_search(
     stepped row, and a k-run at step w*p is w times a k-run of T_m(M_w) at
     step p: the same step for every w, so the k - 1 AND-rotations of one
     int holding every step's T_m(M_w) are made once per locator, and each
-    step reads its own field of the result, or of layer s[L].  For the
-    trivial locator (n_l = m = p = 1, k = L) the test is exact.  The proofs
+    step reads its own field of the result, or of layer s[L].  The proofs
     hold for any block outside D_L, so a block longer than the MAX_N_L
     layers that _code_rows keeps is read as one of MAX_N_L residues.
+
+    Read-off at p = 1.  A zero set of period 1 is empty (D_L = Z_(n_l) is
+    degenerate): the trivial locator, whose bound is the BCH run, or a
+    custom one with an empty defining set.  Then every residue is outside
+    D_L, the cover of step w is the stepped row M_w tiled n_l times, and
+    the layer test is exact: w holds a covered run of length L exactly
+    when T_L(M_w) is nonempty.  So no cover is built.  The longest run L
+    is the depth of the deepest nonempty layer, the rotation by 1
+    continued past the MAX_N_L kept layers while the last one is nonempty,
+    and each member a of T_L(M_w) opens a longest run, a maximal one since
+    T_(L+1) is empty.  Its n_l copies on the cycle open at every residue
+    mod n_l, as gcd(n, n_l) = 1, so the least is t_l = 0, at e = w*a mod n,
+    and the tie-break is the least (s*e mod n, s*w mod n) over the
+    stabilizer below, as the cover scan would find.
 
     Opening length.  Let r0 be the number of nonempty layers, the largest
     r <= MAX_N_L with T_r(w) nonempty for some scanned step w.  The cover
@@ -393,9 +432,10 @@ def mu_search(
     S contains the powers of q.  `search_w=False` scans w = 1 alone, the
     paper's form of the bound.
 
-    The stepped code rows, their layers and the orbits depend only on the
-    code; they are built by _code_rows, which best_certificate calls once
-    per code and search_w for all its locators.
+    The stepped code rows, their layers, the opening length and the orbits
+    depend only on the code; they are built by _code_rows, which
+    best_certificate calls once per code and search_w for all its
+    locators.
     """
     defining_set = tuple(defining_set)
     return _scan(n, _code_rows(defining_set, defining_set, n, search_w), locator, 0)
@@ -454,7 +494,10 @@ def ht_improvement_predicate(d0: int, nu: int, m: int) -> bool:
 
 
 def trivial_locator() -> LocatorSpec:
-    """Length-1 full-space locator (codeword 1): degenerates to the BCH run."""
+    """Length-1 full-space locator (codeword 1): degenerates to the BCH run.
+    Its zero set is empty, of period 1, so the layer test of mu_search is
+    exact and the certificate is read off the code's layers, no cover
+    built."""
     return LocatorSpec("trivial", 1, 1, (), 1, (0,), (1,))
 
 

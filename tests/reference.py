@@ -294,10 +294,12 @@ def ht_template(mask: int, n: int, units, m2: int) -> tuple[int, ...]:
 def qary_oracle(spec) -> tuple[int, tuple[int, ...], int]:
     """(d, codeword, w) of the information-set pass of
     cyclic.min_distance_oracle with every w-row sum rebuilt by
-    reduce(add, ...) over combinations x product: the same rows, the first
-    row's digit fixed to 1, and the same stop rule; w is the number of rows
-    in the codeword's sum.  min keeps the first lightest word, so this is
-    the first one in (rows, then digits) lexicographic order."""
+    reduce(add, ...): the same rows, the first row's digit fixed to 1, and
+    the same stop rule; w is the number of rows in the codeword's sum.  A
+    level is weighed in the oracle's documented order, by the first w - 2
+    rows, each row's digit before the next row, then by the last two rows,
+    then their digits; min keeps the first lightest word, so this is the
+    first one in that order."""
     q, n, k = spec.q, spec.n, spec.k
     r = n - k
     words = PackedWords(q, n)
@@ -308,13 +310,21 @@ def qary_oracle(spec) -> tuple[int, tuple[int, ...], int]:
         for i, rem in enumerate(remainder_rows(words, cyclic.generator_polynomial(spec), range(n))[r:])
     ]
 
+    def terms(start, left):
+        """The sums' other `left` terms, rows from `start` on times a digit,
+        as tuples in that order."""
+        if left <= 2:
+            for picked in combinations(range(start, k), left):
+                yield from product(*(rows[i] for i in picked))
+            return
+        for i in range(start, k - left + 1):
+            for x in rows[i]:
+                for tail in terms(i + 1, left - 1):
+                    yield (x, *tail)
+
     def lightest(w):
         return min(
-            (
-                reduce(add, tail, rows[first][0])
-                for first, *rest in combinations(range(k), w)
-                for tail in product(*(rows[i] for i in rest))
-            ),
+            (reduce(add, tail, rows[first][0]) for first in range(k) for tail in terms(first + 1, w - 1)),
             key=weight,
         )
 

@@ -632,6 +632,18 @@ def test_oracle_tables_stay_within_their_budget():
     assert got == expected and peak < 4_000_000
 
 
+def test_qary_reference_weighs_in_the_oracle_order():
+    # d = 20 at w = 5 on a tie that only the order of a prefix row's digits
+    # before the next row breaks: weighed in (rows, then digits) order, the
+    # first lightest word is another one, of support 0, 1, 2, 5, 11, ...
+    code = build_code(3, 56, (4, 5, 7, 8, 10, 11, 28, 29, 35))
+    d, word, w = qary_oracle(code)
+    assert (code.k, d, w) == (15, 20, 5)
+    assert [i for i, c in enumerate(word) if c][:5] == [0, 1, 3, 4, 9]
+    got = min_distance_oracle(code)
+    assert (got.d, got.codeword) == (d, word)
+
+
 def test_oracle_word_does_not_depend_on_the_table_budget(monkeypatch):
     # with no table past depth 3, every level from w = 4 on is a prefix
     # pass over the pair table; each word found stays the one the tables

@@ -633,7 +633,8 @@ def _assert_search_matches_reference(code, mu_search_too):
     # reference builds in vain, so every certificate, tie-break and
     # exception is the reference's; the packed tests build the covers of
     # exactly the steps that the per-step tests pass (with one step the
-    # two are one)
+    # two are one), and at p = 1, where the certificate is read off the
+    # layers, none
     n, D = code.n, code.defining_set
     for search_w in (True, False):
         code_rows = nzl._code_rows(D, code.coset_reps, n, search_w)
@@ -654,10 +655,12 @@ def _assert_search_matches_reference(code, mu_search_too):
         edges = dict.fromkeys((cert.locator, floor) for cert in ranked for floor in (0, cert.mu - 1, cert.mu))
         for loc, floor in dict.fromkeys(scans + list(edges)):
             got, built = _scan_building(n, code_rows, loc, floor)
+            read_off = loc._zeros[2] == 1
+            assert not (read_off and built), (code, loc, floor)
             if layer_rows:
                 ref_built = []
                 want = _outcome(lambda: reference.layer_scan(n, layer_rows, loc, floor, ref_built))
-                assert (got, built) == (want, ref_built), (code, loc, floor)
+                assert got == want and (read_off or built == ref_built), (code, loc, floor)
             if floor == 0:
                 assert got == first[loc], (code, loc)
             elif (loc, floor) in edges:
@@ -669,15 +672,20 @@ def _assert_search_matches_reference(code, mu_search_too):
             assert got == _outcome(lambda: reference.mu_search(D, n, loc, search_w=search_w)), (code, loc)
 
 
-@pytest.mark.parametrize("q, lengths", [(2, range(1, 22, 2)), (3, range(1, 15)), (4, range(1, 16, 2)), (5, range(1, 13))])
-def test_search_matches_reference_scan_on_every_small_code(q, lengths):
+def _small_codes(q, lengths):
+    """Every q-ary cyclic code of each length coprime to q."""
     for n in lengths:
         if math.gcd(n, q) != 1:
             continue
         cosets = cyclic.coset_partition(n, q)
         for chosen in range(1 << len(cosets)):
-            reps = [min(c) for i, c in enumerate(cosets) if chosen >> i & 1]
-            _assert_search_matches_reference(cyclic.build_code(q, n, reps), True)
+            yield cyclic.build_code(q, n, [min(c) for i, c in enumerate(cosets) if chosen >> i & 1])
+
+
+@pytest.mark.parametrize("q, lengths", [(2, range(1, 22, 2)), (3, range(1, 15)), (4, range(1, 16, 2)), (5, range(1, 13))])
+def test_search_matches_reference_scan_on_every_small_code(q, lengths):
+    for code in _small_codes(q, lengths):
+        _assert_search_matches_reference(code, True)
 
 
 @pytest.mark.parametrize("q, n", [(2, 127), (2, 255), (3, 121)])
@@ -693,6 +701,29 @@ def test_search_matches_reference_scan_on_long_codes(q, n):
                 reps.append(min(c))
                 size += len(c)
         _assert_search_matches_reference(cyclic.build_code(q, n, reps), False)
+
+
+def test_read_off_matches_reference_scan():
+    # at p = 1 (the trivial locator, and an empty zero set of length 3) the
+    # certificate is read off the layers; (2; 255; 1,3,...,21) has a BCH run
+    # of 22, past the MAX_N_L kept layers
+    long_code = cyclic.build_code(2, 255, range(1, 22, 2))
+    locators = [trivial_locator(), nzl.custom_locator(2, 1, 3, ())]
+    for code in [*_small_codes(2, range(1, 22, 2)), long_code]:
+        n, D = code.n, code.defining_set
+        for loc in locators:
+            assert loc._zeros[2] == 1
+            for search_w in (True, False):
+                want = _outcome(lambda: reference.mu_search(D, n, loc, search_w=search_w))
+                assert _outcome(lambda: mu_search(D, n, loc, search_w=search_w)) == want, (code, loc)
+                if not isinstance(want, nzl.NzlCertificate):
+                    continue
+                code_rows = nzl._code_rows(D, code.coset_reps, n, search_w)
+                ref_rows = reference.scan_code_rows(D, n, search_w)
+                for floor in (0, want.mu - 1, want.mu):
+                    got, built = _scan_building(n, code_rows, loc, floor)
+                    assert (got, built) == (reference.scan(n, ref_rows, loc, floor), []), (code, loc, floor)
+    assert mu_search(long_code.defining_set, 255, locators[0]).mu == 23 > nzl.MAX_N_L + 1
 
 
 def _gap(D_L, n_l):
@@ -737,7 +768,7 @@ def test_ht_layer_lemma(data):
     # field i of packed layer r is w_i^-1 * T_r(w_i) with its guard bit 0,
     # and after k - 1 AND-rotations by n_l of T_m field i is nonzero exactly
     # when T_m(w_i) has a k-run at step w_i*n_l
-    rows, _, layers, ones, _ = nzl._code_rows(sorted(D), sorted(D), n, True)
+    rows, _, layers, ones, *_ = nzl._code_rows(sorted(D), sorted(D), n, True)
     width = n + 1
     assert ones == sum(1 << i * width for i in range(len(rows)))
     for i, (step, row) in enumerate(rows):
@@ -828,8 +859,8 @@ def test_period_stretch_and_opening_lemmas(data):
                 assert _has_run(_layer(D, n, w, top), n, w * p % n, k), (L, k, top, p)
             else:
                 assert not stretch[L] or _layer(D, n, w, stretch[L]), (L, stretch[L])
-    rows, _, layers, _, _ = nzl._code_rows(sorted(D), sorted(D), n, True)
-    r0 = nzl.MAX_N_L - layers.count(0)
+    rows, _, layers, _, _, r0, *_ = nzl._code_rows(sorted(D), sorted(D), n, True)
+    assert r0 == nzl.MAX_N_L - layers.count(0)
     assert r0 <= max(_longest_covered(D, n, DL, n_l, step) for step, _ in rows)
     # the scan built on the three tests
     for search_w in (True, False):
