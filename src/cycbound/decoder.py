@@ -11,22 +11,28 @@ Both S and the remainder r mod g are GF(q)-linear in the digits of the
 received word r, so one packed row per position i and digit c holds
 c * (x^i mod g) over the n - k coordinates of a remainder (gf.PackedWords)
 and, above them, c * alpha^((w*j+e)*i) * a_j for every j: one sum of the
-rows the word's digits select gives both.  The word is read once as bytes
-(q <= 256), and the rows are picked at C level, by itertools.compress per
-digit value for q <= 3, so the interpreter never steps through the word.
+rows the word's digits select gives both.  As in table-driven CRC
+(Sarwate 1988) the rows are summed a chunk of positions at a time: one
+table per 4 positions for q = 2 and per 2 for q in {3, 4} holds the sum of
+its positions' rows for every digit pattern, and for larger q a table is
+one position's rows.  The word is read once as bytes (q <= 256); for
+q <= 4 it is read as one int in base 2 or 4 whose hex digits are the
+table indices, so the interpreter never steps through the word.
 In odd characteristic every base-p digit of a row has a byte lane when a
-byte holds four digits (p < 65): the rows are summed as plain ints by the
-built-in sum and each byte is then reduced mod p by one bytes.translate.
-The syndromes, the zero-syndrome test and the final re-encoding check all
-read that one reduced sum.  The Key Equation
+byte holds four digits (p < 65): the table entries are summed as plain ints
+by the built-in sum and each byte is then reduced mod p by one
+bytes.translate.  The syndromes, the zero-syndrome test and the final
+re-encoding check all read that one reduced sum.  The Key Equation
 S = Omega / Lambda mod x^(mu-1) is solved by Berlekamp-Massey, equivalent
 to the paper's Euclidean formulation (Dornstetter 1987); error positions
 come from a root scan of Lambda and error values from a generalized Forney
 formula.  The root scan runs on packed rows too: for every power i up to
 floor((mu - 1) / 2), the largest degree of Lambda, every place b < m of
-GF(p^m) and every digit d of GF(p), the context packs d * x^b * gamma_p^i
-over the n Chien points gamma_p (gf.PackedLanes), so Lambda at all n points
-is a sum of one such row per nonzero digit of its coefficients.
+GF(p^m) and every digit d of GF(p), d * x^b * gamma_p^i is packed over the
+n Chien points gamma_p (gf.PackedLanes), and these rows are chunked like
+the remainder's, 4 places per table for p = 2 and 2 for p = 3, so Lambda at
+all n points is a sum of one table entry per nonzero chunk of base-p digits
+of its coefficients.
 The locator enters the Forney formula only as f'(beta^-kappa) /
 h(beta^-kappa), kappa the smallest support index: every term of f' and h
 but kappa's vanishes there, which leaves the constant -beta^kappa /
@@ -48,7 +54,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain, compress, islice
+from itertools import islice
 from typing import Callable, Iterable
 
 from . import cyclic
@@ -115,10 +121,12 @@ class DecoderContext:
     to_elt: tuple[int, ...]
     to_digit: dict[int, int]
     words: PackedWords  # over the n - k coordinates of a remainder mod g, in the rows' lanes
-    # rows[i][c] packs c * (x^i mod g) in its low `high` bits and, above, the
-    # syndrome row c * alpha^((w*j+e)*i) * a_j in fields of syn_width bits
-    rows: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...]  # q <= 3: columns[c][i] = rows[i][c]; else empty
+    # the row of digit c at position i packs c * (x^i mod g) in its low `high`
+    # bits and, above, the syndrome row c * alpha^((w*j+e)*i) * a_j in fields
+    # of syn_width bits; tables[k][x] is the reduced sum of the rows of the
+    # positions i = size*k + s, s < size, at the digits x_s of
+    # x = sum_s x_s * radix^s, (size, radix) = _POSITIONS[q] or (1, q)
+    tables: tuple[tuple[int, ...], ...]
     high: int
     syn_width: int
     syn_low: int  # odd p: the bits of lane 0 of every syndrome field
@@ -126,12 +134,19 @@ class DecoderContext:
     # by lane (see _sum_rows)
     sum_rows: Callable[[Iterable[int], int, int], int]
     points: PackedLanes  # words of GF(p^m) elements over the n Chien points
-    scan: tuple[tuple[tuple[int, ...], ...], ...]  # scan[i][b][d] packs d * x^b * gamma_p^i
+    # scan[i][k][x] packs the sum of x_s * x^b * gamma_p^i over the places
+    # b = size*k + s, s < size, x = sum_s x_s * p^s, size = _PLACES[p] or 1
+    scan: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 _BYTES = bytes(range(256))
-# _SELECT[c] maps byte c to 1 and every other byte to 0, for the digits c < 3
-_SELECT = tuple(bytes(c) + b"\x01" + bytes(255 - c) for c in range(3))
+# (positions per remainder table, radix of its index) by q: for q <= 4 an
+# index is one hex digit of the word read in base 2 or 4 (see remainder)
+_POSITIONS = {2: (4, 2), 3: (2, 4), 4: (2, 4)}
+# base-p places per root-scan table by p; other p take one place per table
+_PLACES = {2: 4, 3: 2}
+_ASCII = bytes.maketrans(bytes(range(4)), b"0123")  # the digits d < 4 as ASCII
+_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))  # hex digit -> value
 
 
 @dataclass
@@ -168,7 +183,8 @@ def _scan_rows(field: FieldCtx, points: PackedLanes, chien, count: int):
     the multiples d are lane adds.  gamma_p^(i+1) is the sum over places b
     of the rows (i, b, d) restricted to the points whose gamma_p has digit d
     at place b.  So only gamma itself is packed from the antilog table, and
-    every other row costs a few int operations.
+    every other row costs a few int operations.  build_context chunks each
+    power's places into the tables of DecoderContext.scan (_chunk_tables).
     """
     p, m, b = field.p, field.m, points.lane_bits
     every, full = points.every, (1 << points.width) - 1
@@ -244,6 +260,25 @@ def _rows(field: FieldCtx, words: PackedWords, g, n: int, to_elt, l_alpha: int, 
     if q == p:
         return [tuple(row_lanes.multiples(row)) for row in digit_rows(1)]
     return [(0, *row) for row in zip(*[digit_rows(c) for c in range(1, q)])]
+
+
+def _chunk_tables(rows, size: int, radix: int, add) -> tuple[tuple[int, ...], ...]:
+    """One table per `size` consecutive members of `rows`, the last one
+    taking what is left: table[x] is the sum by `add` of rows[s][x_s] over
+    the slots s of its chunk, x = sum_s x_s * radix^s, slot 0 lowest.  A
+    row lists the rows of the digits 0, 1, ..., row[0] = 0, and one shorter
+    than radix is read as zero rows above.  The table of a chunk's first
+    s + 1 slots is radix copies of the table of its first s, copy c each
+    entry plus rows[s][c]: one add per entry where neither is 0, and the
+    other one itself where one is, so a one-slot table holds the rows."""
+    tables = []
+    for start in range(0, len(rows), size):
+        table = [0]
+        for row in rows[start:start + size]:
+            table = [add(t, r) if t and r else t or r for r in (*row, *[0] * (radix - len(row)))
+                     for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _sum_rows(p: int, size: int, add) -> Callable[[Iterable[int], int, int], int]:
@@ -325,7 +360,7 @@ def build_context(
     b = words.lane_bits
     width = field.m if p == 2 else field.m * b  # m plain bits, or m lanes
     high = words.n * words.width
-    rows = tuple(_rows(field, words, g, code.n, to_elt, log[alpha], cert, a_j, width, row_lanes))
+    rows = _rows(field, words, g, code.n, to_elt, log[alpha], cert, a_j, width, row_lanes)
     return DecoderContext(
         code=code,
         locator=locator,
@@ -343,23 +378,23 @@ def build_context(
         to_elt=to_elt,
         to_digit=to_digit,
         words=words,
-        rows=rows,
-        columns=tuple(zip(*rows)) if q <= 3 else (),
+        tables=_chunk_tables(rows, *_POSITIONS.get(q, (1, q)), row_lanes.add),
         high=high,
         syn_width=width,
         syn_low=0 if p == 2 else PackedLanes(p, field.m, len(a_j), b).every * ((1 << b) - 1),
         sum_rows=_sum_rows(p, (high + len(a_j) * width) // 8 if lane_bits else 0, row_lanes.add),
         points=points,
         # solve_key_equation keeps deg Lambda <= floor((mu - 1) / 2)
-        scan=_scan_rows(field, points, chien, (cert.mu - 1) // 2 + 1),
+        scan=tuple(_chunk_tables(per_place, _PLACES.get(p, 1), p, points.add)
+                   for per_place in _scan_rows(field, points, chien, (cert.mu - 1) // 2 + 1)),
     )
 
 
 def _digits(word, q: int):
     """The word's digits as bytes (q <= 256) or as an unsigned array, read in
     one C-level pass; ValueError unless every digit is an integer in
-    [0, q).  A selector of remainder would read an out-of-range byte as no
-    digit at all, so the valid bytes are deleted and nothing may remain."""
+    [0, q).  remainder would read an out-of-range byte as another digit or
+    past a table, so the valid bytes are deleted and nothing may remain."""
     try:
         digits = bytes(word) if q <= 256 else array("L", word)
     except (TypeError, ValueError, OverflowError):
@@ -371,25 +406,24 @@ def _digits(word, q: int):
 
 
 def remainder(ctx: DecoderContext, word) -> int:
-    """The word's packed row sum, the sum of rows[i][digit i]: its remainder
-    mod g in the low ctx.high bits and its syndromes above (see syndromes),
-    every lane reduced.  The rows are picked at C level, so the interpreter
-    never steps through the word: for q <= 3, compress takes the rows of
-    column c at the bytes equal to c, one scan per digit value c present;
-    with more digit values those scans cost more than one map of
-    operator.getitem over the positions, which picks every row, the zero
-    rows of digit 0 included."""
+    """The word's packed row sum, the sum of the rows of its digits: its
+    remainder mod g in the low ctx.high bits and its syndromes above (see
+    syndromes), every lane reduced.  One entry of each table ctx.tables is
+    picked by one map of operator.getitem, so the interpreter never steps
+    through the word.  For q > 4 the digits are the indices.  For q <= 4
+    the digits, position 0 last, are read as ASCII by one int in base 2 or
+    4, so that each hex digit of that int holds the digits of one table's
+    4 or 2 positions, the lowest position in its low bits; the hex string,
+    low digit first, is turned into the indices by one bytes.translate."""
     n, q = ctx.code.n, ctx.code.q
     if len(word) != n:
         raise LengthMismatch(f"expected {n} digits, got {len(word)}")
     digits = _digits(word, q)
-    if q <= 3:
-        columns = ctx.columns
-        terms = chain.from_iterable(compress(columns[c], digits.translate(_SELECT[c]))
-                                    for c in range(1, q) if c in digits)
-    else:
-        terms = map(operator.getitem, ctx.rows, digits)
-    return ctx.sum_rows(terms, n, 0)
+    tables = ctx.tables
+    if q <= 4:
+        x = int(digits[::-1].translate(_ASCII), 2 if q == 2 else 4)
+        digits = format(x, f"0{len(tables)}x")[::-1].encode().translate(_HEX)
+    return ctx.sum_rows(map(operator.getitem, tables, digits), len(tables), 0)
 
 
 def syndromes(ctx: DecoderContext, s: int) -> list[int]:
@@ -476,23 +510,27 @@ def solve_key_equation(field: FieldCtx, S, mu: int) -> tuple[list[int], list[int
 def find_error_positions(ctx: DecoderContext, lam) -> tuple[int, ...]:
     """Positions p with Lambda(beta^-kappa * alpha^(-w*p)) = 0, Lambda a
     coefficient list; the count must tile deg Lambda into d_l-sized blocks.
-    The root scan (Chien) sums, for every nonzero base-p digit d at place b
-    of every coefficient lambda_i, the packed row d * x^b * gamma_p^i of all
-    n points at once; the points where the sum is zero are the roots."""
+    The root scan (Chien) sums, for every coefficient lambda_i and every
+    chunk of its base-p places that holds a nonzero digit, the entry of the
+    chunk's table ctx.scan[i][k] at those digits, the packed sum of the rows
+    d * x^b * gamma_p^i of all n points at once; divmod by p^size splits
+    off one chunk's digits.  The points where the sum is zero are the
+    roots."""
     if not lam or lam[0] != 1:
         raise InconsistentLocator("locator polynomial must satisfy Lambda(0) = 1")
     degree = len(lam) - 1
     if degree >= len(ctx.scan):
         raise InconsistentLocator(f"degree {degree} exceeds the correctable {len(ctx.scan) - 1}")
     p, add = ctx.field.p, ctx.points.add
+    radix = p ** _PLACES.get(p, 1)
     acc = 0
-    for rows, c in zip(ctx.scan, lam):
-        for row in rows:
+    for tables, c in zip(ctx.scan, lam):
+        for table in tables:
             if not c:
                 break
-            c, d = divmod(c, p)
+            c, d = divmod(c, radix)
             if d:
-                acc = add(acc, row[d])
+                acc = add(acc, table[d])
     positions = ctx.points.zeros(acc)
     if len(positions) * ctx.locator.d_l != degree:
         raise InconsistentLocator(f"{len(positions)} roots cannot account for degree {degree}")
@@ -558,12 +596,15 @@ def decode(ctx: DecoderContext, received) -> DecodeResult:
         if not positions:
             raise InconsistentLocator("nonzero syndrome but no error positions")
         values = error_values(ctx, lam, omega, positions)
-        df, rows = ctx.words.df, ctx.rows
+        df, tables = ctx.words.df, ctx.tables
+        size, radix = _POSITIONS.get(df.q, (1, df.q))
         corrected = list(received)
         for p, v in values.items():
             corrected[p] = df.sub(corrected[p], v)
-        # the row sum is linear: add the rows of the corrections -v at p
-        s = ctx.sum_rows([rows[p][df.neg(v)] for p, v in values.items()], len(values), s)
+        # the row sum is linear: add the rows of the corrections -v at p, each
+        # the entry of p's table with -v in p's slot and 0 in the others
+        s = ctx.sum_rows([tables[p // size][df.neg(v) * radix ** (p % size)]
+                          for p, v in values.items()], len(values), s)
         if s & (1 << ctx.high) - 1:  # g divides exactly the codewords
             raise InconsistentLocator("corrected word fails the defining-set recheck")
     except DecoderError as err:

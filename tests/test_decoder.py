@@ -1,15 +1,18 @@
 import ast
 import functools
 import inspect
+import operator
 import pathlib
 import random
 import re
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycbound import cyclic, decoder, nzl
+from cycbound import cli, cyclic, decoder, nzl
 from cycbound.cyclic import PreconditionViolated
 from cycbound.decoder import (
     InconsistentLocator,
@@ -30,7 +33,7 @@ from cycbound.gf import (
     subfield_digit_maps,
 )
 from cycbound.nzl import verify_certificate
-from reference import Poly, euclid_key_equation, padd, pdivmod, pmod, pmul, pone, psub
+from reference import Poly, euclid_key_equation, padd, pdivmod, pmod, pmul, pone, psub, small_codes
 
 
 @pytest.fixture(scope="module")
@@ -232,20 +235,24 @@ def test_syndromes_zero_word_and_length(ctx21):
 @pytest.mark.parametrize("check", ["syndromes", "is_codeword"])
 def test_digits_outside_range_rejected(check, digit):
     # -1 must not be read as the digit q - 1 by negative indexing, and a
-    # byte outside [0, q) must not be read as the digit 0 by a selector; on
-    # (2; 21), (3; 80) and GF(4), and past either side of the byte lanes
+    # byte outside [0, q) must not be read as another digit or index past a
+    # remainder table; on (2; 21), (3; 80) and GF(4), and past either side
+    # of the byte lanes
     for key in [_CONTEXTS["binary-21"], _CONTEXTS["ternary-80"], (4, 21, (1, 2, 3)), *_EDGE_CODES]:
         ctx = _context(*key)
         q = ctx.code.q
         if digit == 256 and q > 256:
             continue
-        word = [0] * ctx.code.n
-        word[3] = q if digit == "q" else digit
-        with pytest.raises(ValueError, match=rf"digits must be integers in \[0, {q}\)"):
-            if check == "syndromes":
-                remainder(ctx, word)
-            else:
-                cyclic.is_codeword(ctx.code, word)
+        # position 3, and n - 1, in the last remainder table, partial where
+        # q <= 4 and the table size does not divide n
+        for position in (3, ctx.code.n - 1):
+            word = [0] * ctx.code.n
+            word[position] = q if digit == "q" else digit
+            with pytest.raises(ValueError, match=rf"digits must be integers in \[0, {q}\)"):
+                if check == "syndromes":
+                    remainder(ctx, word)
+                else:
+                    cyclic.is_codeword(ctx.code, word)
 
 
 def test_syndromes_single_error_closed_form(ctx21):
@@ -697,6 +704,95 @@ def test_remainder_half_is_the_word_mod_g(key):
         assert ctx.words.digits(remainder(ctx, word) & (1 << ctx.high) - 1) == expect, word
 
 
+def _position_row(ctx, i, c):
+    """The row of digit c at position i from its definition: c * (x^i mod g)
+    by long division, packed by ctx.words in the low ctx.high bits, and in
+    field j above them c * alpha^((w*j+e)*i) * a(beta^(j+t_l)), as its bits
+    for p = 2 and as its base-p digits in lanes of words.lane_bits
+    otherwise."""
+    field, cert, words, to_elt = ctx.field, ctx.cert, ctx.words, ctx.to_elt
+    g = Poly(field, [to_elt[d] for d in cyclic.generator_polynomial(ctx.code)])
+    rem = pmod(Poly(field, (0,) * i + (to_elt[c],)), g).coeffs
+    row = words.pack([ctx.to_digit[e] for e in rem] + [0] * (g.degree - len(rem)))
+    p, b = field.p, words.lane_bits
+    for j in range(cert.mu - 1):
+        a = ctx.a_evals[j % ctx.locator.n_l]
+        e = field.mul(field.mul(to_elt[c], field.pow(ctx.alpha, (cert.w * j + cert.e) * i)), a)
+        if p != 2:
+            e = sum(e // p**t % p << t * b for t in range(field.m))
+        row |= e << ctx.high + j * ctx.syn_width
+    return row
+
+
+def _lane_sum(ctx, rows):
+    """The rows added lane by lane mod p: XOR for p = 2, otherwise as ints,
+    each lane of words.lane_bits bits then reduced mod p."""
+    p, b = ctx.field.p, ctx.words.lane_bits
+    if p == 2:
+        return functools.reduce(operator.xor, rows, 0)
+    total, out, shift = sum(rows), 0, 0
+    while total >> shift:
+        out |= (total >> shift & (1 << b) - 1) % p << shift
+        shift += b
+    return out
+
+
+@pytest.mark.parametrize("key", _SCAN_CODES + _MULTI_LANE_CODES + _EDGE_CODES, ids=str)
+def test_remainder_tables_sum_their_positions_rows(key):
+    # every entry of the first and the last (partial where the table size
+    # does not divide n) table is the reduced sum of the rows of its
+    # positions at the digits of its index, the lowest position in the
+    # lowest index digit
+    ctx = _context(*key)
+    q, n, tables = ctx.code.q, ctx.code.n, ctx.tables
+    size, radix = decoder._POSITIONS.get(q, (1, q))
+    assert len(tables) == -(-n // size)
+    for k in (0, len(tables) - 1):
+        positions = range(k * size, min(n, k * size + size))
+        assert len(tables[k]) == radix ** len(positions)
+        rows = {(i, c): _position_row(ctx, i, c) for i in positions for c in range(q)}
+        for digits in product(range(q), repeat=len(positions)):
+            x = sum(c * radix**s for s, c in enumerate(digits))
+            want = _lane_sum(ctx, [rows[i, c] for i, c in zip(positions, digits)])
+            assert tables[k][x] == want, (k, digits)
+
+
+@pytest.mark.parametrize("key", _SCAN_CODES + _MULTI_LANE_CODES + _EDGE_CODES, ids=str)
+def test_scan_tables_sum_their_places_rows(key):
+    # every entry of each power's root-scan tables is the sum of the
+    # per-place rows of _scan_rows at the base-p digits of its index
+    ctx = _context(*key)
+    p, add = ctx.field.p, ctx.points.add
+    size = decoder._PLACES.get(p, 1)
+    per_place = decoder._scan_rows(ctx.field, ctx.points, ctx.chien, len(ctx.scan))
+    assert len(per_place) == len(ctx.scan)
+    for i, (tables, rows) in enumerate(zip(ctx.scan, per_place)):
+        assert len(tables) == -(-len(rows) // size)
+        for k, table in enumerate(tables):
+            chunk = rows[k * size:k * size + size]
+            assert len(table) == p ** len(chunk)
+            for x, entry in enumerate(table):
+                want = functools.reduce(add, [row[x // p**s % p] for s, row in enumerate(chunk)], 0)
+                assert entry == want, (i, k, x)
+
+
+# bytes that build_context keeps: 146.7 kB and 64.3 kB measured with one
+# table per 4 binary or 2 ternary positions and places, plus 25 % headroom
+@pytest.mark.parametrize("key, limit", [((2, 255, (1, 3, 5, 7)), 184_000),
+                                        ((3, 121, (1, 2, 4, 5)), 81_000)], ids=str)
+def test_build_context_memory_bound(key, limit):
+    code = cyclic.build_code(*key)
+    cert, _ = nzl.best_bound(code)
+    build_context(code, cert.locator, cert)  # the field and the code's state
+    tracemalloc.start()
+    try:
+        ctx = build_context(code, cert.locator, cert)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.tables and size <= limit, size
+
+
 def test_decode_rechecks_the_corrected_word(monkeypatch):
     # a wrong error value leaves a word outside the code, which the final
     # re-encoding check must refuse rather than return
@@ -952,6 +1048,43 @@ def test_decode_roundtrip_longest_lengths(q, n, reps):
         res = decode(ctx, word)
         assert res.status == "success" and res.corrected == cw
         assert res.positions == tuple(sorted(positions))
+
+
+# --- decode's own path on every pattern of small codes -----------------------
+
+
+@pytest.mark.parametrize("q, n, counts", [(2, 15, (25, 21_643, 19_343)), (3, 10, (7, 9_320, 17_808))])
+def test_decode_every_pattern_within_and_one_past_the_radius(q, n, counts):
+    # the certificate and context that `cycbound decode` takes, on every code
+    # of the length with t >= 1: from one seeded codeword every error pattern
+    # of weight 1..t, with every nonzero value, decodes to that codeword, and
+    # every pattern of weight t + 1 gives a codeword or a failure
+    rng = random.Random(17)
+    codes, patterns = 0, [0, 0]  # within the radius, one past it
+    locators = nzl.candidate_locators(n, q)
+    for code in small_codes(q, [n]):
+        # the zero code has no certificate, and below d* = 3 no context
+        if not code.k or nzl.best_certificate(code, locators).d_star < 3:
+            continue
+        cert, ctx = cli._decodable_certificate(code, locators, True)
+        t = (cert.d_star - 1) // 2
+        codes += 1
+        cw = cyclic.random_codeword(code, rng)
+        for weight in range(1, t + 2):
+            for positions in combinations(range(n), weight):
+                for values in product(range(1, q), repeat=weight):
+                    word = list(cw)
+                    for p, v in zip(positions, values):
+                        word[p] = (word[p] + v) % q
+                    res = decode(ctx, word)
+                    if weight <= t:
+                        assert res.status == "success" and res.corrected == cw, (code, word)
+                    elif res.status == "success":
+                        assert cyclic.is_codeword(code, res.corrected), (code, word)
+                    else:
+                        assert res.corrected is None and res.reason, (code, word)
+                    patterns[weight > t] += 1
+    assert (codes, *patterns) == counts
 
 
 # --- the contract with the benchmark's tracer --------------------------------

@@ -672,19 +672,9 @@ def _assert_search_matches_reference(code, mu_search_too):
             assert got == _outcome(lambda: reference.mu_search(D, n, loc, search_w=search_w)), (code, loc)
 
 
-def _small_codes(q, lengths):
-    """Every q-ary cyclic code of each length coprime to q."""
-    for n in lengths:
-        if math.gcd(n, q) != 1:
-            continue
-        cosets = cyclic.coset_partition(n, q)
-        for chosen in range(1 << len(cosets)):
-            yield cyclic.build_code(q, n, [min(c) for i, c in enumerate(cosets) if chosen >> i & 1])
-
-
 @pytest.mark.parametrize("q, lengths", [(2, range(1, 22, 2)), (3, range(1, 15)), (4, range(1, 16, 2)), (5, range(1, 13))])
 def test_search_matches_reference_scan_on_every_small_code(q, lengths):
-    for code in _small_codes(q, lengths):
+    for code in reference.small_codes(q, lengths):
         _assert_search_matches_reference(code, True)
 
 
@@ -709,7 +699,7 @@ def test_read_off_matches_reference_scan():
     # of 22, past the MAX_N_L kept layers
     long_code = cyclic.build_code(2, 255, range(1, 22, 2))
     locators = [trivial_locator(), nzl.custom_locator(2, 1, 3, ())]
-    for code in [*_small_codes(2, range(1, 22, 2)), long_code]:
+    for code in [*reference.small_codes(2, range(1, 22, 2)), long_code]:
         n, D = code.n, code.defining_set
         for loc in locators:
             assert loc._zeros[2] == 1
