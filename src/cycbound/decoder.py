@@ -13,10 +13,10 @@ c * (x^i mod g) over the n - k coordinates of a remainder (gf.PackedWords)
 and, above them, c * alpha^((w*j+e)*i) * a_j for every j: one sum of the
 rows the word's digits select gives both.  As in table-driven CRC
 (Sarwate 1988) the rows are summed a chunk of positions at a time: one
-table per 4 positions for q = 2 and per 2 for q in {3, 4} holds the sum of
+table per 4 positions for q = 2 and per 2 for q = 3 holds the sum of
 its positions' rows for every digit pattern, and for larger q a table is
 one position's rows.  The word is read once as bytes (q <= 256); for
-q <= 4 it is read as one int in base 2 or 4 whose hex digits are the
+q <= 3 it is read as one int in base 2 or 4 whose hex digits are the
 table indices, so the interpreter never steps through the word.
 In odd characteristic every base-p digit of a row has a byte lane when a
 byte holds four digits (p < 65): the table entries are summed as plain ints
@@ -140,12 +140,12 @@ class DecoderContext:
 
 
 _BYTES = bytes(range(256))
-# (positions per remainder table, radix of its index) by q: for q <= 4 an
+# (positions per remainder table, radix of its index) by q: for q <= 3 an
 # index is one hex digit of the word read in base 2 or 4 (see remainder)
-_POSITIONS = {2: (4, 2), 3: (2, 4), 4: (2, 4)}
+_POSITIONS = {2: (4, 2), 3: (2, 4)}
 # base-p places per root-scan table by p; other p take one place per table
 _PLACES = {2: 4, 3: 2}
-_ASCII = bytes.maketrans(bytes(range(4)), b"0123")  # the digits d < 4 as ASCII
+_ASCII = bytes.maketrans(bytes(range(3)), b"012")  # the digits d < 3 as ASCII
 _HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))  # hex digit -> value
 
 
@@ -410,7 +410,7 @@ def remainder(ctx: DecoderContext, word) -> int:
     remainder mod g in the low ctx.high bits and its syndromes above (see
     syndromes), every lane reduced.  One entry of each table ctx.tables is
     picked by one map of operator.getitem, so the interpreter never steps
-    through the word.  For q > 4 the digits are the indices.  For q <= 4
+    through the word.  For q > 3 the digits are the indices.  For q <= 3
     the digits, position 0 last, are read as ASCII by one int in base 2 or
     4, so that each hex digit of that int holds the digits of one table's
     4 or 2 positions, the lowest position in its low bits; the hex string,
@@ -420,7 +420,7 @@ def remainder(ctx: DecoderContext, word) -> int:
         raise LengthMismatch(f"expected {n} digits, got {len(word)}")
     digits = _digits(word, q)
     tables = ctx.tables
-    if q <= 4:
+    if q <= 3:
         x = int(digits[::-1].translate(_ASCII), 2 if q == 2 else 4)
         digits = format(x, f"0{len(tables)}x")[::-1].encode().translate(_HEX)
     return ctx.sum_rows(map(operator.getitem, tables, digits), len(tables), 0)

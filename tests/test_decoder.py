@@ -244,7 +244,7 @@ def test_digits_outside_range_rejected(check, digit):
         if digit == 256 and q > 256:
             continue
         # position 3, and n - 1, in the last remainder table, partial where
-        # q <= 4 and the table size does not divide n
+        # q <= 3 and the table size does not divide n
         for position in (3, ctx.code.n - 1):
             word = [0] * ctx.code.n
             word[position] = q if digit == "q" else digit
