@@ -123,8 +123,9 @@ def main(argv=None) -> int:
                     if args.raw:
                         with open(args.raw, "a", encoding="utf-8") as fh:
                             fh.write(line + "\n")
-                    print(f"{workload} seed {seed} {side}: ops_per_s "
-                          f"{result['metrics']['ops_per_s']['value']:.6g}", file=sys.stderr)
+                    metrics = result["metrics"]
+                    print(f"{workload} seed {seed} {side}: ops_per_s {metrics['ops_per_s']['value']:.6g}"
+                          f" setup_s {metrics['setup_s']['value']:.4g}", file=sys.stderr)
     rows = rows_from_raw(lines, end_to_end)
     doc = {
         "change": args.change_text,

@@ -6,6 +6,11 @@ candidate locator generation, an exact information-set distance oracle,
 constructions of lowest-rate distance-2/3 binary cyclic codes, and
 syndrome decoding up to floor((d* - 1) / 2) errors through a generalized
 Key Equation.
+
+The decoder's names (DecodeResult, DecoderContext, build_context, decode)
+are exported as before, but cycbound.decoder is imported on first access
+to one of them (a module __getattr__, PEP 562), so a process that only
+bounds codes never loads it.
 """
 
 from .gf import (
@@ -48,7 +53,17 @@ from .nzl import (
     spc_closed_form,
     verify_certificate,
 )
-from .decoder import DecodeResult, DecoderContext, build_context, decode
+
+_DECODER_NAMES = frozenset({"DecodeResult", "DecoderContext", "build_context", "decode"})
+
+
+def __getattr__(name: str):
+    if name in _DECODER_NAMES:
+        from . import decoder
+
+        return getattr(decoder, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BchWitness",

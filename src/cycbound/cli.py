@@ -27,7 +27,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import cyclic, decoder, fixtures, nzl
+from . import cyclic, nzl
 from .cyclic import TooManyCodewords
 from .gf import MAX_FIELD_SIZE, FieldTooLarge, prime_power
 
@@ -245,6 +245,8 @@ def _decodable_certificate(code: cyclic.CyclicCodeSpec, locators, search_w: bool
     locators that remain, which searches the rows the code already keeps.
     The skipped locators are named on stderr; when none fits, the first
     one's error is raised."""
+    from . import decoder
+
     skipped = []
     while locators:
         cert = nzl.best_certificate(code, locators, search_w=search_w)
@@ -263,6 +265,8 @@ def _decodable_certificate(code: cyclic.CyclicCodeSpec, locators, search_w: bool
 
 
 def cmd_decode(args) -> int:
+    from . import decoder
+
     code = load_code_spec(args.spec)
     word = _parse_word(args.received, code.q, code.n)
     if args.trivial:
@@ -287,6 +291,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import fixtures
+
     results = fixtures.run_fixtures(only=args.only)
     if not results:
         raise UsageError(f"no fixture matches {args.only!r}")

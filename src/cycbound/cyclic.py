@@ -37,7 +37,6 @@ from functools import lru_cache, wraps
 from itertools import accumulate, chain, cycle, repeat
 
 from .gf import (
-    DigitField,
     FieldCtx,
     MAX_FIELD_SIZE,
     PackedWords,
@@ -245,14 +244,38 @@ def generator_polynomial(spec: CyclicCodeSpec) -> tuple[int, ...]:
     """Base-q digit coefficients of prod_{i in D_C} (x - alpha^i); monic.
 
     D_C is the union of the cosets of the representatives, so the product is
-    that of their minimal polynomials, which have GF(q) coefficients and are
-    multiplied as digits."""
-    df = DigitField(spec.q)
-    digits = (1,)
+    that of their minimal polynomials, which have GF(q) coefficients.  The
+    running product is a word of the length's _packed_words, times each
+    minimal polynomial by _times.  Its degree n - k is at most n, and the
+    words read back their n coordinates only, so the top digit, 1, is
+    appended: at k = 0 it sits just past them."""
+    words, x = _packed_words(spec.n, spec.q), 1  # the packed constant 1
     for rep in spec.coset_reps:
-        m = _minimal_polynomial(spec.n, spec.q, rep)
-        digits = tuple(_mul_digits(df, digits, m, len(digits) + len(m) - 1))
-    return digits
+        x = _times(words, x, _minimal_polynomial(spec.n, spec.q, rep))
+    return (*words.digits(x)[:spec.n - spec.k], 1)
+
+
+def _times(words: PackedWords, x: int, poly) -> int:
+    """The packed product of the packed word x and the polynomial of base-q
+    digits poly, low degree first: the sum over the nonzero digits c =
+    poly[i] of c * x shifted up i coordinates.  Each digit c > 1 that occurs
+    is multiplied in once, by lane adds for prime q (PackedLanes.times) and
+    on x's digits otherwise, so the cost does not grow with q.  Lanes past the
+    n coordinates are not reduced; they carry only upward, so the n
+    coordinates of a product of degree n still read back right."""
+    scales = set(poly) - {0, 1}
+    if words.a == 1:
+        by = {c: words.times(x, c) for c in scales}
+    else:
+        digits, mul = words.digits(x), words.df.mul
+        by = {c: words.pack([mul(c, d) for d in digits]) for c in scales}
+    by[1] = x
+    add, width = words.add, words.width
+    out = 0
+    for i, c in enumerate(poly):
+        if c:
+            out = add(out, by[c] << i * width)
+    return out
 
 
 @on_length
@@ -274,19 +297,8 @@ def encode(spec: CyclicCodeSpec, message) -> tuple[int, ...]:
     if len(message) != spec.k:
         raise ValueError(f"message must have {spec.k} digits")
     message = digit_elements(range(spec.q), message)  # each digit as itself
-    g = generator_polynomial(spec)
-    return tuple(_mul_digits(DigitField(spec.q), message, g, spec.n))
-
-
-def _mul_digits(df: DigitField, m, g, n: int) -> list[int]:
-    """Digits of m(x)g(x) over GF(q), padded to length n."""
-    out = [0] * n
-    for i, mi in enumerate(m):
-        if mi:
-            for j, gj in enumerate(g):
-                if gj:
-                    out[i + j] = df.add(out[i + j], df.mul(mi, gj))
-    return out
+    words = _packed_words(spec.n, spec.q)
+    return tuple(words.digits(_times(words, words.pack(message), generator_polynomial(spec))))
 
 
 def random_codeword(spec: CyclicCodeSpec, rng) -> tuple[int, ...]:

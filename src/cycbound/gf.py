@@ -16,11 +16,11 @@ decoding context; and every polynomial with given roots is built by
 root_product.  PackedLanes
 packs a word of GF(p^a) elements into one int, one bit per GF(2) digit and
 a few bits (or, on request, a byte) per base-p digit otherwise, with
-lane-wise addition, a weight and a zero-coordinate test; PackedWords does
-so for a word over GF(q), read back by digits, and scales one by every
-digit (for prime q the lane multiples of one pack); remainder_rows builds
-the packed rows c * (x^i mod g) that the oracle (i from deg g) and the
-decoder (i from 0) sum.
+lane-wise addition and scaling by GF(p), a weight and a zero-coordinate
+test; PackedWords does so for a word over GF(q), read back by digits, and
+scales one by every digit (for prime q the lane multiples of one pack);
+remainder_rows builds the packed rows c * (x^i mod g) that the oracle (i
+from deg g) and the decoder (i from 0) sum.
 
 Primitive polynomials are found by exhaustive search in lexicographic
 order (coefficients compared constant term first), over the constant terms
@@ -28,7 +28,10 @@ whose norm is primitive in GF(p) only.  A candidate is
 accepted when the residue class of x has multiplicative order p^m - 1 in
 the quotient ring; that order forces the quotient to be a field, so no
 separate irreducibility test is needed; for m >= 3 a root test in GF(p)
-and the test x^(p^m - 1) = 1 reject most candidates before it.
+and the test x^(p^m - 1) = 1 reject most candidates before it.  For p = 2
+the residues are ints, bit i the x^i coefficient, multiplied by
+shift-and-XOR as the table loop of FieldCtx steps x; odd p works on digit
+lists.
 Construction is deterministic and kept in one bounded cache per (p, m),
 and the resulting context is immutable apart from the lazily built Zech
 table and subfield digit maps, hence safe to share between threads.
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product, repeat
 
 MAX_FIELD_SIZE = 1 << 20
@@ -146,6 +149,33 @@ def _x_power(e: int, f: tuple[int, ...], p: int, m: int) -> list[int]:
     return result
 
 
+def _mulmod_gf2(a: int, b: int, f: int, m: int) -> int:
+    # Product of two residues of GF(2)[x] mod f of degree m, each an int with
+    # bit i the x^i coefficient: shift-and-XOR, a times x reduced as
+    # FieldCtx's table loop steps it.
+    res = 0
+    while b:
+        if b & 1:
+            res ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m & 1:
+            a ^= f
+    return res
+
+
+def _x_power_gf2(e: int, f: int, m: int) -> int:
+    # x^e in GF(2)[x]/(f) by square and multiply, on ints.
+    base = 2 if m > 1 else 1  # x, which is 1 mod x + 1
+    result = 1
+    while e:
+        if e & 1:
+            result = _mulmod_gf2(result, base, f, m)
+        base = _mulmod_gf2(base, base, f, m)
+        e >>= 1
+    return result
+
+
 def _has_root_in_prime_field(coeffs: tuple[int, ...], p: int) -> bool:
     for a in range(p):
         v = 0
@@ -159,19 +189,21 @@ def _has_root_in_prime_field(coeffs: tuple[int, ...], p: int) -> bool:
 def _is_primitive_poly(coeffs: tuple[int, ...], p: int, m: int) -> bool:
     # Only called with a constant term that passes the norm test of build_field.
     n_units = p**m - 1
-    one = [0] * m
-    one[0] = 1
+    if p == 2:
+        x_power, one = partial(_x_power_gf2, f=sum(c << i for i, c in enumerate(coeffs)), m=m), 1
+    else:
+        x_power, one = partial(_x_power, f=coeffs, p=p, m=m), [1] + [0] * (m - 1)
     # From degree 3 on, two cheaper necessary conditions reject most
     # candidates first: no root in GF(p) (a reducible f leaves fewer than
     # p^m - 1 units) and x^(p^m - 1) = 1.  Quadratics skip them: for odd p
     # the first order test below (ell = 2) already rejects (x - a)(x - b)
     # with a != b.
-    if m >= 3 and (_has_root_in_prime_field(coeffs, p) or _x_power(n_units, coeffs, p, m) != one):
+    if m >= 3 and (_has_root_in_prime_field(coeffs, p) or x_power(n_units) != one):
         return False
     for ell in prime_factors(n_units):
-        if _x_power(n_units // ell, coeffs, p, m) == one:
+        if x_power(n_units // ell) == one:
             return False
-    return _x_power(n_units, coeffs, p, m) == one
+    return x_power(n_units) == one
 
 
 class FieldCtx:
@@ -500,6 +532,16 @@ class PackedLanes:
         out = [0, x]
         for _ in range(self.p - 2):
             out.append(self.add(out[-1], x))
+        return out
+
+    def times(self, x: int, c: int) -> int:
+        """c * x, every lane times c in GF(p), for c >= 1: doubled and added
+        from the top bit of c down, so O(log c) lane adds."""
+        out = x
+        for bit in format(c, "b")[1:]:
+            out = self.add(out, out)
+            if bit == "1":
+                out = self.add(out, x)
         return out
 
     def zeros(self, x: int) -> list[int]:

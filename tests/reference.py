@@ -9,8 +9,9 @@ q-ary distance oracle that rebuilds every w-row sum, the locator scan that
 builds the cover of every step, the one that tests each step's own
 Hartmann-Tzeng layers before building its cover, and the full ranking of
 every candidate locator's certificate, which nzl.best_certificate must top;
-and small_codes, every cyclic code of a few short lengths, for the tests
-that walk all of them.
+the schoolbook digit product behind generator_polynomial and encode; and
+small_codes, every cyclic code of a few short lengths, for the tests that
+walk all of them.
 """
 
 import math
@@ -20,7 +21,7 @@ from functools import reduce
 from itertools import combinations, product
 
 from cycbound import cyclic, nzl
-from cycbound.gf import FieldCtx, FieldMismatch, NotCoprime, PackedWords, prime_power, remainder_rows
+from cycbound.gf import DigitField, FieldCtx, FieldMismatch, NotCoprime, PackedWords, prime_power, remainder_rows
 
 
 def small_codes(q: int, lengths):
@@ -31,6 +32,33 @@ def small_codes(q: int, lengths):
         cosets = cyclic.coset_partition(n, q)
         for chosen in range(1 << len(cosets)):
             yield cyclic.build_code(q, n, [min(c) for i, c in enumerate(cosets) if chosen >> i & 1])
+
+
+def _mul_digits(df: DigitField, m, g, n: int) -> list[int]:
+    """Digits of m(x)g(x) over GF(q), padded to length n: one DigitField
+    add and mul per pair of nonzero terms."""
+    out = [0] * n
+    for i, mi in enumerate(m):
+        if mi:
+            for j, gj in enumerate(g):
+                if gj:
+                    out[i + j] = df.add(out[i + j], df.mul(mi, gj))
+    return out
+
+
+def generator_polynomial(spec) -> tuple[int, ...]:
+    """cyclic.generator_polynomial as the schoolbook product of the cosets'
+    minimal polynomials."""
+    df, digits = DigitField(spec.q), (1,)
+    for rep in spec.coset_reps:
+        m = cyclic._minimal_polynomial(spec.n, spec.q, rep)
+        digits = tuple(_mul_digits(df, digits, m, len(digits) + len(m) - 1))
+    return digits
+
+
+def encode(spec, message) -> tuple[int, ...]:
+    """cyclic.encode as the schoolbook product m(x)g(x)."""
+    return tuple(_mul_digits(DigitField(spec.q), message, generator_polynomial(spec), spec.n))
 
 
 def coset_reps(n: int, q: int, exponents) -> tuple[int, ...]:

@@ -50,6 +50,37 @@ def spec65(tmp_path_factory):
     return str(path)
 
 
+_LAZY_IMPORT_SCRIPT = """
+import contextlib, io, sys
+import cycbound, cycbound.cli
+lazy = {"cycbound.decoder", "cycbound.fixtures"}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cycbound.cli.main(["bound", sys.argv[1]]) == 0
+assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))
+names = {}
+exec("from cycbound import *", names)
+assert all(getattr(cycbound, name) is names[name] for name in cycbound.__all__)
+assert cycbound.decode is cycbound.decoder.decode
+assert "cycbound.decoder" in sys.modules and "cycbound.fixtures" not in sys.modules
+try:
+    cycbound.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("cycbound.no_such_name resolved")
+"""
+
+
+def test_bound_loads_neither_decoder_nor_fixtures(spec21):
+    # a fresh process that imports the package and the CLI and runs bound
+    # never imports the decoder or the fixtures, and the decoder's names
+    # still resolve, through import * too, from the one decoder module
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_SCRIPT, str(spec21)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+
+
 def test_cosets_text():
     res = run_cli("cosets", "21", "2")
     assert res.returncode == 0
@@ -825,7 +856,7 @@ def test_bench_pairs_aggregates_canned_runs(tmp_path, monkeypatch):
         (1, [21, 21], {"q1": 7, "median": 7, "q3": 7})
 
 
-def test_bench_pairs_alternates_the_first_side(tmp_path, monkeypatch):
+def test_bench_pairs_alternates_the_first_side(tmp_path, monkeypatch, capsys):
     bench = _load_bench_pairs()
     calls = []
 
@@ -838,6 +869,9 @@ def test_bench_pairs_alternates_the_first_side(tmp_path, monkeypatch):
     assert bench.main(["P", "C", "--runs", "certify:5:3", "--pr", "t"]) == 0
     assert calls == [("P", "certify", 5), ("C", "certify", 5), ("C", "certify", 6), ("P", "certify", 6),
                      ("P", "certify", 7), ("C", "certify", 7)]
+    # one progress line per run, with the set-up time beside the rate
+    assert capsys.readouterr().err.splitlines()[:2] == [
+        "certify seed 5 parent: ops_per_s 100 setup_s 0.1", "certify seed 5 change: ops_per_s 100 setup_s 0.1"]
     assert json.loads((tmp_path / "BENCH_t.json").read_text())["rows"][0]["pairs"] == 3
 
 

@@ -242,6 +242,38 @@ def _check_remainder_rows(q, n, reps, lane_bits):
             assert row[c] == words.pack([to_digit[e] for e in coeffs] + [0] * (r - len(coeffs)))
 
 
+# The six codes of the decode workload and a long sparse binary code.
+_PRODUCT_CODES = [(2, 21, (1, 3, 7, 9)), (2, 65, (1, 5)), (2, 127, (7, 15, 21, 23, 29)),
+                  (2, 255, (1, 3, 5, 7)), (3, 80, (1, 2, 4, 5)), (3, 121, (1, 2, 4, 5)),
+                  (2, 4095, (1, 3, 5, 7, 9, 11))]
+
+
+def _check_against_schoolbook_product(code, rng):
+    g = cyclic.generator_polynomial(code)
+    assert g == reference.generator_polynomial(code), code
+    assert len(g) == code.n - code.k + 1 and g[-1] == 1
+    for message in ([rng.randrange(code.q) for _ in range(code.k)], [code.q - 1] * code.k):
+        assert cyclic.encode(code, message) == reference.encode(code, message), code
+
+
+@pytest.mark.parametrize("q, lengths", [(2, range(1, 22, 2)), (3, range(1, 15)), (4, range(1, 16, 2)),
+                                        (5, range(1, 13))])
+def test_generator_polynomial_and_encode_match_schoolbook_product_on_every_small_code(q, lengths):
+    # the packed products against one DigitField add and mul per pair of
+    # terms; q = 4 takes the digit path of _times, and the whole defining
+    # set (k = 0) gives x^n - 1, one digit more than the packed words hold
+    rng = random.Random(q)
+    codes = list(reference.small_codes(q, lengths))
+    assert any(code.k == 0 and code.n > 1 for code in codes)
+    for code in codes:
+        _check_against_schoolbook_product(code, rng)
+
+
+@pytest.mark.parametrize("q, n, reps", _PRODUCT_CODES)
+def test_generator_polynomial_and_encode_match_schoolbook_product_on_long_codes(q, n, reps):
+    _check_against_schoolbook_product(build_code(q, n, reps), random.Random(n))
+
+
 def test_encode_produces_codewords(example21):
     rng = random.Random(5)
     for _ in range(25):

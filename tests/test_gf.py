@@ -454,15 +454,23 @@ def _primitive_by_order(coeffs, p, m):
     return gf._x_power(n_units, coeffs, p, m) == one
 
 
+def _reference_primitive(p, m):
+    return next((*low, 1) for low in product(range(p), repeat=m) if _primitive_by_order((*low, 1), p, m))
+
+
 def test_primitive_poly_matches_reference_search():
     fields = [
         (p, m) for p in range(2, 4097) if gf.is_prime(p) for m in range(1, 13) if p**m <= 4096
     ]
     assert len(fields) == 604
     for p, m in fields:
-        ref = next(
-            (*low, 1) for low in product(range(p), repeat=m) if _primitive_by_order((*low, 1), p, m)
-        )
         # the uncached build: the several hundred tables would only evict
         # the session's fields from the bounded field cache
-        assert build_field.__wrapped__(p, m).spec.prim_poly == ref, (p, m)
+        assert build_field.__wrapped__(p, m).spec.prim_poly == _reference_primitive(p, m), (p, m)
+
+
+@pytest.mark.parametrize("m", range(13, 21))
+def test_binary_primitive_poly_matches_reference_search_past_gf4096(m):
+    # the int search of p = 2 against the digit-list _x_power and _mulmod,
+    # up to the table cap GF(2^20)
+    assert build_field.__wrapped__(2, m).spec.prim_poly == _reference_primitive(2, m)
