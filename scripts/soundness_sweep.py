@@ -5,10 +5,13 @@ against the exact minimum-distance oracle.
 Prints one row per code (length, dimension, bch, ht, d_star, oracle) and
 exits nonzero if any bound exceeds the oracle, the oracle's word is not a
 codeword of weight d, or a BCH witness, HT witness or locator certificate
-fails independent re-verification.
+fails independent re-verification.  The summary line ends with the sha256
+of the rows and the blank line above it, as printed without --quiet, so a
+re-run can be compared with an earlier one by that line alone.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -40,6 +43,7 @@ def main() -> int:
     oracle_s = 0.0
     violations = 0
     count = 0
+    rows = hashlib.sha256()  # of the output above the summary line, without --quiet
     for code in cyclic.enumerate_small_codes(lengths, args.max_k, args.limit):
         count += 1
         cert, comparison = nzl.best_bound(code)
@@ -60,15 +64,19 @@ def main() -> int:
         )
         if not (sound and verified):
             violations += 1
+        flag = "" if sound and verified else "  <-- VIOLATION"
+        row = (
+            f"n={code.n:>3} k={code.k:>2} reps={list(code.coset_reps)!s:<24} "
+            f"bch={bch:>2} ht={ht:>2} d*={cert.d_star:>2} "
+            f"({cert.locator.kind}/{cert.locator.n_l}) oracle={d:>2}{flag}"
+        )
+        rows.update(row.encode() + b"\n")
         if not args.quiet or not (sound and verified):
-            flag = "" if sound and verified else "  <-- VIOLATION"
-            print(
-                f"n={code.n:>3} k={code.k:>2} reps={list(code.coset_reps)!s:<24} "
-                f"bch={bch:>2} ht={ht:>2} d*={cert.d_star:>2} "
-                f"({cert.locator.kind}/{cert.locator.n_l}) oracle={d:>2}{flag}"
-            )
+            print(row)
     elapsed = time.monotonic() - t0
-    print(f"\n{count} codes checked in {elapsed:.1f}s (oracle {oracle_s:.1f}s), {violations} violations")
+    rows.update(b"\n")  # the blank line before this one
+    print(f"\n{count} codes checked in {elapsed:.1f}s (oracle {oracle_s:.1f}s), {violations} violations, "
+          f"rows sha256 {rows.hexdigest()}")
     return 1 if violations else 0
 
 

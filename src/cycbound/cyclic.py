@@ -15,8 +15,10 @@ is both the proof of d and its witness.  Its rows are gf.PackedWords words,
 one bit per coordinate over GF(2), built on the rows c * (x^i mod g) of
 gf.remainder_rows, which the decoder also sums to reduce a received word
 mod g; the PackedWords of a length is built once and shared by its codes.
-One loop serves every q: the sums of w rows are weighed from a flat table
-of the (w - 1)-row sums, one pass per first row, and kept, grouped by first
+One loop serves every q: the sums of w rows are weighed from a table of the
+(w - 1)-row sums, packed words side by side in one bytes object, a piece of
+levels at a time, each piece one lane add and one weighing of all its words
+(gf.PackedLanes.add_many and lightest); the sums are kept, grouped by first
 row, as the next level's table, which over GF(2) costs no further add.
 
 A code here is pinned down by (q, n, defining set) plus the canonical
@@ -34,7 +36,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import accumulate, chain, cycle, repeat
+from itertools import accumulate, chain, repeat
+from operator import mul
 
 from .gf import (
     FieldCtx,
@@ -557,10 +560,14 @@ def _packed_words(n: int, q: int) -> PackedWords:
 
 
 # Words one table of min_distance_oracle may hold past depth 3: the sweep
-# workload's deepest table holds 2,380, and a word of n = 255 bits takes
-# about 72 bytes with its slot, so the table read and the one built stay
-# within 5 MB.
+# workload's deepest table holds 2,380, and a packed word of n = 255 bits
+# takes 32 bytes, so a table takes at most 1 MB, and the table read and the
+# one built, joined from its pieces, stay within 3 MB.
 MAX_TABLE_WORDS = 1 << 15
+# Bytes of the words one piece of a level holds: a piece is added and weighed
+# at once, its copies and those of its weighing live together, and 2^17 bytes
+# are 2^13 words of n = 127 bits, so about MAX_TABLE_WORDS words are live.
+MAX_PIECE_BYTES = 1 << 17
 
 
 def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWitness:
@@ -585,20 +592,24 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
     word has been weighed and the Singleton bound d <= r + 1 <= ceil(n(k + 1)
     / k) ends the loop.
 
-    A row is a gf.PackedWords word, one bit per GF(2) digit, so a sum is
-    one words.add and a weight one words.weight; the words of length n
-    over GF(q) come from _packed_words, kept on the Length of (q, n), and
-    rows[i][c - 1] is c * x^(r+i) above the gf.remainder_rows entry for
-    -c.  The table of depth t holds the sums of t - 1 rows over every digit,
-    in one flat list grouped by first row: table[at[s]:] holds those whose
-    first row is s or later, and the table of depth 2 is the rows.  Level w
-    adds rows[i][0] to each entry of table[at[i + 1]:] of the table of depth
-    w, one C-level pass per first row i, so one add and one weight per word;
-    these sums, grouped by i, are the digit-1 part of the table of depth
-    w + 1.  Over GF(2) they are that table and cost no add.  For q > 2 the
-    first rows' other digits are added when the next level is needed, and
-    the table of depth 3 is always built afresh, in the order (i, j, a, b),
-    rows before digits.  Any other table is built only if it holds at most
+    A row is a gf.PackedWords word, one bit per GF(2) digit; the words of
+    length n over GF(q) come from _packed_words, kept on the Length of
+    (q, n), and rows[i][c - 1] is c * x^(r+i) above the gf.remainder_rows
+    entry for -c.  The table of depth t holds the sums of t - 1 rows over
+    every digit, packed words side by side in one bytes object
+    (words.stride bits a word) grouped by first row: table[at[s]:] holds
+    those whose first row is s or later, a slice, and the table of depth 2
+    is the rows.  Level w adds rows[i][0] to each entry of table[at[i + 1]:]
+    of the table of depth w; these sums, grouped by i, are the digit-1
+    part of the table of depth w + 1.  Over GF(2) they are that table and
+    cost no add.  A level is summed and weighed a piece of at most
+    MAX_PIECE_BYTES at a time: the rows repeated over their suffixes are
+    joined, and so are the suffixes, and one words.add_many adds the two
+    and one words.lightest finds the piece's first lightest word, so no
+    word costs a Python-level add or weight.  For q > 2 the first rows'
+    other digits are added when the next level is needed, and the table of
+    depth 3 is always built afresh, in the order (i, j, a, b), rows before
+    digits.  Any other table is built only if it holds at most
     MAX_TABLE_WORDS words; once one is not, the outer rows of each level
     are carried as a prefix sum over the deepest table built, the first
     with digit 1 and each later one over its digits before the next row.
@@ -614,48 +625,60 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
     q, n, k = spec.q, spec.n, spec.k
     r, m = n - k, q - 1
     words = _packed_words(n, q)
-    add, weight, width = words.add, words.weight, words.width
+    add, weight, width, size = words.add, words.weight, words.width, words.stride // 8
+    limit = max(1, MAX_PIECE_BYTES // size)
     rems = remainder_rows(words, generator_polynomial(spec), range(r, n))
     shifts = range(r * width, n * width, width)
     # columns[c - 1][i] = rows[i][c - 1] is c * x^(r+i) - c * (x^(r+i) mod g)
     columns = [[u << shift | rem[neg_c] for shift, rem in zip(shifts, rems)]
                for u, neg_c in zip(words.units[1:], map(words.df.neg, range(1, q)))]
     rows = list(zip(*columns))
-    table, at, t = [y for row in rows for y in row], range(0, k * m + 1, m), 2
     level = None
     best = min(columns[0], key=weight)
     w, least = 1, weight(best)
     while least * k > n * (w + 1) + k - 1:
-        if w == 2 < q:  # depth 3 afresh: spread[s] repeats each rows[s][a] and
-            # tiled each row q - 1 times, so cycling spread[s] along tiled
-            # pairs them in the order (j, a, b)
-            spread = list(zip(*[column for column in columns for _ in range(m)]))
-            tiled = [y for row in rows for y in row * m]
-            level, marks = [], [0, 0]
-            for s in range(1, k - 1):
-                level += map(add, cycle(spread[s]), tiled[(s + 1) * m * m:])
-                marks.append(len(level))
+        if w == 1:  # the table of depth 2, the rows
+            row_bytes = list(map(int.to_bytes, chain.from_iterable(rows), repeat(size), repeat("little")))
+            table, at, t = b"".join(row_bytes), range(0, k * m + 1, m), 2
+        elif w == 2 < q:  # depth 3 afresh: each rows[s][a] repeated q - 1 times
+            # over the rows tiled q - 1 times pairs them in the order (j, a, b)
+            tiled = b"".join([table[at[s] * size:at[s + 1] * size] * m for s in range(k)])
+            level = _added(words, [b"".join([y * m for y in row_bytes[at[s]:at[s + 1]]]) for s in range(1, k - 1)],
+                           range(k - 2, 0, -1), [tiled[(s + 1) * m * m * size:] for s in range(1, k - 1)])
+            marks = [0, *accumulate([(k - 1 - s) * m * m for s in range(1, k - 1)], initial=0)]
         elif level is not None and m > 1:  # the first rows' other digits
-            ones, ends, level, marks = level, marks, [], [0, 0]
-            for s in range(1, len(ends) - 1):
-                level += ones[ends[s]:ends[s + 1]]
-                for x in rows[s][1:]:
-                    level += map(add, repeat(x), table[at[s + 1]:])
-                marks.append(len(level))
+            ones, ends, end = level, marks, len(table) // size
+            level = b"".join(_sums(words, chain.from_iterable(
+                [(bytes(size), ones, ends[s], ends[s + 1]),  # digit 1, kept, plus 0
+                 *[(y, table, at[s + 1], end) for y in row_bytes[s * m + 1:(s + 1) * m]]]
+                for s in range(1, len(ends) - 1)), limit))
+            marks = [0, *accumulate([ends[s + 1] - ends[s] + (m - 1) * (end - at[s + 1])
+                                     for s in range(1, len(ends) - 1)], initial=0)]
         if level is not None:
             table, at, t = level, marks, w + 1
         w += 1
-        prefixes = zip(columns[0], range(1, k - w + 2))  # (rows[i][0], i + 1)
-        for stop in range(k - w + 2, k - t + 2):  # the rows past the table's depth
-            prefixes = _grown(prefixes, rows, add, stop)
-        sums = chain.from_iterable(map(add, repeat(prefix), table[at[s]:]) for prefix, s in prefixes)
+        end = len(table) // size
         # with t == w the sums of first row i are the next table's group i
-        sizes = [len(table) - a for a in at[1:k - w + 2]]
-        level = list(sums) if t == w and m * sum(sizes) <= MAX_TABLE_WORDS else None
+        sizes = [end - a for a in at[1:k - w + 2]]
+        keep = t == w and m * sum(sizes) <= MAX_TABLE_WORDS
+        if t == w and sum(sizes) <= limit:  # one piece, rows[i][0] + table[at[i + 1]:],
+            # joined without _sums's loop over segments
+            pieces = [_added(words, row_bytes[::m], sizes, [table[a * size:] for a in at[1:k - w + 2]])]
+        else:
+            prefixes = zip(columns[0], range(1, k - w + 2))  # (rows[i][0], i + 1)
+            for stop in range(k - w + 2, k - t + 2):  # the rows past the table's depth
+                prefixes = _grown(prefixes, rows, add, stop)
+            pieces = _sums(words, ((y.to_bytes(size, "little"), table, at[s], end) for y, s in prefixes), limit)
+        parts = []
+        for piece in pieces:
+            found = words.lightest(piece, least)
+            if found:
+                e, least = found
+                best = int.from_bytes(piece[e * size:(e + 1) * size], "little")
+            if keep:
+                parts.append(piece)
+        level = b"".join(parts) if keep else None
         marks = [*accumulate(sizes, initial=0)]
-        word = min(sums if level is None else level, key=weight)
-        if weight(word) < least:
-            best, least = word, weight(word)
     return DistanceWitness(least, tuple(words.digits(best)), "oracle")
 
 
@@ -664,6 +687,35 @@ def _grown(prefixes, rows, add, stop: int):
     j, from its next row up to stop - 1, over j's digits: lazily, in that
     order."""
     return ((add(prefix, x), j + 1) for prefix, s in prefixes for j in range(s, stop) for x in rows[j])
+
+
+def _added(words: PackedWords, heads, counts, tails) -> bytes:
+    """The words heads[i] * counts[i] + tails[i], joined over i, as the
+    little-endian bytes of gf.PackedLanes.add_many; a head is one or more
+    packed words, repeated counts[i] times over the words of tails[i]."""
+    return words.add_many(b"".join(map(mul, heads, counts)), b"".join(tails))
+
+
+def _sums(words: PackedWords, segments, limit: int):
+    """The words that `segments` stand for, in their order, as pieces of at
+    most `limit` words (see _added).  A segment (head, table, lo, hi) stands
+    for the words head + table[e], lo <= e < hi, head being one packed word
+    and table packed words."""
+    size = words.stride // 8
+    heads, counts, tails, total = [], [], [], 0
+    for head, table, lo, hi in segments:
+        while lo < hi:
+            if total == limit:
+                yield _added(words, heads, counts, tails)
+                heads, counts, tails, total = [], [], [], 0
+            take = min(hi - lo, limit - total)
+            heads.append(head)
+            counts.append(take)
+            tails.append(table[lo * size:(lo + take) * size])
+            total += take
+            lo += take
+    if total:
+        yield _added(words, heads, counts, tails)
 
 
 def has_distance_two(n: int, coset_reps) -> bool:

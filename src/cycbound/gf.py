@@ -17,7 +17,8 @@ root_product.  PackedLanes
 packs a word of GF(p^a) elements into one int, one bit per GF(2) digit and
 a few bits (or, on request, a byte) per base-p digit otherwise, with
 lane-wise addition and scaling by GF(p), a weight and a zero-coordinate
-test; PackedWords does so for a word over GF(q), read back by digits, and
+test, and adds and weighs many words packed side by side at once;
+PackedWords does so for a word over GF(q), read back by digits, and
 scales one by every digit (for prime q the lane multiples of one pack);
 remainder_rows builds the packed rows c * (x^i mod g) that the oracle (i
 from deg g) and the decoder (i from 0) sum.
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product, repeat
@@ -468,6 +470,33 @@ class DigitField:
         return self._fr(self._ctx.mul(self._to(x), self._to(y)))
 
 
+_BYTE_VALUES = bytes(range(256))
+# _NONZERO[w][b] counts the nonzero w-bit fields of the byte b, for the widths
+# of GF(2), GF(3) and GF(9) coordinates
+_NONZERO = {1: bytes(map(int.bit_count, range(256))),
+            4: bytes((b & 15 != 0) + (b > 15) for b in range(256)),
+            8: bytes(map(bool, range(256)))}
+
+
+def _widened(b: bytes) -> bytearray:
+    """The bytes of b each followed by a zero byte."""
+    out = bytearray(2 * len(b))
+    out[::2] = b
+    return out
+
+
+def _lane_add(p: int, b: int, lane: int):
+    """The add of odd characteristic p on b-bit lanes: lane has 1 in each
+    lane that holds a digit, and the others stay 0."""
+    bias, top, shift = lane * ((1 << b - 1) - p), lane << b - 1, b - 1
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - ((s + bias & top) >> shift) * p
+
+    return add
+
+
 class PackedLanes:
     """Words of n coordinates in GF(p^a) packed into one int each, so that
     adding two words or finding their zero coordinates costs a few int
@@ -485,9 +514,22 @@ class PackedLanes:
     sets the top bit.  A coordinate of a*b bits is nonzero exactly when its
     value plus 2^(ab-1) - 1 sets its top bit, so the weight is one masked add
     and a bit count, or a bit count alone when b = 1.
+
+    Words side by side, word e in the bits [e * stride, (e + 1) * stride)
+    of little-endian bytes, stride being n * width rounded up to a multiple
+    of 8 and of width, add by add_many as one int each: one XOR, or one lane
+    add whose masks are repeated in every word and 0 in the lanes past its n
+    coordinates.  lightest weighs them all at once: bytes.translate counts
+    the nonzero coordinates of each byte (after one masked add that leaves
+    the top bit of each nonzero coordinate, unless width is 1, 4 or 8),
+    the counts of byte j of every word, a strided slice, are summed over j
+    as ints, a byte a word (two when n > 255), and one more pass drops the
+    weights at or above a bound, so that the least one left and the index
+    of its first word are the first lightest word below the bound.
     """
 
-    __slots__ = ("p", "a", "n", "lane_bits", "width", "every", "add", "weight", "_nz_bias", "_nz_top")
+    __slots__ = ("p", "a", "n", "lane_bits", "width", "stride", "every", "add", "weight",
+                 "_lane", "_nz_bias", "_nz_top")
 
     def __init__(self, p: int, a: int, n: int, lane_bits: int | None = None):
         self.p, self.a, self.n = p, a, n
@@ -495,6 +537,8 @@ class PackedLanes:
             lane_bits = 1 if (p, a) == (2, 1) else (2 * p - 2).bit_length() + 1
         self.lane_bits = b = lane_bits
         self.width = width = a * b
+        step = math.lcm(8, width)
+        self.stride = -(-n * width // step) * step
         # 1 in each coordinate, as a repunit in base 2^width (linear time)
         self.every = every = ((1 << n * width) - 1) // ((1 << width) - 1)
         self._nz_bias = nz_bias = every * ((1 << width - 1) - 1)
@@ -503,14 +547,51 @@ class PackedLanes:
         if p == 2:
             self.add = operator.xor
             return
-        lane = every * sum(1 << j * b for j in range(a))  # 1 in each lane
-        bias, top, shift = lane * ((1 << b - 1) - p), lane << b - 1, b - 1
+        self._lane = lane = every * sum(1 << j * b for j in range(a))  # 1 in each lane
+        self.add = _lane_add(p, b, lane)
 
-        def add(x: int, y: int) -> int:
-            s = x + y
-            return s - ((s + bias & top) >> shift) * p
+    def _repeated(self, x: int, count: int) -> int:
+        """x in each of the first `count` words of stride bits."""
+        return int.from_bytes(x.to_bytes(self.stride // 8, "little") * count, "little")
 
-        self.add = add
+    def add_many(self, x: bytes, y: bytes) -> bytes:
+        """The words packed in x plus those packed in y, word by word, all
+        as little-endian bytes of stride bits a word."""
+        s = int.from_bytes(x, "little")
+        if self.p == 2:
+            s ^= int.from_bytes(y, "little")
+        else:
+            lane = self._repeated(self._lane, len(x) * 8 // self.stride)
+            s = _lane_add(self.p, self.lane_bits, lane)(s, int.from_bytes(y, "little"))
+        return s.to_bytes(len(x), "little")
+
+    def lightest(self, data: bytes, high: int) -> tuple[int, int] | None:
+        """(e, v) for the first word e of least weight v among the words
+        packed in data (little-endian bytes, stride bits a word), if v <
+        high; None otherwise.  A weight is the sum over the stride / 8 byte
+        positions j of the nonzero coordinates counted in byte j, the sums of
+        all words at once, a byte a word (two when n > 255): no sum of at
+        most n overflows."""
+        size, width = self.stride // 8, self.width
+        if width not in _NONZERO:  # the top bit of each nonzero coordinate
+            every = self._repeated(self.every, len(data) // size)
+            top = every << width - 1
+            data = (int.from_bytes(data, "little") + top - every & top).to_bytes(len(data), "little")
+            width = 1
+        counts = data.translate(_NONZERO[width])
+        columns = map(counts.__getitem__, map(slice, range(size), repeat(None), repeat(size)))
+        if self.n < 256:
+            weights = sum(map(int.from_bytes, columns, repeat("little"))).to_bytes(len(counts) // size, "little")
+            lighter = weights.translate(None, _BYTE_VALUES[high:])  # one pass, in order
+        else:  # array loads only here, so a fresh process for short codes skips it
+            from array import array
+
+            total = sum(map(int.from_bytes, map(_widened, columns), repeat("little")))
+            lighter = weights = array("H", total.to_bytes(len(counts) // size * 2, "little"))
+            if sys.byteorder == "big":
+                weights.byteswap()
+        v = min(lighter, default=high)
+        return (weights.index(v), v) if v < high else None
 
     def pack_elements(self, elements) -> int:
         """The word whose coordinate i holds elements[i], in linear time.  In

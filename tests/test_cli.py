@@ -805,8 +805,10 @@ def test_soundness_sweep_script():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "33 codes checked" in res.stdout and ", 0 violations" in res.stdout
-    # the summary gives the oracle's own time inside the total
-    assert re.search(r"^33 codes checked in \d+\.\ds \(oracle \d+\.\ds\), 0 violations$", res.stdout, re.M)
+    # the summary gives the oracle's own time inside the total, and the
+    # sha256 of the rows a run without --quiet prints above it
+    assert re.search(r"^33 codes checked in \d+\.\ds \(oracle \d+\.\ds\), 0 violations, rows sha256 "
+                     "003126cd7f42f30cb7761830b88ec002d09863f404c3da2c9f05f70d98187b65$", res.stdout, re.M)
 
 
 def _load_bench_pairs():

@@ -630,6 +630,40 @@ def test_binary_oracle_word_matches_reference_long_codes(code):
     assert (got.d, got.codeword) == (d, word)
 
 
+@pytest.mark.parametrize("n, k, d, last", [(511, 10, 255, 4), (257, 17, 113, 7), (273, 13, 120, 5)])
+def test_binary_oracle_word_matches_reference_past_255_coordinates(n, k, d, last):
+    # the codes whose nonzeros are C0 and C1: past 255 coordinates a
+    # weight takes two bytes, and the (2; 511) code's level words weigh 255
+    # or more, which one byte would wrap to light weights
+    cosets = cyclic.coset_partition(n, 2)
+    code = build_code(2, n, [min(c) for c in cosets if not c & {0, 1}])
+    got = min_distance_oracle(code)
+    assert (code.k, got.d) == (k, d)
+    assert (got.d, got.codeword, last) == _reference_binary_oracle(code)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_sums_add_each_head_to_every_word_of_its_segment(q):
+    # the oracle's pieces: each segment's head added to each of its table
+    # words, in order, at most `limit` words a piece, empty segments too
+    rng = random.Random(q)
+    words = cyclic._packed_words(21, q)
+    size = words.stride // 8
+    table_words = [words.pack([rng.randrange(q) for _ in range(21)]) for _ in range(30)]
+    table = b"".join(x.to_bytes(size, "little") for x in table_words)
+    segments, expected = [], []
+    for _ in range(12):
+        lo = rng.randrange(30)
+        hi = rng.randrange(lo, 31)
+        head = words.pack([rng.randrange(q) for _ in range(21)])
+        segments.append((head.to_bytes(size, "little"), table, lo, hi))
+        expected += [words.add(head, x) for x in table_words[lo:hi]]
+    for limit in (1, 4, 7, 1000):
+        pieces = list(cyclic._sums(words, segments, limit))
+        assert all(0 < len(piece) <= limit * size for piece in pieces)
+        assert b"".join(pieces) == b"".join(x.to_bytes(size, "little") for x in expected)
+
+
 # codes whose last level w is past the oracle's table budget: the table of
 # depth w, C(k, w - 1) (q - 1)^(w - 1) words, is never built, so that level
 # carries its outer rows as a prefix over a shallower table
@@ -652,16 +686,18 @@ def test_oracle_word_matches_reference_past_the_table_budget(q, n, reps):
 
 
 def test_oracle_tables_stay_within_their_budget():
-    # unbounded, the tables of DEEP_BINARY's levels 6 and 7 reach 12.8 MB
-    code = build_code(*DEEP_BINARY)
-    expected = min_distance_oracle(code)  # the code's rows and words, built untraced
-    tracemalloc.start()
-    try:
-        got = min_distance_oracle(code)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == expected and peak < 4_000_000
+    # unbounded, the tables of DEEP_BINARY's levels 6 and 7 reach 12.8 MB;
+    # DEEP_TERNARY's words take 40 bytes each, and its depth-5 table 0.9 MB
+    for spec in (DEEP_BINARY, DEEP_TERNARY):
+        code = build_code(*spec)
+        expected = min_distance_oracle(code)  # the code's rows and words, built untraced
+        tracemalloc.start()
+        try:
+            got = min_distance_oracle(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected and peak < 4_000_000, (spec, peak)
 
 
 def test_qary_reference_weighs_in_the_oracle_order():

@@ -341,6 +341,35 @@ def test_packed_words_digits_invert_pack(q, data):
     assert words.digits(0) == [0] * n
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
+@pytest.mark.parametrize("n", [1, 7, 45, 255, 256, 300])
+def test_add_many_and_lightest_match_word_by_word(q, n):
+    # the oracle's level kernel against add and weight word by word: words
+    # of stride bits side by side as little-endian bytes, sparse and dense
+    # (weights of 256 and more past n = 255), with the lightest word
+    # repeated later so that the first of them must win
+    rng = random.Random(1000 * q + n)
+    words = gf.PackedWords(q, n)
+    size = words.stride // 8
+    assert words.stride % 8 == 0 == words.stride % words.width and words.stride >= n * words.width
+
+    def packed(xs):
+        return b"".join(x.to_bytes(size, "little") for x in xs)
+
+    for dense in (0.05, 0.5, 1.0):
+        count = rng.randint(1, 12)
+        xs, ys = ([words.pack([rng.randrange(1, q) if rng.random() < dense else 0 for _ in range(n)])
+                   for _ in range(count)] for _ in range(2))
+        sums = [words.add(x, y) for x, y in zip(xs, ys)]
+        assert words.add_many(packed(xs), packed(ys)) == packed(sums)
+        weights = [words.weight(x) for x in sums]
+        v = min(weights)
+        i = weights.index(v)
+        sums.insert(rng.randint(i + 1, len(sums)), sums[i])
+        for high in (0, v, v + 1, n + 1):
+            assert words.lightest(packed(sums), high) == ((i, v) if v < high else None)
+
+
 def test_is_prime_matches_sieve():
     limit = 10_000
     sieve = [False, False] + [True] * (limit - 2)
