@@ -16,10 +16,11 @@ one bit per coordinate over GF(2), built on the rows c * (x^i mod g) of
 gf.remainder_rows, which the decoder also sums to reduce a received word
 mod g; the PackedWords of a length is built once and shared by its codes.
 One loop serves every q: the sums of w rows are weighed from a table of the
-(w - 1)-row sums, packed words side by side in one bytes object, a piece of
-levels at a time, each piece one lane add and one weighing of all its words
-(gf.PackedLanes.add_many and lightest); the sums are kept, grouped by first
-row, as the next level's table, which over GF(2) costs no further add.
+(w - 1)-row sums, a piece of a level at a time, each piece one run of words
+that gf.PackedLanes.add_many sums and lightest weighs, side by side in bytes
+for short words and one at a time for long ones; the sums are kept, grouped
+by first row, as the next level's table, which over GF(2) costs no further
+add.
 
 A code here is pinned down by (q, n, defining set) plus the canonical
 primitive n-th root of unity alpha of its construction field GF(q^s),
@@ -36,8 +37,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import accumulate, chain, repeat
-from operator import mul
+from itertools import accumulate, chain
 
 from .gf import (
     FieldCtx,
@@ -560,13 +560,13 @@ def _packed_words(n: int, q: int) -> PackedWords:
 
 
 # Words one table of min_distance_oracle may hold past depth 3: the sweep
-# workload's deepest table holds 2,380, and a packed word of n = 255 bits
-# takes 32 bytes, so a table takes at most 1 MB, and the table read and the
-# one built, joined from its pieces, stay within 3 MB.
+# workload's deepest table holds 2,380; a word side by side takes at most 24
+# bytes, and one of n = 255 bits kept one at a time about 72 bytes with its
+# slot, so the table read and the one built stay within 5 MB.
 MAX_TABLE_WORDS = 1 << 15
-# Bytes of the words one piece of a level holds: a piece is added and weighed
-# at once, its copies and those of its weighing live together, and 2^17 bytes
-# are 2^13 words of n = 127 bits, so about MAX_TABLE_WORDS words are live.
+# Bytes that the words of one piece of a level not kept take side by side:
+# a piece is added and weighed at once, and 2^17 bytes are 2^12 words of
+# n = 255 bits, which take about 290 kB one at a time.
 MAX_PIECE_BYTES = 1 << 17
 
 
@@ -596,20 +596,21 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
     length n over GF(q) come from _packed_words, kept on the Length of
     (q, n), and rows[i][c - 1] is c * x^(r+i) above the gf.remainder_rows
     entry for -c.  The table of depth t holds the sums of t - 1 rows over
-    every digit, packed words side by side in one bytes object
-    (words.stride bits a word) grouped by first row: table[at[s]:] holds
-    those whose first row is s or later, a slice, and the table of depth 2
-    is the rows.  Level w adds rows[i][0] to each entry of table[at[i + 1]:]
+    every digit, one run of words (gf.PackedLanes: side by side in bytes,
+    words.unit bytes a word, or a list) grouped by first row: table[at[s]:]
+    holds those whose first row is s or later, and the table of depth 2 is
+    the rows.  Level w adds rows[i][0] to each entry of table[at[i + 1]:]
     of the table of depth w; these sums, grouped by i, are the digit-1
     part of the table of depth w + 1.  Over GF(2) they are that table and
-    cost no add.  A level is summed and weighed a piece of at most
-    MAX_PIECE_BYTES at a time: the rows repeated over their suffixes are
-    joined, and so are the suffixes, and one words.add_many adds the two
-    and one words.lightest finds the piece's first lightest word, so no
-    word costs a Python-level add or weight.  For q > 2 the first rows'
-    other digits are added when the next level is needed, and the table of
-    depth 3 is always built afresh, in the order (i, j, a, b), rows before
-    digits.  Any other table is built only if it holds at most
+    cost no add.  A level is summed and weighed in pieces (_sums), each the
+    rows repeated over their suffixes plus the suffixes in one
+    words.add_many, whose first lightest word one words.lightest finds, so
+    a word side by side costs no Python-level add or weight.  A level that
+    is kept is one piece; one that is not is weighed a piece of as many
+    words as MAX_PIECE_BYTES holds side by side at a time.  For q > 2 the
+    first rows' other digits are added when the next level is needed, and
+    the table of depth 3 is always built afresh, in the order (i, j, a, b),
+    rows before digits.  Any other table is built only if it holds at most
     MAX_TABLE_WORDS words; once one is not, the outer rows of each level
     are carried as a prefix sum over the deepest table built, the first
     with digit 1 and each later one over its digits before the next row.
@@ -625,8 +626,8 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
     q, n, k = spec.q, spec.n, spec.k
     r, m = n - k, q - 1
     words = _packed_words(n, q)
-    add, weight, width, size = words.add, words.weight, words.width, words.stride // 8
-    limit = max(1, MAX_PIECE_BYTES // size)
+    add, weight, width, unit = words.add, words.weight, words.width, words.unit
+    limit = max(1, MAX_PIECE_BYTES * 8 // words.stride)
     rems = remainder_rows(words, generator_polynomial(spec), range(r, n))
     shifts = range(r * width, n * width, width)
     # columns[c - 1][i] = rows[i][c - 1] is c * x^(r+i) - c * (x^(r+i) mod g)
@@ -638,46 +639,42 @@ def min_distance_oracle(spec: CyclicCodeSpec, cap: int = 1 << 24) -> DistanceWit
     w, least = 1, weight(best)
     while least * k > n * (w + 1) + k - 1:
         if w == 1:  # the table of depth 2, the rows
-            row_bytes = list(map(int.to_bytes, chain.from_iterable(rows), repeat(size), repeat("little")))
-            table, at, t = b"".join(row_bytes), range(0, k * m + 1, m), 2
+            row_runs = words.runs(chain.from_iterable(rows))
+            table, at, t = words.join(row_runs), range(0, k * m + 1, m), 2
         elif w == 2 < q:  # depth 3 afresh: each rows[s][a] repeated q - 1 times
             # over the rows tiled q - 1 times pairs them in the order (j, a, b)
-            tiled = b"".join([table[at[s] * size:at[s + 1] * size] * m for s in range(k)])
-            level = _added(words, [b"".join([y * m for y in row_bytes[at[s]:at[s + 1]]]) for s in range(1, k - 1)],
-                           range(k - 2, 0, -1), [tiled[(s + 1) * m * m * size:] for s in range(1, k - 1)])
+            tiled = words.join([table[at[s] * unit:at[s + 1] * unit] * m for s in range(k)])
+            spread = [words.join([y * m for y in row_runs[at[s]:at[s + 1]]]) for s in range(1, k - 1)]
+            level = words.add_many(spread, range(k - 2, 0, -1),
+                                   [tiled[(s + 1) * m * m * unit:] for s in range(1, k - 1)])
             marks = [0, *accumulate([(k - 1 - s) * m * m for s in range(1, k - 1)], initial=0)]
         elif level is not None and m > 1:  # the first rows' other digits
-            ones, ends, end = level, marks, len(table) // size
-            level = b"".join(_sums(words, chain.from_iterable(
-                [(bytes(size), ones, ends[s], ends[s + 1]),  # digit 1, kept, plus 0
-                 *[(y, table, at[s + 1], end) for y in row_bytes[s * m + 1:(s + 1) * m]]]
-                for s in range(1, len(ends) - 1)), limit))
-            marks = [0, *accumulate([ends[s + 1] - ends[s] + (m - 1) * (end - at[s + 1])
-                                     for s in range(1, len(ends) - 1)], initial=0)]
+            ones, ends, end, groups = level, marks, len(table) // unit, range(1, len(marks) - 1)
+            prefixes = ((x, s + 1) for s in groups for x in rows[s][1:])
+            others = words.join(_sums(words, prefixes, table, at, limit))
+            cuts = [*accumulate([(m - 1) * (end - at[s + 1]) for s in groups], initial=0)]
+            level = words.join(chain.from_iterable(  # group s: digit 1, kept, then the others
+                (ones[ends[s] * unit:ends[s + 1] * unit], others[cuts[s - 1] * unit:cuts[s] * unit])
+                for s in groups))
+            marks = [0, *accumulate([ends[s + 1] - ends[s] + cuts[s] - cuts[s - 1] for s in groups],
+                                    initial=0)]
         if level is not None:
             table, at, t = level, marks, w + 1
         w += 1
-        end = len(table) // size
+        end = len(table) // unit
         # with t == w the sums of first row i are the next table's group i
         sizes = [end - a for a in at[1:k - w + 2]]
         keep = t == w and m * sum(sizes) <= MAX_TABLE_WORDS
-        if t == w and sum(sizes) <= limit:  # one piece, rows[i][0] + table[at[i + 1]:],
-            # joined without _sums's loop over segments
-            pieces = [_added(words, row_bytes[::m], sizes, [table[a * size:] for a in at[1:k - w + 2]])]
-        else:
-            prefixes = zip(columns[0], range(1, k - w + 2))  # (rows[i][0], i + 1)
-            for stop in range(k - w + 2, k - t + 2):  # the rows past the table's depth
-                prefixes = _grown(prefixes, rows, add, stop)
-            pieces = _sums(words, ((y.to_bytes(size, "little"), table, at[s], end) for y, s in prefixes), limit)
-        parts = []
-        for piece in pieces:
+        prefixes = zip(columns[0], range(1, k - w + 2))  # (rows[i][0], i + 1)
+        for stop in range(k - w + 2, k - t + 2):  # the rows past the table's depth
+            prefixes = _grown(prefixes, rows, add, stop)
+        level = None  # a level kept is one piece, as its words live on anyway
+        for piece in _sums(words, prefixes, table, at, MAX_TABLE_WORDS if keep else limit):
             found = words.lightest(piece, least)
             if found:
                 e, least = found
-                best = int.from_bytes(piece[e * size:(e + 1) * size], "little")
-            if keep:
-                parts.append(piece)
-        level = b"".join(parts) if keep else None
+                best = words.word(piece, e)
+            level = piece if keep else None
         marks = [*accumulate(sizes, initial=0)]
     return DistanceWitness(least, tuple(words.digits(best)), "oracle")
 
@@ -689,33 +686,28 @@ def _grown(prefixes, rows, add, stop: int):
     return ((add(prefix, x), j + 1) for prefix, s in prefixes for j in range(s, stop) for x in rows[j])
 
 
-def _added(words: PackedWords, heads, counts, tails) -> bytes:
-    """The words heads[i] * counts[i] + tails[i], joined over i, as the
-    little-endian bytes of gf.PackedLanes.add_many; a head is one or more
-    packed words, repeated counts[i] times over the words of tails[i]."""
-    return words.add_many(b"".join(map(mul, heads, counts)), b"".join(tails))
-
-
-def _sums(words: PackedWords, segments, limit: int):
-    """The words that `segments` stand for, in their order, as pieces of at
-    most `limit` words (see _added).  A segment (head, table, lo, hi) stands
-    for the words head + table[e], lo <= e < hi, head being one packed word
-    and table packed words."""
-    size = words.stride // 8
+def _sums(words: PackedWords, prefixes, table, at, limit: int):
+    """The words prefix + table[e], for e from at[s] to the end of the
+    table, over the (prefix, s) of `prefixes` in order, as runs of at most
+    `limit` words each, one gf.PackedLanes.add_many a run: the prefixes
+    are words, the table a run."""
+    unit, end = words.unit, len(table) // words.unit
     heads, counts, tails, total = [], [], [], 0
-    for head, table, lo, hi in segments:
-        while lo < hi:
-            if total == limit:
-                yield _added(words, heads, counts, tails)
-                heads, counts, tails, total = [], [], [], 0
-            take = min(hi - lo, limit - total)
+    for head, s in prefixes:
+        lo = at[s]
+        while total + end - lo > limit:  # the piece is full within this segment
+            take = limit - total
             heads.append(head)
             counts.append(take)
-            tails.append(table[lo * size:(lo + take) * size])
-            total += take
-            lo += take
+            tails.append(table[lo * unit:(lo + take) * unit])
+            yield words.add_many(words.runs(heads), counts, tails)
+            heads, counts, tails, total, lo = [], [], [], 0, lo + take
+        heads.append(head)
+        counts.append(end - lo)
+        tails.append(table[lo * unit:])
+        total += end - lo
     if total:
-        yield _added(words, heads, counts, tails)
+        yield words.add_many(words.runs(heads), counts, tails)
 
 
 def has_distance_two(n: int, coset_reps) -> bool:

@@ -17,8 +17,8 @@ root_product.  PackedLanes
 packs a word of GF(p^a) elements into one int, one bit per GF(2) digit and
 a few bits (or, on request, a byte) per base-p digit otherwise, with
 lane-wise addition and scaling by GF(p), a weight and a zero-coordinate
-test, and adds and weighs many words packed side by side at once;
-PackedWords does so for a word over GF(q), read back by digits, and
+test, and adds and weighs a run of words at once, side by side in bytes
+when they are short; PackedWords does so for a word over GF(q), read back by digits, and
 scales one by every digit (for prime q the lane multiples of one pack);
 remainder_rows builds the packed rows c * (x^i mod g) that the oracle (i
 from deg g) and the decoder (i from 0) sum.
@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import product, repeat
+from itertools import chain, product, repeat
 
 MAX_FIELD_SIZE = 1 << 20
 # Fields build_field keeps: a sweep over small codes reads about a dozen, and
@@ -470,31 +469,21 @@ class DigitField:
         return self._fr(self._ctx.mul(self._to(x), self._to(y)))
 
 
+# Widest word, in bits, that PackedLanes runs side by side in characteristic
+# 2; twice this in odd characteristic, where adding two words one at a time
+# takes several int operations, not one XOR.  Wider words cost less one at a
+# time than as bytes in bulk: the oracle's crossover lay between n = 93 and
+# 105 over GF(2) and between n = 56 and 80 over GF(3) (CPython 3.11, 2-vCPU
+# x86 host).
+SIDE_BY_SIDE_BITS = 96
 _BYTE_VALUES = bytes(range(256))
+
+
 # _NONZERO[w][b] counts the nonzero w-bit fields of the byte b, for the widths
-# of GF(2), GF(3) and GF(9) coordinates
+# that tile a byte, those of GF(2), GF(3) and GF(9) coordinates
 _NONZERO = {1: bytes(map(int.bit_count, range(256))),
             4: bytes((b & 15 != 0) + (b > 15) for b in range(256)),
             8: bytes(map(bool, range(256)))}
-
-
-def _widened(b: bytes) -> bytearray:
-    """The bytes of b each followed by a zero byte."""
-    out = bytearray(2 * len(b))
-    out[::2] = b
-    return out
-
-
-def _lane_add(p: int, b: int, lane: int):
-    """The add of odd characteristic p on b-bit lanes: lane has 1 in each
-    lane that holds a digit, and the others stay 0."""
-    bias, top, shift = lane * ((1 << b - 1) - p), lane << b - 1, b - 1
-
-    def add(x: int, y: int) -> int:
-        s = x + y
-        return s - ((s + bias & top) >> shift) * p
-
-    return add
 
 
 class PackedLanes:
@@ -515,21 +504,26 @@ class PackedLanes:
     value plus 2^(ab-1) - 1 sets its top bit, so the weight is one masked add
     and a bit count, or a bit count alone when b = 1.
 
-    Words side by side, word e in the bits [e * stride, (e + 1) * stride)
-    of little-endian bytes, stride being n * width rounded up to a multiple
-    of 8 and of width, add by add_many as one int each: one XOR, or one lane
-    add whose masks are repeated in every word and 0 in the lanes past its n
-    coordinates.  lightest weighs them all at once: bytes.translate counts
-    the nonzero coordinates of each byte (after one masked add that leaves
-    the top bit of each nonzero coordinate, unless width is 1, 4 or 8),
-    the counts of byte j of every word, a strided slice, are summed over j
-    as ints, a byte a word (two when n > 255), and one more pass drops the
-    weights at or above a bound, so that the least one left and the index
-    of its first word are the first lightest word below the bound.
+    A run is a row of words that add_many sums and lightest weighs at once,
+    for the oracle's levels.  Words of at most SIDE_BY_SIDE_BITS bits (twice
+    that in odd characteristic) run side by side: word e takes the bits [e *
+    stride, (e + 1) * stride) of little-endian bytes, stride being n * width
+    rounded up to a multiple of 8 and of width, unit = stride / 8 bytes.  A
+    run of them adds as one int, by one XOR or one lane add whose masks are
+    repeated in every word and 0 in the lanes past its n coordinates, and
+    weighs in a few passes: bytes.translate counts the nonzero coordinates
+    of each byte (after a masked add that leaves the top bit of each nonzero
+    coordinate, unless width is 1, 4 or 8), one multiplication by the
+    repunit 0x0101...01 of unit bytes sums the counts of each word into its
+    last byte, and one more pass drops the weights at or above a bound.  No
+    sum carries: any unit bytes in a row hold at most n nonzero coordinates
+    (they cover the padding of the word whose top they hold), and n < 256.
+    Wider words cost less one at a time than their bytes in bulk, so their
+    run is a list of ints (unit = 1), added and weighed word by word.
     """
 
-    __slots__ = ("p", "a", "n", "lane_bits", "width", "stride", "every", "add", "weight",
-                 "_lane", "_nz_bias", "_nz_top")
+    __slots__ = ("p", "a", "n", "lane_bits", "width", "stride", "side_by_side", "unit", "every", "add",
+                 "weight", "_lane_bytes", "_lane_bias", "_every_bytes", "_nz_bias", "_nz_top")
 
     def __init__(self, p: int, a: int, n: int, lane_bits: int | None = None):
         self.p, self.a, self.n = p, a, n
@@ -538,59 +532,83 @@ class PackedLanes:
         self.lane_bits = b = lane_bits
         self.width = width = a * b
         step = math.lcm(8, width)
-        self.stride = -(-n * width // step) * step
+        self.stride = stride = -(-n * width // step) * step
+        self.side_by_side = stride <= (SIDE_BY_SIDE_BITS if p == 2 else 2 * SIDE_BY_SIDE_BITS)
+        self.unit = stride // 8 if self.side_by_side else 1
         # 1 in each coordinate, as a repunit in base 2^width (linear time)
         self.every = every = ((1 << n * width) - 1) // ((1 << width) - 1)
         self._nz_bias = nz_bias = every * ((1 << width - 1) - 1)
         self._nz_top = nz_top = every << width - 1
+        self._every_bytes = every.to_bytes(self.stride // 8, "little")
         self.weight = int.bit_count if width == 1 else lambda x: ((x + nz_bias) & nz_top).bit_count()
         if p == 2:
             self.add = operator.xor
             return
-        self._lane = lane = every * sum(1 << j * b for j in range(a))  # 1 in each lane
-        self.add = _lane_add(p, b, lane)
+        lane = every * sum(1 << j * b for j in range(a))  # 1 in each lane
+        self._lane_bytes, self._lane_bias = lane.to_bytes(self.stride // 8, "little"), (1 << b - 1) - p
+        bias, top, shift = lane * self._lane_bias, lane << b - 1, b - 1
 
-    def _repeated(self, x: int, count: int) -> int:
-        """x in each of the first `count` words of stride bits."""
-        return int.from_bytes(x.to_bytes(self.stride // 8, "little") * count, "little")
+        def add(x: int, y: int) -> int:
+            s = x + y
+            return s - ((s + bias & top) >> shift) * p
 
-    def add_many(self, x: bytes, y: bytes) -> bytes:
-        """The words packed in x plus those packed in y, word by word, all
-        as little-endian bytes of stride bits a word."""
+        self.add = add
+
+    def runs(self, xs) -> list:
+        """The run of each word of xs."""
+        if self.side_by_side:
+            return list(map(int.to_bytes, xs, repeat(self.unit), repeat("little")))
+        return [[x] for x in xs]
+
+    def join(self, runs):
+        """The runs joined, in order, as one run."""
+        if self.side_by_side:
+            return b"".join(runs)
+        out = []
+        for run in runs:
+            out += run
+        return out
+
+    def word(self, run, e: int) -> int:
+        """Word e of a run."""
+        if self.side_by_side:
+            return int.from_bytes(run[e * self.unit:(e + 1) * self.unit], "little")
+        return run[e]
+
+    def add_many(self, heads, counts, tails):
+        """The run of the words heads[i] * counts[i] + tails[i], joined over
+        i: heads[i] is a run of one or more words, repeated counts[i] times
+        over the words of the run tails[i]."""
+        if not self.side_by_side:
+            x, y = chain.from_iterable(map(operator.mul, heads, counts)), chain.from_iterable(tails)
+            return list(map(self.add, x, y))
+        x, y = b"".join(map(operator.mul, heads, counts)), b"".join(tails)
         s = int.from_bytes(x, "little")
         if self.p == 2:
             s ^= int.from_bytes(y, "little")
         else:
-            lane = self._repeated(self._lane, len(x) * 8 // self.stride)
-            s = _lane_add(self.p, self.lane_bits, lane)(s, int.from_bytes(y, "little"))
+            lane, shift = int.from_bytes(self._lane_bytes * (len(x) // self.unit), "little"), self.lane_bits - 1
+            s += int.from_bytes(y, "little")
+            s -= ((s + lane * self._lane_bias & lane << shift) >> shift) * self.p
         return s.to_bytes(len(x), "little")
 
-    def lightest(self, data: bytes, high: int) -> tuple[int, int] | None:
-        """(e, v) for the first word e of least weight v among the words
-        packed in data (little-endian bytes, stride bits a word), if v <
-        high; None otherwise.  A weight is the sum over the stride / 8 byte
-        positions j of the nonzero coordinates counted in byte j, the sums of
-        all words at once, a byte a word (two when n > 255): no sum of at
-        most n overflows."""
-        size, width = self.stride // 8, self.width
+    def lightest(self, run, high: int) -> tuple[int, int] | None:
+        """(e, v) for the first word e of least weight v in a run, if v <
+        high; None otherwise."""
+        if not self.side_by_side:  # the first lightest word, and its first place
+            word = min(run, key=self.weight, default=None)
+            v = high if word is None else self.weight(word)
+            return (run.index(word), v) if v < high else None
+        size, width = self.unit, self.width
         if width not in _NONZERO:  # the top bit of each nonzero coordinate
-            every = self._repeated(self.every, len(data) // size)
+            every = int.from_bytes(self._every_bytes * (len(run) // size), "little")
             top = every << width - 1
-            data = (int.from_bytes(data, "little") + top - every & top).to_bytes(len(data), "little")
+            run = (int.from_bytes(run, "little") + top - every & top).to_bytes(len(run), "little")
             width = 1
-        counts = data.translate(_NONZERO[width])
-        columns = map(counts.__getitem__, map(slice, range(size), repeat(None), repeat(size)))
-        if self.n < 256:
-            weights = sum(map(int.from_bytes, columns, repeat("little"))).to_bytes(len(counts) // size, "little")
-            lighter = weights.translate(None, _BYTE_VALUES[high:])  # one pass, in order
-        else:  # array loads only here, so a fresh process for short codes skips it
-            from array import array
-
-            total = sum(map(int.from_bytes, map(_widened, columns), repeat("little")))
-            lighter = weights = array("H", total.to_bytes(len(counts) // size * 2, "little"))
-            if sys.byteorder == "big":
-                weights.byteswap()
-        v = min(lighter, default=high)
+        counts = run.translate(_NONZERO[width])
+        sums = int.from_bytes(counts, "little") * int.from_bytes(b"\1" * size, "little")
+        weights = sums.to_bytes(len(counts) + size, "little")[size - 1:len(counts):size]
+        v = min(weights.translate(None, _BYTE_VALUES[high:]), default=high)  # one pass, in order
         return (weights.index(v), v) if v < high else None
 
     def pack_elements(self, elements) -> int:

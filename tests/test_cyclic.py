@@ -642,26 +642,27 @@ def test_binary_oracle_word_matches_reference_past_255_coordinates(n, k, d, last
     assert (got.d, got.codeword, last) == _reference_binary_oracle(code)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_sums_add_each_head_to_every_word_of_its_segment(q):
-    # the oracle's pieces: each segment's head added to each of its table
-    # words, in order, at most `limit` words a piece, empty segments too
-    rng = random.Random(q)
-    words = cyclic._packed_words(21, q)
-    size = words.stride // 8
-    table_words = [words.pack([rng.randrange(q) for _ in range(21)]) for _ in range(30)]
-    table = b"".join(x.to_bytes(size, "little") for x in table_words)
-    segments, expected = [], []
+@pytest.mark.parametrize("q, n", [(2, 21), (3, 21), (4, 15), (2, 255)])
+def test_sums_add_each_head_to_every_word_of_its_segment(q, n):
+    # the oracle's pieces: each prefix added to each word of its table
+    # suffix, in order, at most `limit` words a piece, empty suffixes too;
+    # (2; 255) keeps its words one per list item, the others side by side
+    rng = random.Random(q * n)
+    words = cyclic._packed_words(n, q)
+    assert words.side_by_side == (n < 255)
+    table_words = [words.pack([rng.randrange(q) for _ in range(n)]) for _ in range(30)]
+    table = words.join(words.runs(table_words))
+    at = sorted(rng.randrange(31) for _ in range(8)) + [30]
+    prefixes, expected = [], []
     for _ in range(12):
-        lo = rng.randrange(30)
-        hi = rng.randrange(lo, 31)
-        head = words.pack([rng.randrange(q) for _ in range(21)])
-        segments.append((head.to_bytes(size, "little"), table, lo, hi))
-        expected += [words.add(head, x) for x in table_words[lo:hi]]
+        s = rng.randrange(len(at))
+        head = words.pack([rng.randrange(q) for _ in range(n)])
+        prefixes.append((head, s))
+        expected += [words.add(head, x) for x in table_words[at[s]:]]
     for limit in (1, 4, 7, 1000):
-        pieces = list(cyclic._sums(words, segments, limit))
-        assert all(0 < len(piece) <= limit * size for piece in pieces)
-        assert b"".join(pieces) == b"".join(x.to_bytes(size, "little") for x in expected)
+        pieces = list(cyclic._sums(words, prefixes, table, at, limit))
+        assert all(0 < len(piece) <= limit * words.unit for piece in pieces)
+        assert words.join(pieces) == words.join(words.runs(expected))
 
 
 # codes whose last level w is past the oracle's table budget: the table of

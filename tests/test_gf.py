@@ -342,7 +342,7 @@ def test_packed_words_digits_invert_pack(q, data):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
-@pytest.mark.parametrize("n", [1, 7, 45, 255, 256, 300])
+@pytest.mark.parametrize("n", [1, 7, 45, 48, 96, 97, 255, 300])
 def test_add_many_and_lightest_match_word_by_word(q, n):
     # the oracle's level kernel against add and weight word by word: words
     # of stride bits side by side as little-endian bytes, sparse and dense
@@ -350,18 +350,24 @@ def test_add_many_and_lightest_match_word_by_word(q, n):
     # repeated later so that the first of them must win
     rng = random.Random(1000 * q + n)
     words = gf.PackedWords(q, n)
-    size = words.stride // 8
     assert words.stride % 8 == 0 == words.stride % words.width and words.stride >= n * words.width
 
     def packed(xs):
-        return b"".join(x.to_bytes(size, "little") for x in xs)
+        return words.join(words.runs(xs))
 
     for dense in (0.05, 0.5, 1.0):
         count = rng.randint(1, 12)
         xs, ys = ([words.pack([rng.randrange(1, q) if rng.random() < dense else 0 for _ in range(n)])
                    for _ in range(count)] for _ in range(2))
         sums = [words.add(x, y) for x, y in zip(xs, ys)]
-        assert words.add_many(packed(xs), packed(ys)) == packed(sums)
+        assert words.add_many([packed(xs)], [1], [packed(ys)]) == packed(sums)
+        # a head repeated over the words of its tail: xs[0] over the first
+        # `cut` words of ys and xs[-1] over the rest
+        cut = rng.randint(0, count)
+        repeated = [xs[0]] * cut + [xs[-1]] * (count - cut)
+        assert words.add_many([packed(xs[:1]), packed(xs[-1:])], [cut, count - cut],
+                              [packed(ys[:cut]), packed(ys[cut:])]) \
+            == packed([words.add(x, y) for x, y in zip(repeated, ys)])
         weights = [words.weight(x) for x in sums]
         v = min(weights)
         i = weights.index(v)
