@@ -44,7 +44,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, product, repeat
+from itertools import product, repeat
 
 MAX_FIELD_SIZE = 1 << 20
 # Fields build_field keeps: a sweep over small codes reads about a dozen, and
@@ -580,8 +580,10 @@ class PackedLanes:
         i: heads[i] is a run of one or more words, repeated counts[i] times
         over the words of the run tails[i]."""
         if not self.side_by_side:
-            x, y = chain.from_iterable(map(operator.mul, heads, counts)), chain.from_iterable(tails)
-            return list(map(self.add, x, y))
+            out = []
+            for head, count, tail in zip(heads, counts, tails):
+                out += map(self.add, head * count, tail)
+            return out
         x, y = b"".join(map(operator.mul, heads, counts)), b"".join(tails)
         s = int.from_bytes(x, "little")
         if self.p == 2:
