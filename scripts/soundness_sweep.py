@@ -2,6 +2,8 @@
 """Sweep all small binary cyclic codes and check every emitted bound
 against the exact minimum-distance oracle.
 
+Walks the codes of cyclic.enumerate_small_codes with a nonempty defining
+set and 1 <= k <= --max-k, and refuses a --lengths entry that does not fit.
 Prints one row per code (length, dimension, bch, ht, d_star, oracle) and
 exits nonzero if any bound exceeds the oracle, the oracle's word is not a
 codeword of weight d, or a BCH witness, HT witness or locator certificate
@@ -19,10 +21,16 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cycbound import cyclic, nzl  # noqa: E402
-from cycbound.gf import MAX_FIELD_SIZE, min_extension_degree  # noqa: E402
+from cycbound.gf import MAX_FIELD_SIZE  # noqa: E402
 
-# odd lengths up to 63 whose code field GF(2^s) fits the field table cap
-DEFAULT_LENGTHS = [n for n in range(3, 64, 2) if 2 ** min_extension_degree(2, n) <= MAX_FIELD_SIZE]
+
+def fits(n: int) -> bool:
+    """n >= 1 is odd and its code field GF(2^s) fits the field table cap:
+    n divides 2^s - 1 for some 2^s <= MAX_FIELD_SIZE."""
+    return n >= 1 and any((2**s - 1) % n == 0 for s in range(1, MAX_FIELD_SIZE.bit_length()))
+
+
+DEFAULT_LENGTHS = [n for n in range(3, 64, 2) if fits(n)]
 
 
 def main() -> int:
@@ -34,17 +42,22 @@ def main() -> int:
         "whose code field fits the field table cap)",
     )
     parser.add_argument("--max-k", type=int, default=24)
-    parser.add_argument("--limit", type=int, default=5000)
     parser.add_argument("--quiet", action="store_true", help="print only the summary")
     args = parser.parse_args()
-    lengths = [int(x) for x in args.lengths.split(",")]
+    entries = args.lengths.split(",")
+    bad = [x for x in entries if not (x.strip().isdecimal() and fits(int(x)))]
+    if bad:
+        parser.error(f"--lengths: {bad[0]} is not an odd length >= 1 whose code field GF(2^s) fits the table cap 2^20")
+    lengths = [int(x) for x in entries]
 
     t0 = time.monotonic()
     oracle_s = 0.0
     violations = 0
     count = 0
     rows = hashlib.sha256()  # of the output above the summary line, without --quiet
-    for code in cyclic.enumerate_small_codes(lengths, args.max_k, args.limit):
+    for code in cyclic.enumerate_small_codes(2, lengths, range(1, args.max_k + 1)):
+        if not code.defining_set:
+            continue
         count += 1
         cert, comparison = nzl.best_bound(code)
         bch, ht = comparison["bch"], comparison["ht"]

@@ -823,21 +823,18 @@ def lowest_rate_d3_code(a: int, g: int, r: int = 1) -> CyclicCodeSpec:
     return spec
 
 
-def enumerate_small_codes(lengths, max_k: int, limit: int = 5000):
-    """All binary cyclic codes over the given lengths with 1 <= k <= max_k,
-    one per coset-rep subset, in deterministic order, capped at `limit`."""
-    count = 0
+def enumerate_small_codes(q: int, lengths, ks):
+    """Every q-ary cyclic code of each length in `lengths` coprime to q with
+    k in `ks`: the code of each subset of coset_partition(n, q), in
+    increasing mask order from the empty defining set (mask 0).  k is read
+    off the summed coset sizes, so only the codes yielded are built."""
     for n in lengths:
-        cosets = coset_partition(n, 2)
-        reps = [min(c) for c in cosets]
-        sizes = [len(c) for c in cosets]
-        for mask in range(1, 1 << len(cosets)):
-            total = sum(sizes[i] for i in range(len(cosets)) if mask >> i & 1)
-            k = n - total
-            if k < 1 or k > max_k:
-                continue
-            chosen = [reps[i] for i in range(len(cosets)) if mask >> i & 1]
-            yield build_code(2, n, chosen)
-            count += 1
-            if count >= limit:
-                return
+        if math.gcd(n, q) != 1:
+            continue
+        cosets = coset_partition(n, q)
+        sizes = [0]  # sizes[mask]: the size of the defining set of mask
+        for c in cosets:
+            sizes += [size + len(c) for size in sizes]
+        for mask, size in enumerate(sizes):
+            if n - size in ks:
+                yield build_code(q, n, [min(c) for i, c in enumerate(cosets) if mask >> i & 1])

@@ -9,9 +9,7 @@ q-ary distance oracle that rebuilds every w-row sum, the locator scan that
 builds the cover of every step, the one that tests each step's own
 Hartmann-Tzeng layers before building its cover, and the full ranking of
 every candidate locator's certificate, which nzl.best_certificate must top;
-the schoolbook digit product behind generator_polynomial and encode; and
-small_codes, every cyclic code of a few short lengths, for the tests that
-walk all of them.
+and the schoolbook digit product behind generator_polynomial and encode.
 """
 
 import math
@@ -22,16 +20,6 @@ from itertools import combinations, product
 
 from cycbound import cyclic, nzl
 from cycbound.gf import DigitField, FieldCtx, FieldMismatch, NotCoprime, PackedWords, prime_power, remainder_rows
-
-
-def small_codes(q: int, lengths):
-    """Every q-ary cyclic code of each length coprime to q."""
-    for n in lengths:
-        if math.gcd(n, q) != 1:
-            continue
-        cosets = cyclic.coset_partition(n, q)
-        for chosen in range(1 << len(cosets)):
-            yield cyclic.build_code(q, n, [min(c) for i, c in enumerate(cosets) if chosen >> i & 1])
 
 
 def _mul_digits(df: DigitField, m, g, n: int) -> list[int]:

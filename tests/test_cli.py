@@ -22,6 +22,7 @@ from cycbound.gf import FieldTooLarge
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SWEEP = os.path.join(os.path.dirname(__file__), "..", "scripts", "soundness_sweep.py")
 
 
 def run_cli(*args, **kwargs):
@@ -800,8 +801,7 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_soundness_sweep_script():
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "soundness_sweep.py")
-    res = subprocess.run([sys.executable, script, "--lengths", "257", "--quiet"],
+    res = subprocess.run([sys.executable, SWEEP, "--lengths", "257", "--quiet"],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "33 codes checked" in res.stdout and ", 0 violations" in res.stdout
@@ -809,6 +809,14 @@ def test_soundness_sweep_script():
     # sha256 of the rows a run without --quiet prints above it
     assert re.search(r"^33 codes checked in \d+\.\ds \(oracle \d+\.\ds\), 0 violations, rows sha256 "
                      "003126cd7f42f30cb7761830b88ec002d09863f404c3da2c9f05f70d98187b65$", res.stdout, re.M)
+
+
+@pytest.mark.parametrize("lengths", ["4", "0", "29", "7,0"])
+def test_soundness_sweep_script_refuses_a_length_it_cannot_sweep(lengths):
+    # even, below 1, or a code field GF(2^28) over the table cap
+    res = subprocess.run([sys.executable, SWEEP, "--lengths", lengths], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2 and res.stdout == "" and "Traceback" not in res.stderr
+    assert re.search(rf"^soundness_sweep\.py: error: --lengths: {lengths.split(',')[-1]} is not ", res.stderr, re.M)
 
 
 def _load_bench_pairs():
@@ -897,8 +905,7 @@ def _moved(word):
 
 @pytest.mark.parametrize("wrong", [_lighter, _moved])
 def test_soundness_sweep_script_checks_the_oracle_word(monkeypatch, capsys, wrong):
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "soundness_sweep.py")
-    spec = importlib.util.spec_from_file_location("soundness_sweep", script)
+    spec = importlib.util.spec_from_file_location("soundness_sweep", SWEEP)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
 

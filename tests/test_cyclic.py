@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 import tracemalloc
@@ -263,7 +264,7 @@ def test_generator_polynomial_and_encode_match_schoolbook_product_on_every_small
     # terms; q = 4 takes the digit path of _times, and the whole defining
     # set (k = 0) gives x^n - 1, one digit more than the packed words hold
     rng = random.Random(q)
-    codes = list(reference.small_codes(q, lengths))
+    codes = list(cyclic.enumerate_small_codes(q, lengths, range(max(lengths) + 1)))
     assert any(code.k == 0 and code.n > 1 for code in codes)
     for code in codes:
         _check_against_schoolbook_product(code, rng)
@@ -348,7 +349,9 @@ def test_ht_exhaustive_cross_validation():
     # the normalized search is a lower bound for the two-multiplier search;
     # witnesses of both must verify
     count_lt = 0
-    for spec in cyclic.enumerate_small_codes([7, 9, 15, 17, 21], 16, 150):
+    for spec in cyclic.enumerate_small_codes(2, [7, 9, 15, 17, 21], range(1, 17)):
+        if not spec.defining_set:
+            continue
         a = ht_bound(spec)
         b = ht_every_m2(spec)
         assert verify_ht_witness(spec, a)
@@ -360,8 +363,9 @@ def test_ht_exhaustive_cross_validation():
 
 
 def test_ht_at_least_bch():
-    for spec in cyclic.enumerate_small_codes([7, 9, 15, 21], 16, 120):
-        assert ht_bound(spec).value >= bch_bound(spec).value
+    for spec in cyclic.enumerate_small_codes(2, [7, 9, 15, 21], range(1, 17)):
+        if spec.defining_set:
+            assert ht_bound(spec).value >= bch_bound(spec).value
 
 
 def test_verify_bch_witness(example21):
@@ -417,21 +421,11 @@ def _reference_ht(code, exhaustive):
     return cyclic.HtWitness(value, best[2], best[3], best[4], value - nu, nu)
 
 
-def _every_code(q, max_n):
-    """Every cyclic code over GF(q) of length <= max_n, zero codes included."""
-    for n in range(1, max_n + 1):
-        if math.gcd(n, q) != 1:
-            continue
-        reps = [min(c) for c in cyclic.coset_partition(n, q)]
-        for mask in range(1 << len(reps)):
-            yield build_code(q, n, [r for i, r in enumerate(reps) if mask >> i & 1])
-
-
 @pytest.mark.parametrize("q, max_n", [(2, 31), (3, 26), (4, 13), (5, 16)])
 def test_bch_and_ht_witnesses_match_reference(q, max_n):
     # the whole witness, tie-break included; exhaustive HT up to length 15
     exhaustive = 0
-    for code in _every_code(q, max_n):
+    for code in cyclic.enumerate_small_codes(q, range(1, max_n + 1), range(max_n + 1)):
         if len(code.defining_set) == code.n:
             with pytest.raises(ValueError):
                 bch_bound(code)
@@ -505,19 +499,9 @@ def _reference_distance(code):
     return n - max(w.to_bytes(n, "little").translate(nonzero).count(0) for w in words[1:])
 
 
-def _all_cyclic_codes(q, max_n, max_words, max_field):
-    """Every cyclic code over GF(q) with length <= max_n, 1 <= q^k <= max_words
-    and a code field of at most max_field elements."""
-    p, a = prime_power(q)
-    for n in range(1, max_n + 1):
-        if math.gcd(n, q) != 1 or p ** (a * min_extension_degree(q, n)) > max_field:
-            continue
-        cosets = cyclic.coset_partition(n, q)
-        for mask in range(1 << len(cosets)):
-            chosen = [c for i, c in enumerate(cosets) if mask >> i & 1]
-            k = n - sum(map(len, chosen))
-            if k >= 1 and q**k <= max_words:
-                yield build_code(q, n, [min(c) for c in chosen])
+def _few_word_codes(q, lengths):
+    """The codes of `lengths` with 1 <= k and q^k <= 2^12, which the oracle tests weigh whole."""
+    return list(cyclic.enumerate_small_codes(q, lengths, [k for k in range(1, 13) if q**k <= 1 << 12]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -525,7 +509,8 @@ def test_oracle_matches_full_enumeration(q):
     # Binary codes run to n = 63: a stop rule one too weak passes every
     # shorter code and fails on (2; 63) codes with k = 12.
     max_n, max_field = (63, 1 << 20) if q == 2 else (31, 1 << 16)
-    codes = list(_all_cyclic_codes(q, max_n, 1 << 12, max_field))
+    lengths = [n for n in range(1, max_n + 1) if math.gcd(n, q) == 1 and q ** min_extension_degree(q, n) <= max_field]
+    codes = _few_word_codes(q, lengths)
     # the edge cases of the information-set stop rule are all present
     assert any(c.k == c.n for c in codes)  # empty defining set, d = 1
     assert any(c.k == 1 and c.n > 1 for c in codes)  # repetition code, d = n
@@ -570,7 +555,7 @@ def _reference_binary_oracle(code):
 
 
 def test_binary_oracle_word_matches_lex_first_reference():
-    codes = list(_all_cyclic_codes(2, 63, 1 << 12, 1 << 20))
+    codes = _few_word_codes(2, [n for n in range(1, 64, 2) if 2 ** min_extension_degree(2, n) <= 1 << 20])
     stops = {}
     for code in codes:
         d, word, stop = _reference_binary_oracle(code)
@@ -728,18 +713,6 @@ def test_oracle_word_does_not_depend_on_the_table_budget(monkeypatch):
 
 
 @cache
-def _codes_of_length(q, n):
-    cosets = cyclic.coset_partition(n, q)
-    codes = []
-    for mask in range(1 << len(cosets)):
-        chosen = [min(c) for i, c in enumerate(cosets) if mask >> i & 1]
-        code = build_code(q, n, chosen)
-        if code.k >= 1 and q**code.k <= 1 << 12:
-            codes.append(code)
-    return codes
-
-
-@cache
 def _reference_oracle(code):
     return (_reference_binary_oracle if code.q == 2 else qary_oracle)(code)[:2]
 
@@ -751,7 +724,7 @@ def test_oracle_words_shared_across_codes_leak_nothing(q, n, data):
     # the oracle's per-length words serve every code of one (q, n): codes
     # of that length in any order, repeats included, each give the
     # reference's (d, codeword), and one PackedWords serves them all
-    codes = _codes_of_length(q, n)
+    codes = _few_word_codes(q, [n])
     order = data.draw(st.lists(st.sampled_from(codes), min_size=2, max_size=10))
     built = []
 
@@ -796,7 +769,9 @@ def test_has_distance_two():
 
 
 def test_distance_two_iff_oracle():
-    for spec in cyclic.enumerate_small_codes([7, 9, 15, 21], 16, 150):
+    for spec in cyclic.enumerate_small_codes(2, [7, 9, 15, 21], range(1, 17)):
+        if not spec.defining_set:
+            continue
         expected = min_distance_oracle(spec).d == 2
         assert has_distance_two(spec.n, spec.coset_reps) == expected
 
@@ -882,8 +857,25 @@ def test_lowest_rate_d3_small_oracle():
     assert code.k == 5 * (3 - 2)
 
 
-def test_enumerate_small_codes_deterministic():
-    a = [c.defining_set for c in cyclic.enumerate_small_codes([15, 17], 16, 50)]
-    b = [c.defining_set for c in cyclic.enumerate_small_codes([15, 17], 16, 50)]
-    assert a == b
-    assert all(len(d) >= 1 for d in a)
+@pytest.mark.parametrize("q, lengths", [(2, [7, 9, 10, 15, 17, 21]), (3, [4, 13, 6, 8]), (4, [5, 7, 6]),
+                                        (5, [4, 10, 6])])
+def test_enumerate_small_codes_walks_every_subset_of_cosets(q, lengths):
+    # per length coprime to q, in the given order, the code of every subset
+    # of its cosets in increasing mask order: D = {} first, each coset alone
+    # at mask 2^i, D = Z_n last, no defining set twice; the length not
+    # coprime to q gives none, and ks filters as a filter afterwards would
+    every = list(cyclic.enumerate_small_codes(q, lengths, range(max(lengths) + 1)))
+    coprime = [n for n in lengths if math.gcd(n, q) == 1]
+    assert [c.n for c in every] == [n for n in coprime for _ in range(2 ** len(cyclic.coset_partition(n, q)))]
+    for n in coprime:
+        codes, cosets = [c for c in every if c.n == n], cyclic.coset_partition(n, q)
+        assert codes[0].defining_set == () and codes[-1].defining_set == tuple(range(n))
+        assert [codes[1 << i].coset_reps for i in range(len(cosets))] == [(min(c),) for c in cosets]
+        assert len({c.defining_set for c in codes}) == len(codes)
+    for ks in ([0], range(1, 4), {2, 3, 6}, range(max(lengths) + 1), ()):
+        assert list(cyclic.enumerate_small_codes(q, lengths, ks)) == [c for c in every if c.k in ks]
+    if q == 2:  # the HT cross-validation's walk, as the binary walk from mask 1 gave it
+        keys = [(c.n, c.coset_reps) for c in cyclic.enumerate_small_codes(q, lengths, range(1, 17)) if c.defining_set]
+        assert len(keys) == 103
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
+            "d41a09e0785d9e93a5485b4d5558543c5a628d9bc2adf753d096154f36410dc9")

@@ -33,7 +33,7 @@ from cycbound.gf import (
     subfield_digit_maps,
 )
 from cycbound.nzl import verify_certificate
-from reference import Poly, euclid_key_equation, padd, pdivmod, pmod, pmul, pone, psub, small_codes
+from reference import Poly, euclid_key_equation, padd, pdivmod, pmod, pmul, pone, psub
 
 
 @pytest.fixture(scope="module")
@@ -1062,7 +1062,7 @@ def test_decode_every_pattern_within_and_one_past_the_radius(q, n, counts):
     rng = random.Random(17)
     codes, patterns = 0, [0, 0]  # within the radius, one past it
     locators = nzl.candidate_locators(n, q)
-    for code in small_codes(q, [n]):
+    for code in cyclic.enumerate_small_codes(q, [n], range(n + 1)):
         # the zero code has no certificate, and below d* = 3 no context
         if not code.k or nzl.best_certificate(code, locators).d_star < 3:
             continue

@@ -388,7 +388,7 @@ def test_best_bound_raises_degenerate_cover(monkeypatch, example21, spc5, d_l):
 def test_soundness_every_binary_code_of_length_257():
     # the first length above 255: k is 1, 16 or 17 for every code with k <= 20
     seen = []
-    for code in cyclic.enumerate_small_codes([257], 20, 5000):
+    for code in cyclic.enumerate_small_codes(2, [257], range(1, 21)):
         cert, comparison = best_bound(code)
         bch, ht = comparison["bch"], comparison["ht"]
         d = cyclic.min_distance_oracle(code).d
@@ -406,19 +406,15 @@ def test_soundness_small_codes_over_gf7_gf11_gf13():
     # live in a field over the table cap
     count = 0
     for q in (7, 11, 13):
-        for n in range(3, 21):
-            if math.gcd(n, q) != 1 or q ** min_extension_degree(q, n) > 1 << 16:
+        lengths = [n for n in range(3, 21) if math.gcd(n, q) == 1 and q ** min_extension_degree(q, n) <= 1 << 16]
+        for code in cyclic.enumerate_small_codes(q, lengths, [k for k in range(1, 11) if q**k <= 1 << 10]):
+            if not code.defining_set:
                 continue
-            cosets = cyclic.coset_partition(n, q)
-            for mask in range(1, 1 << len(cosets)):
-                code = cyclic.build_code(q, n, [min(c) for i, c in enumerate(cosets) if mask >> i & 1])
-                if code.k < 1 or q**code.k > 1 << 10:
-                    continue
-                count += 1
-                cert, comp = best_bound(code)
-                d = cyclic.min_distance_oracle(code).d
-                assert comp["bch"] <= d and comp["ht"] <= d and cert.d_star <= d, (code, comp, d)
-                assert verify_certificate(code.defining_set, n, cert)
+            count += 1
+            cert, comp = best_bound(code)
+            d = cyclic.min_distance_oracle(code).d
+            assert comp["bch"] <= d and comp["ht"] <= d and cert.d_star <= d, (code, comp, d)
+            assert verify_certificate(code.defining_set, code.n, cert)
     assert count == 615
 
 
@@ -674,7 +670,7 @@ def _assert_search_matches_reference(code, mu_search_too):
 
 @pytest.mark.parametrize("q, lengths", [(2, range(1, 22, 2)), (3, range(1, 15)), (4, range(1, 16, 2)), (5, range(1, 13))])
 def test_search_matches_reference_scan_on_every_small_code(q, lengths):
-    for code in reference.small_codes(q, lengths):
+    for code in cyclic.enumerate_small_codes(q, lengths, range(max(lengths) + 1)):
         _assert_search_matches_reference(code, True)
 
 
@@ -699,7 +695,7 @@ def test_read_off_matches_reference_scan():
     # of 22, past the MAX_N_L kept layers
     long_code = cyclic.build_code(2, 255, range(1, 22, 2))
     locators = [trivial_locator(), nzl.custom_locator(2, 1, 3, ())]
-    for code in [*reference.small_codes(2, range(1, 22, 2)), long_code]:
+    for code in [*cyclic.enumerate_small_codes(2, range(1, 22, 2), range(22)), long_code]:
         n, D = code.n, code.defining_set
         for loc in locators:
             assert loc._zeros[2] == 1
